@@ -28,6 +28,9 @@ echo "==> cargo test -q (workspace)"
 # (default: all cores) with byte-identical results at any count.
 STEM_CHECKED_ACCESSES="${STEM_CHECKED_ACCESSES:-200000}" cargo test -q --workspace
 
+echo "==> benchmark unit tests (the benchmark package is outside the workspace)"
+(cd benchmark && cargo test --offline -q)
+
 echo "==> throughput bench (smoke) + BENCH_throughput.json"
 # Smoke-sized iterations keep CI fast; drop the override for real numbers.
 # 50k accesses keeps each timed iteration in the milliseconds — big enough

@@ -233,9 +233,9 @@ pub fn replay_shard_warmed(
 }
 
 /// MPKI of merged shard stats: the instruction denominator comes from the
-/// *source* trace's measured range (O(1) via its prefix sum), exactly the
-/// number the serial runner divides by, so a correctly merged shard replay
-/// yields a bit-identical MPKI.
+/// *source* trace's measured range, exactly the number the serial runner
+/// divides by, so a correctly merged shard replay yields a bit-identical
+/// MPKI.
 pub fn sharded_mpki(stats: &CacheStats, source: &DecodedTrace, warm_len: usize) -> f64 {
     stats.mpki(source.instructions_in(warm_len..source.len()).max(1))
 }

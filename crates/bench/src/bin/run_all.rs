@@ -59,8 +59,11 @@ fn maybe_csv(csv_dir: Option<&Path>, name: &str, table: &Table) {
 }
 
 /// The end-to-end pipeline stage breakdown recorded alongside the
-/// per-experiment timings: wall clock spent synthesizing raw accesses,
-/// decoding them into shared [`DecodedTrace`]s, replaying decoded streams
+/// per-experiment timings: wall clock spent synthesizing accesses,
+/// decoding retained raw traces into shared [`DecodedTrace`]s (the sweep,
+/// capacity-sweep and mix streams; the matrix and Fig. 1 traces are
+/// generated straight into decoded columns, so their decode time is
+/// inside generate), replaying decoded streams
 /// through the scheme models (matrix cells and sweep points), and running
 /// the remaining analyses (Fig. 1 profiling net of its trace preparation,
 /// plus Table 3).

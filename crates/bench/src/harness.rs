@@ -29,15 +29,19 @@ pub fn accesses_per_benchmark() -> usize {
 /// the paper's cache-warming protocol.
 pub const WARMUP_FRACTION: f64 = 0.2;
 
-/// Wall-clock split of one trace-preparation cell: synthesizing the raw
-/// access stream, then decoding it into the shared
-/// [`DecodedTrace`] representation. Drivers accumulate these into the
+/// Wall-clock split of one trace-preparation cell: synthesizing the
+/// access stream, and decoding a retained raw [`Trace`] into the shared
+/// [`DecodedTrace`] representation. [`prepare_trace`] generates straight
+/// into decoded columns, so its decode work is inside `generate` and its
+/// `decode` is zero; only paths that keep or ingest a raw trace
+/// ([`prepare_trace_retaining_raw`], re-decodes at other geometries)
+/// record a separate decode. Drivers accumulate these into the
 /// `BENCH_run_all.json` stage breakdown.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrepTimings {
-    /// Time spent synthesizing raw accesses.
+    /// Time spent synthesizing accesses (decoding included when fused).
     pub generate: Duration,
-    /// Time spent decoding them into the structure-of-arrays stream.
+    /// Time spent decoding a raw trace into the structure-of-arrays stream.
     pub decode: Duration,
 }
 
@@ -55,27 +59,26 @@ impl PrepTimings {
 pub struct PreparedTrace {
     /// The shared decoded stream.
     pub trace: Arc<DecodedTrace>,
-    /// How long generation and decoding took.
+    /// How long generation (decoding included) took.
     pub prep: PrepTimings,
 }
 
-/// Generates `bench`'s trace at `geom` and decodes it exactly once. The
-/// raw [`Trace`](stem_sim_core::Trace) is dropped before this returns:
-/// downstream consumers only ever see the decoded stream.
+/// Generates `bench`'s trace at `geom` straight into a [`DecodedTrace`]
+/// ([`BenchmarkProfile::decoded`]): no raw [`Trace`] is ever built, and
+/// the stream is bit-identical to decoding [`BenchmarkProfile::trace`].
 pub fn prepare_trace(
     bench: &BenchmarkProfile,
     geom: CacheGeometry,
     accesses: usize,
 ) -> PreparedTrace {
     let t0 = Instant::now();
-    let raw = bench.trace(geom, accesses);
-    let generate = t0.elapsed();
-    let t1 = Instant::now();
-    let trace = Arc::new(DecodedTrace::decode(&raw, geom));
-    let decode = t1.elapsed();
+    let trace = Arc::new(bench.decoded(geom, accesses));
     PreparedTrace {
         trace,
-        prep: PrepTimings { generate, decode },
+        prep: PrepTimings {
+            generate: t0.elapsed(),
+            decode: Duration::ZERO,
+        },
     }
 }
 

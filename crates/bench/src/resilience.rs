@@ -269,6 +269,13 @@ impl ExperimentRunner {
         &self.outcomes
     }
 
+    /// Removes and returns every outcome recorded so far, leaving the
+    /// log empty. Long-lived callers (the serve executor) drain after each
+    /// experiment so the log does not grow with every job ever run.
+    pub fn take_outcomes(&mut self) -> Vec<ExperimentOutcome> {
+        std::mem::take(&mut self.outcomes)
+    }
+
     /// Whether every experiment so far succeeded.
     pub fn all_passed(&self) -> bool {
         self.outcomes.iter().all(|o| o.failure.is_none())

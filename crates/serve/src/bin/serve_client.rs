@@ -221,6 +221,10 @@ fn bench(
         ("bench".to_owned(), Json::str("stem-serve")),
         ("path".to_owned(), Json::str(path)),
         ("requests".to_owned(), Json::Int(count as i64)),
+        (
+            "nproc".to_owned(),
+            Json::Int(std::thread::available_parallelism().map_or(1, |n| n.get() as i64)),
+        ),
     ];
     if let Some(exact_body) = exact_twin(body) {
         let exact = measure(addr, path, &exact_body, count, "exact", policy, rng)?;

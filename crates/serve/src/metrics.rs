@@ -9,7 +9,7 @@
 //! that greps it.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -28,8 +28,10 @@ pub struct Metrics {
     /// is deterministic and lock-free).
     latency_sum_micros: AtomicU64,
     latency_count: AtomicU64,
-    /// Jobs currently waiting in the bounded queue.
-    queue_depth: AtomicU64,
+    /// Jobs currently waiting in the bounded queue. Signed because a
+    /// worker can take a job before its handler records the enqueue; the
+    /// gauge then dips to -1 for that instant, and reads clamp it to 0.
+    queue_depth: AtomicI64,
     /// Simulations actually executed (cache misses that ran).
     sim_executions: AtomicU64,
     /// `/run` responses served from the result cache.
@@ -103,7 +105,7 @@ impl Metrics {
     /// Jobs currently waiting in the bounded queue (the `Retry-After`
     /// headers on 429/503 are derived from this gauge).
     pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
+        self.queue_depth.load(Ordering::Relaxed).max(0) as u64
     }
 
     /// A simulation actually ran (as opposed to a cache hit).
@@ -288,7 +290,7 @@ impl Metrics {
                 "stem_serve_queue_depth",
                 "gauge",
                 "Jobs waiting in the bounded queue.",
-                self.queue_depth.load(Ordering::Relaxed),
+                self.queue_depth(),
             ),
             (
                 "stem_serve_sim_executions_total",
@@ -476,5 +478,17 @@ mod tests {
         m.job_enqueued();
         m.job_started();
         assert!(m.render().contains("stem_serve_queue_depth 1"));
+    }
+
+    #[test]
+    fn a_start_that_outruns_its_enqueue_reads_as_an_empty_queue() {
+        let m = Metrics::new();
+        m.job_started();
+        assert_eq!(m.queue_depth(), 0);
+        assert!(m.render().contains("stem_serve_queue_depth 0"));
+        m.job_enqueued();
+        assert_eq!(m.queue_depth(), 0);
+        m.job_enqueued();
+        assert_eq!(m.queue_depth(), 1);
     }
 }

@@ -10,11 +10,16 @@
 //!                  (with its request deadline) into the bounded queue
 //!                  (full → 429 + Retry-After) and waits on its private
 //!                  reply channel until the deadline
-//! executor thread  drains the queue; a watchdog sheds jobs whose
-//!                  deadline passed in the queue, the rest run through
-//!                  ExperimentRunner::run_batch (panic + budget isolated),
-//!                  fill the cache, and answer the reply channels
+//! workers ×threads each takes one job off the queue as soon as it is
+//!                  free; a watchdog sheds a job whose deadline passed in
+//!                  the queue, otherwise it runs through ExperimentRunner
+//!                  (panic + budget isolated), fills the cache, and
+//!                  answers the job's reply channel
 //! ```
+//!
+//! The workers are work-conserving: a job never waits while a worker is
+//! idle, so `threads` cache misses run concurrently instead of queueing
+//! behind one another.
 //!
 //! The queue is a `std::sync::mpsc::sync_channel` of fixed capacity: a
 //! `/run` that cannot `try_send` is rejected with **429** immediately —
@@ -50,19 +55,20 @@
 //! # Shutdown
 //!
 //! `POST /shutdown` (or [`ServiceHandle::shutdown`]) flips the stop flag.
-//! The accept thread stops accepting, joins every handler (in-flight
-//! requests finish normally), drops the queue sender, and the executor
-//! exits once the queue drains — a graceful drain, not an abort.
+//! The accept thread stops accepting at its next poll, joins every
+//! handler (in-flight requests finish normally), drops the queue sender,
+//! and the workers exit once the queue drains — a graceful drain, not an
+//! abort.
 
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use stem_bench::resilience::{ExperimentFailure, ExperimentRunner};
+use stem_bench::resilience::ExperimentRunner;
 use stem_sim_core::Json;
 
 use crate::cache::ResultCache;
@@ -85,8 +91,8 @@ pub struct ServeConfig {
     /// consulted by [`start`] — [`start_with_executor`] callers own their
     /// executor's caching.
     pub snapshot_slots: usize,
-    /// Worker threads the executor hands to
-    /// [`ExperimentRunner::run_batch`].
+    /// Executor workers: each runs one queued experiment at a time, so up
+    /// to this many run concurrently.
     pub threads: usize,
     /// Per-experiment wall-clock budget.
     pub budget: Duration,
@@ -123,13 +129,17 @@ enum JobError {
     Shed,
 }
 
+/// What a worker sends back to the waiting handler: the response body,
+/// or why there is none.
+type Reply = Result<Arc<Vec<u8>>, JobError>;
+
 /// One queued experiment.
 struct Job {
     request: RunRequest,
     key: u64,
     canonical: String,
     deadline: RequestDeadline,
-    reply: mpsc::Sender<Result<Arc<Vec<u8>>, JobError>>,
+    reply: mpsc::Sender<Reply>,
 }
 
 /// State shared by handlers and the executor.
@@ -138,7 +148,7 @@ struct Shared {
     metrics: Arc<Metrics>,
     cache: Mutex<ResultCache>,
     /// `Some` while the service accepts work; taken at drain time so the
-    /// executor's `recv` loop terminates.
+    /// workers' `recv` loops terminate.
     queue: Mutex<Option<SyncSender<Job>>>,
     budget: Duration,
     io_deadline: Duration,
@@ -150,7 +160,7 @@ struct Shared {
 pub struct ServiceHandle {
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    executor_thread: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServiceHandle {
@@ -169,15 +179,15 @@ impl ServiceHandle {
         self.shared.stop.load(Ordering::SeqCst)
     }
 
-    /// Waits for the accept loop, all handlers, and the executor to
-    /// finish. Call [`shutdown`](Self::shutdown) first (or rely on
+    /// Waits for the accept loop, all handlers, and the executor workers
+    /// to finish. Call [`shutdown`](Self::shutdown) first (or rely on
     /// `POST /shutdown`), otherwise this blocks until a client stops the
     /// service.
     pub fn join(mut self) {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        if let Some(t) = self.executor_thread.take() {
+        for t in self.workers.drain(..) {
             let _ = t.join();
         }
     }
@@ -215,15 +225,18 @@ pub fn start_with_executor(
         io_deadline: config.io_deadline,
     });
 
-    let executor_thread = {
-        let shared = Arc::clone(&shared);
-        let threads = config.threads.max(1);
-        let budget = config.budget;
-        thread::Builder::new()
-            .name("stem-serve-exec".into())
-            .spawn(move || executor_loop(&shared, &rx, threads, budget, &executor))
-            .expect("spawn executor thread")
-    };
+    let rx = Arc::new(Mutex::new(rx));
+    let workers = (0..config.threads.max(1))
+        .map(|_| {
+            let shared = Arc::clone(&shared);
+            let rx = Arc::clone(&rx);
+            let executor = Arc::clone(&executor);
+            thread::Builder::new()
+                .name("stem-serve-exec".into())
+                .spawn(move || worker_loop(&shared, &rx, &executor))
+                .expect("spawn executor worker")
+        })
+        .collect();
 
     let accept_thread = {
         let shared = Arc::clone(&shared);
@@ -236,12 +249,12 @@ pub fn start_with_executor(
     ServiceHandle {
         shared,
         accept_thread: Some(accept_thread),
-        executor_thread: Some(executor_thread),
+        workers,
     }
 }
 
 /// Polls the transport until the stop flag rises, then drains: joins all
-/// handlers and drops the queue sender so the executor can exit.
+/// handlers and drops the queue sender so the workers can exit.
 fn accept_loop(transport: Box<dyn Transport>, shared: &Arc<Shared>) {
     let mut handlers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
@@ -277,80 +290,66 @@ fn accept_loop(transport: Box<dyn Transport>, shared: &Arc<Shared>) {
     shared.queue.lock().expect("queue lock").take();
 }
 
-/// Drains the bounded queue. A watchdog sheds jobs whose deadline passed
-/// while queued; consecutive live jobs are batched into one
-/// [`ExperimentRunner::run_batch`] call (panic- and budget-isolated per
-/// cell, results in input order).
-fn executor_loop(
-    shared: &Arc<Shared>,
-    rx: &mpsc::Receiver<Job>,
-    threads: usize,
-    budget: Duration,
-    executor: &Executor,
-) {
-    let mut runner = ExperimentRunner::with_budget(budget);
-    while let Ok(first) = rx.recv() {
+/// One executor worker: takes the next job off the shared queue as soon
+/// as it is free, runs it, answers its reply channel, and exits once the
+/// queue is closed and empty.
+fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>, executor: &Executor) {
+    let mut runner = ExperimentRunner::with_budget(shared.budget);
+    loop {
+        // The lock is held only while this worker waits for a job; the
+        // guard drops at the end of the statement, before the job runs.
+        let Ok(job) = rx.lock().expect("queue receiver lock").recv() else {
+            return;
+        };
         shared.metrics.job_started();
-        let mut batch = vec![first];
-        while let Ok(job) = rx.try_recv() {
-            shared.metrics.job_started();
-            batch.push(job);
-        }
+        let reply = run_job(shared, &mut runner, executor, &job);
+        // The handler may have timed out and gone; ignore send errors.
+        let _ = job.reply.send(reply);
+    }
+}
 
-        // Watchdog: a job that outlived its deadline in the queue is dead
-        // on arrival — executing it would wedge live work behind an
-        // answer nobody is waiting for. (The waiting handler counts the
-        // shed when it answers 503, so this does not double-count.)
-        let (live, shed): (Vec<Job>, Vec<Job>) = batch
-            .into_iter()
-            .partition(|job| !expired_before_execution(&job.deadline));
-        for job in shed {
-            let _ = job.reply.send(Err(JobError::Shed));
+/// Runs one dequeued job: the deadline watchdog, the panic- and
+/// budget-isolated experiment, and the result-cache fill. The runner's
+/// outcome log is drained every time, so a long-lived worker holds no
+/// per-job state.
+fn run_job(
+    shared: &Shared,
+    runner: &mut ExperimentRunner,
+    executor: &Executor,
+    job: &Job,
+) -> Reply {
+    // Watchdog: a job that outlived its deadline in the queue is dead on
+    // arrival — executing it would wedge live work behind an answer
+    // nobody is waiting for. (The waiting handler counts the shed when it
+    // answers 503, so this does not double-count.)
+    if expired_before_execution(&job.deadline) {
+        return Err(JobError::Shed);
+    }
+    let request = job.request.clone();
+    let executor = Arc::clone(executor);
+    let result = runner.run_value(&job.canonical, move || executor(&request));
+    let outcome = runner.take_outcomes().pop();
+    match result {
+        Some(Ok(json)) => {
+            shared.metrics.sim_executed();
+            let body = Arc::new(render_run_body(job, &json));
+            shared.cache.lock().expect("cache lock").insert(
+                job.key,
+                job.canonical.clone(),
+                Arc::clone(&body),
+            );
+            Ok(body)
         }
-        if live.is_empty() {
-            continue;
+        Some(Err(e)) => {
+            shared.metrics.worker_failed();
+            Err(JobError::Failed(format!("experiment failed: {e}")))
         }
-        let batch = live;
-
-        let cells: Vec<(String, _)> = batch
-            .iter()
-            .map(|job| {
-                let request = job.request.clone();
-                let executor = Arc::clone(executor);
-                (job.canonical.clone(), move || executor(&request))
-            })
-            .collect();
-        let before = runner.outcomes().len();
-        let results = runner.run_batch(threads, cells);
-        let outcomes = &runner.outcomes()[before..];
-
-        for ((job, result), outcome) in batch.iter().zip(results).zip(outcomes) {
-            let reply = match result {
-                Some(Ok(json)) => {
-                    shared.metrics.sim_executed();
-                    let body = Arc::new(render_run_body(job, &json));
-                    shared.cache.lock().expect("cache lock").insert(
-                        job.key,
-                        job.canonical.clone(),
-                        Arc::clone(&body),
-                    );
-                    Ok(body)
-                }
-                Some(Err(e)) => {
-                    shared.metrics.worker_failed();
-                    Err(JobError::Failed(format!("experiment failed: {e}")))
-                }
-                None => {
-                    shared.metrics.worker_failed();
-                    let failure = outcome.failure.as_ref().map_or_else(
-                        || "unknown failure".to_owned(),
-                        ExperimentFailure::to_string,
-                    );
-                    Err(JobError::Failed(format!("experiment {failure}")))
-                }
-            };
-            // The handler may have timed out and gone; ignore send errors.
-            let _ = job.reply.send(reply);
+        None => {
+            shared.metrics.worker_failed();
+            let failure = outcome
+                .and_then(|o| o.failure)
+                .map_or_else(|| "unknown failure".to_owned(), |f| f.to_string());
+            Err(JobError::Failed(format!("experiment {failure}")))
         }
     }
 }
@@ -578,5 +577,55 @@ fn handle_run(body: &[u8], shared: &Arc<Shared>) -> Routed {
                 shared,
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stem_sim_core::SimError;
+
+    fn job(benchmark: &str) -> (Job, mpsc::Receiver<Reply>) {
+        let body = format!(r#"{{"benchmark": "{benchmark}", "scheme": "lru"}}"#);
+        let request = RunRequest::parse(body.as_bytes()).expect("valid request");
+        let (reply, rx) = mpsc::channel();
+        let job = Job {
+            key: request.cache_key(),
+            canonical: request.canonical().to_string(),
+            deadline: RequestDeadline::for_request(&request, Duration::from_secs(60)),
+            request,
+            reply,
+        };
+        (job, rx)
+    }
+
+    #[test]
+    fn a_long_lived_worker_keeps_no_per_job_state() {
+        let shared = Shared {
+            stop: AtomicBool::new(false),
+            metrics: Arc::new(Metrics::new()),
+            cache: Mutex::new(ResultCache::new(4)),
+            queue: Mutex::new(None),
+            budget: Duration::from_secs(60),
+            io_deadline: Duration::from_secs(10),
+        };
+        // Every third job panics, so the failure path drains too.
+        let executor: Executor = Arc::new(|req| {
+            assert_ne!(req.benchmark, "art", "injected failure");
+            Ok::<_, SimError>(Json::str(req.benchmark.clone()))
+        });
+        let mut runner = ExperimentRunner::with_budget(shared.budget);
+        for i in 0..100 {
+            let name = ["mcf", "omnetpp", "art"][i % 3];
+            let (job, _rx) = job(name);
+            let reply = run_job(&shared, &mut runner, &executor, &job);
+            assert_eq!(reply.is_ok(), name != "art", "job {i} ({name})");
+            assert!(
+                runner.outcomes().is_empty(),
+                "job {i} left {} outcome(s) on the runner",
+                runner.outcomes().len()
+            );
+        }
+        assert_eq!(shared.metrics.sim_executions(), 67);
     }
 }

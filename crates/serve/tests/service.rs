@@ -1,16 +1,18 @@
 //! End-to-end service acceptance tests, all over the in-memory duplex
 //! transport: determinism across thread counts, result-cache behaviour
 //! proven through `/metrics`, 429 backpressure on a 1-slot queue, strict
-//! request rejection, and graceful drain.
+//! request rejection, and graceful drain — plus the executor's
+//! concurrency and prompt shutdown of a real loopback `TcpTransport`.
 
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use stem_serve::exec::Executor;
 use stem_serve::http::{self, HttpResponse};
-use stem_serve::service::{self, ServeConfig};
-use stem_serve::transport::{duplex_transport, DuplexConnector};
+use stem_serve::service::{self, ServeConfig, ServiceHandle};
+use stem_serve::transport::{duplex_transport, DuplexConnector, TcpTransport};
 use stem_sim_core::Json;
 
 /// One full HTTP exchange against a running service.
@@ -504,4 +506,116 @@ fn mix_requests_cache_and_stay_byte_identical_across_thread_counts() {
         bodies[0], bodies[1],
         "thread count must not change the bytes"
     );
+}
+
+/// Two distinct misses with two workers: both experiments are running
+/// before either is released, so the second never waits behind the first.
+#[test]
+fn two_workers_run_two_distinct_jobs_at_once() {
+    let (listener, connector) = duplex_transport();
+    let config = ServeConfig {
+        threads: 2,
+        ..small_config()
+    };
+    let (executor, started_rx, release_tx) = blocking_executor();
+    let handle = service::start_with_executor(Box::new(listener), config, executor);
+
+    // The second request is sent only once the first is running, and
+    // neither is released until both have started: with a serial executor
+    // the second start would never arrive.
+    let clients: Vec<_> = ["mcf", "art"]
+        .into_iter()
+        .map(|bench| {
+            let connector = connector.clone();
+            let body = format!(r#"{{"benchmark": "{bench}", "scheme": "lru", "accesses": 1000}}"#);
+            let client =
+                std::thread::spawn(move || exchange(&connector, "POST", "/run", body.as_bytes()));
+            started_rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("the {bench} job never started"));
+            client
+        })
+        .collect();
+    release_tx.send(()).expect("release one");
+    release_tx.send(()).expect("release the other");
+    for (client, bench) in clients.into_iter().zip(["mcf", "art"]) {
+        let resp = client.join().expect("client thread");
+        assert_eq!(resp.status, 200, "{}", resp.body_text());
+        assert!(resp.body_text().contains(bench), "{}", resp.body_text());
+    }
+    handle.shutdown();
+    handle.join();
+}
+
+/// Joins the service on a helper thread, so a drain that never finishes
+/// fails the test instead of wedging the suite.
+fn join_or_fail(handle: ServiceHandle, what: &str) {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{what}: the service never drained"));
+}
+
+fn start_tcp(config: ServeConfig, executor: Option<Executor>) -> (ServiceHandle, SocketAddr) {
+    let tcp = TcpTransport::bind("127.0.0.1:0").expect("bind an ephemeral loopback port");
+    let addr = tcp.local_addr();
+    let handle = match executor {
+        Some(executor) => service::start_with_executor(Box::new(tcp), config, executor),
+        None => service::start(Box::new(tcp), config),
+    };
+    (handle, addr)
+}
+
+fn tcp_exchange(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> HttpResponse {
+    let mut conn = TcpStream::connect(addr).expect("connect to service");
+    http::write_request(&mut conn, method, path, body).expect("send request");
+    http::read_response(&mut conn).expect("read response")
+}
+
+#[test]
+fn an_idle_tcp_service_drains_on_handle_shutdown() {
+    // No traffic at all: the accept thread sees the stop flag at its next
+    // poll.
+    let (handle, _addr) = start_tcp(small_config(), None);
+    handle.shutdown();
+    join_or_fail(handle, "shutdown() on an idle TCP service");
+}
+
+#[test]
+fn an_idle_tcp_service_drains_on_post_shutdown() {
+    let (handle, addr) = start_tcp(small_config(), None);
+    let resp = tcp_exchange(addr, "POST", "/shutdown", b"");
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    assert!(resp.body_text().contains("draining"));
+    assert!(handle.is_stopping());
+    join_or_fail(handle, "POST /shutdown on an idle TCP service");
+    TcpStream::connect(addr).expect_err("the listener is closed after the drain");
+}
+
+#[test]
+fn a_job_in_flight_at_shutdown_still_gets_its_200() {
+    let (executor, started_rx, release_tx) = blocking_executor();
+    let (handle, addr) = start_tcp(small_config(), Some(executor));
+    let client = std::thread::spawn(move || {
+        tcp_exchange(
+            addr,
+            "POST",
+            "/run",
+            br#"{"benchmark": "mcf", "scheme": "lru", "accesses": 1000}"#,
+        )
+    });
+    started_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the job reaches a worker");
+    handle.shutdown();
+    release_tx.send(()).expect("release the in-flight job");
+    let resp = client.join().expect("client thread");
+    assert_eq!(resp.status, 200, "{}", resp.body_text());
+    assert!(resp.body_text().contains("mcf"), "{}", resp.body_text());
+    assert_eq!(handle.metrics().sim_executions(), 1);
+    join_or_fail(handle, "draining an in-flight job");
 }

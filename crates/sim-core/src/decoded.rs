@@ -93,9 +93,6 @@ pub struct DecodedTrace {
     lines: Vec<u64>,
     write_words: Vec<u64>,
     inst_gaps: Vec<u32>,
-    /// `inst_prefix[i]` = instructions of accesses `0..i`; one entry per
-    /// access plus a leading zero, so any range query is two lookups.
-    inst_prefix: Vec<u64>,
     instructions: u64,
 }
 
@@ -107,39 +104,52 @@ impl DecodedTrace {
     /// Panics if `geom` has more than `u32::MAX` sets (far beyond any
     /// simulated geometry; set indices are stored as `u32`).
     pub fn decode(trace: &Trace, geom: CacheGeometry) -> Self {
+        let mut decoded = DecodedTrace::with_capacity(geom, trace.len());
+        for &a in trace.iter() {
+            decoded.push(a);
+        }
+        decoded
+    }
+
+    /// An empty stream decoded against `geom`, with room for `capacity`
+    /// accesses. Generators [`push`](Self::push) straight into it, so a
+    /// synthesized stream never exists as a [`Trace`] first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `geom` has more than `u32::MAX` sets (set indices are
+    /// stored as `u32`).
+    pub fn with_capacity(geom: CacheGeometry, capacity: usize) -> Self {
         assert!(
             geom.sets() as u64 <= u64::from(u32::MAX),
             "set indices are stored as u32"
         );
-        let n = trace.len();
-        let mut sets = Vec::with_capacity(n);
-        let mut lines = Vec::with_capacity(n);
-        let mut write_words = vec![0u64; n.div_ceil(64)];
-        let mut inst_gaps = Vec::with_capacity(n);
-        let line_bytes = geom.line_bytes();
-        let mut inst_prefix = Vec::with_capacity(n + 1);
-        inst_prefix.push(0u64);
-        let mut running = 0u64;
-        for (i, a) in trace.iter().enumerate() {
-            let line = a.addr.line(line_bytes);
-            sets.push(geom.set_index_of_line(line) as u32);
-            lines.push(line.raw());
-            if a.kind.is_write() {
-                write_words[i >> 6] |= 1u64 << (i & 63);
-            }
-            inst_gaps.push(a.inst_gap);
-            running += u64::from(a.inst_gap);
-            inst_prefix.push(running);
-        }
         DecodedTrace {
             geom,
-            sets,
-            lines,
-            write_words,
-            inst_gaps,
-            inst_prefix,
-            instructions: trace.instructions(),
+            sets: Vec::with_capacity(capacity),
+            lines: Vec::with_capacity(capacity),
+            write_words: Vec::with_capacity(capacity.div_ceil(64)),
+            inst_gaps: Vec::with_capacity(capacity),
+            instructions: 0,
         }
+    }
+
+    /// Decodes one access and appends it: exactly the record
+    /// [`decode`](Self::decode) would produce for it at this position.
+    #[inline]
+    pub fn push(&mut self, a: Access) {
+        let i = self.lines.len();
+        let line = a.addr.line(self.geom.line_bytes());
+        self.sets.push(self.geom.set_index_of_line(line) as u32);
+        self.lines.push(line.raw());
+        if i & 63 == 0 {
+            self.write_words.push(0);
+        }
+        if a.kind.is_write() {
+            self.write_words[i >> 6] |= 1u64 << (i & 63);
+        }
+        self.inst_gaps.push(a.inst_gap);
+        self.instructions += u64::from(a.inst_gap);
     }
 
     /// Assembles a `DecodedTrace` directly from pre-decoded columns, used by
@@ -159,21 +169,14 @@ impl DecodedTrace {
         debug_assert_eq!(inst_gaps.len(), n);
         debug_assert_eq!(write_words.len(), n.div_ceil(64));
         debug_assert!(sets.iter().all(|&s| (s as usize) < geom.sets()));
-        let mut inst_prefix = Vec::with_capacity(n + 1);
-        inst_prefix.push(0u64);
-        let mut running = 0u64;
-        for &g in &inst_gaps {
-            running += u64::from(g);
-            inst_prefix.push(running);
-        }
+        let instructions = sum_gaps(&inst_gaps);
         DecodedTrace {
             geom,
             sets,
             lines,
             write_words,
             inst_gaps,
-            inst_prefix,
-            instructions: running,
+            instructions,
         }
     }
 
@@ -196,15 +199,16 @@ impl DecodedTrace {
     }
 
     /// Total instructions represented (the sum of all instruction gaps).
-    /// O(1): carried over from the source trace at decode time.
+    /// O(1): maintained as accesses are decoded.
     #[inline]
     pub fn instructions(&self) -> u64 {
         self.instructions
     }
 
-    /// Instructions represented by the accesses in `range`. O(1): answered
-    /// from the prefix-sum built at decode time, so per-shard and per-range
-    /// IPC accounting never rescans the gap column.
+    /// Instructions represented by the accesses in `range`: one pass over
+    /// that slice of the gap column. Callers ask once per replayed range,
+    /// so a per-access prefix-sum column (8 bytes per access, more than
+    /// the gaps themselves) would cost far more memory than it saves time.
     ///
     /// # Panics
     ///
@@ -217,7 +221,7 @@ impl DecodedTrace {
             range.end,
             self.len()
         );
-        self.inst_prefix[range.end] - self.inst_prefix[range.start]
+        sum_gaps(&self.inst_gaps[range])
     }
 
     /// Whether a cache of geometry `geom` may consume the pre-extracted
@@ -304,6 +308,10 @@ impl DecodedTrace {
             inst_gap: a.inst_gap,
         }
     }
+}
+
+fn sum_gaps(gaps: &[u32]) -> u64 {
+    gaps.iter().map(|&g| u64::from(g)).sum()
 }
 
 /// Iterator over a [`DecodedTrace`] (or a sub-range of one).
@@ -457,9 +465,9 @@ mod tests {
     }
 
     #[test]
-    fn instructions_in_is_prefix_sum_backed() {
+    fn instructions_in_matches_gap_sums_at_word_boundaries() {
         let g = geom();
-        let t = mixed_trace(257); // crosses several prefix entries
+        let t = mixed_trace(257); // crosses several 64-access words
         let d = DecodedTrace::decode(&t, g);
         for (start, end) in [(0, 257), (0, 0), (256, 257), (63, 65), (100, 200)] {
             let manual: u64 = t.as_slice()[start..end]

@@ -8,7 +8,7 @@
 //! Fig. 10 associativity sweeps) redistributes the working sets exactly
 //! the way real hardware would.
 
-use stem_sim_core::{Access, CacheGeometry, SplitMix64, Trace};
+use stem_sim_core::{Access, CacheGeometry, DecodedTrace, SplitMix64, Trace};
 
 use crate::{PatternState, SetPattern, WorkloadClass};
 
@@ -121,28 +121,45 @@ impl BenchmarkProfile {
     /// laid out against [`REFERENCE_SETS`] reference sets; `geom` supplies
     /// the line size (64 bytes in all experiments).
     pub fn trace(&self, geom: CacheGeometry, accesses: usize) -> Trace {
+        let mut trace = Trace::with_capacity(accesses);
+        self.generate(geom, accesses, &mut |a| trace.push(a));
+        trace
+    }
+
+    /// Generates the same stream as [`trace`](Self::trace), decoded against
+    /// `geom` as it is produced: equal to
+    /// `DecodedTrace::decode(&self.trace(geom, accesses), geom)`, without
+    /// ever materializing the array-of-structs [`Trace`].
+    pub fn decoded(&self, geom: CacheGeometry, accesses: usize) -> DecodedTrace {
+        let mut decoded = DecodedTrace::with_capacity(geom, accesses);
+        self.generate(geom, accesses, &mut |a| decoded.push(a));
+        decoded
+    }
+
+    /// Hands all `accesses` references, phase by phase, to `push` — the one
+    /// generator behind both [`trace`](Self::trace) and
+    /// [`decoded`](Self::decoded).
+    fn generate(&self, geom: CacheGeometry, accesses: usize, push: &mut impl FnMut(Access)) {
         let ref_geom = CacheGeometry::new(REFERENCE_SETS, 16, geom.line_bytes())
             .expect("reference geometry is valid");
-        let mut trace = Trace::with_capacity(accesses);
         let per_phase = (accesses / self.phases).max(1);
         let mut emitted = 0usize;
         let mut phase = 0usize;
         while emitted < accesses {
             let n = per_phase.min(accesses - emitted);
-            self.generate_phase(&ref_geom, phase, n, &mut trace);
+            self.generate_phase(&ref_geom, phase, n, push);
             emitted += n;
             phase += 1;
         }
-        trace
     }
 
-    /// Fills `trace` with one phase worth of accesses.
+    /// Hands one phase worth of accesses to `push`.
     fn generate_phase(
         &self,
         ref_geom: &CacheGeometry,
         phase: usize,
         accesses: usize,
-        trace: &mut Trace,
+        push: &mut impl FnMut(Access),
     ) {
         let mut rng = SplitMix64::new(self.seed ^ (phase as u64).wrapping_mul(0x9E37_79B9));
         let sets = REFERENCE_SETS;
@@ -211,7 +228,7 @@ impl BenchmarkProfile {
             let tag = bucket.pattern.next_tag(&mut states[set], &mut rng);
             let addr = ref_geom.address_of(tag_base | tag, set);
             let gap = gap_floor + u32::from(rng.chance((gap_frac * 1000.0) as u64, 1000));
-            trace.push(Access::read(addr).with_inst_gap(gap.max(1)));
+            push(Access::read(addr).with_inst_gap(gap.max(1)));
         }
     }
 }

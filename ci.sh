@@ -18,6 +18,11 @@ else
     echo "    cargo clippy unavailable; skipping lint gate"
 fi
 
+echo "==> cargo doc (workspace, rustdoc warnings are errors)"
+# Catches dangling intra-doc links (e.g. to a deleted or private item),
+# which neither the build nor clippy reports.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release (workspace, bins, benches)"
 cargo build --release --workspace --bins --benches
 

@@ -6,22 +6,26 @@
 //!   conflict misses (relative to a 32-way bound);
 //! * [`Scheme`] — the scheme zoo, constructable by name, powering every
 //!   experiment binary;
-//! * [`run_scheme`], [`run_system`], [`assoc_sweep`] — experiment
-//!   drivers returning MPKI / [`SystemMetrics`] rows;
+//! * [`run_system`], [`run_mix_decoded`] — whole-system drivers (core +
+//!   L1 + LLC, solo or a shared-LLC mix) returning [`SystemMetrics`] /
+//!   [`MixOutcome`]; [`warm_split`] is the warm-up boundary every run
+//!   shares and [`warm_scheme_snapshot`] checkpoints a warmed LLC (bare-LLC
+//!   replay itself is `stem_bench::engine::RunPlan`);
 //! * [`geomean`], [`Table`] — reporting helpers that render the paper's
 //!   tables as text.
 //!
 //! # Examples
 //!
 //! ```
-//! use stem_analysis::{run_scheme, Scheme};
+//! use stem_analysis::{run_system, Scheme};
+//! use stem_hierarchy::SystemConfig;
 //! use stem_sim_core::CacheGeometry;
 //! use stem_workloads::BenchmarkProfile;
 //!
 //! let geom = CacheGeometry::new(64, 4, 64).unwrap();
-//! let trace = BenchmarkProfile::by_name("gromacs").unwrap().trace(geom, 20_000);
-//! let mpki = run_scheme(Scheme::Lru, geom, &trace);
-//! assert!(mpki >= 0.0);
+//! let trace = BenchmarkProfile::by_name("gromacs").unwrap().decoded(geom, 20_000);
+//! let m = run_system(Scheme::Lru, geom, SystemConfig::micro2010(), &trace, 0.2);
+//! assert!(m.mpki >= 0.0);
 //! ```
 
 mod capacity;
@@ -38,12 +42,7 @@ pub use mix::{run_mix_decoded, MixOutcome};
 pub use mrc::MissRateCurve;
 pub use report::{geomean, Table};
 pub use scheme::{
-    assoc_point, assoc_point_decoded, assoc_point_sharded, assoc_sweep, assoc_sweep_decoded,
-    build_audited_cache, build_cache, replay_sample_warmed, replay_shard_warmed, replay_warmed,
-    run_scheme, run_scheme_from_snapshot, run_scheme_warmed, run_scheme_warmed_decoded,
-    run_scheme_warmed_sampled, run_scheme_warmed_sharded, run_system, run_system_decoded,
-    sampled_mpki, scheme_supports_set_sampling, scheme_supports_set_sharding,
-    scheme_supports_snapshot, sharded_mpki, warm_scheme_snapshot, warm_split, Scheme,
+    build_audited_cache, build_cache, run_system, warm_scheme_snapshot, warm_split, Scheme,
 };
 pub use stack_distance::StackDistance;
 

@@ -24,10 +24,9 @@
 
 use std::time::Duration;
 
-use stem_analysis::{
-    run_scheme_warmed_decoded, run_scheme_warmed_sampled, scheme_supports_set_sampling, Scheme,
-};
+use stem_analysis::{build_cache, Scheme};
 use stem_bench::config::Config;
+use stem_bench::engine::{Exec, RunPlan};
 use stem_bench::harness::{prepare_trace, WARMUP_FRACTION};
 use stem_bench::timing::{best_of, best_of_paired};
 use stem_sim_core::{CacheGeometry, Json, SampledTrace};
@@ -166,7 +165,7 @@ fn main() {
     let eligible: Vec<Scheme> = Scheme::ALL
         .iter()
         .copied()
-        .filter(|&s| scheme_supports_set_sampling(s, geom))
+        .filter(|&s| build_cache(s, geom).supports_set_sampling())
         .collect();
 
     println!(
@@ -199,23 +198,26 @@ fn main() {
                 // Exact and sampled replay timed interleaved (the
                 // best_of_paired rationale: clock drift on shared hosts),
                 // with MPKIs captured from the same closures.
+                let exact = RunPlan::serial(scheme, geom, WARMUP_FRACTION);
+                let sampled = RunPlan {
+                    exec: Exec::Sampled(&sample),
+                    ..exact
+                };
+                let mpki = |plan: &RunPlan<'_>| {
+                    plan.run(source)
+                        .expect("eligible schemes opt into sampling")
+                        .mpki()
+                };
                 let mut exact_mpki = 0.0;
                 let mut sampled_mpki = 0.0;
                 let (de, ds): (Duration, Duration) = best_of_paired(
                     REPS,
                     || {
-                        exact_mpki =
-                            run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
+                        exact_mpki = mpki(&exact);
                         exact_mpki.to_bits()
                     },
                     || {
-                        sampled_mpki = run_scheme_warmed_sampled(
-                            scheme,
-                            geom,
-                            source,
-                            &sample,
-                            WARMUP_FRACTION,
-                        );
+                        sampled_mpki = mpki(&sampled);
                         sampled_mpki.to_bits()
                     },
                 );

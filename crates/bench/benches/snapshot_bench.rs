@@ -26,11 +26,9 @@
 //! `STEM_CSV_DIR` is set the full record lands in
 //! `$STEM_CSV_DIR/BENCH_snapshot.json`.
 
-use stem_analysis::{
-    run_scheme_from_snapshot, run_scheme_warmed_decoded, scheme_supports_snapshot,
-    warm_scheme_snapshot, warm_split, Scheme,
-};
+use stem_analysis::{build_cache, warm_scheme_snapshot, warm_split, Scheme};
 use stem_bench::config::Config;
+use stem_bench::engine::{Exec, RunPlan};
 use stem_bench::harness::{prepare_trace, WARMUP_FRACTION};
 use stem_sim_core::{CacheGeometry, Json};
 use stem_workloads::BenchmarkProfile;
@@ -144,7 +142,7 @@ fn main() {
     let eligible: Vec<Scheme> = Scheme::ALL
         .iter()
         .copied()
-        .filter(|&s| scheme_supports_snapshot(s, geom))
+        .filter(|&s| build_cache(s, geom).supports_snapshot())
         .collect();
 
     println!(
@@ -164,6 +162,7 @@ fn main() {
         let source = &*prepared.trace;
         let warm_len = warm_split(source.len(), WARMUP_FRACTION);
         for &scheme in &eligible {
+            let cold = RunPlan::serial(scheme, geom, WARMUP_FRACTION);
             let mut cold_secs = f64::INFINITY;
             let mut warm_snapshot_secs = f64::INFINITY;
             let mut restore_secs = f64::INFINITY;
@@ -173,15 +172,21 @@ fn main() {
                 // Phases interleaved within each rep (the best_of_paired
                 // rationale: clock drift on shared hosts).
                 let t = std::time::Instant::now();
-                cold_mpki = run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
+                cold_mpki = cold.run(source).expect("serial replay").mpki();
                 cold_secs = cold_secs.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
                 let snap = warm_scheme_snapshot(scheme, geom, source, warm_len)
                     .expect("scheme opted into snapshots");
                 warm_snapshot_secs = warm_snapshot_secs.min(t.elapsed().as_secs_f64());
                 let t = std::time::Instant::now();
-                restored_mpki = run_scheme_from_snapshot(scheme, geom, source, &snap, warm_len)
-                    .expect("snapshot restores into its own (scheme, geometry)");
+                let restored = RunPlan {
+                    exec: Exec::Restore(&snap),
+                    ..cold
+                };
+                restored_mpki = restored
+                    .run(source)
+                    .expect("snapshot restores into its own (scheme, geometry)")
+                    .mpki();
                 restore_secs = restore_secs.min(t.elapsed().as_secs_f64());
             }
             if cold_mpki.to_bits() != restored_mpki.to_bits() {

@@ -9,8 +9,9 @@
 //!
 //! Run with `cargo run --release -p stem-bench --bin capacity_sweep`.
 
-use stem_analysis::{run_scheme_warmed, Scheme, Table};
-use stem_sim_core::CacheGeometry;
+use stem_analysis::{Scheme, Table};
+use stem_bench::engine::RunPlan;
+use stem_sim_core::{CacheGeometry, DecodedTrace};
 use stem_workloads::BenchmarkProfile;
 
 fn main() {
@@ -32,9 +33,16 @@ fn main() {
         let mut t = Table::new(headers);
         for &sets in &set_points {
             let geom = CacheGeometry::new(sets, 16, 64).expect("valid geometry");
+            // One decode per set count serves every scheme at that point.
+            let decoded = DecodedTrace::decode(&trace, geom);
             let values: Vec<f64> = Scheme::PAPER
                 .iter()
-                .map(|&s| run_scheme_warmed(s, geom, &trace, 0.2))
+                .map(|&scheme| {
+                    RunPlan::serial(scheme, geom, 0.2)
+                        .run(&decoded)
+                        .expect("serial replay always succeeds")
+                        .mpki()
+                })
                 .collect();
             let label = format!("{}KB", geom.capacity_bytes() / 1024);
             t.row_f64(&label, &values);

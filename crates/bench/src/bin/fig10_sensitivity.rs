@@ -4,9 +4,10 @@
 //!
 //! Run with `cargo run --release -p stem-bench --bin fig10_sensitivity`.
 
-use stem_analysis::{assoc_sweep_decoded, Scheme, Table};
+use stem_analysis::{Scheme, Table};
+use stem_bench::engine::RunPlan;
 use stem_bench::harness::{
-    accesses_per_benchmark, prepare_trace, sensitivity_benchmarks, sweep_ways,
+    accesses_per_benchmark, prepare_trace, sensitivity_benchmarks, sweep_ways, WARMUP_FRACTION,
 };
 use stem_sim_core::CacheGeometry;
 
@@ -25,12 +26,18 @@ fn main() {
         let mut headers = vec!["assoc".to_owned()];
         headers.extend(Scheme::PAPER.iter().map(|s| s.label().to_owned()));
         let mut t = Table::new(headers);
-        let series: Vec<Vec<(usize, f64)>> = Scheme::PAPER
-            .iter()
-            .map(|&s| assoc_sweep_decoded(s, base, &ways, &trace))
-            .collect();
-        for (i, &w) in ways.iter().enumerate() {
-            let values: Vec<f64> = series.iter().map(|v| v[i].1).collect();
+        for &w in &ways {
+            let geom = CacheGeometry::new(base.sets(), w, base.line_bytes())
+                .expect("sweep geometry is valid");
+            let values: Vec<f64> = Scheme::PAPER
+                .iter()
+                .map(|&scheme| {
+                    RunPlan::serial(scheme, geom, WARMUP_FRACTION)
+                        .run(&trace)
+                        .expect("serial replay always succeeds")
+                        .mpki()
+                })
+                .collect();
             t.row_f64(&w.to_string(), &values);
         }
         println!(

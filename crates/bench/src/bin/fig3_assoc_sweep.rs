@@ -10,9 +10,10 @@
 //!
 //! Run with `cargo run --release -p stem-bench --bin fig3_assoc_sweep`.
 
-use stem_analysis::{assoc_point_decoded, Scheme, Table};
+use stem_analysis::{Scheme, Table};
+use stem_bench::engine::RunPlan;
 use stem_bench::harness::{
-    accesses_per_benchmark, prepare_trace, sensitivity_benchmarks, sweep_ways,
+    accesses_per_benchmark, prepare_trace, sensitivity_benchmarks, sweep_ways, WARMUP_FRACTION,
 };
 use stem_bench::pool;
 use stem_sim_core::CacheGeometry;
@@ -42,8 +43,16 @@ fn main() {
             .flat_map(|&s| {
                 let trace = &trace;
                 let ways = &ways;
-                ways.iter()
-                    .map(move |&w| move || assoc_point_decoded(s, base, w, trace))
+                ways.iter().map(move |&w| {
+                    move || {
+                        let geom = CacheGeometry::new(base.sets(), w, base.line_bytes())
+                            .expect("sweep geometry is valid");
+                        RunPlan::serial(s, geom, WARMUP_FRACTION)
+                            .run(trace)
+                            .expect("serial replay always succeeds")
+                            .mpki()
+                    }
+                })
             })
             .collect();
         let mpki = pool::map_ordered(jobs);

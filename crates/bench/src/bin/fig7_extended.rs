@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --release -p stem-bench --bin fig7_extended`.
 
-use stem_analysis::{geomean, run_system_decoded, Scheme, Table};
+use stem_analysis::{geomean, run_system, Scheme, Table};
 use stem_bench::harness::{accesses_per_benchmark, prepare_trace, WARMUP_FRACTION};
 use stem_hierarchy::SystemConfig;
 use stem_sim_core::CacheGeometry;
@@ -27,10 +27,10 @@ fn main() {
 
     for bench in spec2010_suite() {
         let trace = prepare_trace(&bench, geom, accesses).trace;
-        let lru = run_system_decoded(Scheme::Lru, geom, cfg, &trace, WARMUP_FRACTION);
+        let lru = run_system(Scheme::Lru, geom, cfg, &trace, WARMUP_FRACTION);
         let mut values = Vec::new();
         for (i, &s) in schemes.iter().enumerate() {
-            let m = run_system_decoded(s, geom, cfg, &trace, WARMUP_FRACTION);
+            let m = run_system(s, geom, cfg, &trace, WARMUP_FRACTION);
             let (nm, _, _) = m.normalized_to(&lru);
             values.push(nm);
             per_scheme[i].push(nm);

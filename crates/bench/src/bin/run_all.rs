@@ -26,20 +26,17 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use stem_analysis::{
-    geomean, run_mix_decoded, run_scheme_from_snapshot, run_scheme_warmed_decoded,
-    run_scheme_warmed_sampled, scheme_supports_set_sampling, scheme_supports_set_sharding,
-    scheme_supports_snapshot, warm_scheme_snapshot, warm_split, CapacityDemandProfiler, MixOutcome,
-    Scheme, Table,
+    build_cache, geomean, run_mix_decoded, warm_scheme_snapshot, warm_split,
+    CapacityDemandProfiler, MixOutcome, Scheme, Table,
 };
 use stem_bench::config::{Config, Fidelity};
+use stem_bench::engine::{Exec, Measured, RunPlan};
 use stem_bench::harness::{
     capacity_sweep_sets, normalized_table, prepare_trace, prepare_trace_retaining_raw,
     run_benchmark_matrix_isolated, sensitivity_benchmarks, sweep_ways, PrepTimings,
     WARMUP_FRACTION,
 };
 use stem_bench::resilience::{ExperimentOutcome, ExperimentRunner};
-use stem_bench::shard::{assoc_point_auto, replay_warmed_auto, sharded_warmed_mpki};
-use stem_bench::snapshot::{replay_from_snapshot_or_cold, snapshot_path_applies};
 use stem_hierarchy::SystemConfig;
 use stem_llc::{overhead, StemConfig};
 use stem_sim_core::SampledTrace;
@@ -130,6 +127,41 @@ struct ShardSpeedup {
     schemes: Vec<SchemeSpeedup>,
 }
 
+/// Repetitions behind every best-of wall clock of the measurement stages.
+const REPS: usize = 3;
+
+/// Times two plans over the same trace, best-of-`REPS` each, running
+/// them alternately so both see the same host conditions. `between` runs
+/// between the two plans in every rep, so a stage can time a third step
+/// under the same conditions. Returns each plan's measurement and best
+/// wall clock in seconds.
+///
+/// # Panics
+///
+/// Panics if the engine refuses a plan; the stages offer each strategy
+/// only to schemes whose cache opts in.
+fn time_plans(
+    source: &DecodedTrace,
+    [first, second]: [RunPlan<'_>; 2],
+    mut between: impl FnMut(),
+) -> [(Measured, f64); 2] {
+    let time = |plan: &RunPlan<'_>, (measured, secs): &mut (Option<Measured>, f64)| {
+        let t = std::time::Instant::now();
+        *measured = Some(
+            plan.run(source)
+                .expect("stage plans are capability-filtered"),
+        );
+        *secs = secs.min(t.elapsed().as_secs_f64());
+    };
+    let [mut a, mut b] = [(None, f64::INFINITY); 2];
+    for _ in 0..REPS {
+        time(&first, &mut a);
+        between();
+        time(&second, &mut b);
+    }
+    [a, b].map(|(measured, secs)| (measured.expect("REPS > 0"), secs))
+}
+
 /// Measures serial vs sharded warmed replay of `source` for every scheme
 /// that opts into set sharding, best-of-`REPS` each, after asserting the
 /// two paths produce bit-identical MPKI. Progress goes to stderr only.
@@ -140,31 +172,27 @@ fn measure_shard_speedup(
     shards: usize,
     threads: usize,
 ) -> ShardSpeedup {
-    const REPS: usize = 3;
     let t0 = std::time::Instant::now();
     let plan = ShardedTrace::partition(source, shards);
     let partition_secs = t0.elapsed().as_secs_f64();
     let mut schemes = Vec::new();
     for &scheme in Scheme::ALL.iter() {
-        if !scheme_supports_set_sharding(scheme, geom) {
+        if !build_cache(scheme, geom).supports_set_sharding() {
             continue;
         }
-        let mut serial_secs = f64::INFINITY;
-        let mut sharded_secs = f64::INFINITY;
-        let mut serial_mpki = 0.0;
-        let mut sharded_mpki_v = 0.0;
-        for _ in 0..REPS {
-            let t = std::time::Instant::now();
-            serial_mpki = run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
-            serial_secs = serial_secs.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            sharded_mpki_v =
-                sharded_warmed_mpki(scheme, geom, source, &plan, WARMUP_FRACTION, threads);
-            sharded_secs = sharded_secs.min(t.elapsed().as_secs_f64());
-        }
+        let serial = RunPlan::serial(scheme, geom, WARMUP_FRACTION);
+        let sharded = RunPlan {
+            exec: Exec::Sharded {
+                plan: &plan,
+                threads,
+            },
+            ..serial
+        };
+        let [(serial_m, serial_secs), (sharded_m, sharded_secs)] =
+            time_plans(source, [serial, sharded], || {});
         assert_eq!(
-            serial_mpki.to_bits(),
-            sharded_mpki_v.to_bits(),
+            serial_m.mpki().to_bits(),
+            sharded_m.mpki().to_bits(),
             "sharded replay diverged from serial for {scheme} — boundary bug"
         );
         eprintln!(
@@ -238,32 +266,25 @@ fn measure_sampled_fidelity(
     rate: u32,
     seed: u64,
 ) -> SampledFidelity {
-    const REPS: usize = 3;
     let t0 = std::time::Instant::now();
     let sample = SampledTrace::select(source, rate, seed);
     let select_secs = t0.elapsed().as_secs_f64();
     let mut schemes = Vec::new();
     for &scheme in Scheme::ALL.iter() {
-        if !scheme_supports_set_sampling(scheme, geom) {
+        if !build_cache(scheme, geom).supports_set_sampling() {
             continue;
         }
-        let mut exact_secs = f64::INFINITY;
-        let mut sampled_secs = f64::INFINITY;
-        let mut exact_mpki = 0.0;
-        let mut sampled_mpki = 0.0;
-        for _ in 0..REPS {
-            let t = std::time::Instant::now();
-            exact_mpki = run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
-            exact_secs = exact_secs.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            sampled_mpki =
-                run_scheme_warmed_sampled(scheme, geom, source, &sample, WARMUP_FRACTION);
-            sampled_secs = sampled_secs.min(t.elapsed().as_secs_f64());
-        }
+        let exact = RunPlan::serial(scheme, geom, WARMUP_FRACTION);
+        let sampled = RunPlan {
+            exec: Exec::Sampled(&sample),
+            ..exact
+        };
+        let [(exact_m, exact_secs), (sampled_m, sampled_secs)] =
+            time_plans(source, [exact, sampled], || {});
         let entry = SchemeSampleError {
             label: scheme.label(),
-            exact_mpki,
-            sampled_mpki,
+            exact_mpki: exact_m.mpki(),
+            sampled_mpki: sampled_m.mpki(),
             exact_secs,
             sampled_secs,
         };
@@ -325,34 +346,34 @@ fn measure_snapshot_speedup(
     source: &DecodedTrace,
     trace_name: &'static str,
 ) -> SnapshotReuse {
-    const REPS: usize = 3;
     let warm_len = warm_split(source.len(), WARMUP_FRACTION);
     let mut schemes = Vec::new();
     for &scheme in Scheme::PAPER.iter() {
-        if !scheme_supports_snapshot(scheme, geom) {
+        if !build_cache(scheme, geom).supports_snapshot() {
             continue;
         }
-        let mut cold_secs = f64::INFINITY;
+        // The restores replay one capture; each rep times a fresh capture
+        // between its cold and restored runs.
+        let capture = || {
+            warm_scheme_snapshot(scheme, geom, source, warm_len)
+                .expect("scheme opted into snapshots")
+        };
+        let snap = capture();
         let mut warm_snapshot_secs = f64::INFINITY;
-        let mut restore_secs = f64::INFINITY;
-        let mut cold_mpki = 0.0;
-        let mut restored_mpki = 0.0;
-        for _ in 0..REPS {
-            let t = std::time::Instant::now();
-            cold_mpki = run_scheme_warmed_decoded(scheme, geom, source, WARMUP_FRACTION);
-            cold_secs = cold_secs.min(t.elapsed().as_secs_f64());
-            let t = std::time::Instant::now();
-            let snap = warm_scheme_snapshot(scheme, geom, source, warm_len);
-            warm_snapshot_secs = warm_snapshot_secs.min(t.elapsed().as_secs_f64());
-            let s = snap.as_ref().expect("scheme opted into snapshots");
-            let t = std::time::Instant::now();
-            restored_mpki = run_scheme_from_snapshot(scheme, geom, source, s, warm_len)
-                .expect("snapshot restores into its own (scheme, geometry)");
-            restore_secs = restore_secs.min(t.elapsed().as_secs_f64());
-        }
+        let cold = RunPlan::serial(scheme, geom, WARMUP_FRACTION);
+        let restored = RunPlan {
+            exec: Exec::Restore(&snap),
+            ..cold
+        };
+        let [(cold_m, cold_secs), (restored_m, restore_secs)] =
+            time_plans(source, [cold, restored], || {
+                let t = std::time::Instant::now();
+                std::hint::black_box(capture());
+                warm_snapshot_secs = warm_snapshot_secs.min(t.elapsed().as_secs_f64());
+            });
         assert_eq!(
-            cold_mpki.to_bits(),
-            restored_mpki.to_bits(),
+            cold_m.mpki().to_bits(),
+            restored_m.mpki().to_bits(),
             "restored replay diverged from cold for {scheme} — snapshot bug"
         );
         eprintln!(
@@ -377,6 +398,49 @@ fn measure_snapshot_speedup(
         warm_len,
         schemes,
     }
+}
+
+/// Whether a sweep point of `scheme` at `geom` restores a warm snapshot
+/// instead of replaying cold. Three gates, all scheduling-only (every
+/// path is bit-identical): the knob must be on, the scheme must opt into
+/// snapshots, and the sharded path must not already own the point — when
+/// `shards > 1` and the scheme also shards, the sharded replay
+/// parallelises the *whole* run, not just the measured suffix.
+fn snapshot_path_applies(
+    scheme: Scheme,
+    geom: CacheGeometry,
+    snapshots: bool,
+    shards: usize,
+) -> bool {
+    if !snapshots {
+        return false;
+    }
+    let cache = build_cache(scheme, geom);
+    cache.supports_snapshot() && !(shards > 1 && cache.supports_set_sharding())
+}
+
+/// The MPKI of one sweep point: restores the warm snapshot when one is
+/// offered, otherwise replays cold — sharded inline when a plan is
+/// offered (the engine keeps declining schemes serial).
+fn sweep_point(
+    scheme: Scheme,
+    geom: CacheGeometry,
+    trace: &DecodedTrace,
+    snap: Option<&Snapshot>,
+    plan: Option<&ShardedTrace>,
+) -> f64 {
+    let exec = match (snap, plan) {
+        (Some(snap), _) => Exec::Restore(snap),
+        (None, Some(plan)) => Exec::Sharded { plan, threads: 1 },
+        (None, None) => Exec::Serial,
+    };
+    RunPlan {
+        exec,
+        ..RunPlan::serial(scheme, geom, WARMUP_FRACTION)
+    }
+    .run(trace)
+    .unwrap_or_else(|e| panic!("{scheme} sweep point: {e}"))
+    .mpki()
 }
 
 /// Emits the per-experiment wall-clock summary: always to stderr (stdout
@@ -839,7 +903,7 @@ fn main() -> ExitCode {
     // sweep replays each shard inline (threads = 1 inside the cell — the
     // pool is already saturated with sweep points), so this changes no
     // numbers and no stdout byte; schemes that decline sharding take the
-    // serial path inside `assoc_point_auto` regardless.
+    // serial path inside the engine regardless.
     let sweep_plans: Vec<Option<Arc<ShardedTrace>>> = if shards > 1 {
         let mut plan_jobs: Vec<(String, Box<dyn FnOnce() -> ShardedTrace + Send>)> = Vec::new();
         let mut plan_keys: Vec<usize> = Vec::new();
@@ -934,15 +998,10 @@ fn main() -> ExitCode {
                     .flatten();
                 point_jobs.push((
                     format!("sweep_{}/{}/{}w", sens[bi].name(), scheme.label(), w),
-                    Box::new(move || match &snap {
-                        Some(s) => replay_from_snapshot_or_cold(
-                            scheme,
-                            geom,
-                            &trace,
-                            Some(s),
-                            WARMUP_FRACTION,
-                        ),
-                        None => assoc_point_auto(scheme, geom, w, &trace, plan.as_deref(), 1),
+                    Box::new(move || {
+                        let point = CacheGeometry::new(geom.sets(), w, geom.line_bytes())
+                            .expect("sweep geometry is valid");
+                        sweep_point(scheme, point, &trace, snap.as_deref(), plan.as_deref())
                     }),
                 ));
                 point_keys.push(PointKey::Assoc(bi, si, wi));
@@ -961,22 +1020,8 @@ fn main() -> ExitCode {
                     .flatten();
                 point_jobs.push((
                     format!("sweep_cap_{}/{}/{}s", sens[bi].name(), scheme.label(), sets),
-                    Box::new(move || match &snap {
-                        Some(s) => replay_from_snapshot_or_cold(
-                            scheme,
-                            cap_geom,
-                            &source,
-                            Some(s),
-                            WARMUP_FRACTION,
-                        ),
-                        None => replay_warmed_auto(
-                            scheme,
-                            cap_geom,
-                            &source,
-                            plan.as_deref(),
-                            WARMUP_FRACTION,
-                            1,
-                        ),
+                    Box::new(move || {
+                        sweep_point(scheme, cap_geom, &source, snap.as_deref(), plan.as_deref())
                     }),
                 ));
                 point_keys.push(PointKey::Cap(bi, si, ci));
@@ -1262,5 +1307,26 @@ fn main() -> ExitCode {
             eprintln!("partial results above are valid; rerun the failed experiments individually");
             ExitCode::from(runner.exit_code())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn eligibility_honours_knob_capability_and_shard_precedence() {
+        let geom = CacheGeometry::new(64, 4, 64).unwrap();
+        // Knob off: nothing is eligible.
+        assert!(!snapshot_path_applies(Scheme::Lru, geom, false, 1));
+        // Refusing schemes are never eligible, knob or not.
+        for scheme in [Scheme::VWay, Scheme::Sbc, Scheme::Stem] {
+            assert!(!snapshot_path_applies(scheme, geom, true, 1), "{scheme}");
+        }
+        // Sharded path wins for schemes that shard; snapshot keeps the rest.
+        assert!(snapshot_path_applies(Scheme::Lru, geom, true, 1));
+        assert!(!snapshot_path_applies(Scheme::Lru, geom, true, 4));
+        assert!(snapshot_path_applies(Scheme::Dip, geom, true, 4));
+        assert!(snapshot_path_applies(Scheme::PeLifo, geom, true, 4));
     }
 }

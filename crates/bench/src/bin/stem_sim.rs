@@ -14,9 +14,10 @@
 
 use std::process::ExitCode;
 
-use stem_analysis::{build_cache, run_system, Scheme};
+use stem_analysis::{run_system, Scheme};
+use stem_bench::engine::RunPlan;
 use stem_hierarchy::SystemConfig;
-use stem_sim_core::{io as trace_io, CacheGeometry, Trace};
+use stem_sim_core::{io as trace_io, CacheGeometry, DecodedTrace, Trace};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
 #[derive(Debug)]
@@ -167,22 +168,13 @@ fn main() -> ExitCode {
         trace.len()
     );
 
+    let trace = DecodedTrace::decode(&trace, geom);
     if args.bare {
-        let mut cache = build_cache(args.scheme, geom);
-        let warm_len = (trace.len() as f64 * args.warmup.clamp(0.0, 0.9)) as usize;
-        let mut instructions = 0u64;
-        for (i, a) in trace.iter().enumerate() {
-            if i == warm_len {
-                cache.reset_stats();
-            }
-            if i >= warm_len {
-                instructions += u64::from(a.inst_gap);
-            }
-            cache.access(a.addr, a.kind);
-        }
-        let s = cache.stats();
-        println!("bare LLC: {s}");
-        println!("MPKI {:.3}", s.mpki(instructions.max(1)));
+        let measured = RunPlan::serial(args.scheme, geom, args.warmup)
+            .run(&trace)
+            .expect("serial replay always succeeds");
+        println!("bare LLC: {}", measured.stats);
+        println!("MPKI {:.3}", measured.mpki());
     } else {
         let m = run_system(
             args.scheme,

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --release -p stem-bench --bin table2_mpki`.
 
-use stem_analysis::{run_system_decoded, Scheme, Table};
+use stem_analysis::{run_system, Scheme, Table};
 use stem_bench::harness::{accesses_per_benchmark, prepare_trace, WARMUP_FRACTION};
 use stem_hierarchy::SystemConfig;
 use stem_sim_core::CacheGeometry;
@@ -45,7 +45,7 @@ fn main() {
     ]);
     for bench in spec2010_suite() {
         let trace = prepare_trace(&bench, geom, accesses).trace;
-        let m = run_system_decoded(Scheme::Lru, geom, cfg, &trace, WARMUP_FRACTION);
+        let m = run_system(Scheme::Lru, geom, cfg, &trace, WARMUP_FRACTION);
         table.row(vec![
             bench.name().into(),
             bench.class().to_string(),

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stem_analysis::{geomean, run_system_decoded, Scheme, SystemMetrics, Table};
+use stem_analysis::{geomean, run_system, Scheme, SystemMetrics, Table};
 use stem_hierarchy::SystemConfig;
 use stem_sim_core::{CacheGeometry, DecodedTrace, Trace};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
@@ -213,7 +213,7 @@ pub fn run_benchmark_matrix_isolated(
             let trace = Arc::clone(trace);
             cell_jobs.push((
                 format!("matrix/{}/{}", suite[bi].name(), scheme.label()),
-                Box::new(move || run_system_decoded(scheme, geom, cfg, &trace, WARMUP_FRACTION)),
+                Box::new(move || run_system(scheme, geom, cfg, &trace, WARMUP_FRACTION)),
             ));
             cell_keys.push((bi, si));
         }

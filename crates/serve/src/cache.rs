@@ -1,7 +1,7 @@
 //! The content-addressed caches: response bodies and warm-state
 //! snapshots.
 //!
-//! Both caches share one bounded-LRU core ([`Lru`]) keyed the same way:
+//! Both caches share one bounded-LRU core (`Lru`) keyed the same way:
 //! the FNV-1a 64 hash of a canonical serialization
 //! ([`crate::request::RunRequest::cache_key`] for responses,
 //! [`crate::request::RunRequest::snapshot_key`] for snapshots), with the

@@ -6,7 +6,7 @@
 //! a blocking or instant executor to exercise backpressure and caching
 //! without running simulations. [`simulation_executor`] is the real one:
 //! decode-once trace preparation ([`prepare_trace`]), the full system
-//! model ([`run_system_decoded`] at the paper's Table 1 configuration),
+//! model ([`run_system`] at the paper's Table 1 configuration),
 //! and optionally the §3.1 capacity-demand profile.
 //!
 //! Determinism contract: for a given request the returned JSON — and
@@ -21,10 +21,10 @@ use std::time::{Duration, Instant};
 use std::path::{Path, PathBuf};
 
 use stem_analysis::{
-    build_cache, replay_sample_warmed, run_mix_decoded, run_system_decoded, sampled_mpki,
-    warm_split, CapacityDemandProfiler, MixOutcome,
+    build_cache, run_mix_decoded, run_system, warm_split, CapacityDemandProfiler, MixOutcome,
 };
 use stem_bench::config::Fidelity;
+use stem_bench::engine::{Exec, RunPlan};
 use stem_bench::harness::prepare_trace;
 use stem_hierarchy::{System, SystemConfig, SystemMetrics};
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json, SampledTrace, ShardedTrace, SimError};
@@ -214,7 +214,7 @@ fn run_simulation_inner(
     }
     let metrics = match snapshots {
         Some((store, m)) => exact_metrics_snapshotting(req, geom, &prepared.trace, store, m),
-        None => run_system_decoded(
+        None => run_system(
             req.scheme,
             geom,
             SystemConfig::micro2010(),
@@ -392,10 +392,15 @@ fn run_sampled(
     source: &DecodedTrace,
 ) -> Result<Json, SimError> {
     let sample = SampledTrace::select(source, req.sample_rate, req.sample_seed);
-    let warm_len = warm_split(source.len(), req.warmup_fraction);
-    let stats = replay_sample_warmed(req.scheme, geom, &sample, warm_len);
-    let mpki = sampled_mpki(&stats, &sample, source, warm_len);
-    let scale = sample.scale_factor();
+    let measured = RunPlan {
+        scheme: req.scheme,
+        geom,
+        warmup: req.warmup_fraction,
+        exec: Exec::Sampled(&sample),
+    }
+    .run(source)
+    .map_err(|e| SimError::config("serve", e.to_string()))?;
+    let (stats, scale, mpki) = (measured.stats, measured.scale, measured.mpki());
     Ok(Json::Obj(vec![(
         "sampled_metrics".to_owned(),
         Json::Obj(vec![

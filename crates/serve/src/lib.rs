@@ -43,7 +43,7 @@
 //! never panics (`stem_serve_panics_total` stays 0 — every handler runs
 //! under `catch_unwind`), and never blocks past its deadlines: each
 //! connection's reads and writes are bounded by
-//! [`ServeConfig`](service::ServeConfig)`::io_deadline` and each `/run`
+//! [`ServeConfig`]`::io_deadline` and each `/run`
 //! by its request deadline (client `deadline_ms` or the service
 //! default), enforced at both ends of the job queue.
 //!

@@ -12,7 +12,7 @@
 //! experiment — regardless of field order or omitted defaults — share one
 //! cache entry and one byte-identical response body.
 
-use stem_analysis::{scheme_supports_set_sampling, Scheme};
+use stem_analysis::{build_cache, Scheme};
 use stem_bench::config::Fidelity;
 use stem_sim_core::{CacheGeometry, Json, SimError};
 use stem_workloads::{spec2010_suite, BenchmarkProfile, MAX_MIX_PROGRAMS};
@@ -400,10 +400,10 @@ impl RunRequest {
                 ));
             }
             let geom = CacheGeometry::new(sets, ways, line_bytes)?;
-            if !scheme_supports_set_sampling(scheme, geom) {
+            if !build_cache(scheme, geom).supports_set_sampling() {
                 let eligible: Vec<&str> = Scheme::ALL
                     .iter()
-                    .filter(|&&s| scheme_supports_set_sampling(s, geom))
+                    .filter(|&&s| build_cache(s, geom).supports_set_sampling())
                     .map(|s| s.label())
                     .collect();
                 return Err(invalid(format!(

@@ -351,7 +351,7 @@ impl CacheModel for SbcCache {
     }
 
     /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// [`access_at`](Self::access_at) with static dispatch, instead of one
+    /// `access_at` with static dispatch, instead of one
     /// virtual `access_decoded` call per access through the trait default.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
         if !trace.compatible_with(self.geom) {

@@ -450,7 +450,7 @@ impl CacheModel for VWayCache {
     }
 
     /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// [`try_access_at`](Self::try_access_at) with static dispatch, instead
+    /// `try_access_at` with static dispatch, instead
     /// of one virtual `access_decoded` call per access through the trait
     /// default.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {

@@ -29,7 +29,7 @@
 //! (defaulting to 1, so two-column ChampSim-style address traces ingest
 //! directly). Blank lines and `#` comments are skipped. Addresses are
 //! masked to the simulated 44-bit physical space, like every
-//! [`Address`](stem_sim_core::Address) in the workspace.
+//! [`Address`] in the workspace.
 //!
 //! # Validation contract
 //!

@@ -177,7 +177,7 @@ impl WorkloadMix {
 /// for callers assembling per-core streams from sources other than a
 /// [`WorkloadMix`] (e.g. ingested trace files mixed with profile
 /// analogs). Same folding semantics as the mix generators — see
-/// [`offset_into_region`].
+/// `offset_into_region`.
 ///
 /// # Panics
 ///

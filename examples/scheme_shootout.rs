@@ -24,7 +24,7 @@ fn main() {
     };
 
     let geom = CacheGeometry::micro2010_l2();
-    let trace = bench.trace(geom, accesses);
+    let trace = bench.decoded(geom, accesses);
     let cfg = SystemConfig::micro2010();
 
     println!(

@@ -1,17 +1,26 @@
 //! Integration tests of the workload-class claims (Fig. 6 / §5.2): each
 //! class rewards the management dimension the paper says it should.
 
-use stem::analysis::{run_scheme_warmed, Scheme};
-use stem::sim_core::CacheGeometry;
+use stem::analysis::Scheme;
+use stem::sim_core::{CacheGeometry, DecodedTrace};
 use stem::workloads::BenchmarkProfile;
+use stem_bench::engine::RunPlan;
 
 const ACCESSES: usize = 400_000;
+
+/// Bare-LLC MPKI of `scheme` over `trace` after the standard 20% warm-up.
+fn warmed_mpki(scheme: Scheme, geom: CacheGeometry, trace: &DecodedTrace) -> f64 {
+    RunPlan::serial(scheme, geom, 0.2)
+        .run(trace)
+        .expect("serial replay")
+        .mpki()
+}
 
 fn mpki(scheme: Scheme, bench: &str, geom: CacheGeometry) -> f64 {
     let trace = BenchmarkProfile::by_name(bench)
         .expect("suite benchmark")
-        .trace(geom, ACCESSES);
-    run_scheme_warmed(scheme, geom, &trace, 0.2)
+        .decoded(geom, ACCESSES);
+    warmed_mpki(scheme, geom, &trace)
 }
 
 /// Class II (poor temporal locality): DIP beats LRU; the spatial schemes
@@ -99,10 +108,10 @@ fn ammp_spatial_gain_grows_at_low_associativity() {
     let geom8 = CacheGeometry::new(2048, 8, 64).unwrap();
     let trace = BenchmarkProfile::by_name("ammp")
         .unwrap()
-        .trace(geom16, ACCESSES);
+        .decoded(geom16, ACCESSES);
     let gain = |geom| {
-        let lru = run_scheme_warmed(Scheme::Lru, geom, &trace, 0.2);
-        let stem = run_scheme_warmed(Scheme::Stem, geom, &trace, 0.2);
+        let lru = warmed_mpki(Scheme::Lru, geom, &trace);
+        let stem = warmed_mpki(Scheme::Stem, geom, &trace);
         lru / stem
     };
     let gain8 = gain(geom8);

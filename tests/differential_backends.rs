@@ -1735,12 +1735,9 @@ fn replay_decoded_falls_back_on_incompatible_geometry() {
 // order observable). Both directions are pinned here with the same
 // SplitMix64 synthetic streams the backend differentials use.
 
-use stem::analysis::{
-    build_cache, run_scheme_from_snapshot, run_scheme_warmed_decoded, run_scheme_warmed_sampled,
-    scheme_supports_set_sampling, scheme_supports_set_sharding, scheme_supports_snapshot,
-    warm_scheme_snapshot, warm_split, Scheme,
-};
+use stem::analysis::{build_cache, warm_scheme_snapshot, warm_split, Scheme};
 use stem::sim_core::{SampledTrace, ShardedTrace, SnapshotError};
+use stem_bench::engine::{Exec, RunPlan};
 
 /// Synthesizes and decodes one differential trace.
 fn synth_decoded(geom: CacheGeometry, seed: u64, accesses: usize) -> DecodedTrace {
@@ -1770,12 +1767,38 @@ fn sharded_stats(scheme: Scheme, geom: CacheGeometry, plan: &ShardedTrace) -> Ca
         .fold(CacheStats::default(), |acc, s| acc + s)
 }
 
+/// The MPKI of an engine run of `scheme` over `decoded` after the
+/// standard 20% warm-up.
+fn warmed_mpki(scheme: Scheme, geom: CacheGeometry, decoded: &DecodedTrace, exec: Exec<'_>) -> f64 {
+    RunPlan {
+        exec,
+        ..RunPlan::serial(scheme, geom, 0.2)
+    }
+    .run(decoded)
+    .unwrap_or_else(|e| panic!("{scheme}: {e}"))
+    .mpki()
+}
+
+// Capability probes: each asks a freshly built cache of the scheme.
+
+fn can_shard(scheme: Scheme, geom: CacheGeometry) -> bool {
+    build_cache(scheme, geom).supports_set_sharding()
+}
+
+fn can_sample(scheme: Scheme, geom: CacheGeometry) -> bool {
+    build_cache(scheme, geom).supports_set_sampling()
+}
+
+fn can_snapshot(scheme: Scheme, geom: CacheGeometry) -> bool {
+    build_cache(scheme, geom).supports_snapshot()
+}
+
 #[test]
 fn sharded_replay_matches_serial_for_every_shardable_scheme() {
     let geom = paper_geom();
     let decoded = synth_decoded(geom, 0x5AAD_0001, diff_accesses());
     for scheme in Scheme::ALL {
-        if !scheme_supports_set_sharding(scheme, geom) {
+        if !can_shard(scheme, geom) {
             continue;
         }
         let mut serial = build_cache(scheme, geom);
@@ -1804,7 +1827,7 @@ fn surplus_shards_stay_empty_and_preserve_stats() {
         "expected surplus empty shards when shards exceed pair domains"
     );
     for scheme in Scheme::ALL {
-        if !scheme_supports_set_sharding(scheme, geom) {
+        if !can_shard(scheme, geom) {
             continue;
         }
         let mut serial = build_cache(scheme, geom);
@@ -1872,7 +1895,7 @@ fn restored_replay_matches_cold_for_every_snapshottable_scheme() {
     let warm_len = warm_split(decoded.len(), 0.2);
     let mut covered = 0;
     for scheme in Scheme::ALL {
-        if !scheme_supports_snapshot(scheme, geom) {
+        if !can_snapshot(scheme, geom) {
             continue;
         }
         covered += 1;
@@ -1916,7 +1939,7 @@ fn refusing_schemes_decline_loudly_at_the_model_and_run_cold_at_dispatch() {
         .expect("LRU opts into snapshots");
     let mut refused = 0;
     for scheme in Scheme::ALL {
-        if scheme_supports_snapshot(scheme, geom) {
+        if can_snapshot(scheme, geom) {
             continue;
         }
         refused += 1;
@@ -1951,7 +1974,7 @@ fn snapshot_of_restored_state_round_trips() {
     let decoded = synth_decoded(geom, 0x5A4B_0003, diff_accesses() / 20);
     let warm_len = warm_split(decoded.len(), 0.2);
     for scheme in Scheme::ALL {
-        if !scheme_supports_snapshot(scheme, geom) {
+        if !can_snapshot(scheme, geom) {
             continue;
         }
         let first =
@@ -1964,11 +1987,9 @@ fn snapshot_of_restored_state_round_trips() {
         assert_eq!(first.scheme(), second.scheme());
         assert_eq!(first.geometry(), second.geometry());
         assert_eq!(first.stats(), second.stats());
-        let a = run_scheme_from_snapshot(scheme, geom, &decoded, &first, warm_len)
-            .expect("first restores");
-        let b = run_scheme_from_snapshot(scheme, geom, &decoded, &second, warm_len)
-            .expect("second restores");
-        let cold = run_scheme_warmed_decoded(scheme, geom, &decoded, 0.2);
+        let a = warmed_mpki(scheme, geom, &decoded, Exec::Restore(&first));
+        let b = warmed_mpki(scheme, geom, &decoded, Exec::Restore(&second));
+        let cold = warmed_mpki(scheme, geom, &decoded, Exec::Serial);
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
@@ -2035,12 +2056,12 @@ fn full_rate_sample_replays_exactly_for_every_sampling_scheme() {
     assert_eq!(sample.scale_factor().to_bits(), 1.0f64.to_bits());
     let mut covered = 0;
     for scheme in Scheme::ALL {
-        if !scheme_supports_set_sampling(scheme, geom) {
+        if !can_sample(scheme, geom) {
             continue;
         }
         covered += 1;
-        let exact = run_scheme_warmed_decoded(scheme, geom, &decoded, 0.2);
-        let sampled = run_scheme_warmed_sampled(scheme, geom, &decoded, &sample, 0.2);
+        let exact = warmed_mpki(scheme, geom, &decoded, Exec::Serial);
+        let sampled = warmed_mpki(scheme, geom, &decoded, Exec::Sampled(&sample));
         assert_eq!(
             exact.to_bits(),
             sampled.to_bits(),
@@ -2059,8 +2080,7 @@ fn sampling_capability_is_a_subset_of_sharding_plus_dip() {
     // the two capability surfaces is a bug in a scheme's declaration.
     let geom = paper_geom();
     for scheme in Scheme::ALL {
-        let shards = scheme_supports_set_sharding(scheme, geom);
-        let samples = scheme_supports_set_sampling(scheme, geom);
+        let (shards, samples) = (can_shard(scheme, geom), can_sample(scheme, geom));
         if samples && !shards {
             assert_eq!(
                 scheme,
@@ -2081,20 +2101,27 @@ fn sampling_capability_is_a_subset_of_sharding_plus_dip() {
 fn serial_only_schemes_ignore_the_sharding_offer() {
     // The negative direction of the boundary: offering a shard plan to a
     // scheme whose cache declines `supports_set_sharding` must change
-    // nothing — `replay_warmed_auto` routes it through the serial path
+    // nothing — the engine routes it through the serial path
     // and the result is bit-identical to never having set `STEM_SHARDS`.
     let geom = paper_geom();
     let decoded = synth_decoded(geom, 0x5AAD_0004, diff_accesses() / 10);
     let plan = ShardedTrace::partition(&decoded, 4);
     let mut serial_only = 0;
     for scheme in Scheme::ALL {
-        if scheme_supports_set_sharding(scheme, geom) {
+        if can_shard(scheme, geom) {
             continue;
         }
         serial_only += 1;
-        let serial = run_scheme_warmed_decoded(scheme, geom, &decoded, 0.2);
-        let auto =
-            stem_bench::shard::replay_warmed_auto(scheme, geom, &decoded, Some(&plan), 0.2, 2);
+        let serial = warmed_mpki(scheme, geom, &decoded, Exec::Serial);
+        let auto = warmed_mpki(
+            scheme,
+            geom,
+            &decoded,
+            Exec::Sharded {
+                plan: &plan,
+                threads: 2,
+            },
+        );
         assert_eq!(
             serial.to_bits(),
             auto.to_bits(),

@@ -1,12 +1,21 @@
 //! Cross-crate integration tests: the qualitative claims of the paper's
 //! motivation (§3) and evaluation (§5) hold end-to-end on the public API.
 
-use stem::analysis::{run_scheme_warmed, Scheme};
+use stem::analysis::Scheme;
 use stem::llc::StemCache;
 use stem::replacement::{Bip, Lru, OptCache, SetAssocCache};
-use stem::sim_core::{Access, CacheGeometry, CacheModel, Trace};
+use stem::sim_core::{Access, CacheGeometry, CacheModel, DecodedTrace, Trace};
 use stem::spatial::{SbcCache, VWayCache};
 use stem::workloads::synthetic;
+use stem_bench::engine::RunPlan;
+
+/// Bare-LLC MPKI of `scheme` over `trace` after a `warmup` fraction.
+fn warmed_mpki(scheme: Scheme, geom: CacheGeometry, trace: &Trace, warmup: f64) -> f64 {
+    RunPlan::serial(scheme, geom, warmup)
+        .run(&DecodedTrace::decode(trace, geom))
+        .expect("serial replay")
+        .mpki()
+}
 
 /// Steady-state miss rate after a warm-up replay.
 fn steady_miss_rate(cache: &mut dyn CacheModel, warm: &Trace, trace: &Trace) -> f64 {
@@ -88,7 +97,7 @@ fn opt_is_a_lower_bound_for_all_schemes() {
     }
     let opt = OptCache::min_misses(geom, &trace);
     for scheme in Scheme::PAPER {
-        let mpki = run_scheme_warmed(scheme, geom, &trace, 0.0);
+        let mpki = warmed_mpki(scheme, geom, &trace, 0.0);
         let misses = mpki * trace.instructions() as f64 / 1000.0;
         assert!(
             opt as f64 <= misses + 0.5,
@@ -131,8 +140,8 @@ fn simulation_is_deterministic() {
     let bench = stem::workloads::BenchmarkProfile::by_name("omnetpp").unwrap();
     let trace = bench.trace(geom, 30_000);
     for scheme in Scheme::PAPER {
-        let a = run_scheme_warmed(scheme, geom, &trace, 0.1);
-        let b = run_scheme_warmed(scheme, geom, &trace, 0.1);
+        let a = warmed_mpki(scheme, geom, &trace, 0.1);
+        let b = warmed_mpki(scheme, geom, &trace, 0.1);
         assert_eq!(a, b, "{scheme} is not deterministic");
     }
 }

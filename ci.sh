@@ -102,46 +102,38 @@ if [ "$status" -eq 0 ]; then
 fi
 echo "    run_all contained the injected cell panic and exited $status (expected nonzero)"
 
-echo "==> sharding determinism gate (stdout + CSVs byte-identical across STEM_THREADS x STEM_SHARDS)"
-# Set-sharded replay is an execution strategy, never a result change:
-# run_all's stdout and every CSV must be byte-identical at every
-# (threads, shards) combination. Timing telemetry (stderr, the JSON) is
-# exempt by design.
+echo "==> thread determinism gate (stdout + CSVs byte-identical across STEM_THREADS)"
+# The worker pool is an execution strategy, never a result change:
+# run_all's stdout and every CSV must be byte-identical at any thread
+# count. Timing telemetry (stderr, the JSON) is exempt by design.
 RUN_ALL_BIN=target/release/run_all
-run_det() { # <threads> <shards> <dir>
-    mkdir -p "$3"
+run_det() { # <threads> <dir>
+    mkdir -p "$2"
     STEM_ACCESSES=3000 STEM_SWEEP_ACCESSES=600 STEM_PERIODS=1 \
-        STEM_THREADS="$1" STEM_SHARDS="$2" STEM_CSV_DIR="$3" \
-        "$RUN_ALL_BIN" >"$3/stdout.txt" 2>"$3/stderr.txt"
+        STEM_THREADS="$1" STEM_CSV_DIR="$2" \
+        "$RUN_ALL_BIN" >"$2/stdout.txt" 2>"$2/stderr.txt"
 }
-DET_BASE="$CSV_DIR/det-t1s1"
-run_det 1 1 "$DET_BASE"
-for combo in "1 4" "5 1" "5 4"; do
-    read -r T S <<<"$combo"
-    DET_DIR="$CSV_DIR/det-t${T}s${S}"
-    run_det "$T" "$S" "$DET_DIR"
-    cmp "$DET_BASE/stdout.txt" "$DET_DIR/stdout.txt" || {
-        echo "ERROR: run_all stdout differs at STEM_THREADS=$T STEM_SHARDS=$S" >&2
-        exit 1
-    }
-    for csv in "$DET_BASE"/*.csv; do
-        cmp "$csv" "$DET_DIR/$(basename "$csv")" || {
-            echo "ERROR: $(basename "$csv") differs at STEM_THREADS=$T STEM_SHARDS=$S" >&2
-            exit 1
-        }
-    done
-done
-grep -q '"sharded_replay"' "$CSV_DIR/det-t5s4/BENCH_run_all.json" || {
-    echo "ERROR: the sharded run did not record its speedup section" >&2
+DET_BASE="$CSV_DIR/det-t1"
+DET_DIR="$CSV_DIR/det-t5"
+run_det 1 "$DET_BASE"
+run_det 5 "$DET_DIR"
+cmp "$DET_BASE/stdout.txt" "$DET_DIR/stdout.txt" || {
+    echo "ERROR: run_all stdout differs at STEM_THREADS=5" >&2
     exit 1
 }
-echo "    byte-identical stdout and CSVs at (threads, shards) in {1,5} x {1,4}"
+for csv in "$DET_BASE"/*.csv; do
+    cmp "$csv" "$DET_DIR/$(basename "$csv")" || {
+        echo "ERROR: $(basename "$csv") differs at STEM_THREADS=5" >&2
+        exit 1
+    }
+done
+echo "    byte-identical stdout and CSVs at threads in {1,5}"
 
 echo "==> snapshot determinism gate (cold vs restored byte-identical across STEM_THREADS)"
 # Warm-state snapshots are a replay accelerator, never a result change:
 # disabling STEM_SNAPSHOTS (forcing every sweep point to re-warm cold)
 # must leave run_all's stdout and every CSV byte-identical at any thread
-# count. The baseline is the det-t1s1 run above, which has snapshots on
+# count. The baseline is the det-t1 run above, which has snapshots on
 # by default.
 run_snap() { # <threads> <snapshots> <dir>
     mkdir -p "$3"
@@ -191,7 +183,7 @@ echo "==> sampled-fidelity smoke gate (pinned error bound, byte-identical stdout
 # The sampled tier must be (a) accurate within the pinned MPKI
 # relative-error bound on the fixed (benchmark, seed, scale) smoke cell,
 # and (b) a pure function of (benchmark, scheme, rate, seed): stdout
-# byte-identical at any STEM_THREADS/STEM_SHARDS setting. The bound is
+# byte-identical at any STEM_THREADS setting. The bound is
 # deliberately loose against the measured smoke numbers (max ~0.053,
 # dominated by DIP's documented set-dueling approximation at rate 1/32;
 # per-set schemes stay under ~0.013 — see DESIGN.md §14).
@@ -200,7 +192,7 @@ run_samp() { # <threads> <dir>
     STEM_BENCH_ACCESSES="${STEM_SAMPLING_ACCESSES:-60000}" \
         STEM_SAMPLING_BENCHMARKS=omnetpp STEM_SAMPLE_SEED=0 \
         STEM_SAMPLING_ERROR_BOUND="${STEM_SAMPLING_ERROR_BOUND:-0.10}" \
-        STEM_THREADS="$1" STEM_SHARDS="$1" STEM_CSV_DIR="$2" \
+        STEM_THREADS="$1" STEM_CSV_DIR="$2" \
         cargo bench -q -p stem-bench --bench sampling_bench \
         >"$2/stdout.txt" 2>"$2/stderr.txt"
 }
@@ -209,7 +201,7 @@ SAMP_ALT="$CSV_DIR/sampling-t4"
 run_samp 1 "$SAMP_BASE"
 run_samp 4 "$SAMP_ALT"
 cmp "$SAMP_BASE/stdout.txt" "$SAMP_ALT/stdout.txt" || {
-    echo "ERROR: sampled-fidelity stdout differs across STEM_THREADS/STEM_SHARDS" >&2
+    echo "ERROR: sampled-fidelity stdout differs across STEM_THREADS" >&2
     exit 1
 }
 if [ ! -s "$SAMP_BASE/BENCH_sampling.json" ]; then
@@ -219,15 +211,11 @@ fi
 cp "$SAMP_BASE/BENCH_sampling.json" "$CSV_DIR/BENCH_sampling.json"
 echo "    all cells within the pinned rel-error bound; stdout byte-identical across {1,4} threads"
 
-echo "==> serve smoke (loopback ephemeral port, cache hit, sharded profile, sampled tier, mix requests, graceful drain)"
+echo "==> serve smoke (loopback ephemeral port, cache hit, capacity profile, sampled tier, mix requests, graceful drain)"
 ADDR_FILE="$CSV_DIR/serve-addr.txt"
 SERVE_LOG="$CSV_DIR/serve-smoke.log"
 rm -f "$ADDR_FILE"
-# STEM_SHARDS=4 makes the capacity-profile path fan out over the shard
-# pool inside the server — the responses below must be exactly as cacheable
-# and byte-stable as the serial path (the sharded profiler is bit-identical
-# by construction; see DESIGN.md §13).
-STEM_SERVE_ADDR=127.0.0.1:0 STEM_SERVE_ADDR_FILE="$ADDR_FILE" STEM_SHARDS=4 \
+STEM_SERVE_ADDR=127.0.0.1:0 STEM_SERVE_ADDR_FILE="$ADDR_FILE" \
     STEM_SERVE_TRACE_DIR="$(pwd)/fixtures" \
     cargo run --release -q -p stem-serve --bin serve >"$SERVE_LOG" 2>&1 &
 SERVE_PID=$!
@@ -255,14 +243,13 @@ if [ "$FIRST" != "$SECOND" ]; then
     echo "ERROR: repeated request bodies differ" >&2
     exit 1
 fi
-# The profiled request drives the set-sharded capacity profiler (the
-# server runs with STEM_SHARDS=4): the repeat must still be a pure cache
-# hit with a byte-identical body.
+# The profiled request drives the capacity profiler: the repeat must
+# still be a pure cache hit with a byte-identical body.
 REQP='{"benchmark": "mcf", "scheme": "lru", "sets": 64, "ways": 4, "accesses": 5000, "profile": true}'
 FIRSTP="$(client POST /run "$REQP")"
 SECONDP="$(client POST /run "$REQP")"
 if [ "$FIRSTP" != "$SECONDP" ]; then
-    echo "ERROR: repeated profiled (sharded) request bodies differ" >&2
+    echo "ERROR: repeated profiled request bodies differ" >&2
     exit 1
 fi
 echo "$FIRSTP" | grep -q 'banded_fractions' || {

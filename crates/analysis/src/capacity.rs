@@ -1,7 +1,7 @@
 //! Set-level capacity-demand characterisation (the §3.1 methodology behind
 //! Fig. 1).
 
-use stem_sim_core::{CacheGeometry, DecodedTrace, LineAddr, ShardedTrace, Trace, TraceShard};
+use stem_sim_core::{CacheGeometry, DecodedTrace, LineAddr, Trace};
 
 use crate::StackDistance;
 
@@ -176,113 +176,6 @@ impl CapacityDemandProfiler {
         periods
     }
 
-    /// Profiles one shard of a pair-folded partition, returning *partial*
-    /// per-period histograms that count only the shard's owned sets.
-    ///
-    /// Stack distances are per-set state, so each shard can compute its own
-    /// sets' distances independently; the one global quantity — the
-    /// sampling-period boundary, which falls every `period` accesses of the
-    /// *source* trace — is recovered from the shard's original-index column,
-    /// so a set's per-period max distance is exactly what the serial
-    /// profiler observes. `source_len` (the source-trace length) fixes the
-    /// common period count `ceil(source_len / period)`, including trailing
-    /// all-zero periods for shards whose accesses end early. Summing the
-    /// shards' partial histograms period-by-period
-    /// ([`merge_shard_profiles`](Self::merge_shard_profiles)) reproduces
-    /// the serial histograms exactly: every set is owned by exactly one
-    /// shard, and untouched owned sets count as zero-demand just as idle
-    /// sets do serially.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shard was partitioned against a different set count or
-    /// line size than this profiler's geometry.
-    pub fn profile_shard(&self, shard: &TraceShard, source_len: usize) -> Vec<DemandHistogram> {
-        assert!(
-            shard.trace().compatible_with(self.geom),
-            "shard partitioned for {:?} is incompatible with profiler geometry {:?}",
-            shard.trace().geometry(),
-            self.geom
-        );
-        let n_periods = source_len.div_ceil(self.period);
-        let owned: Vec<usize> = shard.owned_sets().collect();
-        let mut sd = StackDistance::new(self.geom, self.max_ways);
-        let mut max_dist = vec![0usize; self.geom.sets()];
-        let mut periods = Vec::with_capacity(n_periods);
-
-        let flush = |max_dist: &mut Vec<usize>, periods: &mut Vec<DemandHistogram>| {
-            let mut buckets = vec![0usize; self.max_ways + 1];
-            for &s in &owned {
-                buckets[max_dist[s]] += 1;
-                max_dist[s] = 0;
-            }
-            periods.push(DemandHistogram { buckets });
-        };
-
-        let trace = shard.trace();
-        for (j, &orig) in shard.orig_indices().iter().enumerate() {
-            let p = orig as usize / self.period;
-            while periods.len() < p {
-                flush(&mut max_dist, &mut periods);
-            }
-            let a = trace.get(j);
-            let set = a.set as usize;
-            if let Some(d) = sd.access_line(a.line, set) {
-                if d <= self.max_ways && d > max_dist[set] {
-                    max_dist[set] = d;
-                }
-            }
-        }
-        while periods.len() < n_periods {
-            flush(&mut max_dist, &mut periods);
-        }
-        periods
-    }
-
-    /// Sums per-shard partial profiles period-by-period into the full
-    /// per-period histograms (the exact serial result when the parts came
-    /// from one plan's shards via [`profile_shard`](Self::profile_shard)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parts disagree on period count — they must all come
-    /// from the same partition of the same source trace.
-    pub fn merge_shard_profiles(parts: &[Vec<DemandHistogram>]) -> Vec<DemandHistogram> {
-        let Some(first) = parts.first() else {
-            return Vec::new();
-        };
-        let n = first.len();
-        assert!(
-            parts.iter().all(|p| p.len() == n),
-            "shard profiles disagree on period count"
-        );
-        (0..n)
-            .map(|i| {
-                let max_ways = first[i].max_ways();
-                let mut buckets = vec![0usize; max_ways + 1];
-                for part in parts {
-                    for (d, &c) in part[i].buckets.iter().enumerate() {
-                        buckets[d] += c;
-                    }
-                }
-                DemandHistogram { buckets }
-            })
-            .collect()
-    }
-
-    /// Sharded twin of [`profile_decoded`](Self::profile_decoded): profiles
-    /// every shard of `plan` (serially — callers wanting parallelism fan
-    /// [`profile_shard`](Self::profile_shard) out themselves) and merges
-    /// the partial histograms. Identical output to the serial profiler.
-    pub fn profile_sharded(&self, plan: &ShardedTrace) -> Vec<DemandHistogram> {
-        let parts: Vec<Vec<DemandHistogram>> = plan
-            .shards()
-            .iter()
-            .map(|s| self.profile_shard(s, plan.source_len()))
-            .collect();
-        Self::merge_shard_profiles(&parts)
-    }
-
     /// Averages many period histograms into one (used for summary rows).
     pub fn aggregate(periods: &[DemandHistogram]) -> DemandHistogram {
         let max_ways = periods.first().map_or(0, DemandHistogram::max_ways);
@@ -409,43 +302,6 @@ mod tests {
         let t = cyclic_trace(g, 0, 3, 2);
         let decoded = DecodedTrace::decode(&t, other);
         let _ = CapacityDemandProfiler::new(g, 32, 10).profile_decoded(&decoded);
-    }
-
-    #[test]
-    fn sharded_profile_matches_serial() {
-        use stem_sim_core::{Address, SplitMix64};
-        let g = CacheGeometry::new(8, 4, 64).unwrap();
-        let mut rng = SplitMix64::new(23);
-        let t: Trace = (0..500)
-            .map(|_| Access::read(Address::new(rng.next_u64() % (1 << 14))))
-            .collect();
-        let decoded = DecodedTrace::decode(&t, g);
-        // period 37 puts boundaries mid-shard; 500/37 → 14 periods.
-        let profiler = CapacityDemandProfiler::new(g, 32, 37);
-        let serial = profiler.profile_decoded(&decoded);
-        for shards in [1, 2, 4, 7, 16] {
-            let plan = ShardedTrace::partition(&decoded, shards);
-            assert_eq!(
-                profiler.profile_sharded(&plan),
-                serial,
-                "{shards} shards diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_profile_counts_only_owned_sets() {
-        let g = CacheGeometry::new(8, 4, 64).unwrap();
-        let t = cyclic_trace(g, 0, 3, 4);
-        let decoded = DecodedTrace::decode(&t, g);
-        let plan = ShardedTrace::partition(&decoded, 4);
-        let profiler = CapacityDemandProfiler::new(g, 32, 1_000_000);
-        for shard in plan.shards() {
-            let owned = shard.owned_sets().count();
-            for h in profiler.profile_shard(shard, decoded.len()) {
-                assert_eq!(h.sets(), owned);
-            }
-        }
     }
 
     #[test]

@@ -250,24 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn sharding_capability_surface_is_exactly_the_per_set_schemes() {
-        let geom = small();
-        for scheme in Scheme::ALL {
-            let expected = matches!(
-                scheme,
-                Scheme::Lru | Scheme::Srrip | Scheme::Plru | Scheme::SbcStatic
-            );
-            assert_eq!(
-                build_cache(scheme, geom).supports_set_sharding(),
-                expected,
-                "{scheme}: sharding capability drifted from the documented boundary \
-                 (DESIGN.md §13) — if intentional, update the table and this test"
-            );
-        }
-    }
-
-    #[test]
-    fn sampling_capability_surface_is_sharding_plus_dip() {
+    fn sampling_capability_surface_is_the_per_set_schemes_plus_dip() {
         let geom = small();
         for scheme in Scheme::ALL {
             let expected = matches!(

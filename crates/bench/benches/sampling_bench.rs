@@ -10,8 +10,8 @@
 //!
 //! Determinism: stdout carries only MPKIs and relative errors — pure
 //! functions of `(benchmark, scheme, rate, seed)` — so it is
-//! byte-identical at any `STEM_THREADS`/`STEM_SHARDS` setting (replay is
-//! serial by construction; the knobs are never consulted). Timings and
+//! byte-identical at any `STEM_THREADS` setting (replay is
+//! serial by construction; the knob is never consulted). Timings and
 //! speedups go to stderr and the JSON artifact only.
 //!
 //! Knobs: `STEM_BENCH_ACCESSES` scales the per-benchmark trace length

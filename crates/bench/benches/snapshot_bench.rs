@@ -17,7 +17,7 @@
 //!
 //! Determinism: stdout carries only MPKIs — pure functions of
 //! `(benchmark, scheme)`, identical cold or restored — so it is
-//! byte-identical at any `STEM_THREADS`/`STEM_SHARDS`/`STEM_SNAPSHOTS`
+//! byte-identical at any `STEM_THREADS`/`STEM_SNAPSHOTS`
 //! setting. Timings go to stderr and the JSON artifact only.
 //!
 //! Knobs: `STEM_BENCH_ACCESSES` scales the per-benchmark trace length

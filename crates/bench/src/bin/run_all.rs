@@ -40,7 +40,7 @@ use stem_bench::resilience::{ExperimentOutcome, ExperimentRunner};
 use stem_hierarchy::SystemConfig;
 use stem_llc::{overhead, StemConfig};
 use stem_sim_core::SampledTrace;
-use stem_sim_core::{CacheGeometry, DecodedTrace, Json, ShardedTrace, Snapshot, Trace};
+use stem_sim_core::{CacheGeometry, DecodedTrace, Json, Snapshot, Trace};
 
 /// Writes `table` to `<dir>/<name>.csv` when an artifact directory is
 /// configured.
@@ -67,7 +67,6 @@ fn maybe_csv(csv_dir: Option<&Path>, name: &str, table: &Table) {
 struct StageBreakdown {
     generate_secs: f64,
     decode_secs: f64,
-    shard_secs: f64,
     replay_secs: f64,
     analysis_secs: f64,
 }
@@ -98,33 +97,10 @@ impl StageBreakdown {
         StageBreakdown {
             generate_secs: prep.generate.as_secs_f64(),
             decode_secs: prep.decode.as_secs_f64(),
-            shard_secs: sum_where(&|n: &str| n.starts_with("shard_plan_")),
             replay_secs,
             analysis_secs: (analysis_cells - fig1_prep_secs).max(0.0),
         }
     }
-}
-
-/// One scheme's serial-vs-sharded replay timing from the speedup
-/// measurement stage (best-of-N wall clock for the same warmed replay of
-/// the same trace; the MPKIs are asserted bit-identical first).
-struct SchemeSpeedup {
-    label: &'static str,
-    serial_secs: f64,
-    sharded_secs: f64,
-}
-
-/// The sharded-replay speedup record emitted (stderr + the
-/// `sharded_replay` section of `BENCH_run_all.json`) when `STEM_SHARDS`
-/// asks for more than one shard. Measured outside the experiment runner so
-/// the cell list keeps the same shape at every knob setting.
-struct ShardSpeedup {
-    trace_name: &'static str,
-    accesses: usize,
-    shards: usize,
-    threads: usize,
-    partition_secs: f64,
-    schemes: Vec<SchemeSpeedup>,
 }
 
 /// Repetitions behind every best-of wall clock of the measurement stages.
@@ -160,64 +136,6 @@ fn time_plans(
         time(&second, &mut b);
     }
     [a, b].map(|(measured, secs)| (measured.expect("REPS > 0"), secs))
-}
-
-/// Measures serial vs sharded warmed replay of `source` for every scheme
-/// that opts into set sharding, best-of-`REPS` each, after asserting the
-/// two paths produce bit-identical MPKI. Progress goes to stderr only.
-fn measure_shard_speedup(
-    geom: CacheGeometry,
-    source: &DecodedTrace,
-    trace_name: &'static str,
-    shards: usize,
-    threads: usize,
-) -> ShardSpeedup {
-    let t0 = std::time::Instant::now();
-    let plan = ShardedTrace::partition(source, shards);
-    let partition_secs = t0.elapsed().as_secs_f64();
-    let mut schemes = Vec::new();
-    for &scheme in Scheme::ALL.iter() {
-        if !build_cache(scheme, geom).supports_set_sharding() {
-            continue;
-        }
-        let serial = RunPlan::serial(scheme, geom, WARMUP_FRACTION);
-        let sharded = RunPlan {
-            exec: Exec::Sharded {
-                plan: &plan,
-                threads,
-            },
-            ..serial
-        };
-        let [(serial_m, serial_secs), (sharded_m, sharded_secs)] =
-            time_plans(source, [serial, sharded], || {});
-        assert_eq!(
-            serial_m.mpki().to_bits(),
-            sharded_m.mpki().to_bits(),
-            "sharded replay diverged from serial for {scheme} — boundary bug"
-        );
-        eprintln!(
-            "  {:<8} serial {:.3}s, sharded {:.3}s ({:.2}x at {} shards / {} threads)",
-            scheme.label(),
-            serial_secs,
-            sharded_secs,
-            serial_secs / sharded_secs.max(1e-12),
-            shards,
-            threads,
-        );
-        schemes.push(SchemeSpeedup {
-            label: scheme.label(),
-            serial_secs,
-            sharded_secs,
-        });
-    }
-    ShardSpeedup {
-        trace_name,
-        accesses: source.len(),
-        shards,
-        threads,
-        partition_secs,
-        schemes,
-    }
 }
 
 /// One scheme's exact-vs-sampled comparison from the sampled-fidelity
@@ -401,41 +319,23 @@ fn measure_snapshot_speedup(
 }
 
 /// Whether a sweep point of `scheme` at `geom` restores a warm snapshot
-/// instead of replaying cold. Three gates, all scheduling-only (every
-/// path is bit-identical): the knob must be on, the scheme must opt into
-/// snapshots, and the sharded path must not already own the point — when
-/// `shards > 1` and the scheme also shards, the sharded replay
-/// parallelises the *whole* run, not just the measured suffix.
-fn snapshot_path_applies(
-    scheme: Scheme,
-    geom: CacheGeometry,
-    snapshots: bool,
-    shards: usize,
-) -> bool {
-    if !snapshots {
-        return false;
-    }
-    let cache = build_cache(scheme, geom);
-    cache.supports_snapshot() && !(shards > 1 && cache.supports_set_sharding())
+/// instead of replaying cold. Two gates, both scheduling-only (either
+/// path is bit-identical): the knob must be on, and the scheme must opt
+/// into snapshots.
+fn snapshot_path_applies(scheme: Scheme, geom: CacheGeometry, snapshots: bool) -> bool {
+    snapshots && build_cache(scheme, geom).supports_snapshot()
 }
 
 /// The MPKI of one sweep point: restores the warm snapshot when one is
-/// offered, otherwise replays cold — sharded inline when a plan is
-/// offered (the engine keeps declining schemes serial).
+/// offered, otherwise replays cold.
 fn sweep_point(
     scheme: Scheme,
     geom: CacheGeometry,
     trace: &DecodedTrace,
     snap: Option<&Snapshot>,
-    plan: Option<&ShardedTrace>,
 ) -> f64 {
-    let exec = match (snap, plan) {
-        (Some(snap), _) => Exec::Restore(snap),
-        (None, Some(plan)) => Exec::Sharded { plan, threads: 1 },
-        (None, None) => Exec::Serial,
-    };
     RunPlan {
-        exec,
+        exec: snap.map_or(Exec::Serial, Exec::Restore),
         ..RunPlan::serial(scheme, geom, WARMUP_FRACTION)
     }
     .run(trace)
@@ -454,7 +354,6 @@ fn emit_timing_summary(
     threads: usize,
     outcomes: &[ExperimentOutcome],
     stages: &StageBreakdown,
-    speedup: Option<&ShardSpeedup>,
     sampled: &[SampledFidelity],
     snapshot: Option<&SnapshotReuse>,
 ) {
@@ -478,12 +377,8 @@ fn emit_timing_summary(
         );
     }
     eprintln!(
-        "stage breakdown: generate {:.2}s, decode {:.2}s, shard {:.2}s, replay {:.2}s, analysis {:.2}s",
-        stages.generate_secs,
-        stages.decode_secs,
-        stages.shard_secs,
-        stages.replay_secs,
-        stages.analysis_secs
+        "stage breakdown: generate {:.2}s, decode {:.2}s, replay {:.2}s, analysis {:.2}s",
+        stages.generate_secs, stages.decode_secs, stages.replay_secs, stages.analysis_secs
     );
 
     if let Some(dir) = csv_dir {
@@ -510,40 +405,11 @@ fn emit_timing_summary(
                 Json::Obj(vec![
                     ("generate_secs".into(), secs3(stages.generate_secs)),
                     ("decode_secs".into(), secs3(stages.decode_secs)),
-                    ("shard_secs".into(), secs3(stages.shard_secs)),
                     ("replay_secs".into(), secs3(stages.replay_secs)),
                     ("analysis_secs".into(), secs3(stages.analysis_secs)),
                 ]),
             ),
         ];
-        if let Some(sp) = speedup {
-            let schemes: Vec<Json> = sp
-                .schemes
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("scheme".into(), Json::str(s.label)),
-                        ("serial_secs".into(), secs3(s.serial_secs)),
-                        ("sharded_secs".into(), secs3(s.sharded_secs)),
-                        (
-                            "speedup".into(),
-                            Json::float_rounded(s.serial_secs / s.sharded_secs.max(1e-12), 2),
-                        ),
-                    ])
-                })
-                .collect();
-            fields.push((
-                "sharded_replay".into(),
-                Json::Obj(vec![
-                    ("trace".into(), Json::str(sp.trace_name)),
-                    ("accesses".into(), Json::Int(sp.accesses as i64)),
-                    ("shards".into(), Json::Int(sp.shards as i64)),
-                    ("threads".into(), Json::Int(sp.threads as i64)),
-                    ("partition_secs".into(), secs3(sp.partition_secs)),
-                    ("schemes".into(), Json::Arr(schemes)),
-                ]),
-            ));
-        }
         if let Some(sr) = snapshot {
             let schemes: Vec<Json> = sr
                 .schemes
@@ -723,7 +589,6 @@ fn main() -> ExitCode {
     let sweep_accesses = cfg.sweep_accesses();
     let periods = cfg.periods.unwrap_or(20);
     let threads = cfg.threads();
-    let shards = cfg.shards();
     let snapshots_on = cfg.snapshots();
     let csv_dir = cfg.csv_dir.as_deref();
 
@@ -897,40 +762,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // When STEM_SHARDS asks for intra-trace sharding, partition each
-    // sensitivity trace once (`shard_plan_<bench>` cells, counted as the
-    // `shard` stage); every sweep point of that trace shares the plan. The
-    // sweep replays each shard inline (threads = 1 inside the cell — the
-    // pool is already saturated with sweep points), so this changes no
-    // numbers and no stdout byte; schemes that decline sharding take the
-    // serial path inside the engine regardless.
-    let sweep_plans: Vec<Option<Arc<ShardedTrace>>> = if shards > 1 {
-        let mut plan_jobs: Vec<(String, Box<dyn FnOnce() -> ShardedTrace + Send>)> = Vec::new();
-        let mut plan_keys: Vec<usize> = Vec::new();
-        for (bi, trace) in sweep_traces.iter().enumerate() {
-            let Some(trace) = trace else { continue };
-            let trace = Arc::clone(trace);
-            plan_jobs.push((
-                format!("shard_plan_{}", sens[bi].name()),
-                Box::new(move || ShardedTrace::partition(&trace, shards)),
-            ));
-            plan_keys.push(bi);
-        }
-        let mut plans = vec![None; sens.len()];
-        for (bi, plan) in plan_keys
-            .into_iter()
-            .zip(runner.run_batch(threads, plan_jobs))
-        {
-            plans[bi] = plan.map(Arc::new);
-        }
-        plans
-    } else {
-        vec![None; sens.len()]
-    };
-
     // Warm-once cells: when STEM_SNAPSHOTS is on, each (benchmark,
-    // scheme) whose scheme opts into checkpoints — and whose base-geometry
-    // points the sharded path does not already own — replays the shared
+    // scheme) whose scheme opts into checkpoints replays the shared
     // 20% warm prefix exactly once at the paper geometry and snapshots the
     // warmed state. The associativity point at the base ways and the
     // capacity point at the base sets then restore instead of re-warming;
@@ -939,7 +772,7 @@ fn main() -> ExitCode {
     let snapshot_schemes: Vec<usize> = Scheme::PAPER
         .iter()
         .enumerate()
-        .filter(|&(_, &s)| snapshot_path_applies(s, geom, snapshots_on, shards))
+        .filter(|&(_, &s)| snapshot_path_applies(s, geom, snapshots_on))
         .map(|(si, _)| si)
         .collect();
     let mut warm_snaps: Vec<Vec<Option<Arc<Snapshot>>>> =
@@ -975,8 +808,7 @@ fn main() -> ExitCode {
 
     // Every (benchmark, scheme, ways) associativity point and every
     // (benchmark, scheme, sets) capacity point is one cell. Points whose
-    // geometry matches a warm snapshot restore it; the rest replay cold
-    // (sharded when a plan is offered and the scheme opts in).
+    // geometry matches a warm snapshot restore it; the rest replay cold.
     enum PointKey {
         Assoc(usize, usize, usize),
         Cap(usize, usize, usize),
@@ -992,7 +824,6 @@ fn main() -> ExitCode {
         for (si, &scheme) in Scheme::PAPER.iter().enumerate() {
             for (wi, &w) in ways.iter().enumerate() {
                 let trace = Arc::clone(trace);
-                let plan = sweep_plans[bi].clone();
                 let snap = (w == geom.ways())
                     .then(|| warm_snaps[bi][si].clone())
                     .flatten();
@@ -1001,7 +832,7 @@ fn main() -> ExitCode {
                     Box::new(move || {
                         let point = CacheGeometry::new(geom.sets(), w, geom.line_bytes())
                             .expect("sweep geometry is valid");
-                        sweep_point(scheme, point, &trace, snap.as_deref(), plan.as_deref())
+                        sweep_point(scheme, point, &trace, snap.as_deref())
                     }),
                 ));
                 point_keys.push(PointKey::Assoc(bi, si, wi));
@@ -1012,17 +843,12 @@ fn main() -> ExitCode {
                 };
                 let cap_geom = CacheGeometry::new(sets, geom.ways(), geom.line_bytes())
                     .expect("capacity geometry is valid");
-                let plan = (sets == geom.sets())
-                    .then(|| sweep_plans[bi].clone())
-                    .flatten();
                 let snap = (sets == geom.sets())
                     .then(|| warm_snaps[bi][si].clone())
                     .flatten();
                 point_jobs.push((
                     format!("sweep_cap_{}/{}/{}s", sens[bi].name(), scheme.label(), sets),
-                    Box::new(move || {
-                        sweep_point(scheme, cap_geom, &source, snap.as_deref(), plan.as_deref())
-                    }),
+                    Box::new(move || sweep_point(scheme, cap_geom, &source, snap.as_deref())),
                 ));
                 point_keys.push(PointKey::Cap(bi, si, ci));
             }
@@ -1236,18 +1062,6 @@ fn main() -> ExitCode {
     maybe_csv(csv_dir, "mix", &mix_table);
     emit_mix_artifact(csv_dir, accesses, &mix_results);
 
-    // ---- Sharded-replay speedup (stderr + JSON only) ----------------
-    // Measured against the first sensitivity trace at the paper geometry
-    // so the committed BENCH_run_all.json carries the sharding trajectory.
-    // Runs only when the knob asks for shards; stdout is never touched.
-    let speedup = match (&sweep_traces[0], shards) {
-        (Some(trace), s) if s > 1 => {
-            eprintln!("\nmeasuring serial vs sharded replay ({}):", sens[0].name());
-            Some(measure_shard_speedup(geom, trace, "omnetpp", s, threads))
-        }
-        _ => None,
-    };
-
     // ---- Snapshot warm-reuse speedup (stderr + JSON only) -----------
     // Measured against the first sensitivity trace at the paper geometry
     // so BENCH_run_all.json carries the warm-once-vs-cold trajectory.
@@ -1293,7 +1107,6 @@ fn main() -> ExitCode {
         threads,
         runner.outcomes(),
         &stages,
-        speedup.as_ref(),
         &sampled_records,
         snapshot_reuse.as_ref(),
     );
@@ -1315,18 +1128,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eligibility_honours_knob_capability_and_shard_precedence() {
+    fn eligibility_honours_knob_and_capability() {
         let geom = CacheGeometry::new(64, 4, 64).unwrap();
         // Knob off: nothing is eligible.
-        assert!(!snapshot_path_applies(Scheme::Lru, geom, false, 1));
+        assert!(!snapshot_path_applies(Scheme::Lru, geom, false));
         // Refusing schemes are never eligible, knob or not.
         for scheme in [Scheme::VWay, Scheme::Sbc, Scheme::Stem] {
-            assert!(!snapshot_path_applies(scheme, geom, true, 1), "{scheme}");
+            assert!(!snapshot_path_applies(scheme, geom, true), "{scheme}");
         }
-        // Sharded path wins for schemes that shard; snapshot keeps the rest.
-        assert!(snapshot_path_applies(Scheme::Lru, geom, true, 1));
-        assert!(!snapshot_path_applies(Scheme::Lru, geom, true, 4));
-        assert!(snapshot_path_applies(Scheme::Dip, geom, true, 4));
-        assert!(snapshot_path_applies(Scheme::PeLifo, geom, true, 4));
+        // Every scheme that opts into snapshots is eligible.
+        for scheme in [Scheme::Lru, Scheme::Dip, Scheme::PeLifo] {
+            assert!(snapshot_path_applies(scheme, geom, true), "{scheme}");
+        }
     }
 }

@@ -17,7 +17,8 @@ use std::process::ExitCode;
 use stem_analysis::{run_system, Scheme};
 use stem_bench::engine::RunPlan;
 use stem_hierarchy::SystemConfig;
-use stem_sim_core::{io as trace_io, CacheGeometry, DecodedTrace, Trace};
+use stem_sim_core::{CacheGeometry, DecodedTrace, Trace};
+use stem_trace_io::{read_binary, write_binary, IngestError};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
 #[derive(Debug)]
@@ -125,8 +126,8 @@ fn main() -> ExitCode {
     // Obtain the trace: from a file, or from a benchmark analog.
     let trace: Trace = if let Some(path) = &args.trace_path {
         let parsed = std::fs::File::open(path)
-            .map_err(stem_sim_core::TraceError::from)
-            .and_then(trace_io::read_trace);
+            .map_err(IngestError::from)
+            .and_then(read_binary);
         match parsed {
             Ok(t) => t,
             Err(e) => {
@@ -146,7 +147,7 @@ fn main() -> ExitCode {
     if let Some(path) = &args.save_path {
         match std::fs::File::create(path) {
             Ok(f) => {
-                if let Err(e) = trace_io::write_trace(f, &trace) {
+                if let Err(e) = write_binary(f, &trace) {
                     eprintln!("cannot write {path}: {e}");
                     return ExitCode::FAILURE;
                 }

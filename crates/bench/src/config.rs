@@ -31,8 +31,6 @@ use std::time::Duration;
 
 /// Environment variable overriding the worker count.
 pub const THREADS_ENV: &str = "STEM_THREADS";
-/// Set-shard count for intra-trace parallel replay (1 = serial).
-pub const SHARDS_ENV: &str = "STEM_SHARDS";
 /// Simulation fidelity: `exact` (default) or `sampled`.
 pub const FIDELITY_ENV: &str = "STEM_FIDELITY";
 /// Strided set-sampling rate (keep ~1/rate of the set space).
@@ -93,7 +91,7 @@ pub const SERVE_SNAPSHOT_SLOTS_ENV: &str = "STEM_SERVE_SNAPSHOT_SLOTS";
 /// The simulation-fidelity tier selected by `STEM_FIDELITY`.
 ///
 /// `Exact` replays every access of every set (the default — sampling is
-/// strictly opt-in, like sharding); `Sampled` replays only a strided
+/// strictly opt-in); `Sampled` replays only a strided
 /// subset of the set space ([`SampledTrace`](stem_sim_core::SampledTrace))
 /// and scales the measured counts back up, trading a measured MPKI error
 /// for an algorithmic reduction in work. Only schemes whose caches report
@@ -161,8 +159,6 @@ impl std::error::Error for ConfigError {}
 pub struct Config {
     /// `STEM_THREADS`: worker count for every parallel fan-out.
     pub threads: Option<usize>,
-    /// `STEM_SHARDS`: set-shard count for intra-trace replay.
-    pub shards: Option<usize>,
     /// `STEM_FIDELITY`: simulation fidelity tier.
     pub fidelity: Option<Fidelity>,
     /// `STEM_SAMPLE_RATE`: strided set-sampling rate.
@@ -229,7 +225,6 @@ impl Config {
         let src = Source { get: &get };
         Ok(Config {
             threads: src.positive(THREADS_ENV)?,
-            shards: src.positive(SHARDS_ENV)?,
             fidelity: src.parsed(FIDELITY_ENV, "\"exact\" or \"sampled\"")?,
             sample_rate: src.positive(SAMPLE_RATE_ENV)?,
             sample_seed: src.parsed(SAMPLE_SEED_ENV, "a u64 seed (0 allowed)")?,
@@ -289,15 +284,6 @@ impl Config {
     pub fn threads(&self) -> usize {
         self.threads
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
-    /// Set-shard count for intra-trace replay: `STEM_SHARDS`, defaulting
-    /// to 1 (serial replay; sharding is strictly opt-in). Only schemes
-    /// whose caches report
-    /// [`supports_set_sharding`](stem_sim_core::CacheModel::supports_set_sharding)
-    /// honour values above 1 — the rest replay serially regardless.
-    pub fn shards(&self) -> usize {
-        self.shards.unwrap_or(1)
     }
 
     /// Simulation fidelity: `STEM_FIDELITY`, defaulting to
@@ -575,15 +561,6 @@ mod tests {
         assert!(cfg_of(&[(SERVE_IO_DEADLINE_ENV, "-1")]).is_err());
         assert!(cfg_of(&[(SERVE_RETRIES_ENV, "-1")]).is_err());
         assert!(cfg_of(&[(SERVE_CHAOS_SEED_ENV, "not-a-seed")]).is_err());
-    }
-
-    #[test]
-    fn shards_default_to_serial_and_reject_zero() {
-        let cfg = cfg_of(&[]).unwrap();
-        assert_eq!(cfg.shards(), 1, "sharding must be strictly opt-in");
-        assert_eq!(cfg_of(&[(SHARDS_ENV, "4")]).unwrap().shards(), 4);
-        assert!(cfg_of(&[(SHARDS_ENV, "0")]).is_err());
-        assert!(cfg_of(&[(SHARDS_ENV, "four")]).is_err());
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //! [`CacheModel`] `supports_*` methods). The
 //! engine reads the capability from the cache it builds for the run:
 //!
-//! * [`Exec::Sharded`] on a scheme that declines set sharding replays
-//!   serially, so offering a shard plan can never change a result;
 //! * [`Exec::Sampled`] on a scheme that declines set sampling returns
 //!   [`RunError::SamplingDeclined`] instead of a distorted estimate;
 //! * [`Exec::Restore`] into a scheme that declines snapshots, or with a
@@ -23,33 +21,17 @@
 //!   [`SnapshotError`] the restore reports.
 
 use std::fmt;
-use std::panic::resume_unwind;
 
 use stem_analysis::{build_cache, warm_split, Scheme};
 use stem_sim_core::{
-    CacheGeometry, CacheModel, CacheStats, DecodedTrace, SampledTrace, ShardedTrace, Snapshot,
-    SnapshotError,
+    CacheGeometry, CacheModel, CacheStats, DecodedTrace, SampledTrace, Snapshot, SnapshotError,
 };
-
-use crate::pool;
 
 /// How a [`RunPlan`] replays its trace.
 #[derive(Debug, Clone, Copy)]
 pub enum Exec<'a> {
     /// One cache replays the whole trace in order.
     Serial,
-    /// One fresh cache per shard of a pair-folded set partition
-    /// ([`ShardedTrace`]), fanned over up to `threads` [`pool`] workers,
-    /// with the per-shard stats summed. Bit-identical to `Serial`. A
-    /// scheme that declines set sharding replays serially.
-    Sharded {
-        /// The partition of the run's source trace at the plan's set
-        /// count. The engine replays the shards as given and does not
-        /// check that they came from the source.
-        plan: &'a ShardedTrace,
-        /// Worker cap for the shard fan-out (`<= 1` replays inline).
-        threads: usize,
-    },
     /// Replays only a strided-set sample ([`SampledTrace`]) and scales the
     /// result back up by the sample's `domains / selected` factor. At
     /// rate 1 the estimate is bit-identical to `Serial`.
@@ -81,8 +63,8 @@ pub struct RunPlan<'a> {
 /// The measured result of a [`RunPlan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measured {
-    /// Cache statistics over the measured range (summed over shards, or
-    /// the sample's raw, unscaled counts).
+    /// Cache statistics over the measured range (for a sampled run, the
+    /// sample's raw, unscaled counts).
     pub stats: CacheStats,
     /// Instructions in the source trace's measured range.
     pub instructions: u64,
@@ -148,11 +130,7 @@ impl RunPlan<'_> {
     ///
     /// [`RunError::SamplingDeclined`] for a sampled plan on a scheme that
     /// declines set sampling, and [`RunError::Snapshot`] for a restore the
-    /// cache refuses. Serial and sharded plans always succeed.
-    ///
-    /// # Panics
-    ///
-    /// Propagates the first (in shard order) panicking shard job.
+    /// cache refuses. Serial plans always succeed.
     pub fn run(&self, source: &DecodedTrace) -> Result<Measured, RunError> {
         let warm_len = warm_split(source.len(), self.warmup);
         let measured = |stats, scale| Measured {
@@ -162,29 +140,7 @@ impl RunPlan<'_> {
         };
         let mut cache = build_cache(self.scheme, self.geom);
         match self.exec {
-            Exec::Sharded { plan, threads } if cache.supports_set_sharding() => {
-                let (scheme, geom) = (self.scheme, self.geom);
-                let jobs: Vec<_> = plan
-                    .shards()
-                    .iter()
-                    .map(|shard| {
-                        move || {
-                            let mut cache = build_cache(scheme, geom);
-                            warm_then_measure(
-                                cache.as_mut(),
-                                shard.trace(),
-                                shard.split_before(warm_len),
-                            )
-                        }
-                    })
-                    .collect();
-                let stats = pool::run_ordered(threads, jobs)
-                    .into_iter()
-                    .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-                    .fold(CacheStats::default(), |acc, s| acc + s);
-                Ok(measured(stats, 1.0))
-            }
-            Exec::Serial | Exec::Sharded { .. } => Ok(measured(
+            Exec::Serial => Ok(measured(
                 warm_then_measure(cache.as_mut(), source, warm_len),
                 1.0,
             )),
@@ -243,10 +199,6 @@ mod tests {
     #[test]
     fn every_plan_matches_serial_or_refuses() {
         let (geom, d) = decoded("omnetpp", 20_000);
-        let plans: Vec<ShardedTrace> = [1, 2, 4, 7]
-            .iter()
-            .map(|&n| ShardedTrace::partition(&d, n))
-            .collect();
         let sample = SampledTrace::select(&d, 1, 99);
         let warm_len = warm_split(d.len(), 0.2);
         let donor = warm_scheme_snapshot(Scheme::Lru, geom, &d, warm_len).unwrap();
@@ -261,15 +213,6 @@ mod tests {
                     "{scheme} {what}: MPKI"
                 );
             };
-
-            // Sharded: accepted or declined, the result is the serial one.
-            for p in &plans {
-                for threads in [1, 2] {
-                    let exec = Exec::Sharded { plan: p, threads };
-                    let what = format!("{} shards x {threads} threads", p.shard_count());
-                    same(plan(scheme, geom, exec).run(&d).unwrap(), &what);
-                }
-            }
 
             // Sampled at rate 1: exact for opt-ins, a refusal otherwise.
             let sampled = plan(scheme, geom, Exec::Sampled(&sample)).run(&d);
@@ -303,30 +246,6 @@ mod tests {
                 plan(scheme, geom, Exec::Sampled(&sample)).run(&d),
                 Err(RunError::SamplingDeclined(scheme))
             );
-        }
-    }
-
-    #[test]
-    fn opt_ins_replay_the_shards_and_decliners_the_source() {
-        // A plan cut from a *different* trace of the same length and
-        // geometry tells the two routes apart: replaying its shards gives
-        // the other trace's numbers, the serial fallback the source's.
-        let (geom, d) = decoded("omnetpp", 20_000);
-        let (_, other) = decoded("mcf", 20_000);
-        let foreign = ShardedTrace::partition(&other, 4);
-        for scheme in Scheme::ALL {
-            let exec = Exec::Sharded {
-                plan: &foreign,
-                threads: 2,
-            };
-            let got = plan(scheme, geom, exec).run(&d).unwrap();
-            let route = if build_cache(scheme, geom).supports_set_sharding() {
-                &other
-            } else {
-                &d
-            };
-            let want = plan(scheme, geom, Exec::Serial).run(route).unwrap();
-            assert_eq!(got.stats, want.stats, "{scheme}");
         }
     }
 

@@ -4,7 +4,7 @@
 //!
 //! * [`corrupted_trace_suite`] — a valid `STEMTRC1` byte stream is
 //!   bit-flipped, truncated, re-headered with absurd counts, and fed back
-//!   to the reader, which must answer with a typed [`TraceError`] (never a
+//!   to the reader, which must answer with a typed [`IngestError`] (never a
 //!   panic, hang, or allocator abort);
 //! * [`adversarial_trace_suite`] — well-formed but hostile traces
 //!   (aliasing storms, zero instruction gaps, maximum addresses) replayed
@@ -20,11 +20,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use stem_analysis::{build_audited_cache, Scheme};
 use stem_llc::{StemCache, StemConfig};
-use stem_sim_core::{
-    io as trace_io, run_audited, Access, AccessKind, Address, CacheGeometry, SimError, Trace,
-    TraceError,
-};
+use stem_sim_core::{run_audited, Access, AccessKind, Address, CacheGeometry, SimError, Trace};
 use stem_spatial::{SbcCache, SbcConfig, StaticSbcCache, VWayCache, VWayConfig, VictimCache};
+use stem_trace_io::{read_binary, write_binary, IngestError};
 
 /// The outcome of one fault-injection suite.
 #[derive(Debug, Clone, Default)]
@@ -80,15 +78,15 @@ fn sample_trace_bytes() -> Vec<u8> {
         .map(|i| Access::read(geom.address_of(i % 40, (i % 64) as usize)))
         .collect();
     let mut buf = Vec::new();
-    trace_io::write_trace(&mut buf, &trace).expect("writing to a Vec cannot fail");
+    write_binary(&mut buf, &trace).expect("writing to a Vec cannot fail");
     buf
 }
 
-/// Whether `read_trace` handles `bytes` gracefully: either parses them or
+/// Whether `read_binary` handles `bytes` gracefully: either parses them or
 /// returns a typed error, without panicking.
 fn reads_gracefully(bytes: &[u8]) -> bool {
     catch_unwind(AssertUnwindSafe(|| {
-        let _: Result<Trace, TraceError> = trace_io::read_trace(bytes);
+        let _: Result<Trace, IngestError> = read_binary(bytes);
     }))
     .is_ok()
 }
@@ -104,7 +102,7 @@ pub fn corrupted_trace_suite() -> FaultReport {
     // Sanity: the pristine stream parses.
     report.check(
         "pristine stream parses",
-        trace_io::read_trace(good.as_slice()).is_ok(),
+        read_binary(good.as_slice()).is_ok(),
     );
 
     // Bit-flips across the header and the first records, plus a spread of
@@ -126,8 +124,7 @@ pub fn corrupted_trace_suite() -> FaultReport {
     for len in [0, 1, 7, 8, 9, 15, 16, 17, 24, 31, good.len() - 1] {
         let mut bytes = good.clone();
         bytes.truncate(len);
-        let graceful =
-            matches!(trace_io::read_trace(bytes.as_slice()), Err(e) if e.is_corruption());
+        let graceful = matches!(read_binary(bytes.as_slice()), Err(e) if e.is_corruption());
         report.check(&format!("truncated to {len} bytes"), graceful);
     }
 
@@ -135,10 +132,7 @@ pub fn corrupted_trace_suite() -> FaultReport {
     for count in [u64::MAX, 1 << 62, (1 << 40) + 1] {
         let mut bytes = good[..8].to_vec();
         bytes.extend_from_slice(&count.to_le_bytes());
-        let graceful = matches!(
-            trace_io::read_trace(bytes.as_slice()),
-            Err(TraceError::TooLarge(_))
-        );
+        let graceful = matches!(read_binary(bytes.as_slice()), Err(IngestError::TooLarge(_)));
         report.check(&format!("declared count {count:#x}"), graceful);
     }
 
@@ -146,8 +140,7 @@ pub fn corrupted_trace_suite() -> FaultReport {
     {
         let mut bytes = good.clone();
         bytes[8..16].copy_from_slice(&(1u64 << 20).to_le_bytes());
-        let graceful =
-            matches!(trace_io::read_trace(bytes.as_slice()), Err(e) if e.is_corruption());
+        let graceful = matches!(read_binary(bytes.as_slice()), Err(e) if e.is_corruption());
         report.check("over-declared count with short payload", graceful);
     }
 

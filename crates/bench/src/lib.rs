@@ -3,7 +3,7 @@
 //! The binaries in `src/bin/` regenerate every table and figure of the
 //! paper (see `DESIGN.md` §4 for the index); the plain `std::time` benches
 //! in `benches/` measure simulator throughput. [`engine`] is the one
-//! bare-LLC replay executor (serial, sharded, sampled or restored runs of a
+//! bare-LLC replay executor (serial, sampled or restored runs of a
 //! [`RunPlan`](engine::RunPlan)); [`pool`] is the
 //! deterministic parallel executor every driver fans out on (`STEM_THREADS`
 //! workers, results in input order); [`resilience`] isolates long

@@ -22,7 +22,6 @@ fn run_all(threads: &str, csv_dir: &PathBuf, extra: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
     cmd.env_remove("STEM_INJECT_PANIC")
         .env_remove("STEM_EXPERIMENT_BUDGET_SECS")
-        .env_remove("STEM_SHARDS")
         .env("STEM_THREADS", threads)
         .env("STEM_ACCESSES", "3000")
         .env("STEM_SWEEP_ACCESSES", "600")
@@ -88,64 +87,6 @@ fn run_all_is_byte_identical_across_thread_counts() {
 
     let _ = std::fs::remove_dir_all(&dir_serial);
     let _ = std::fs::remove_dir_all(&dir_parallel);
-}
-
-#[test]
-fn run_all_is_byte_identical_across_shard_counts() {
-    // Set-sharded replay is an internal execution strategy: crossing
-    // STEM_SHARDS with STEM_THREADS must leave stdout and every CSV
-    // byte-identical to the serial run. Only the stderr/JSON telemetry
-    // may differ (the shards run records the speedup section).
-    let dir_base = scratch("shards-base");
-    let dir_s4t1 = scratch("shards-4t1");
-    let dir_s4t5 = scratch("shards-4t5");
-    let base = run_all("1", &dir_base, &[]);
-    let s4t1 = run_all("1", &dir_s4t1, &[("STEM_SHARDS", "4")]);
-    let s4t5 = run_all("5", &dir_s4t5, &[("STEM_SHARDS", "4")]);
-    for (name, out) in [("base", &base), ("s4t1", &s4t1), ("s4t5", &s4t5)] {
-        assert!(
-            out.status.success(),
-            "{name} run failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
-    assert_eq!(
-        base.stdout, s4t1.stdout,
-        "stdout must be byte-identical between STEM_SHARDS unset and STEM_SHARDS=4"
-    );
-    assert_eq!(
-        base.stdout, s4t5.stdout,
-        "stdout must be byte-identical when shards and threads cross"
-    );
-
-    for dir in [&dir_s4t1, &dir_s4t5] {
-        for entry in std::fs::read_dir(dir).expect("reading the CSV dir") {
-            let name = entry.expect("dir entry").file_name().into_string().unwrap();
-            if !name.ends_with(".csv") {
-                continue;
-            }
-            let a = std::fs::read(dir_base.join(&name)).expect("baseline CSV");
-            let b = std::fs::read(dir.join(&name)).expect("sharded CSV");
-            assert_eq!(a, b, "{name} differs between shard settings");
-        }
-    }
-
-    let base_json =
-        std::fs::read_to_string(dir_base.join("BENCH_run_all.json")).expect("baseline JSON");
-    let shard_json =
-        std::fs::read_to_string(dir_s4t1.join("BENCH_run_all.json")).expect("sharded JSON");
-    assert!(
-        !base_json.contains("\"sharded_replay\""),
-        "the serial run must not record a speedup section"
-    );
-    assert!(
-        shard_json.contains("\"sharded_replay\"") && shard_json.contains("shard_plan_omnetpp"),
-        "the sharded run records the speedup section and the plan cells"
-    );
-
-    for dir in [&dir_base, &dir_s4t1, &dir_s4t5] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
 }
 
 #[test]

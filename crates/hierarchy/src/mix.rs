@@ -30,10 +30,9 @@ use crate::{SystemConfig, SystemMetrics};
 /// Builds the deterministic core-interleaving schedule for a mix: entry
 /// `k` names the core that issues the `k`-th global access.
 ///
-/// Cores are drawn by the same seeded weighted lottery
-/// `stem_workloads::WorkloadMix` uses to interleave traces: at each step
-/// a core is picked with probability proportional to its weight; a core
-/// whose stream has run dry is replaced by the lowest-indexed core with
+/// Cores are drawn by a seeded weighted lottery: at each step a core is
+/// picked with probability proportional to its weight; a core whose
+/// stream has run dry is replaced by the lowest-indexed core with
 /// accesses remaining. The schedule has exactly `lens.iter().sum()`
 /// entries — every access of every stream is issued once.
 ///
@@ -68,7 +67,7 @@ pub fn interleave_schedule(lens: &[usize], weights: &[f64], seed: u64) -> Vec<u3
             drawn
         } else {
             // The drawn core ran dry: issue from the lowest-indexed core
-            // with accesses left (mirrors WorkloadMix's dry-stream rule).
+            // with accesses left.
             remaining
                 .iter()
                 .position(|&r| r > 0)

@@ -76,12 +76,11 @@ impl ReplacementPolicy for Bip {
         "BIP"
     }
 
-    // NOT sharding-safe: one global RNG is consumed on every fill, so which
+    // NOT sampling-safe: one global RNG is consumed on every fill, so which
     // draw a given set's fill observes depends on the global miss
-    // interleaving. Stays on the serial path (the trait default, made
-    // explicit here because the per-set stacks alone would suggest
-    // otherwise).
-    fn supports_set_sharding(&self) -> bool {
+    // interleaving. Explicit refusal (the trait default, made explicit here
+    // because the per-set stacks alone would suggest otherwise).
+    fn supports_set_sampling(&self) -> bool {
         false
     }
 
@@ -133,8 +132,8 @@ impl ReplacementPolicy for Lip {
         "LIP"
     }
 
-    // Unlike BIP, LIP has no RNG — per-set stacks only, so sharding-safe.
-    fn supports_set_sharding(&self) -> bool {
+    // Unlike BIP, LIP has no RNG — per-set stacks only, so sampling-safe.
+    fn supports_set_sampling(&self) -> bool {
         true
     }
 

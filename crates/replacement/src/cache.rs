@@ -272,15 +272,9 @@ impl CacheModel for SetAssocCache {
         &self.name
     }
 
-    /// The frames and stats are per-set by construction, so shardability is
+    /// The frames and stats are per-set by construction, so the cache
+    /// structure adds no cross-set state and sampled-replay eligibility is
     /// exactly the policy's call
-    /// ([`ReplacementPolicy::supports_set_sharding`]).
-    fn supports_set_sharding(&self) -> bool {
-        self.policy.supports_set_sharding()
-    }
-
-    /// Likewise for sampled replay: the cache structure adds no cross-set
-    /// state, so eligibility is exactly the policy's call
     /// ([`ReplacementPolicy::supports_set_sampling`]).
     fn supports_set_sampling(&self) -> bool {
         self.policy.supports_set_sampling()

@@ -180,14 +180,9 @@ impl ReplacementPolicy for Dip {
         "DIP"
     }
 
-    // NOT sharding-safe: the global PSEL is bumped by leader-set misses and
-    // read by every follower fill, so follower insertion depth depends on
-    // the cross-set interleaving of leader updates. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    // Sampled replay IS meaningful for DIP, as a documented approximation:
+    // The global PSEL is bumped by leader-set misses and read by every
+    // follower fill, so DIP's per-set state is not isolated. Sampled replay
+    // is still meaningful for DIP, as a documented approximation:
     // set dueling is itself a sampling estimator ("the behaviour of a few
     // leader sets predicts the whole cache"), so training PSEL on the
     // leader sets that survive a pair-preserving strided sample is the

@@ -127,9 +127,9 @@ impl ReplacementPolicy for Drrip {
         "DRRIP"
     }
 
-    // NOT sharding-safe: global PSEL (leader-set duel) plus a global RNG on
-    // the BRRIP fill path. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
+    // NOT sampling-safe: global PSEL (leader-set duel) plus a global RNG on
+    // the BRRIP fill path. Explicit refusal.
+    fn supports_set_sampling(&self) -> bool {
         false
     }
 }

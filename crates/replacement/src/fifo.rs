@@ -43,8 +43,8 @@ impl ReplacementPolicy for Fifo {
         "FIFO"
     }
 
-    // One fill stack per set, nothing shared: sharding-safe.
-    fn supports_set_sharding(&self) -> bool {
+    // One fill stack per set, nothing shared: sampling-safe.
+    fn supports_set_sampling(&self) -> bool {
         true
     }
 

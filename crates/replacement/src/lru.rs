@@ -63,9 +63,9 @@ impl ReplacementPolicy for Lru {
         "LRU"
     }
 
-    // One RecencyStack per set, nothing shared: set-sharded replay is
-    // order-equivalent to serial replay.
-    fn supports_set_sharding(&self) -> bool {
+    // One RecencyStack per set, nothing shared: a set sample replays
+    // exactly what the kept sets see serially.
+    fn supports_set_sampling(&self) -> bool {
         true
     }
 

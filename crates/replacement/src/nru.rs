@@ -90,11 +90,11 @@ impl ReplacementPolicy for Nru {
         "NRU"
     }
 
-    // NOT sharding-safe: victim() falls back to a single global RNG when a
+    // NOT sampling-safe: victim() falls back to a single global RNG when a
     // set's reference bits saturate, so the draw a set observes depends on
-    // the global access interleaving. Serial path only (explicit because
-    // the per-set reference bits alone would suggest otherwise).
-    fn supports_set_sharding(&self) -> bool {
+    // the global access interleaving. Explicit refusal (the per-set
+    // reference bits alone would suggest otherwise).
+    fn supports_set_sampling(&self) -> bool {
         false
     }
 }

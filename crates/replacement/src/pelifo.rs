@@ -172,20 +172,14 @@ impl ReplacementPolicy for PeLifo {
         "PeLIFO"
     }
 
-    // NOT sharding-safe: the probabilistic-escape election (global
+    // NOT sampling-safe: the probabilistic-escape election (global
     // `misses[]` histogram, `total_misses` period counter, elected winner)
-    // aggregates misses across all sets, so every set's fill depth depends
-    // on the global miss interleaving. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    // NOT sampling-safe: the election's `total_misses` period counter
-    // advances once per miss *anywhere*, so dropping sets stretches the
-    // election period in simulated time and elects from a miss histogram
-    // with different mass — unlike DIP's stationary duel, PeLIFO's
-    // elected escape depth is driven by the absolute miss volume, which
-    // sampling reduces by construction. Explicit refusal.
+    // aggregates misses across all sets. The period counter advances once
+    // per miss *anywhere*, so dropping sets stretches the election period
+    // in simulated time and elects from a miss histogram with different
+    // mass — unlike DIP's stationary duel, PeLIFO's elected escape depth
+    // is driven by the absolute miss volume, which sampling reduces by
+    // construction. Explicit refusal.
     fn supports_set_sampling(&self) -> bool {
         false
     }

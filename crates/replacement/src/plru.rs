@@ -116,8 +116,8 @@ impl ReplacementPolicy for Plru {
         "PLRU"
     }
 
-    // Per-set tree bits, no shared state: sharding-safe.
-    fn supports_set_sharding(&self) -> bool {
+    // Per-set tree bits, no shared state: sampling-safe.
+    fn supports_set_sampling(&self) -> bool {
         true
     }
 }

@@ -58,34 +58,21 @@ pub trait ReplacementPolicy {
         None
     }
 
-    /// Whether every piece of this policy's mutable state is local to one
-    /// set, making set-sharded replay order-equivalent to serial replay
-    /// (the policy-level half of
-    /// [`CacheModel::supports_set_sharding`](stem_sim_core::CacheModel::supports_set_sharding);
-    /// `SetAssocCache` delegates here). Policies with *any* cross-set state
-    /// — DIP's and DRRIP's global PSEL, PeLIFO's election counters, a
-    /// global RNG consumed on a data-dependent subset of accesses (BIP,
-    /// NRU, Random), Belady's precomputed global future — must keep the
-    /// default `false`: interleaving changes what that shared state
-    /// observes. Purely per-set policies (LRU, FIFO, LIP, SRRIP, PLRU)
-    /// opt in.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
     /// Whether sampled (strided-subset) replay of a cache driven by this
     /// policy is a valid estimator of serial replay (the policy-level half
     /// of
     /// [`CacheModel::supports_set_sampling`](stem_sim_core::CacheModel::supports_set_sampling);
-    /// `SetAssocCache` delegates here). The default inherits
-    /// [`supports_set_sharding`](ReplacementPolicy::supports_set_sharding):
-    /// purely per-set state means dropped sets are invisible to kept ones,
-    /// so sampling introduces no per-set distortion. A policy with global
-    /// state may override this to opt into a *documented approximation*
-    /// (DIP does — set dueling is itself a sampling estimator); the rest
-    /// must keep the sharding answer.
+    /// `SetAssocCache` delegates here). Purely per-set policies (LRU, FIFO,
+    /// LIP, SRRIP, PLRU) opt in: when every piece of mutable state is local
+    /// to one set, dropped sets are invisible to kept ones, so sampling
+    /// introduces no per-set distortion. Policies with *any* cross-set
+    /// state — DRRIP's global PSEL, PeLIFO's election counters, a global
+    /// RNG consumed on a data-dependent subset of accesses (BIP, NRU,
+    /// Random), Belady's precomputed global future — keep the default
+    /// `false`. The one exception is DIP, which opts into a *documented
+    /// approximation* (set dueling is itself a sampling estimator).
     fn supports_set_sampling(&self) -> bool {
-        self.supports_set_sharding()
+        false
     }
 
     /// Whether this policy's complete mutable state can be checkpointed

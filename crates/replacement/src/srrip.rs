@@ -72,8 +72,8 @@ impl ReplacementPolicy for Srrip {
         "SRRIP"
     }
 
-    // Per-set RRPV arrays, no shared state: sharding-safe.
-    fn supports_set_sharding(&self) -> bool {
+    // Per-set RRPV arrays, no shared state: sampling-safe.
+    fn supports_set_sampling(&self) -> bool {
         true
     }
 }

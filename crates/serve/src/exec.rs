@@ -27,7 +27,7 @@ use stem_bench::config::Fidelity;
 use stem_bench::engine::{Exec, RunPlan};
 use stem_bench::harness::prepare_trace;
 use stem_hierarchy::{System, SystemConfig, SystemMetrics};
-use stem_sim_core::{CacheGeometry, DecodedTrace, Json, SampledTrace, ShardedTrace, SimError};
+use stem_sim_core::{CacheGeometry, DecodedTrace, Json, SampledTrace, SimError};
 use stem_workloads::{offset_trace_into_region, pro_rata_shares, BenchmarkProfile};
 
 use crate::cache::SnapshotCache;
@@ -226,8 +226,7 @@ fn run_simulation_inner(
     let mut fields = vec![("metrics".to_owned(), metrics_json(&metrics))];
     if req.profile {
         let profiler = CapacityDemandProfiler::micro2010(geom);
-        let agg =
-            CapacityDemandProfiler::aggregate(&profile_histograms(&profiler, &prepared.trace));
+        let agg = CapacityDemandProfiler::aggregate(&profiler.profile_decoded(&prepared.trace));
         fields.push((
             "capacity_profile".to_owned(),
             Json::Obj(vec![
@@ -385,7 +384,7 @@ fn mix_json(labels: &[String], weights: &[f64], outcome: &MixOutcome) -> Json {
 ///
 /// Determinism: selection and replay are both serial pure functions of
 /// the canonical request, so the response body is byte-identical at any
-/// `STEM_THREADS`/`STEM_SHARDS` setting and across cache hits/misses.
+/// `STEM_THREADS` setting and across cache hits/misses.
 fn run_sampled(
     req: &RunRequest,
     geom: CacheGeometry,
@@ -447,37 +446,6 @@ fn run_sampled(
             ),
         ]),
     )]))
-}
-
-/// Computes the per-period capacity-demand histograms for `trace`,
-/// set-sharded across the bench pool when `STEM_SHARDS` asks for more
-/// than one shard, serial otherwise. The sharded path recovers the
-/// global sampling-period boundaries from each access's original index
-/// and merges partial histograms by exact counter addition, so the two
-/// paths are **bit-identical** — the response body (and therefore the
-/// result cache's purity) cannot depend on the knob. The metrics replay
-/// above always stays serial: the full system model's next-line
-/// prefetcher crosses set boundaries, so it never opts into sharding.
-fn profile_histograms(
-    profiler: &CapacityDemandProfiler,
-    trace: &DecodedTrace,
-) -> Vec<stem_analysis::DemandHistogram> {
-    let shards = stem_bench::config::Config::cached().shards();
-    if shards <= 1 {
-        return profiler.profile_decoded(trace);
-    }
-    let plan = ShardedTrace::partition(trace, shards);
-    let source_len = plan.source_len();
-    let jobs: Vec<_> = plan
-        .shards()
-        .iter()
-        .map(|shard| move || profiler.profile_shard(shard, source_len))
-        .collect();
-    let parts: Vec<_> = stem_bench::pool::run_ordered(stem_bench::pool::configured_threads(), jobs)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
-        .collect();
-    CapacityDemandProfiler::merge_shard_profiles(&parts)
 }
 
 /// Serializes the system metrics with fixed 6-decimal rounding, so the

@@ -153,7 +153,7 @@ impl DecodedTrace {
     }
 
     /// Assembles a `DecodedTrace` directly from pre-decoded columns, used by
-    /// the shard builder to materialize compacted per-shard streams without
+    /// the set sampler to materialize its compacted stream without
     /// round-tripping through byte addresses. The columns must be parallel
     /// (`sets`, `lines`, `inst_gaps` of equal length; `write_words` packed 64
     /// flags per word) and every set index must be below `geom.sets()`.

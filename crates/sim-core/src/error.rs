@@ -5,7 +5,7 @@
 //!
 //! * [`GeometryError`] — an impossible cache shape was requested;
 //! * [`SimError::Config`] — a scheme-specific parameter is out of range;
-//! * [`TraceError`] — a trace file is corrupt, truncated, or oversized;
+//! * [`TraceError`] — a trace could not be read;
 //! * [`AuditError`](crate::AuditError) — checked mode caught a structural
 //!   invariant violation;
 //! * [`JsonError`](crate::json::JsonError) — a JSON document (an
@@ -52,36 +52,22 @@ impl fmt::Display for GeometryError {
 
 impl Error for GeometryError {}
 
-/// A `STEMTRC1` trace could not be read.
+/// A trace could not be read.
 ///
-/// Returned by [`io::read_trace`](crate::io::read_trace). Distinguishes
-/// transport failures ([`TraceError::Io`]) from format corruption so fault
-/// handling can treat "disk broke" and "file is garbage" differently.
+/// The workspace-wide form of a trace-ingestion failure: the
+/// `stem-trace-io` reader reports a typed `IngestError` and lowers it here
+/// when it crosses into [`SimError`], carrying format corruption as
+/// `InvalidData`.
 #[derive(Debug)]
 pub enum TraceError {
-    /// The underlying reader failed (includes truncation, surfaced as
-    /// `UnexpectedEof`).
+    /// The underlying reader failed, or the bytes were not a valid trace.
     Io(io::Error),
-    /// The first 8 bytes are not the `STEMTRC1` magic.
-    BadMagic([u8; 8]),
-    /// A record carried an access-kind byte other than 0 (read) or 1
-    /// (write).
-    BadKind(u8),
-    /// The declared record count does not fit in this platform's `usize`.
-    TooLarge(u64),
 }
 
 impl fmt::Display for TraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TraceError::Io(e) => write!(f, "trace read failed: {e}"),
-            TraceError::BadMagic(m) => {
-                write!(f, "not a STEMTRC1 trace (bad magic {:02x?})", m)
-            }
-            TraceError::BadKind(b) => write!(f, "invalid access kind byte {b}"),
-            TraceError::TooLarge(n) => {
-                write!(f, "trace declares {n} records, too large for this platform")
-            }
         }
     }
 }
@@ -90,7 +76,6 @@ impl Error for TraceError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             TraceError::Io(e) => Some(e),
-            _ => None,
         }
     }
 }
@@ -98,23 +83,6 @@ impl Error for TraceError {
 impl From<io::Error> for TraceError {
     fn from(e: io::Error) -> Self {
         TraceError::Io(e)
-    }
-}
-
-impl From<TraceError> for io::Error {
-    fn from(e: TraceError) -> Self {
-        match e {
-            TraceError::Io(inner) => inner,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}
-
-impl TraceError {
-    /// Whether this error denotes format corruption (as opposed to a
-    /// transport failure from the underlying reader).
-    pub fn is_corruption(&self) -> bool {
-        !matches!(self, TraceError::Io(e) if e.kind() != io::ErrorKind::UnexpectedEof)
     }
 }
 
@@ -230,32 +198,10 @@ mod tests {
     }
 
     #[test]
-    fn trace_error_corruption_classification() {
-        assert!(TraceError::BadMagic(*b"NOTATRCE").is_corruption());
-        assert!(TraceError::BadKind(9).is_corruption());
-        assert!(TraceError::TooLarge(u64::MAX).is_corruption());
-        assert!(
-            TraceError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, "eof")).is_corruption()
-        );
-        assert!(
-            !TraceError::Io(io::Error::new(io::ErrorKind::PermissionDenied, "no")).is_corruption()
-        );
-    }
-
-    #[test]
-    fn trace_error_converts_to_io_error() {
-        let e: io::Error = TraceError::BadKind(7).into();
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        let inner = io::Error::new(io::ErrorKind::PermissionDenied, "no");
-        let e: io::Error = TraceError::Io(inner).into();
-        assert_eq!(e.kind(), io::ErrorKind::PermissionDenied);
-    }
-
-    #[test]
     fn sim_error_wraps_every_family() {
         let from_geom: SimError = GeometryError::ZeroWays.into();
         assert!(matches!(from_geom, SimError::Geometry(_)));
-        let from_trace: SimError = TraceError::BadKind(2).into();
+        let from_trace: SimError = TraceError::from(io::Error::other("eof")).into();
         assert!(matches!(from_trace, SimError::Trace(_)));
         let from_json: SimError = crate::json::Json::parse("{oops").unwrap_err().into();
         assert!(matches!(from_json, SimError::Json(_)));
@@ -272,7 +218,7 @@ mod tests {
     #[test]
     fn sources_chain() {
         use std::error::Error as _;
-        let e = SimError::from(TraceError::BadMagic(*b"12345678"));
+        let e = SimError::from(TraceError::from(io::Error::other("bad magic")));
         assert!(e.source().is_some());
         assert!(SimError::config("sbc", "x").source().is_none());
     }

@@ -53,13 +53,11 @@ mod decoded;
 mod error;
 mod frames;
 mod geometry;
-pub mod io;
 pub mod json;
 mod model;
 pub mod prop;
 mod rng;
 mod sample;
-mod shard;
 pub mod snapshot;
 mod stats;
 mod timing;
@@ -77,7 +75,6 @@ pub use json::{Json, JsonError};
 pub use model::{replay_decoded_via_access, AccessResult, CacheModel};
 pub use rng::SplitMix64;
 pub use sample::SampledTrace;
-pub use shard::{ShardedTrace, TraceShard};
 pub use snapshot::{PolicyState, Snapshot, SnapshotError};
 pub use stats::CacheStats;
 pub use timing::{AccessLatency, TimingParams};

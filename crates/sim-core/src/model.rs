@@ -5,7 +5,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::{
-    Access, AccessKind, Address, CacheGeometry, CacheStats, DecodedAccess, DecodedTrace, Snapshot,
+    AccessKind, Address, CacheGeometry, CacheStats, DecodedAccess, DecodedTrace, Snapshot,
     SnapshotError, Trace,
 };
 
@@ -130,11 +130,6 @@ pub trait CacheModel {
         }
     }
 
-    /// Runs one access expressed as an [`Access`] record.
-    fn access_record(&mut self, access: Access) -> AccessResult {
-        self.access(access.addr, access.kind)
-    }
-
     /// Processes one pre-decoded access.
     ///
     /// # Contract
@@ -183,30 +178,6 @@ pub trait CacheModel {
         self.replay_decoded(trace, 0..trace.len());
     }
 
-    /// Whether set-sharded replay of this cache is equivalent to serial
-    /// replay.
-    ///
-    /// # Contract
-    ///
-    /// Returning `true` asserts: for **any** partition of the set space into
-    /// disjoint groups that keeps each set's partner `s ^ (sets/2)` in the
-    /// same group (see [`ShardedTrace`](crate::ShardedTrace)), replaying
-    /// each group's accesses in source order against a *fresh* instance of
-    /// this cache produces, per access, exactly the outcome of the serial
-    /// replay — and the per-instance [`CacheStats`](crate::CacheStats) sum
-    /// to the serial totals. That holds precisely when every piece of
-    /// mutable state the access path reads or writes is local to one set
-    /// (or one partner pair): no global PSEL or election counters, no shared
-    /// victim buffer or data store, no RNG consumed on a data-dependent
-    /// subset of accesses.
-    ///
-    /// The default is `false` — serial replay is always correct, so a
-    /// scheme must opt in explicitly, and dispatchers route anything that
-    /// declines through the existing serial path.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
     /// Whether sampled (strided-subset) replay of this cache is a valid
     /// estimator of its serial behaviour.
     ///
@@ -224,19 +195,22 @@ pub trait CacheModel {
     /// then estimates the full-cache counts, with error coming only from
     /// the extrapolation (per-set behaviour is not distorted).
     ///
-    /// The default inherits [`supports_set_sharding`]: every piece of
-    /// state being set-local (or pair-local) is exactly the property that
-    /// makes dropped sets invisible to the kept ones, so the sharding
-    /// boundary is also the zero-distortion sampling boundary. Schemes
-    /// whose global state observes all sets (PeLIFO's election, V-Way's
-    /// shared tag/data store, STEM's shadow machinery, a global RNG) must
-    /// not opt in without their own documented story; DIP opts in
-    /// explicitly because set dueling *is* a sampling estimator (see its
-    /// policy override).
+    /// The exact form holds precisely when every piece of mutable state
+    /// the access path reads or writes is local to one set (or one partner
+    /// pair `(s, s ^ sets/2)`): no global PSEL or election counters, no
+    /// shared victim buffer or data store, no RNG consumed on a
+    /// data-dependent subset of accesses. Dropped sets are then invisible
+    /// to the kept ones, so replaying every residue class of the stride
+    /// through its own fresh cache and summing the unscaled
+    /// [`CacheStats`](crate::CacheStats) gives the serial totals.
     ///
-    /// [`supports_set_sharding`]: CacheModel::supports_set_sharding
+    /// The default is `false` — exact replay is always correct, so a
+    /// scheme must opt in explicitly. Schemes whose global state observes
+    /// all sets (PeLIFO's election, V-Way's shared tag/data store, STEM's
+    /// shadow machinery, a global RNG) refuse; DIP opts in because set
+    /// dueling *is* a sampling estimator (see its policy override).
     fn supports_set_sampling(&self) -> bool {
-        self.supports_set_sharding()
+        false
     }
 
     /// Whether this cache can checkpoint and restore its complete replay
@@ -258,7 +232,7 @@ pub trait CacheModel {
     /// must opt in explicitly, and dispatchers silently run anything that
     /// declines from cold (a declined offer changes no results). Refusing
     /// overrides document the disqualifying state they cannot capture
-    /// cheaply, mirroring the sharding/sampling boundaries above.
+    /// cheaply, mirroring the sampling boundary above.
     fn supports_snapshot(&self) -> bool {
         false
     }
@@ -312,6 +286,7 @@ pub fn replay_decoded_via_access<C: CacheModel + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Access;
 
     #[test]
     fn result_predicates() {
@@ -372,7 +347,7 @@ mod tests {
         assert_eq!(cache.stats().accesses(), 10);
         cache.reset_stats();
         assert_eq!(cache.stats().accesses(), 0);
-        let r = cache.access_record(Access::write(Address::new(0)));
+        let r = cache.access(Address::new(0), AccessKind::Write);
         assert!(r.is_miss());
     }
 

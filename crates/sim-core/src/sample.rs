@@ -5,28 +5,26 @@
 //! sampling literature PAPERS.md surveys) is that per-set cache behaviour is
 //! statistically homogeneous enough that replaying a *strided subset* of the
 //! sets predicts whole-cache miss counts with small, quantifiable error — at
-//! a fraction of the work. Where [`ShardedTrace`](crate::ShardedTrace)
-//! partitions **all** sets for parallel replay of the exact answer, a
-//! [`SampledTrace`] keeps only `1/rate` of the set space and drops the rest,
-//! an *algorithmic* reduction that pays off on any hardware.
+//! a fraction of the work. A [`SampledTrace`] keeps only `1/rate` of the
+//! set space and drops the rest, an *algorithmic* reduction that pays off
+//! on any hardware.
 //!
 //! Selection is deterministic and strided at **pair-domain** granularity:
-//! with `sets = 2h` the domain of set `s` is `s & (h - 1)` (the same fold as
-//! [`ShardedTrace`](crate::ShardedTrace)), so SBC-static's spill partners
-//! `(s, s ^ h)` are always co-sampled and the same selection is valid for
-//! pair-coupled schemes. A seeded offset (`SplitMix64`-mixed, reduced mod
+//! with `sets = 2h` the domain of set `s` is `s & (h - 1)`, so SBC-static's
+//! spill partners `(s, s ^ h)` are always co-sampled and the same selection
+//! is valid for pair-coupled schemes. A seeded offset (`SplitMix64`-mixed, reduced mod
 //! the stride) picks which residue class survives: domain `d` is selected
 //! iff `d % rate == offset`. The choice is a pure function of
 //! `(seed, sets, rate)` — no clocks, no global state — so a sampled result
-//! is reproducible across processes, thread counts, and shard counts.
+//! is reproducible across processes and thread counts.
 //!
 //! Scaling back up is the consumer's job (see `stem-analysis`): measured
 //! miss/writeback counts multiply by [`scale_factor`], and MPKI denominators
 //! come from the *source* trace's measured range. Which schemes may replay a
 //! sample at all is a per-scheme capability
-//! ([`CacheModel::supports_set_sampling`]) mirroring the sharding boundary:
-//! per-set schemes sample without distortion, while schemes whose global
-//! state observes all sets either refuse or document an approximation.
+//! ([`CacheModel::supports_set_sampling`]): per-set schemes sample without
+//! distortion, while schemes whose global state observes all sets either
+//! refuse or document an approximation.
 //!
 //! [`scale_factor`]: SampledTrace::scale_factor
 //! [`CacheModel::supports_set_sampling`]: crate::CacheModel::supports_set_sampling
@@ -65,9 +63,7 @@ pub struct SampledTrace {
     source_len: usize,
 }
 
-/// The pair-domain count of `geom`: `max(sets / 2, 1)` — identical to the
-/// fold [`ShardedTrace`](crate::ShardedTrace) uses, so a sample and a shard
-/// plan agree on what a "domain" is.
+/// The pair-domain count of `geom`: `max(sets / 2, 1)`.
 #[inline]
 fn domain_count(geom: CacheGeometry) -> usize {
     (geom.sets() / 2).max(1)
@@ -101,8 +97,7 @@ impl SampledTrace {
     /// # Panics
     ///
     /// Panics if `source` has more than `u32::MAX` accesses (original
-    /// indices are stored as `u32`, like
-    /// [`ShardedTrace`](crate::ShardedTrace)).
+    /// indices are stored as `u32`).
     pub fn select(source: &DecodedTrace, rate: u32, seed: u64) -> Self {
         let n = source.len();
         assert!(
@@ -124,8 +119,8 @@ impl SampledTrace {
             d += stride as usize;
         }
 
-        // Size exactly, then scatter in one stable pass (the shard
-        // builder's pattern, with a keep/drop mask instead of a shard map).
+        // Size exactly, then scatter in one stable pass through a keep/drop
+        // mask.
         let sets = source.set_indices();
         let lines = source.line_addrs();
         let gaps = source.inst_gaps();

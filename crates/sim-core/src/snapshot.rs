@@ -16,16 +16,14 @@
 //! its own first *k* accesses, and identical [`CacheStats`]. Anything
 //! weaker would let a warm-started run drift from its cold twin, and the
 //! workspace's determinism gates (byte-identical stdout/CSVs at every
-//! `STEM_THREADS`/`STEM_SHARDS`/`STEM_SNAPSHOTS` setting) would catch it.
+//! `STEM_THREADS`/`STEM_SNAPSHOTS` setting) would catch it.
 //!
-//! The capability is strictly opt-in, mirroring the set-sharding and
-//! set-sampling boundaries ([`CacheModel::supports_set_sharding`],
-//! [`CacheModel::supports_set_sampling`]): a scheme whose state cannot be
+//! The capability is strictly opt-in, mirroring the set-sampling boundary
+//! ([`CacheModel::supports_set_sampling`]): a scheme whose state cannot be
 //! captured cheaply and exactly (STEM's shadow-set/SCDM machinery, V-Way's
 //! decoupled global tag/data store, dynamic SBC's association map) simply
 //! declines, and every dispatcher silently runs it cold.
 //!
-//! [`CacheModel::supports_set_sharding`]: crate::CacheModel::supports_set_sharding
 //! [`CacheModel::supports_set_sampling`]: crate::CacheModel::supports_set_sampling
 
 use std::any::Any;

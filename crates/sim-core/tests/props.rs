@@ -1,32 +1,7 @@
 //! Property tests for the sim-core substrate, driven by the in-repo
 //! deterministic harness (`stem_sim_core::prop`).
 
-use stem_sim_core::{
-    io, prop, Access, AccessKind, Address, CacheGeometry, SaturatingCounter, Trace,
-};
-
-/// Trace serialization round-trips arbitrary traces exactly — including
-/// zero instruction gaps.
-#[test]
-fn trace_io_roundtrip() {
-    prop::check(256, |g| {
-        let trace: Trace = (0..g.usize(0, 200))
-            .map(|_| Access {
-                addr: Address::new(g.u64(0, 1 << 44)),
-                kind: if g.bool() {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                },
-                inst_gap: g.u32(0, 10_000),
-            })
-            .collect();
-        let mut buf = Vec::new();
-        io::write_trace(&mut buf, &trace).expect("in-memory write cannot fail");
-        let back = io::read_trace(buf.as_slice()).expect("roundtrip read");
-        assert_eq!(back, trace);
-    });
-}
+use stem_sim_core::{prop, Access, Address, CacheGeometry, SaturatingCounter, Trace};
 
 /// Tag/index/offset decomposition is a bijection on line addresses.
 #[test]

@@ -382,20 +382,13 @@ impl CacheModel for SbcCache {
         "SBC"
     }
 
-    /// NOT sharding-safe: the association table couples *dynamically chosen*
-    /// set pairs, and the DSS candidate search plus coupling/decoupling
-    /// decisions read state across arbitrary sets, so the pairing a set ends
-    /// up with depends on the global access interleaving. Serial path only
-    /// (explicit for contrast with the static variant, which is safe).
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    /// NOT sampling-safe: the DSS candidate search ranges over *all*
+    /// NOT sampling-safe: the association table couples *dynamically
+    /// chosen* set pairs, and the DSS candidate search ranges over *all*
     /// decoupled sets when picking an association partner, so removing
     /// sets changes which pairings exist at all — a sampled SBC couples
     /// different sets than the full cache, not the same sets in a
-    /// different order. Explicit refusal.
+    /// different order. Explicit refusal (for contrast with the static
+    /// variant, which is safe).
     fn supports_set_sampling(&self) -> bool {
         false
     }

@@ -235,12 +235,12 @@ impl CacheModel for StaticSbcCache {
         "SBC-static"
     }
 
-    /// Sharding-safe under the pair-folded partition: every piece of state —
+    /// Sampling-safe under the pair-domain fold: every piece of state —
     /// saturation levels, spill decisions, partner probes and remote fills —
     /// lives inside the static partner pair `(s, s ^ sets/2)`, and
-    /// [`ShardedTrace`](stem_sim_core::ShardedTrace) never splits a pair
-    /// across shards.
-    fn supports_set_sharding(&self) -> bool {
+    /// [`SampledTrace`](stem_sim_core::SampledTrace) keeps or drops both
+    /// partners together.
+    fn supports_set_sampling(&self) -> bool {
         true
     }
 

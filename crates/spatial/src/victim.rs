@@ -203,24 +203,17 @@ impl CacheModel for VictimCache {
         "LRU+VC"
     }
 
-    /// NOT sharding-safe: the victim buffer is one global fully-associative
-    /// structure shared by evictions from *every* set, so its contents (and
-    /// therefore victim-hit outcomes) depend on the cross-set eviction
-    /// interleaving. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    /// NOT sampling-safe: dropped sets stop contributing evictions to the
-    /// shared FA victim buffer, so the kept sets see less buffer pressure
+    /// NOT sampling-safe: the victim buffer is one global
+    /// fully-associative structure shared by evictions from *every* set.
+    /// Dropped sets stop contributing evictions to it, so the kept sets see less buffer pressure
     /// than they would serially and their victim-hit rate is inflated.
     /// Explicit refusal.
     fn supports_set_sampling(&self) -> bool {
         false
     }
 
-    /// Snapshotable even though it refuses sharding/sampling: those
-    /// boundaries are about *partial* replay, but a snapshot captures the
+    /// Snapshotable even though it refuses sampling: that boundary is
+    /// about *partial* replay, but a snapshot captures the
     /// global victim buffer whole — `(frames, ranks, victims, stats)` is
     /// the complete mutable state, all plain data.
     fn supports_snapshot(&self) -> bool {

@@ -484,15 +484,8 @@ impl CacheModel for VWayCache {
         "V-Way"
     }
 
-    /// NOT sharding-safe: the data store (frames, free list, reuse counters,
-    /// global replacement hand) is shared by every set, so allocation and
-    /// global-replacement outcomes depend on the cross-set fill
-    /// interleaving. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    /// NOT sampling-safe either, and for a stronger reason than ordering:
+    /// NOT sampling-safe: the data store (frames, free list, reuse
+    /// counters, global replacement hand) is shared by every set, and
     /// decoupled tag/data means dropped sets free up *data frames* the
     /// kept sets would have competed for, so a sampled replay simulates a
     /// cache with the full data store but a fraction of the demand —

@@ -487,19 +487,10 @@ impl CacheModel for StemCache {
         "STEM"
     }
 
-    /// NOT sharding-safe: STEM elects donor/receiver couplings from a
-    /// *global* ranking of per-set capacity demand (the coupling heap) on a
-    /// global epoch clock, and its set-dueling monitor aggregates misses
-    /// across leader sets — both make every set's coupling partner depend on
-    /// the cross-set access interleaving. Serial path only.
-    fn supports_set_sharding(&self) -> bool {
-        false
-    }
-
-    /// NOT sampling-safe: the shadow-directory monitor ranks *every* set's
-    /// capacity demand to elect donor/receiver couplings, so a sampled
-    /// population elects different couplings (a set's donor may simply not
-    /// be in the sample), and the set-dueling miss aggregation shifts with
+    /// NOT sampling-safe: STEM elects donor/receiver couplings from a
+    /// *global* ranking of every set's capacity demand (the coupling heap)
+    /// on a global epoch clock, so a sampled population elects different
+    /// couplings (a set's donor may simply not be in the sample), and the set-dueling miss aggregation shifts with
     /// the surviving leader subset. Unlike DIP — whose only global state is
     /// the duel itself — STEM's couplings *move capacity between sets*, so
     /// the distortion is structural, not just a mistrained knob. Explicit

@@ -17,7 +17,7 @@ use stem_workloads::BenchmarkProfile;
 /// full per-access result stream and the final counters.
 fn replay(scheme: Scheme, geom: CacheGeometry, trace: &Trace) -> (Vec<AccessResult>, CacheStats) {
     let mut cache = build_cache(scheme, geom);
-    let results = trace.iter().map(|a| cache.access_record(*a)).collect();
+    let results = trace.iter().map(|a| cache.access(a.addr, a.kind)).collect();
     let stats = *cache.stats();
     (results, stats)
 }

@@ -1,5 +1,6 @@
-//! Multiprogrammed workload mixes: interleave several benchmark analogs
-//! into one LLC-visible access stream.
+//! Multiprogrammed workload mixes: per-program streams of several
+//! benchmark analogs, ready to interleave into one LLC-visible access
+//! stream.
 //!
 //! The paper studies an *intra-core* LLC (one program at a time), but any
 //! downstream user of the simulator will want to study shared-LLC mixes;
@@ -7,7 +8,7 @@
 //! address space disjoint (a per-program offset in the upper tag bits, the
 //! way physical allocation separates processes).
 
-use stem_sim_core::{Access, CacheGeometry, SplitMix64, Trace};
+use stem_sim_core::{CacheGeometry, Trace};
 
 use crate::BenchmarkProfile;
 
@@ -63,8 +64,9 @@ pub fn pro_rata_shares(weights: &[f64], total: usize) -> Vec<usize> {
 ///     (BenchmarkProfile::by_name("mcf").unwrap(), 1.0),
 /// ]);
 /// let geom = CacheGeometry::new(256, 8, 64).unwrap();
-/// let trace = mix.trace(geom, 10_000, 7);
-/// assert_eq!(trace.len(), 10_000);
+/// let streams = mix.core_traces(geom, 10_000);
+/// assert_eq!(streams.len(), 2);
+/// assert_eq!(streams[0].len() + streams[1].len(), 10_000);
 /// ```
 #[derive(Debug, Clone)]
 pub struct WorkloadMix {
@@ -72,8 +74,8 @@ pub struct WorkloadMix {
 }
 
 impl WorkloadMix {
-    /// Creates a mix from `(profile, weight)` pairs; weights set the
-    /// interleaving ratio.
+    /// Creates a mix from `(profile, weight)` pairs; weights set each
+    /// component's share of the accesses and of the interleave.
     ///
     /// # Panics
     ///
@@ -103,10 +105,9 @@ impl WorkloadMix {
     /// its addresses are shifted into private region `i` of the 44-bit
     /// physical space, so programs never alias in the shared cache.
     ///
-    /// Unlike [`trace`](WorkloadMix::trace), the streams are *not*
-    /// interleaved here — interleaving is the mix system's job (see
-    /// `stem_hierarchy::interleave_schedule`), which keeps per-core
-    /// attribution exact.
+    /// The streams are *not* interleaved here — interleaving is the mix
+    /// system's job (see `stem_hierarchy::interleave_schedule`), which
+    /// keeps per-core attribution exact.
     ///
     /// # Panics
     ///
@@ -125,58 +126,12 @@ impl WorkloadMix {
             .map(|(i, ((profile, _), share))| offset_into_region(profile.trace(geom, share), i))
             .collect()
     }
-
-    /// Generates an interleaved trace of `accesses` references. Each
-    /// component's addresses are shifted into a private region of the
-    /// 44-bit physical space so programs never alias.
-    pub fn trace(&self, geom: CacheGeometry, accesses: usize, seed: u64) -> Trace {
-        // Generate each component's stream pro-rata, then interleave by
-        // weighted lottery (deterministic).
-        let total_w: f64 = self.components.iter().map(|&(_, w)| w).sum();
-        let mut streams: Vec<std::vec::IntoIter<Access>> = Vec::new();
-        let mut weights = Vec::new();
-        for (i, (profile, w)) in self.components.iter().enumerate() {
-            let share = ((w / total_w) * accesses as f64).ceil() as usize + 1;
-            let shifted: Vec<Access> = offset_into_region(profile.trace(geom, share), i)
-                .into_iter()
-                .collect();
-            streams.push(shifted.into_iter());
-            weights.push(*w);
-        }
-
-        let mut cdf = Vec::with_capacity(weights.len());
-        let mut acc = 0.0;
-        for w in &weights {
-            acc += w / total_w;
-            cdf.push(acc);
-        }
-
-        let mut rng = SplitMix64::new(seed);
-        let mut trace = Trace::with_capacity(accesses);
-        while trace.len() < accesses {
-            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-            let idx = cdf.iter().position(|&c| u < c).unwrap_or(cdf.len() - 1);
-            match streams[idx].next() {
-                Some(a) => trace.push(a),
-                None => {
-                    // A component ran dry (rounding): draw from any
-                    // remaining stream.
-                    if let Some(a) = streams.iter_mut().find_map(Iterator::next) {
-                        trace.push(a);
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        trace
-    }
 }
 
 /// Shifts every address of `trace` into the private region of `program`,
 /// for callers assembling per-core streams from sources other than a
 /// [`WorkloadMix`] (e.g. ingested trace files mixed with profile
-/// analogs). Same folding semantics as the mix generators — see
+/// analogs). Same folding semantics as [`WorkloadMix::core_traces`] — see
 /// `offset_into_region`.
 ///
 /// # Panics
@@ -218,38 +173,6 @@ mod tests {
             (BenchmarkProfile::by_name("ammp").expect("suite"), 2.0),
             (BenchmarkProfile::by_name("mcf").expect("suite"), 1.0),
         ])
-    }
-
-    #[test]
-    fn trace_has_requested_length_and_is_deterministic() {
-        let geom = CacheGeometry::new(64, 4, 64).unwrap();
-        let a = mix().trace(geom, 5_000, 1);
-        let b = mix().trace(geom, 5_000, 1);
-        assert_eq!(a.len(), 5_000);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn components_do_not_alias() {
-        let geom = CacheGeometry::new(64, 4, 64).unwrap();
-        let t = mix().trace(geom, 5_000, 2);
-        let mut regions = std::collections::HashSet::new();
-        for a in &t {
-            regions.insert(a.addr.raw() >> 41);
-        }
-        assert_eq!(regions.len(), 2, "each program gets a private region");
-    }
-
-    #[test]
-    fn weights_shape_the_interleave() {
-        let geom = CacheGeometry::new(64, 4, 64).unwrap();
-        let t = mix().trace(geom, 9_000, 3);
-        let first = t.iter().filter(|a| a.addr.raw() >> 41 == 0).count();
-        let ratio = first as f64 / t.len() as f64;
-        assert!(
-            (ratio - 2.0 / 3.0).abs() < 0.05,
-            "2:1 weighting off: {ratio}"
-        );
     }
 
     #[test]

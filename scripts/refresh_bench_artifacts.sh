@@ -4,7 +4,7 @@
 #
 #   BENCH_throughput.json  — scheme replay throughput (accesses/second)
 #   BENCH_run_all.json     — run_all wall clock, stage breakdown, and the
-#                            serial-vs-sharded replay speedup (STEM_SHARDS=4)
+#                            cold vs warm-once+restore snapshot speedup
 #   BENCH_serve.json       — serve request latency against a live server,
 #                            sampled tier vs exact tier side by side
 #   BENCH_sampling.json    — sampled-fidelity MPKI relative error and
@@ -39,10 +39,10 @@ STEM_CSV_DIR="$OUT" cargo bench -q -p stem-bench --bench sampling_bench
 echo "==> snapshot bench (full scale: cold vs warm-once+restore per benchmark x scheme)"
 STEM_CSV_DIR="$OUT" cargo bench -q -p stem-bench --bench snapshot_bench
 
-echo "==> run_all (archive scale, STEM_SHARDS=4 for the speedup record)"
+echo "==> run_all (archive scale)"
 # STEM_SWEEP_ACCESSES=800000 matches the archived run_all_output.txt
 # (see README "reproduction" section).
-STEM_SWEEP_ACCESSES=800000 STEM_SHARDS=4 STEM_CSV_DIR="$OUT" target/release/run_all \
+STEM_SWEEP_ACCESSES=800000 STEM_CSV_DIR="$OUT" target/release/run_all \
     >"$OUT/run_all_stdout.txt" 2>"$OUT/run_all_stderr.txt"
 if ! cmp -s "$OUT/run_all_stdout.txt" run_all_output.txt; then
     echo "ERROR: full-scale run_all stdout differs from the archived run_all_output.txt" >&2
@@ -56,7 +56,7 @@ echo "==> run_all cold control (STEM_SNAPSHOTS=0; restored output must be byte-i
 # disabled, every sweep point re-warms from scratch — and the scientific
 # output must not move by a single byte.
 mkdir -p "$OUT/cold"
-STEM_SWEEP_ACCESSES=800000 STEM_SHARDS=4 STEM_SNAPSHOTS=0 STEM_CSV_DIR="$OUT/cold" \
+STEM_SWEEP_ACCESSES=800000 STEM_SNAPSHOTS=0 STEM_CSV_DIR="$OUT/cold" \
     target/release/run_all >"$OUT/run_all_stdout_cold.txt" 2>"$OUT/run_all_stderr_cold.txt"
 if ! cmp -s "$OUT/run_all_stdout_cold.txt" "$OUT/run_all_stdout.txt"; then
     echo "ERROR: STEM_SNAPSHOTS=0 changed run_all's stdout at full scale" >&2
@@ -64,10 +64,10 @@ if ! cmp -s "$OUT/run_all_stdout_cold.txt" "$OUT/run_all_stdout.txt"; then
 fi
 echo "    cold (STEM_SNAPSHOTS=0) stdout is byte-identical to the snapshots-on run"
 
-echo "==> serve bench (live server, sharded profile path enabled)"
+echo "==> serve bench (live server)"
 ADDR_FILE="$OUT/serve-addr.txt"
 rm -f "$ADDR_FILE"
-STEM_SERVE_ADDR=127.0.0.1:0 STEM_SERVE_ADDR_FILE="$ADDR_FILE" STEM_SHARDS=4 \
+STEM_SERVE_ADDR=127.0.0.1:0 STEM_SERVE_ADDR_FILE="$ADDR_FILE" \
     target/release/serve >"$OUT/serve.log" 2>&1 &
 SERVE_PID=$!
 for _ in $(seq 1 100); do

@@ -1723,20 +1723,21 @@ fn replay_decoded_falls_back_on_incompatible_geometry() {
 }
 
 // ---------------------------------------------------------------------------
-// Set-sharded replay vs serial replay (the sharding boundary).
+// Sampled partitions vs serial replay (the set-locality boundary).
 // ---------------------------------------------------------------------------
 //
-// `ShardedTrace` partitions a decoded stream into per-set-range shards
-// (pair-folded so SBC-static partner sets stay together); replaying each
-// shard through a fresh cache and summing the per-shard `CacheStats` must
-// be *indistinguishable* from a serial replay for every scheme whose
-// cache opts into `supports_set_sharding` — and must never be attempted
-// for the schemes that decline (their cross-set state makes the shard
-// order observable). Both directions are pinned here with the same
-// SplitMix64 synthetic streams the backend differentials use.
+// At stride `k` the sampler keeps the pair domains of one residue class
+// mod `k`, so the `k` offsets together partition the set space with every
+// SBC-static partner pair kept whole. Replaying each class's compacted
+// trace through its own fresh cache and summing the unscaled `CacheStats`
+// must be *indistinguishable* from a serial replay for every scheme whose
+// mutable state is per-set — the property that makes sampling
+// zero-distortion. DIP opts into sampling as a documented approximation
+// (its global PSEL only sees the kept leader sets), so it is the one
+// sampling scheme this differential leaves out.
 
 use stem::analysis::{build_cache, warm_scheme_snapshot, warm_split, Scheme};
-use stem::sim_core::{SampledTrace, ShardedTrace, SnapshotError};
+use stem::sim_core::{SampledTrace, SnapshotError};
 use stem_bench::engine::{Exec, RunPlan};
 
 /// Synthesizes and decodes one differential trace.
@@ -1754,17 +1755,27 @@ fn synth_decoded(geom: CacheGeometry, seed: u64, accesses: usize) -> DecodedTrac
     DecodedTrace::decode(&trace, geom)
 }
 
-/// Replays every shard of `plan` through a fresh full-geometry cache and
-/// sums the stats — the sharded half of each differential below.
-fn sharded_stats(scheme: Scheme, geom: CacheGeometry, plan: &ShardedTrace) -> CacheStats {
-    plan.shards()
-        .iter()
-        .map(|shard| {
-            let mut cache = build_cache(scheme, geom);
-            cache.run_decoded(shard.trace());
-            *cache.stats()
+/// One sample of `decoded` at `rate` per stride offset, found by scanning
+/// seeds in order until every offset in `0..stride` has appeared as the
+/// first selected domain: the residue classes partition the pair domains.
+/// Selection depends only on `(seed, sets, rate)`, so the scan probes an
+/// empty trace of the same geometry.
+fn partition_samples(decoded: &DecodedTrace, rate: u32) -> Vec<SampledTrace> {
+    let empty = DecodedTrace::decode(&Trace::new(), decoded.geometry());
+    let stride = SampledTrace::select(&empty, rate, 0).stride() as usize;
+    let mut seeds: Vec<Option<u64>> = vec![None; stride];
+    for seed in 0u64..10_000 {
+        let offset = SampledTrace::select(&empty, rate, seed).selected_domains()[0];
+        seeds[offset].get_or_insert(seed);
+    }
+    seeds
+        .into_iter()
+        .enumerate()
+        .map(|(offset, seed)| {
+            let seed = seed.unwrap_or_else(|| panic!("no seed selects offset {offset}"));
+            SampledTrace::select(decoded, rate, seed)
         })
-        .fold(CacheStats::default(), |acc, s| acc + s)
+        .collect()
 }
 
 /// The MPKI of an engine run of `scheme` over `decoded` after the
@@ -1781,10 +1792,6 @@ fn warmed_mpki(scheme: Scheme, geom: CacheGeometry, decoded: &DecodedTrace, exec
 
 // Capability probes: each asks a freshly built cache of the scheme.
 
-fn can_shard(scheme: Scheme, geom: CacheGeometry) -> bool {
-    build_cache(scheme, geom).supports_set_sharding()
-}
-
 fn can_sample(scheme: Scheme, geom: CacheGeometry) -> bool {
     build_cache(scheme, geom).supports_set_sampling()
 }
@@ -1793,86 +1800,125 @@ fn can_snapshot(scheme: Scheme, geom: CacheGeometry) -> bool {
     build_cache(scheme, geom).supports_snapshot()
 }
 
-#[test]
-fn sharded_replay_matches_serial_for_every_shardable_scheme() {
-    let geom = paper_geom();
-    let decoded = synth_decoded(geom, 0x5AAD_0001, diff_accesses());
+/// Asserts that, for every exact sampling scheme (every sampling scheme but
+/// DIP), the serial `CacheStats` over `decoded` equal the sum of each
+/// partition's classes replayed through fresh caches; returns the schemes
+/// it checked.
+fn assert_partitions_sum_to_serial(
+    decoded: &DecodedTrace,
+    partitions: &[(u32, Vec<SampledTrace>)],
+) -> Vec<Scheme> {
+    let geom = decoded.geometry();
+    for (rate, samples) in partitions {
+        let covered: usize = samples.iter().map(SampledTrace::len).sum();
+        assert_eq!(covered, decoded.len(), "rate {rate}: not a partition");
+    }
+    let mut exact = Vec::new();
     for scheme in Scheme::ALL {
-        if !can_shard(scheme, geom) {
+        if scheme == Scheme::Dip || !can_sample(scheme, geom) {
             continue;
         }
+        exact.push(scheme);
         let mut serial = build_cache(scheme, geom);
-        serial.run_decoded(&decoded);
-        for shards in [1usize, 2, 4, 7] {
-            let plan = ShardedTrace::partition(&decoded, shards);
+        serial.run_decoded(decoded);
+        assert!(
+            serial.stats().writebacks() > 0,
+            "{scheme}: the dirty path must fire for the differential to mean anything"
+        );
+        for (rate, samples) in partitions {
+            let summed = samples
+                .iter()
+                .map(|sample| {
+                    let mut cache = build_cache(scheme, geom);
+                    cache.run_decoded(sample.trace());
+                    *cache.stats()
+                })
+                .fold(CacheStats::default(), |acc, s| acc + s);
             assert_eq!(
                 *serial.stats(),
-                sharded_stats(scheme, geom, &plan),
-                "{scheme}: sharded CacheStats diverged from serial at {shards} shards"
+                summed,
+                "{scheme}: {} sampled classes at rate {rate} diverged from serial \
+                 at {} sets",
+                samples.len(),
+                geom.sets()
             );
         }
+    }
+    exact
+}
+
+// The three tests below keep the names of the set-sharded replay tests
+// they replaced, so their IDs stay stable across the removal: a
+// residue-class partition is the per-set split a shard plan was, and the
+// properties they pin (set locality, empty classes, write-flag
+// compaction) carry over unchanged.
+
+#[test]
+fn sharded_replay_matches_serial_for_every_shardable_scheme() {
+    for (geom, seed, accesses) in [
+        (paper_geom(), 0x5AAD_0001, diff_accesses()),
+        (pressure_geom(), 0x5AAD_0002, diff_accesses() / 10),
+    ] {
+        let decoded = synth_decoded(geom, seed, accesses);
+        let partitions: Vec<(u32, Vec<SampledTrace>)> = [2u32, 4, 7]
+            .into_iter()
+            .map(|rate| (rate, partition_samples(&decoded, rate)))
+            .collect();
+        assert_eq!(
+            assert_partitions_sum_to_serial(&decoded, &partitions),
+            [Scheme::Lru, Scheme::Srrip, Scheme::Plru, Scheme::SbcStatic],
+            "the exact sampling surface drifted"
+        );
     }
 }
 
 #[test]
 fn surplus_shards_stay_empty_and_preserve_stats() {
-    // 16 sets fold to 8 pair domains; asking for 32 shards leaves at
-    // least 24 with an empty domain range. Empty shards must replay as
-    // no-ops, and the merged stats must still match serial exactly.
+    // 16 sets fold to 8 pair domains. The offset-0 class at rate 4 keeps
+    // only domains {0, 4}; partitioning that class again at rate 32
+    // clamps the stride to 8 (one domain per class), so at least six of
+    // the eight classes hold no access. Empty classes must replay as
+    // no-ops, and the summed stats must still match serial exactly.
     let geom = pressure_geom();
-    let decoded = synth_decoded(geom, 0x5AAD_0002, diff_accesses() / 10);
-    let plan = ShardedTrace::partition(&decoded, 32);
+    let full = synth_decoded(geom, 0x5AAD_0002, diff_accesses() / 10);
+    let decoded = partition_samples(&full, 4)[0].trace().clone();
+    let samples = partition_samples(&decoded, 32);
+    assert_eq!(samples.len(), 8, "a rate above the domain count must clamp");
     assert!(
-        plan.shards().iter().filter(|s| s.is_empty()).count() >= 24,
-        "expected surplus empty shards when shards exceed pair domains"
+        samples.iter().filter(|s| s.is_empty()).count() >= 6,
+        "expected empty classes where the source touches no domain"
     );
-    for scheme in Scheme::ALL {
-        if !can_shard(scheme, geom) {
-            continue;
-        }
-        let mut serial = build_cache(scheme, geom);
-        serial.run_decoded(&decoded);
-        assert_eq!(
-            *serial.stats(),
-            sharded_stats(scheme, geom, &plan),
-            "{scheme}: shards > domains diverged from serial"
-        );
-    }
+    assert!(!assert_partitions_sum_to_serial(&decoded, &[(32, samples)]).is_empty());
 }
 
 #[test]
 fn write_flags_survive_compaction_across_word_boundaries() {
     // The decoded write flags live in 64-access bitmap words; compaction
     // moves every surviving access to a new bit position, so any
-    // off-by-one in the scatter shows up as a read/write swap. A dense
-    // deterministic write pattern (every 3rd access) straddles every word
-    // boundary of every shard at 2/4/7 shards; the flags are checked
-    // access-by-access against the source via the original indices, and
-    // the dirty/writeback path is then exercised end to end.
+    // off-by-one in the scatter shows up as a read/write swap. The
+    // synthetic stream's writes straddle every word boundary of every
+    // class at rates 2/4/7; the flags are checked access-by-access against
+    // the source via the original indices, and the dirty/writeback path
+    // is then exercised end to end.
     let geom = pressure_geom();
     let decoded = synth_decoded(geom, 0x5AAD_0003, 1_000);
     let writes: usize = (0..decoded.len()).filter(|&i| decoded.is_write(i)).count();
     assert!(writes > 0, "synthetic stream must contain writes");
-    for shards in [2usize, 4, 7] {
-        let plan = ShardedTrace::partition(&decoded, shards);
-        for (si, shard) in plan.shards().iter().enumerate() {
-            for (local, &orig) in shard.orig_indices().iter().enumerate() {
+    let mut partitions = Vec::new();
+    for rate in [2u32, 4, 7] {
+        let samples = partition_samples(&decoded, rate);
+        for (ci, sample) in samples.iter().enumerate() {
+            for (local, &orig) in sample.orig_indices().iter().enumerate() {
                 assert_eq!(
-                    shard.trace().is_write(local),
+                    sample.trace().is_write(local),
                     decoded.is_write(orig as usize),
-                    "shard {si} access {local} (orig {orig}) write flag flipped at {shards} shards"
+                    "class {ci} access {local} (orig {orig}) write flag flipped at rate {rate}"
                 );
             }
         }
-        let mut serial = build_cache(Scheme::Lru, geom);
-        serial.run_decoded(&decoded);
-        let merged = sharded_stats(Scheme::Lru, geom, &plan);
-        assert_eq!(*serial.stats(), merged, "{shards} shards");
-        assert!(
-            merged.writebacks() > 0,
-            "dirty path must fire for the differential to mean anything"
-        );
+        partitions.push((rate, samples));
     }
+    assert!(!assert_partitions_sum_to_serial(&decoded, &partitions).is_empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -2008,10 +2054,9 @@ fn sampled_selection_is_a_pure_function_of_seed_sets_and_rate() {
     // The sampled tier's determinism contract: which pair domains get
     // selected depends on (seed, sets, rate) and on nothing else — not
     // the trace contents, not the access count, and (structurally) not
-    // STEM_THREADS/STEM_SHARDS, which the selector never reads. Two
-    // different traces over the same geometry must therefore agree on
-    // the selected domains exactly, and repeated selection must agree on
-    // every compacted byte.
+    // STEM_THREADS, which the selector never reads. Two different traces
+    // over the same geometry must therefore agree on the selected domains
+    // exactly, and repeated selection must agree on every compacted byte.
     let geom = paper_geom();
     let trace_a = synth_decoded(geom, 0x5A3D_0001, 20_000);
     let trace_b = synth_decoded(geom, 0x5A3D_0002, 7_000);
@@ -2069,64 +2114,4 @@ fn full_rate_sample_replays_exactly_for_every_sampling_scheme() {
         );
     }
     assert!(covered >= 5, "sampling surface shrank to {covered} schemes");
-}
-
-#[test]
-fn sampling_capability_is_a_subset_of_sharding_plus_dip() {
-    // Sampling leans on the same per-set state isolation that sharding
-    // proves; the only scheme allowed to opt in beyond that boundary is
-    // DIP, whose set dueling is itself a sampling estimator (measured,
-    // not bit-exact — see DESIGN.md §14). Any other divergence between
-    // the two capability surfaces is a bug in a scheme's declaration.
-    let geom = paper_geom();
-    for scheme in Scheme::ALL {
-        let (shards, samples) = (can_shard(scheme, geom), can_sample(scheme, geom));
-        if samples && !shards {
-            assert_eq!(
-                scheme,
-                Scheme::Dip,
-                "{scheme}: opted into sampling without sharding support"
-            );
-        }
-        if shards {
-            assert!(
-                samples,
-                "{scheme}: shardable per-set state must also be sampleable"
-            );
-        }
-    }
-}
-
-#[test]
-fn serial_only_schemes_ignore_the_sharding_offer() {
-    // The negative direction of the boundary: offering a shard plan to a
-    // scheme whose cache declines `supports_set_sharding` must change
-    // nothing — the engine routes it through the serial path
-    // and the result is bit-identical to never having set `STEM_SHARDS`.
-    let geom = paper_geom();
-    let decoded = synth_decoded(geom, 0x5AAD_0004, diff_accesses() / 10);
-    let plan = ShardedTrace::partition(&decoded, 4);
-    let mut serial_only = 0;
-    for scheme in Scheme::ALL {
-        if can_shard(scheme, geom) {
-            continue;
-        }
-        serial_only += 1;
-        let serial = warmed_mpki(scheme, geom, &decoded, Exec::Serial);
-        let auto = warmed_mpki(
-            scheme,
-            geom,
-            &decoded,
-            Exec::Sharded {
-                plan: &plan,
-                threads: 2,
-            },
-        );
-        assert_eq!(
-            serial.to_bits(),
-            auto.to_bits(),
-            "{scheme}: a declined sharding offer must leave results untouched"
-        );
-    }
-    assert!(serial_only > 0, "boundary test must cover the serial side");
 }

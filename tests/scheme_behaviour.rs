@@ -4,7 +4,7 @@
 use stem::analysis::Scheme;
 use stem::llc::StemCache;
 use stem::replacement::{Bip, Lru, OptCache, SetAssocCache};
-use stem::sim_core::{Access, CacheGeometry, CacheModel, DecodedTrace, Trace};
+use stem::sim_core::{Access, AccessKind, CacheGeometry, CacheModel, DecodedTrace, Trace};
 use stem::spatial::{SbcCache, VWayCache};
 use stem::workloads::synthetic;
 use stem_bench::engine::RunPlan;
@@ -127,7 +127,7 @@ fn vway_variable_associativity_end_to_end() {
     // The last full cycle must have been all hits.
     vway.reset_stats();
     for tag in 0..4u64 {
-        vway.access_record(Access::read(geom.address_of(tag, 0)));
+        vway.access(geom.address_of(tag, 0), AccessKind::Read);
     }
     assert_eq!(vway.stats().misses(), 0);
 }

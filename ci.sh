@@ -129,56 +129,6 @@ for csv in "$DET_BASE"/*.csv; do
 done
 echo "    byte-identical stdout and CSVs at threads in {1,5}"
 
-echo "==> snapshot determinism gate (cold vs restored byte-identical across STEM_THREADS)"
-# Warm-state snapshots are a replay accelerator, never a result change:
-# disabling STEM_SNAPSHOTS (forcing every sweep point to re-warm cold)
-# must leave run_all's stdout and every CSV byte-identical at any thread
-# count. The baseline is the det-t1 run above, which has snapshots on
-# by default.
-run_snap() { # <threads> <snapshots> <dir>
-    mkdir -p "$3"
-    STEM_ACCESSES=3000 STEM_SWEEP_ACCESSES=600 STEM_PERIODS=1 \
-        STEM_THREADS="$1" STEM_SNAPSHOTS="$2" STEM_CSV_DIR="$3" \
-        "$RUN_ALL_BIN" >"$3/stdout.txt" 2>"$3/stderr.txt"
-}
-for combo in "1 0" "4 1" "4 0"; do
-    read -r T SN <<<"$combo"
-    SNAP_DIR="$CSV_DIR/snap-t${T}n${SN}"
-    run_snap "$T" "$SN" "$SNAP_DIR"
-    cmp "$DET_BASE/stdout.txt" "$SNAP_DIR/stdout.txt" || {
-        echo "ERROR: run_all stdout differs at STEM_THREADS=$T STEM_SNAPSHOTS=$SN" >&2
-        exit 1
-    }
-    for csv in "$DET_BASE"/*.csv; do
-        cmp "$csv" "$SNAP_DIR/$(basename "$csv")" || {
-            echo "ERROR: $(basename "$csv") differs at STEM_THREADS=$T STEM_SNAPSHOTS=$SN" >&2
-            exit 1
-        }
-    done
-done
-grep -q '"snapshot_reuse"' "$DET_BASE/BENCH_run_all.json" || {
-    echo "ERROR: the snapshots-on run did not record its warm-once-vs-cold section" >&2
-    exit 1
-}
-if grep -q '"snapshot_reuse"' "$CSV_DIR/snap-t1n0/BENCH_run_all.json"; then
-    echo "ERROR: STEM_SNAPSHOTS=0 must not record a snapshot_reuse section" >&2
-    exit 1
-fi
-echo "    byte-identical stdout and CSVs at (threads, snapshots) in {1,4} x {0,1}"
-
-echo "==> snapshot bench (smoke) + BENCH_snapshot.json"
-# Cold vs warm-once+restore per (benchmark, scheme): the bench itself
-# exits nonzero unless the restored MPKI is bit-identical to the cold
-# MPKI for every cell; smoke-sized accesses keep CI fast, the committed
-# artifact carries the full-scale speedups.
-STEM_BENCH_ACCESSES="${STEM_SNAPSHOT_ACCESSES:-50000}" STEM_SNAPSHOT_BENCHMARKS=omnetpp \
-    STEM_CSV_DIR="$CSV_DIR" cargo bench -q -p stem-bench --bench snapshot_bench
-if [ ! -s "$CSV_DIR/BENCH_snapshot.json" ]; then
-    echo "ERROR: $CSV_DIR/BENCH_snapshot.json was not written" >&2
-    exit 1
-fi
-echo "    archived $CSV_DIR/BENCH_snapshot.json"
-
 echo "==> sampled-fidelity smoke gate (pinned error bound, byte-identical stdout across threads)"
 # The sampled tier must be (a) accurate within the pinned MPKI
 # relative-error bound on the fixed (benchmark, seed, scale) smoke cell,
@@ -324,8 +274,8 @@ echo "$METRICS" | grep -q '^stem_serve_mix_requests_total 4$' || {
     exit 1
 }
 # The snapshot cache: the exact request warmed cold (one miss), and the
-# profiled request — same warm prefix, different response — restored its
-# checkpoint (one hit). Neither the sampled tier nor mix requests consult
+# profiled request — same warm prefix, different response — cloned the
+# warmed system (one hit). Neither the sampled tier nor mix requests consult
 # the store, so the counts stay exactly there.
 echo "$METRICS" | grep -q '^stem_serve_snapshot_misses_total 1$' || {
     echo "ERROR: expected exactly one snapshot-cache miss; /metrics follows" >&2
@@ -377,7 +327,7 @@ echo "==> benchmark artifact drift check (warn-only)"
 # smoke-sized copies are expected to differ in timings — the warning is a
 # reminder to refresh the committed artifacts when the *shape* changed
 # (new sections, schemes, or stages), not a failure.
-for f in BENCH_throughput.json BENCH_serve.json BENCH_sampling.json BENCH_snapshot.json; do
+for f in BENCH_throughput.json BENCH_serve.json BENCH_sampling.json; do
     if [ ! -s "$f" ]; then
         echo "    WARNING: committed $f is missing from the repo root"
     elif ! cmp -s "$CSV_DIR/$f" "$f"; then

@@ -9,8 +9,7 @@
 //! * [`run_system`], [`run_mix_decoded`] — whole-system drivers (core +
 //!   L1 + LLC, solo or a shared-LLC mix) returning [`SystemMetrics`] /
 //!   [`MixOutcome`]; [`warm_split`] is the warm-up boundary every run
-//!   shares and [`warm_scheme_snapshot`] checkpoints a warmed LLC (bare-LLC
-//!   replay itself is `stem_bench::engine::RunPlan`);
+//!   shares (bare-LLC replay itself is `stem_bench::engine::RunPlan`);
 //! * [`geomean`], [`Table`] — reporting helpers that render the paper's
 //!   tables as text.
 //!
@@ -41,9 +40,7 @@ pub use classify::{classify_workload, ClassificationReport};
 pub use mix::{run_mix_decoded, MixOutcome};
 pub use mrc::MissRateCurve;
 pub use report::{geomean, Table};
-pub use scheme::{
-    build_audited_cache, build_cache, run_system, warm_scheme_snapshot, warm_split, Scheme,
-};
+pub use scheme::{build_audited_cache, build_cache, run_system, warm_split, Scheme};
 pub use stack_distance::StackDistance;
 
 pub use stem_hierarchy::SystemMetrics;

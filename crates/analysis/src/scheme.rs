@@ -1,5 +1,5 @@
-//! The scheme zoo: construction by name, the warm-up boundary, warm
-//! snapshots, and the whole-system runner. Bare-LLC replay lives in
+//! The scheme zoo: construction by name, the warm-up boundary, and the
+//! whole-system runner. Bare-LLC replay lives in
 //! `stem_bench::engine`.
 
 use std::fmt;
@@ -8,7 +8,7 @@ use std::str::FromStr;
 use stem_hierarchy::{System, SystemConfig, SystemMetrics};
 use stem_llc::{StemCache, StemConfig};
 use stem_replacement::{Bip, Dip, Drrip, Lru, Nru, PeLifo, Plru, SetAssocCache, Srrip};
-use stem_sim_core::{AuditedCacheModel, CacheGeometry, CacheModel, DecodedTrace, Snapshot};
+use stem_sim_core::{AuditedCacheModel, CacheGeometry, CacheModel, DecodedTrace};
 use stem_spatial::{SbcCache, StaticSbcCache, VWayCache, VictimCache};
 
 /// Every LLC scheme the workspace can evaluate.
@@ -155,35 +155,10 @@ pub fn build_audited_cache(scheme: Scheme, geom: CacheGeometry) -> Box<dyn Audit
 
 /// The warm-up boundary every warmed run uses: the first
 /// `warmup_fraction` (clamped to `[0, 0.9]`) of `len` accesses replay
-/// unmeasured. Centralised so every replay path, and every snapshot
-/// capture, computes the *same* boundary from the same arithmetic.
+/// unmeasured. Centralised so every replay path, and every warm-state
+/// snapshot, computes the *same* boundary from the same arithmetic.
 pub fn warm_split(len: usize, warmup_fraction: f64) -> usize {
     ((len as f64) * warmup_fraction.clamp(0.0, 0.9)) as usize
-}
-
-/// Warms a fresh cache of `scheme` on the first `warm_len` accesses of
-/// `trace`, zeroes its counters at the boundary, and checkpoints — the
-/// warm-once half of warm-prefix reuse. Returns `None` when the scheme
-/// declines the capability
-/// ([`CacheModel::supports_snapshot`](stem_sim_core::CacheModel::supports_snapshot)),
-/// in which case callers run each consumer cold, exactly as before
-/// snapshots existed.
-///
-/// The snapshot captures post-reset state, so a restored cache measures
-/// from zeroed counters just like the cold run does after its own warm-up.
-pub fn warm_scheme_snapshot(
-    scheme: Scheme,
-    geom: CacheGeometry,
-    trace: &DecodedTrace,
-    warm_len: usize,
-) -> Option<Snapshot> {
-    let mut cache = build_cache(scheme, geom);
-    if !cache.supports_snapshot() {
-        return None;
-    }
-    cache.replay_decoded(trace, 0..warm_len);
-    cache.reset_stats();
-    cache.snapshot()
 }
 
 /// Runs a pre-decoded trace through the full system (core + L1 + LLC) and
@@ -262,26 +237,6 @@ mod tests {
                 expected,
                 "{scheme}: sampling capability drifted from the documented boundary \
                  (DESIGN.md §14) — if intentional, update the table and this test"
-            );
-        }
-    }
-
-    #[test]
-    fn snapshot_capability_surface_is_all_but_the_entangled_schemes() {
-        let geom = small();
-        for scheme in Scheme::ALL {
-            let expected = !matches!(scheme, Scheme::VWay | Scheme::Sbc | Scheme::Stem);
-            assert_eq!(
-                build_cache(scheme, geom).supports_snapshot(),
-                expected,
-                "{scheme}: snapshot capability drifted from the documented boundary \
-                 (DESIGN.md §15) — if intentional, update the table and this test"
-            );
-            assert_eq!(
-                warm_scheme_snapshot(scheme, geom, &DecodedTrace::with_capacity(geom, 0), 0)
-                    .is_some(),
-                expected,
-                "{scheme}: warm_scheme_snapshot must follow the capability"
             );
         }
     }

@@ -26,8 +26,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use stem_analysis::{
-    build_cache, geomean, run_mix_decoded, warm_scheme_snapshot, warm_split,
-    CapacityDemandProfiler, MixOutcome, Scheme, Table,
+    build_cache, geomean, run_mix_decoded, CapacityDemandProfiler, MixOutcome, Scheme, Table,
 };
 use stem_bench::config::{Config, Fidelity};
 use stem_bench::engine::{Exec, Measured, RunPlan};
@@ -40,7 +39,7 @@ use stem_bench::resilience::{ExperimentOutcome, ExperimentRunner};
 use stem_hierarchy::SystemConfig;
 use stem_llc::{overhead, StemConfig};
 use stem_sim_core::SampledTrace;
-use stem_sim_core::{CacheGeometry, DecodedTrace, Json, Snapshot, Trace};
+use stem_sim_core::{CacheGeometry, DecodedTrace, Json, Trace};
 
 /// Writes `table` to `<dir>/<name>.csv` when an artifact directory is
 /// configured.
@@ -107,20 +106,14 @@ impl StageBreakdown {
 const REPS: usize = 3;
 
 /// Times two plans over the same trace, best-of-`REPS` each, running
-/// them alternately so both see the same host conditions. `between` runs
-/// between the two plans in every rep, so a stage can time a third step
-/// under the same conditions. Returns each plan's measurement and best
-/// wall clock in seconds.
+/// them alternately so both see the same host conditions. Returns each
+/// plan's measurement and best wall clock in seconds.
 ///
 /// # Panics
 ///
 /// Panics if the engine refuses a plan; the stages offer each strategy
 /// only to schemes whose cache opts in.
-fn time_plans(
-    source: &DecodedTrace,
-    [first, second]: [RunPlan<'_>; 2],
-    mut between: impl FnMut(),
-) -> [(Measured, f64); 2] {
+fn time_plans(source: &DecodedTrace, [first, second]: [RunPlan<'_>; 2]) -> [(Measured, f64); 2] {
     let time = |plan: &RunPlan<'_>, (measured, secs): &mut (Option<Measured>, f64)| {
         let t = std::time::Instant::now();
         *measured = Some(
@@ -132,7 +125,6 @@ fn time_plans(
     let [mut a, mut b] = [(None, f64::INFINITY); 2];
     for _ in 0..REPS {
         time(&first, &mut a);
-        between();
         time(&second, &mut b);
     }
     [a, b].map(|(measured, secs)| (measured.expect("REPS > 0"), secs))
@@ -198,7 +190,7 @@ fn measure_sampled_fidelity(
             ..exact
         };
         let [(exact_m, exact_secs), (sampled_m, sampled_secs)] =
-            time_plans(source, [exact, sampled], || {});
+            time_plans(source, [exact, sampled]);
         let entry = SchemeSampleError {
             label: scheme.label(),
             exact_mpki: exact_m.mpki(),
@@ -230,117 +222,12 @@ fn measure_sampled_fidelity(
     }
 }
 
-/// One scheme's cold-vs-restored timing from the snapshot-reuse
-/// measurement stage: the full warm-then-measure replay, the warm-once
-/// capture (warm prefix + checkpoint), and the restore-then-measure
-/// consumer, best-of-N each with the MPKIs asserted bit-identical first.
-struct SchemeSnapshotSpeedup {
-    label: &'static str,
-    cold_secs: f64,
-    warm_snapshot_secs: f64,
-    restore_secs: f64,
-}
-
-/// The warm-once-vs-cold record emitted (stderr + the `snapshot_reuse`
-/// section of `BENCH_run_all.json`) when `STEM_SNAPSHOTS` is on. Measured
-/// outside the experiment runner — stdout is never touched, so it stays
-/// byte-identical at either knob setting.
-struct SnapshotReuse {
-    trace_name: &'static str,
-    accesses: usize,
-    warm_len: usize,
-    schemes: Vec<SchemeSnapshotSpeedup>,
-}
-
-/// Measures cold vs warm-once-and-restore replay of `source` for every
-/// paper scheme that opts into snapshots, best-of-`REPS` each, after
-/// asserting the two paths produce bit-identical MPKI. The honest
-/// framing: one restore saves at most the warm fraction (20%) of a cold
-/// replay — the structural win comes from a *family* of points sharing
-/// one warm capture, which the sweep drivers and the serve snapshot
-/// cache exploit.
-fn measure_snapshot_speedup(
-    geom: CacheGeometry,
-    source: &DecodedTrace,
-    trace_name: &'static str,
-) -> SnapshotReuse {
-    let warm_len = warm_split(source.len(), WARMUP_FRACTION);
-    let mut schemes = Vec::new();
-    for &scheme in Scheme::PAPER.iter() {
-        if !build_cache(scheme, geom).supports_snapshot() {
-            continue;
-        }
-        // The restores replay one capture; each rep times a fresh capture
-        // between its cold and restored runs.
-        let capture = || {
-            warm_scheme_snapshot(scheme, geom, source, warm_len)
-                .expect("scheme opted into snapshots")
-        };
-        let snap = capture();
-        let mut warm_snapshot_secs = f64::INFINITY;
-        let cold = RunPlan::serial(scheme, geom, WARMUP_FRACTION);
-        let restored = RunPlan {
-            exec: Exec::Restore(&snap),
-            ..cold
-        };
-        let [(cold_m, cold_secs), (restored_m, restore_secs)] =
-            time_plans(source, [cold, restored], || {
-                let t = std::time::Instant::now();
-                std::hint::black_box(capture());
-                warm_snapshot_secs = warm_snapshot_secs.min(t.elapsed().as_secs_f64());
-            });
-        assert_eq!(
-            cold_m.mpki().to_bits(),
-            restored_m.mpki().to_bits(),
-            "restored replay diverged from cold for {scheme} — snapshot bug"
-        );
-        eprintln!(
-            "  {:<8} cold {:.3}s, warm+snapshot {:.3}s, restore+measure {:.3}s \
-             ({:.2}x per restored point)",
-            scheme.label(),
-            cold_secs,
-            warm_snapshot_secs,
-            restore_secs,
-            cold_secs / restore_secs.max(1e-12),
-        );
-        schemes.push(SchemeSnapshotSpeedup {
-            label: scheme.label(),
-            cold_secs,
-            warm_snapshot_secs,
-            restore_secs,
-        });
-    }
-    SnapshotReuse {
-        trace_name,
-        accesses: source.len(),
-        warm_len,
-        schemes,
-    }
-}
-
-/// Whether a sweep point of `scheme` at `geom` restores a warm snapshot
-/// instead of replaying cold. Two gates, both scheduling-only (either
-/// path is bit-identical): the knob must be on, and the scheme must opt
-/// into snapshots.
-fn snapshot_path_applies(scheme: Scheme, geom: CacheGeometry, snapshots: bool) -> bool {
-    snapshots && build_cache(scheme, geom).supports_snapshot()
-}
-
-/// The MPKI of one sweep point: restores the warm snapshot when one is
-/// offered, otherwise replays cold.
-fn sweep_point(
-    scheme: Scheme,
-    geom: CacheGeometry,
-    trace: &DecodedTrace,
-    snap: Option<&Snapshot>,
-) -> f64 {
-    RunPlan {
-        exec: snap.map_or(Exec::Serial, Exec::Restore),
-        ..RunPlan::serial(scheme, geom, WARMUP_FRACTION)
-    }
-    .run(trace)
-    .unwrap_or_else(|e| panic!("{scheme} sweep point: {e}"))
-    .mpki()
+/// The MPKI of one sweep point: a warmed serial replay of `trace`.
+fn sweep_point(scheme: Scheme, geom: CacheGeometry, trace: &DecodedTrace) -> f64 {
+    RunPlan::serial(scheme, geom, WARMUP_FRACTION)
+        .run(trace)
+        .unwrap_or_else(|e| panic!("{scheme} sweep point: {e}"))
+        .mpki()
 }
 
 /// Emits the per-experiment wall-clock summary: always to stderr (stdout
@@ -355,7 +242,6 @@ fn emit_timing_summary(
     outcomes: &[ExperimentOutcome],
     stages: &StageBreakdown,
     sampled: &[SampledFidelity],
-    snapshot: Option<&SnapshotReuse>,
 ) {
     let total: f64 = outcomes.iter().map(|o| o.elapsed.as_secs_f64()).sum();
     eprintln!(
@@ -410,37 +296,6 @@ fn emit_timing_summary(
                 ]),
             ),
         ];
-        if let Some(sr) = snapshot {
-            let schemes: Vec<Json> = sr
-                .schemes
-                .iter()
-                .map(|s| {
-                    Json::Obj(vec![
-                        ("scheme".into(), Json::str(s.label)),
-                        ("cold_secs".into(), secs3(s.cold_secs)),
-                        ("warm_snapshot_secs".into(), secs3(s.warm_snapshot_secs)),
-                        ("restore_secs".into(), secs3(s.restore_secs)),
-                        (
-                            "restore_speedup".into(),
-                            Json::float_rounded(s.cold_secs / s.restore_secs.max(1e-12), 2),
-                        ),
-                    ])
-                })
-                .collect();
-            fields.push((
-                "snapshot_reuse".into(),
-                Json::Obj(vec![
-                    ("trace".into(), Json::str(sr.trace_name)),
-                    ("accesses".into(), Json::Int(sr.accesses as i64)),
-                    ("warm_len".into(), Json::Int(sr.warm_len as i64)),
-                    (
-                        "warm_fraction".into(),
-                        Json::float_rounded(WARMUP_FRACTION, 2),
-                    ),
-                    ("schemes".into(), Json::Arr(schemes)),
-                ]),
-            ));
-        }
         if !sampled.is_empty() {
             let entries: Vec<Json> = sampled
                 .iter()
@@ -589,7 +444,6 @@ fn main() -> ExitCode {
     let sweep_accesses = cfg.sweep_accesses();
     let periods = cfg.periods.unwrap_or(20);
     let threads = cfg.threads();
-    let snapshots_on = cfg.snapshots();
     let csv_dir = cfg.csv_dir.as_deref();
 
     let mut runner = ExperimentRunner::new();
@@ -719,7 +573,8 @@ fn main() -> ExitCode {
     // Capacity-sweep decodes: the shared raw stream decoded at each
     // non-base set count (`sweep_trace_cap_*` cells, decode-only — their
     // time lands in the decode stage, like the base decodes). The base
-    // set count reuses the sweep decode outright.
+    // set count gets no decode and no cell: its point is the
+    // associativity sweep's point at the base ways.
     let cap_sets = capacity_sweep_sets();
     let mut cap_decodes: Vec<Vec<Option<Arc<DecodedTrace>>>> =
         vec![vec![None; cap_sets.len()]; sens.len()];
@@ -731,7 +586,6 @@ fn main() -> ExitCode {
             let Some((raw, _)) = prepared else { continue };
             for (ci, &sets) in cap_sets.iter().enumerate() {
                 if sets == geom.sets() {
-                    cap_decodes[bi][ci] = sweep_traces[bi].clone();
                     continue;
                 }
                 let raw = Arc::clone(raw);
@@ -762,53 +616,8 @@ fn main() -> ExitCode {
         }
     }
 
-    // Warm-once cells: when STEM_SNAPSHOTS is on, each (benchmark,
-    // scheme) whose scheme opts into checkpoints replays the shared
-    // 20% warm prefix exactly once at the paper geometry and snapshots the
-    // warmed state. The associativity point at the base ways and the
-    // capacity point at the base sets then restore instead of re-warming;
-    // points at any other geometry warm different state and stay cold.
-    // Either path is bit-identical (ci.sh compares STEM_SNAPSHOTS=0 vs 1).
-    let snapshot_schemes: Vec<usize> = Scheme::PAPER
-        .iter()
-        .enumerate()
-        .filter(|&(_, &s)| snapshot_path_applies(s, geom, snapshots_on))
-        .map(|(si, _)| si)
-        .collect();
-    let mut warm_snaps: Vec<Vec<Option<Arc<Snapshot>>>> =
-        vec![vec![None; Scheme::PAPER.len()]; sens.len()];
-    if !snapshot_schemes.is_empty() {
-        let mut warm_jobs: Vec<(String, Box<dyn FnOnce() -> Snapshot + Send>)> = Vec::new();
-        let mut warm_keys: Vec<(usize, usize)> = Vec::new();
-        for (bi, trace) in sweep_traces.iter().enumerate() {
-            let Some(trace) = trace else { continue };
-            for &si in &snapshot_schemes {
-                let scheme = Scheme::PAPER[si];
-                let trace = Arc::clone(trace);
-                warm_jobs.push((
-                    format!("sweep_warm_{}/{}", sens[bi].name(), scheme.label()),
-                    Box::new(move || {
-                        let warm_len = warm_split(trace.len(), WARMUP_FRACTION);
-                        warm_scheme_snapshot(scheme, geom, &trace, warm_len)
-                            .expect("scheme opted into snapshots")
-                    }),
-                ));
-                warm_keys.push((bi, si));
-            }
-        }
-        for ((bi, si), snap) in warm_keys
-            .into_iter()
-            .zip(runner.run_batch(threads, warm_jobs))
-        {
-            // A failed warm cell only costs the reuse: its points fall
-            // back to the cold path, which produces the same bits.
-            warm_snaps[bi][si] = snap.map(Arc::new);
-        }
-    }
-
     // Every (benchmark, scheme, ways) associativity point and every
-    // (benchmark, scheme, sets) capacity point is one cell. Points whose
-    // geometry matches a warm snapshot restore it; the rest replay cold.
+    // non-base (benchmark, scheme, sets) capacity point is one cell.
     enum PointKey {
         Assoc(usize, usize, usize),
         Cap(usize, usize, usize),
@@ -824,15 +633,12 @@ fn main() -> ExitCode {
         for (si, &scheme) in Scheme::PAPER.iter().enumerate() {
             for (wi, &w) in ways.iter().enumerate() {
                 let trace = Arc::clone(trace);
-                let snap = (w == geom.ways())
-                    .then(|| warm_snaps[bi][si].clone())
-                    .flatten();
                 point_jobs.push((
                     format!("sweep_{}/{}/{}w", sens[bi].name(), scheme.label(), w),
                     Box::new(move || {
                         let point = CacheGeometry::new(geom.sets(), w, geom.line_bytes())
                             .expect("sweep geometry is valid");
-                        sweep_point(scheme, point, &trace, snap.as_deref())
+                        sweep_point(scheme, point, &trace)
                     }),
                 ));
                 point_keys.push(PointKey::Assoc(bi, si, wi));
@@ -843,12 +649,9 @@ fn main() -> ExitCode {
                 };
                 let cap_geom = CacheGeometry::new(sets, geom.ways(), geom.line_bytes())
                     .expect("capacity geometry is valid");
-                let snap = (sets == geom.sets())
-                    .then(|| warm_snaps[bi][si].clone())
-                    .flatten();
                 point_jobs.push((
                     format!("sweep_cap_{}/{}/{}s", sens[bi].name(), scheme.label(), sets),
-                    Box::new(move || sweep_point(scheme, cap_geom, &source, snap.as_deref())),
+                    Box::new(move || sweep_point(scheme, cap_geom, &source)),
                 ));
                 point_keys.push(PointKey::Cap(bi, si, ci));
             }
@@ -863,6 +666,22 @@ fn main() -> ExitCode {
         match key {
             PointKey::Assoc(bi, si, wi) => series[bi][si][wi] = v,
             PointKey::Cap(bi, si, ci) => cap_series[bi][si][ci] = v,
+        }
+    }
+    // The base operating point is one geometry replaying one decoded
+    // trace in both sweeps, so the capacity table takes the associativity
+    // sweep's value.
+    let base_wi = ways
+        .iter()
+        .position(|&w| w == geom.ways())
+        .expect("the associativity sweep covers the base ways");
+    let base_ci = cap_sets
+        .iter()
+        .position(|&s| s == geom.sets())
+        .expect("the capacity sweep covers the base sets");
+    for (bench_series, bench_cap) in series.iter().zip(&mut cap_series) {
+        for (per_scheme, cap) in bench_series.iter().zip(bench_cap) {
+            cap[base_ci] = per_scheme[base_wi];
         }
     }
     for (bi, bench_series) in series.into_iter().enumerate() {
@@ -895,8 +714,7 @@ fn main() -> ExitCode {
 
     // ---- Capacity sweep ---------------------------------------------
     // Same traces, set count swept at the paper associativity; the base
-    // operating point (2048 sets, 16 ways) appears in both tables and is
-    // where the warm snapshot is reused across the two sweeps.
+    // operating point (2048 sets, 16 ways) appears in both tables.
     for (bi, bench_series) in cap_series.into_iter().enumerate() {
         let name = sens[bi].name();
         if sweep_traces[bi].is_none() {
@@ -1062,21 +880,6 @@ fn main() -> ExitCode {
     maybe_csv(csv_dir, "mix", &mix_table);
     emit_mix_artifact(csv_dir, accesses, &mix_results);
 
-    // ---- Snapshot warm-reuse speedup (stderr + JSON only) -----------
-    // Measured against the first sensitivity trace at the paper geometry
-    // so BENCH_run_all.json carries the warm-once-vs-cold trajectory.
-    // Runs whenever snapshots are on; stdout is never touched.
-    let snapshot_reuse = match (&sweep_traces[0], snapshots_on) {
-        (Some(trace), true) => {
-            eprintln!(
-                "\nmeasuring cold vs warm-once+restore replay ({}):",
-                sens[0].name()
-            );
-            Some(measure_snapshot_speedup(geom, trace, "omnetpp"))
-        }
-        _ => None,
-    };
-
     // ---- Sampled-fidelity error + speedup (stderr + JSON only) ------
     // Measured per sensitivity benchmark against the exact path when
     // STEM_FIDELITY=sampled; stdout stays byte-identical to the exact
@@ -1108,7 +911,6 @@ fn main() -> ExitCode {
         runner.outcomes(),
         &stages,
         &sampled_records,
-        snapshot_reuse.as_ref(),
     );
     match runner.failure_report() {
         None => {
@@ -1119,26 +921,6 @@ fn main() -> ExitCode {
             eprintln!("\n{report}");
             eprintln!("partial results above are valid; rerun the failed experiments individually");
             ExitCode::from(runner.exit_code())
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn eligibility_honours_knob_and_capability() {
-        let geom = CacheGeometry::new(64, 4, 64).unwrap();
-        // Knob off: nothing is eligible.
-        assert!(!snapshot_path_applies(Scheme::Lru, geom, false));
-        // Refusing schemes are never eligible, knob or not.
-        for scheme in [Scheme::VWay, Scheme::Sbc, Scheme::Stem] {
-            assert!(!snapshot_path_applies(scheme, geom, true), "{scheme}");
-        }
-        // Every scheme that opts into snapshots is eligible.
-        for scheme in [Scheme::Lru, Scheme::Dip, Scheme::PeLifo] {
-            assert!(snapshot_path_applies(scheme, geom, true), "{scheme}");
         }
     }
 }

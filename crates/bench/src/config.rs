@@ -80,11 +80,6 @@ pub const SERVE_BACKOFF_ENV: &str = "STEM_SERVE_BACKOFF_MS";
 pub const SERVE_CHAOS_SEED_ENV: &str = "STEM_SERVE_CHAOS_SEED";
 /// Per-connection I/O deadline in milliseconds for the `serve` binary.
 pub const SERVE_IO_DEADLINE_ENV: &str = "STEM_SERVE_IO_DEADLINE_MS";
-/// Warm-state snapshot reuse in the sweep drivers: `1`/`true` (default)
-/// or `0`/`false` to force every point cold. Either setting produces
-/// byte-identical results — the knob only chooses how the warm prefix is
-/// replayed, never what is measured.
-pub const SNAPSHOTS_ENV: &str = "STEM_SNAPSHOTS";
 /// Snapshot-cache capacity for the `serve` binary (0 = disabled).
 pub const SERVE_SNAPSHOT_SLOTS_ENV: &str = "STEM_SERVE_SNAPSHOT_SLOTS";
 
@@ -205,8 +200,6 @@ pub struct Config {
     pub serve_chaos_seed: Option<u64>,
     /// `STEM_SERVE_IO_DEADLINE_MS`: per-connection I/O deadline.
     pub serve_io_deadline_ms: Option<u64>,
-    /// `STEM_SNAPSHOTS`: warm-state snapshot reuse in the sweep drivers.
-    pub snapshots: Option<bool>,
     /// `STEM_SERVE_SNAPSHOT_SLOTS`: serve snapshot-cache capacity.
     pub serve_snapshot_slots: Option<usize>,
 }
@@ -248,7 +241,6 @@ impl Config {
             serve_backoff_ms: src.positive(SERVE_BACKOFF_ENV)?,
             serve_chaos_seed: src.parsed(SERVE_CHAOS_SEED_ENV, "a u64 seed (0 allowed)")?,
             serve_io_deadline_ms: src.positive(SERVE_IO_DEADLINE_ENV)?,
-            snapshots: src.flag(SNAPSHOTS_ENV)?,
             serve_snapshot_slots: src.parsed(
                 SERVE_SNAPSHOT_SLOTS_ENV,
                 "a non-negative integer (0 disables the snapshot cache)",
@@ -365,19 +357,11 @@ impl Config {
         Duration::from_millis(self.serve_io_deadline_ms.unwrap_or(10_000))
     }
 
-    /// Warm-state snapshot reuse: `STEM_SNAPSHOTS`, defaulting to on.
-    /// Results never depend on the setting (the restored path is
-    /// bit-identical to cold, enforced by the determinism gate) — `0` is
-    /// for isolating the optimisation in benchmarks and CI.
-    pub fn snapshots(&self) -> bool {
-        self.snapshots.unwrap_or(true)
-    }
-
-    /// `serve` snapshot-cache capacity, defaulting to 16 warm states
+    /// `serve` snapshot-cache capacity, defaulting to 8 warm states
     /// (0 disables the cache; values above the recency stack's 255 are
     /// rejected by the binary, like the result cache's).
     pub fn serve_snapshot_slots(&self) -> usize {
-        self.serve_snapshot_slots.unwrap_or(16)
+        self.serve_snapshot_slots.unwrap_or(8)
     }
 }
 
@@ -407,23 +391,6 @@ impl Source<'_> {
                 value: v,
                 expected,
             }),
-        }
-    }
-
-    /// Parses an on/off knob: `1`/`true`/`on` and `0`/`false`/`off`
-    /// (case-insensitive), erroring on anything else.
-    fn flag(&self, var: &'static str) -> Result<Option<bool>, ConfigError> {
-        match self.raw(var) {
-            None => Ok(None),
-            Some(v) => match v.to_ascii_lowercase().as_str() {
-                "1" | "true" | "on" => Ok(Some(true)),
-                "0" | "false" | "off" => Ok(Some(false)),
-                _ => Err(ConfigError {
-                    var,
-                    value: v,
-                    expected: "1/true/on or 0/false/off",
-                }),
-            },
         }
     }
 
@@ -601,16 +568,8 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_knobs_default_on_and_validate() {
-        let cfg = cfg_of(&[]).unwrap();
-        assert!(cfg.snapshots(), "snapshot reuse is on by default");
-        assert_eq!(cfg.serve_snapshot_slots(), 16);
-
-        assert!(!cfg_of(&[(SNAPSHOTS_ENV, "0")]).unwrap().snapshots());
-        assert!(!cfg_of(&[(SNAPSHOTS_ENV, "off")]).unwrap().snapshots());
-        assert!(cfg_of(&[(SNAPSHOTS_ENV, "TRUE")]).unwrap().snapshots());
-        assert!(cfg_of(&[(SNAPSHOTS_ENV, "yes")]).is_err());
-
+    fn serve_snapshot_slots_default_and_validate() {
+        assert_eq!(cfg_of(&[]).unwrap().serve_snapshot_slots(), 8);
         assert_eq!(
             cfg_of(&[(SERVE_SNAPSHOT_SLOTS_ENV, "0")])
                 .unwrap()

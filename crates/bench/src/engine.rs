@@ -4,28 +4,21 @@
 //! replay a decoded trace through a fresh cache of one scheme, replay the
 //! first `warmup` fraction unmeasured, reset the counters at that
 //! boundary, and measure the rest. The Fig. 3/10 and capacity sweeps,
-//! run_all's measurement stages, the sampling and snapshot benches and
-//! serve's sampled tier all describe that operation as a [`RunPlan`], and
+//! run_all's measurement stages, the sampling bench and serve's sampled
+//! tier all describe that operation as a [`RunPlan`], and
 //! [`RunPlan::run`] is the only code that executes it.
 //!
-//! [`Exec`] chooses *how* the plan replays. Every strategy measures the
-//! same thing, and each one is gated by the capability the scheme's own
-//! cache declares (the
-//! [`CacheModel`] `supports_*` methods). The
-//! engine reads the capability from the cache it builds for the run:
-//!
-//! * [`Exec::Sampled`] on a scheme that declines set sampling returns
-//!   [`RunError::SamplingDeclined`] instead of a distorted estimate;
-//! * [`Exec::Restore`] into a scheme that declines snapshots, or with a
-//!   snapshot of another scheme or geometry, returns the
-//!   [`SnapshotError`] the restore reports.
+//! [`Exec`] chooses *how* the plan replays. Both strategies measure the
+//! same thing. [`Exec::Sampled`] is gated by the capability the scheme's
+//! own cache declares
+//! ([`CacheModel::supports_set_sampling`]): on a scheme that declines set
+//! sampling it returns [`RunError::SamplingDeclined`] instead of a
+//! distorted estimate.
 
 use std::fmt;
 
 use stem_analysis::{build_cache, warm_split, Scheme};
-use stem_sim_core::{
-    CacheGeometry, CacheModel, CacheStats, DecodedTrace, SampledTrace, Snapshot, SnapshotError,
-};
+use stem_sim_core::{CacheGeometry, CacheModel, CacheStats, DecodedTrace, SampledTrace};
 
 /// How a [`RunPlan`] replays its trace.
 #[derive(Debug, Clone, Copy)]
@@ -36,12 +29,6 @@ pub enum Exec<'a> {
     /// result back up by the sample's `domains / selected` factor. At
     /// rate 1 the estimate is bit-identical to `Serial`.
     Sampled(&'a SampledTrace),
-    /// Restores a warm checkpoint and measures only the suffix. The
-    /// snapshot must have been captured at this plan's warm boundary
-    /// ([`warm_scheme_snapshot`](stem_analysis::warm_scheme_snapshot)
-    /// with [`warm_split`] of the same trace and warm-up), which makes the
-    /// result bit-identical to `Serial`.
-    Restore(&'a Snapshot),
 }
 
 /// One bare-LLC measurement: which scheme, at which geometry, warmed over
@@ -87,8 +74,6 @@ impl Measured {
 pub enum RunError {
     /// The scheme holds cross-set state, so a set sample would distort it.
     SamplingDeclined(Scheme),
-    /// The snapshot does not restore into the plan's scheme and geometry.
-    Snapshot(SnapshotError),
 }
 
 impl fmt::Display for RunError {
@@ -97,18 +82,11 @@ impl fmt::Display for RunError {
             RunError::SamplingDeclined(scheme) => {
                 write!(f, "scheme {scheme} does not support sampled replay")
             }
-            RunError::Snapshot(e) => write!(f, "warm snapshot restore failed: {e}"),
         }
     }
 }
 
 impl std::error::Error for RunError {}
-
-impl From<SnapshotError> for RunError {
-    fn from(e: SnapshotError) -> Self {
-        RunError::Snapshot(e)
-    }
-}
 
 impl RunPlan<'static> {
     /// The plan every other strategy is measured against: one cache
@@ -129,8 +107,7 @@ impl RunPlan<'_> {
     /// # Errors
     ///
     /// [`RunError::SamplingDeclined`] for a sampled plan on a scheme that
-    /// declines set sampling, and [`RunError::Snapshot`] for a restore the
-    /// cache refuses. Serial plans always succeed.
+    /// declines set sampling. Serial plans always succeed.
     pub fn run(&self, source: &DecodedTrace) -> Result<Measured, RunError> {
         let warm_len = warm_split(source.len(), self.warmup);
         let measured = |stats, scale| Measured {
@@ -151,11 +128,6 @@ impl RunPlan<'_> {
                 let local_warm = sample.split_before(warm_len);
                 let stats = warm_then_measure(cache.as_mut(), sample.trace(), local_warm);
                 Ok(measured(stats, sample.scale_factor()))
-            }
-            Exec::Restore(snapshot) => {
-                cache.restore(snapshot)?;
-                cache.replay_decoded(source, warm_len..source.len());
-                Ok(measured(*cache.stats(), 1.0))
             }
         }
     }
@@ -178,7 +150,6 @@ fn warm_then_measure(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_analysis::warm_scheme_snapshot;
     use stem_workloads::BenchmarkProfile;
 
     fn decoded(bench: &str, n: usize) -> (CacheGeometry, DecodedTrace) {
@@ -200,8 +171,6 @@ mod tests {
     fn every_plan_matches_serial_or_refuses() {
         let (geom, d) = decoded("omnetpp", 20_000);
         let sample = SampledTrace::select(&d, 1, 99);
-        let warm_len = warm_split(d.len(), 0.2);
-        let donor = warm_scheme_snapshot(Scheme::Lru, geom, &d, warm_len).unwrap();
         for scheme in Scheme::ALL {
             let probe = build_cache(scheme, geom);
             let serial = plan(scheme, geom, Exec::Serial).run(&d).unwrap();
@@ -221,24 +190,6 @@ mod tests {
             } else {
                 assert_eq!(sampled, Err(RunError::SamplingDeclined(scheme)));
             }
-
-            // Restore: exact for opt-ins, a named refusal otherwise.
-            match warm_scheme_snapshot(scheme, geom, &d, warm_len) {
-                Some(snap) => {
-                    assert!(probe.supports_snapshot(), "{scheme}");
-                    same(
-                        plan(scheme, geom, Exec::Restore(&snap)).run(&d).unwrap(),
-                        "restored",
-                    );
-                }
-                None => {
-                    assert!(!probe.supports_snapshot(), "{scheme}");
-                    assert!(matches!(
-                        plan(scheme, geom, Exec::Restore(&donor)).run(&d),
-                        Err(RunError::Snapshot(SnapshotError::Unsupported { .. }))
-                    ));
-                }
-            }
         }
         // The refusal surface the serve parser and run_all filters rely on.
         for scheme in [Scheme::Stem, Scheme::VWay, Scheme::Sbc] {
@@ -247,22 +198,6 @@ mod tests {
                 Err(RunError::SamplingDeclined(scheme))
             );
         }
-    }
-
-    #[test]
-    fn restore_rejects_the_wrong_target() {
-        let (geom, d) = decoded("gromacs", 5_000);
-        let warm_len = warm_split(d.len(), 0.2);
-        let snap = warm_scheme_snapshot(Scheme::Lru, geom, &d, warm_len).unwrap();
-        assert!(matches!(
-            plan(Scheme::Dip, geom, Exec::Restore(&snap)).run(&d),
-            Err(RunError::Snapshot(SnapshotError::SchemeMismatch { .. }))
-        ));
-        let other = CacheGeometry::new(64, 8, 64).unwrap();
-        assert!(matches!(
-            plan(Scheme::Lru, other, Exec::Restore(&snap)).run(&d),
-            Err(RunError::Snapshot(SnapshotError::GeometryMismatch { .. }))
-        ));
     }
 
     #[test]

@@ -281,8 +281,8 @@ pub fn sweep_ways() -> Vec<usize> {
 /// The `run_all` capacity-sweep set counts (16 ways fixed — 512KB to 4MB
 /// around the paper's 2MB operating point). The base configuration's own
 /// 2048 sets is always a member, so the capacity sweep and the
-/// associativity sweep share one (sets, ways) geometry — the warm-prefix
-/// family the snapshot path warms once and restores per point.
+/// associativity sweep share one (sets, ways) geometry, which run_all
+/// computes once for both tables.
 pub fn capacity_sweep_sets() -> Vec<usize> {
     vec![512, 1024, 2048, 4096]
 }

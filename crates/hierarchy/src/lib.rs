@@ -34,4 +34,4 @@ mod system;
 pub use metrics::SystemMetrics;
 pub use mix::{interleave_schedule, MixMetrics, MixSystem};
 pub use prefetch::NextLinePrefetcher;
-pub use system::{System, SystemConfig, SystemSnapshot};
+pub use system::{System, SystemConfig};

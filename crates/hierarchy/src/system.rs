@@ -3,9 +3,7 @@
 use std::ops::Range;
 
 use stem_replacement::{Lru, SetAssocCache};
-use stem_sim_core::{
-    CacheGeometry, CacheModel, DecodedTrace, Snapshot, SnapshotError, TimingParams, Trace,
-};
+use stem_sim_core::{CacheGeometry, CacheModel, DecodedTrace, TimingParams, Trace};
 
 use crate::{NextLinePrefetcher, SystemMetrics};
 
@@ -86,6 +84,11 @@ impl Default for SystemConfig {
 /// is priced by the §5.1 latency rules. L1 write-back traffic to the L2 is
 /// not modelled (it does not change L2 *miss* counts under the paper's
 /// allocate-on-write L2s, and all reported metrics are LRU-normalized).
+///
+/// A `System` is `Clone`: a clone of a warmed system is an exact
+/// checkpoint of both cache levels (the prefetcher holds no replay state),
+/// so a clone replays exactly like the original from that point on.
+#[derive(Clone)]
 pub struct System {
     cfg: SystemConfig,
     l1: SetAssocCache,
@@ -207,10 +210,9 @@ impl System {
     /// drives the first `warm_len` accesses through the full hierarchy
     /// (prefetcher included) and stops, leaving statistics dirty. Callers
     /// that intend to measure afterwards call
-    /// [`reset_stats`](System::reset_stats) — and may
-    /// [`snapshot`](System::snapshot) between the two, capturing the warm
-    /// state with zeroed counters so a restored system measures exactly
-    /// like this one.
+    /// [`reset_stats`](System::reset_stats) — and may clone the system
+    /// after that, capturing the warm state with zeroed counters so the
+    /// clone measures exactly like this one.
     ///
     /// # Panics
     ///
@@ -249,46 +251,6 @@ impl System {
     pub fn reset_stats(&mut self) {
         self.l1.reset_stats();
         self.l2.reset_stats();
-    }
-
-    /// Whether both cache levels can checkpoint their state. The L1 is
-    /// always a plain LRU cache and always can; the answer is therefore
-    /// the LLC's own [`CacheModel::supports_snapshot`].
-    pub fn supports_snapshot(&self) -> bool {
-        self.l1.supports_snapshot() && self.l2.supports_snapshot()
-    }
-
-    /// Checkpoints the whole hierarchy — L1 and LLC tag stores, policy
-    /// state, and statistics — or `None` if the LLC declines the
-    /// capability (see [`CacheModel::snapshot`]).
-    pub fn snapshot(&self) -> Option<SystemSnapshot> {
-        Some(SystemSnapshot {
-            cfg: self.cfg,
-            l1: self.l1.snapshot()?,
-            l2: self.l2.snapshot()?,
-        })
-    }
-
-    /// Restores a [`SystemSnapshot`] taken from an identically configured
-    /// system, after which this system replays exactly like the one the
-    /// snapshot was captured from.
-    ///
-    /// The LLC is restored first: its policy downcast is the last fallible
-    /// step, so a failed restore leaves this system untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::ConfigMismatch`] if the snapshot was taken under a
-    /// different [`SystemConfig`], or any error the cache-level restores
-    /// return (scheme, geometry, or state-type mismatch).
-    pub fn restore(&mut self, snapshot: &SystemSnapshot) -> Result<(), SnapshotError> {
-        if snapshot.cfg != self.cfg {
-            return Err(SnapshotError::ConfigMismatch);
-        }
-        self.l2.restore(&snapshot.l2)?;
-        // Config equality pins the L1 to the same geometry and scheme, so
-        // this cannot fail once the L2 has accepted.
-        self.l1.restore(&snapshot.l1)
     }
 
     /// Decoded-stream twin of [`run`](System::run) over a sub-range of the
@@ -360,40 +322,6 @@ impl System {
             instructions,
             accesses,
         }
-    }
-}
-
-/// A checkpoint of a whole [`System`] — both cache levels plus the
-/// configuration they were captured under — taken by
-/// [`System::snapshot`] and consumed by [`System::restore`].
-///
-/// The configuration is carried so a restore onto a differently
-/// configured system (other timing, prefetcher degree, L1 geometry)
-/// is refused instead of silently producing drifted metrics. The
-/// prefetcher itself holds no replay state (its degree lives in the
-/// config), so the two cache-level [`Snapshot`]s are the complete
-/// replay state.
-#[derive(Debug, Clone)]
-pub struct SystemSnapshot {
-    cfg: SystemConfig,
-    l1: Snapshot,
-    l2: Snapshot,
-}
-
-impl SystemSnapshot {
-    /// The configuration the snapshot was captured under.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
-    /// Report name of the LLC scheme the snapshot was captured from.
-    pub fn llc_scheme(&self) -> &str {
-        self.l2.scheme()
-    }
-
-    /// Geometry of the LLC the snapshot was captured from.
-    pub fn llc_geometry(&self) -> CacheGeometry {
-        self.l2.geometry()
     }
 }
 
@@ -593,10 +521,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_resumes_the_cold_trajectory_exactly() {
-        // Warm a system, snapshot at the warm boundary, measure. A fresh
-        // system restored from the snapshot must produce bit-identical
-        // metrics on the measured suffix — the tentpole invariant.
+    fn warmed_clone_resumes_the_cold_trajectory_exactly() {
+        // Warm a system, clone it at the warm boundary, measure. The clone
+        // must produce bit-identical metrics on the measured suffix, even
+        // after the original has moved on.
         let cfg = SystemConfig::micro2010().with_prefetcher(2);
         let trace: Trace = (0..3000u64)
             .map(|i| {
@@ -613,14 +541,10 @@ mod tests {
         let warm_len = trace.len() / 5;
 
         let mut cold = System::new(cfg, lru_l2());
-        assert!(cold.supports_snapshot());
         cold.warm_decoded(&decoded, warm_len);
         cold.reset_stats();
-        let snap = cold.snapshot().expect("LRU hierarchy snapshots");
+        let mut restored = cold.clone();
         let expect = cold.run_decoded_range(&decoded, warm_len..decoded.len());
-
-        let mut restored = System::new(cfg, lru_l2());
-        restored.restore(&snap).expect("matching system restores");
         let got = restored.run_decoded_range(&decoded, warm_len..decoded.len());
 
         assert_eq!(got.l2, expect.l2);
@@ -630,64 +554,6 @@ mod tests {
         assert_eq!(got.l1_miss_rate, expect.l1_miss_rate);
         assert_eq!(got.instructions, expect.instructions);
         assert_eq!(got.accesses, expect.accesses);
-    }
-
-    #[test]
-    fn restore_refuses_a_differently_configured_system() {
-        let src = System::new(SystemConfig::micro2010(), lru_l2());
-        let snap = src.snapshot().unwrap();
-
-        let other_cfg = SystemConfig::micro2010().with_prefetcher(1);
-        let mut target = System::new(other_cfg, lru_l2());
-        assert_eq!(target.restore(&snap), Err(SnapshotError::ConfigMismatch));
-
-        // A mismatched LLC geometry is caught by the cache-level guard.
-        let other_geom = CacheGeometry::new(32, 8, 64).unwrap();
-        let other_l2: Box<dyn CacheModel> = Box::new(SetAssocCache::new(
-            other_geom,
-            Box::new(Lru::new(other_geom)),
-        ));
-        let mut target = System::new(SystemConfig::micro2010(), other_l2);
-        assert!(matches!(
-            target.restore(&snap),
-            Err(SnapshotError::GeometryMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn refusing_llc_disables_the_whole_system_snapshot() {
-        // A minimal LLC that keeps the CacheModel snapshot defaults
-        // (declines): the system must report unsupported and return None.
-        struct ColdOnly(stem_sim_core::CacheStats, CacheGeometry);
-        impl CacheModel for ColdOnly {
-            fn access(
-                &mut self,
-                _addr: Address,
-                _kind: stem_sim_core::AccessKind,
-            ) -> stem_sim_core::AccessResult {
-                self.0.record_local_miss();
-                stem_sim_core::AccessResult::MissLocal
-            }
-            fn stats(&self) -> &stem_sim_core::CacheStats {
-                &self.0
-            }
-            fn stats_mut(&mut self) -> &mut stem_sim_core::CacheStats {
-                &mut self.0
-            }
-            fn geometry(&self) -> CacheGeometry {
-                self.1
-            }
-            fn name(&self) -> &str {
-                "ColdOnly"
-            }
-        }
-        let geom = CacheGeometry::new(64, 4, 64).unwrap();
-        let sys = System::new(
-            SystemConfig::micro2010(),
-            Box::new(ColdOnly(stem_sim_core::CacheStats::default(), geom)),
-        );
-        assert!(!sys.supports_snapshot());
-        assert!(sys.snapshot().is_none());
     }
 
     #[test]

@@ -37,6 +37,7 @@ use stem_sim_core::{
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct OptCache {
     geom: CacheGeometry,
     /// Future use positions of every line, front = earliest.

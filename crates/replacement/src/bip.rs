@@ -54,8 +54,6 @@ impl Bip {
 }
 
 impl ReplacementPolicy for Bip {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, set: usize, way: usize) {
         self.sets[set].touch_mru(way);
     }
@@ -114,8 +112,6 @@ impl Lip {
 }
 
 impl ReplacementPolicy for Lip {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, set: usize, way: usize) {
         self.sets[set].touch_mru(way);
     }

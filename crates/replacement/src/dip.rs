@@ -146,8 +146,6 @@ impl Dip {
 }
 
 impl ReplacementPolicy for Dip {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, set: usize, way: usize) {
         self.sets[set].touch_mru(way);
     }

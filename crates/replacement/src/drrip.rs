@@ -76,8 +76,6 @@ impl Drrip {
 }
 
 impl ReplacementPolicy for Drrip {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, set: usize, way: usize) {
         self.rrpv[set][way] = 0;
     }

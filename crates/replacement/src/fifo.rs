@@ -25,8 +25,6 @@ impl Fifo {
 }
 
 impl ReplacementPolicy for Fifo {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, _set: usize, _way: usize) {
         // FIFO ignores hits.
     }

@@ -64,7 +64,7 @@ pub use lru::Lru;
 pub use nru::Nru;
 pub use pelifo::PeLifo;
 pub use plru::Plru;
-pub use policy::ReplacementPolicy;
+pub use policy::{PolicyClone, ReplacementPolicy};
 pub use random::Random;
 pub use recency::RecencyStack;
 pub use srrip::Srrip;

@@ -45,8 +45,6 @@ impl Lru {
 }
 
 impl ReplacementPolicy for Lru {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, set: usize, way: usize) {
         self.sets[set].touch_mru(way);
     }

@@ -55,8 +55,6 @@ impl Nru {
 }
 
 impl ReplacementPolicy for Nru {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, set: usize, way: usize) {
         self.referenced[set] |= 1 << way;
         if self.referenced[set] == self.full_mask() {

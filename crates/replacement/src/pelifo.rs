@@ -120,8 +120,6 @@ impl PeLifo {
 }
 
 impl ReplacementPolicy for PeLifo {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, set: usize, way: usize) {
         // Hits promote access recency but never disturb the fill stack —
         // that is what makes it a *fill*-stack policy.

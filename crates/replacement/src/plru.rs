@@ -82,8 +82,6 @@ impl Plru {
 }
 
 impl ReplacementPolicy for Plru {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, set: usize, way: usize) {
         self.touch(set, way);
     }

@@ -1,7 +1,5 @@
 //! The replacement-policy trait shared by all temporal schemes.
 
-use stem_sim_core::{snapshot, PolicyState, SnapshotError};
-
 /// A whole-cache replacement policy: per-set victim selection and
 /// lifetime-adjustment state.
 ///
@@ -18,11 +16,11 @@ use stem_sim_core::{snapshot, PolicyState, SnapshotError};
 ///    [`on_invalidate`](ReplacementPolicy::on_invalidate).
 ///
 /// The trait is object-safe ([C-OBJECT]) so caches can be assembled at run
-/// time from scheme names.
+/// time from scheme names. Every policy is `Clone` through [`PolicyClone`].
 ///
 /// [`SetAssocCache`]: crate::SetAssocCache
 /// [C-OBJECT]: https://rust-lang.github.io/api-guidelines/flexibility.html
-pub trait ReplacementPolicy {
+pub trait ReplacementPolicy: PolicyClone {
     /// Records a hit on `way` of `set` (lifetime promotion).
     fn on_hit(&mut self, set: usize, way: usize);
 
@@ -75,39 +73,6 @@ pub trait ReplacementPolicy {
         false
     }
 
-    /// Whether this policy's complete mutable state can be checkpointed
-    /// and restored exactly (the policy-level half of
-    /// [`CacheModel::supports_snapshot`](stem_sim_core::CacheModel::supports_snapshot);
-    /// `SetAssocCache` delegates here). Every policy in this crate opts in
-    /// by capturing a `Clone` of itself — the whole struct, including
-    /// global PSEL counters, election state, and RNG positions, so restore
-    /// resumes the *identical* deterministic trajectory. The default is
-    /// `false` so a future policy with uncloneable state (an external
-    /// handle, a shared oracle) refuses instead of snapshotting a lie.
-    fn supports_snapshot(&self) -> bool {
-        false
-    }
-
-    /// Checkpoints this policy's complete state, or `None` when it
-    /// declines ([`supports_snapshot`](ReplacementPolicy::supports_snapshot)
-    /// is `false`).
-    fn snapshot_state(&self) -> Option<PolicyState> {
-        None
-    }
-
-    /// Replaces this policy's state with a capture taken from another
-    /// instance of the same policy type.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Unsupported`] (the default refusal), or
-    /// [`SnapshotError::StateMismatch`] when `state` is not this policy's
-    /// own state type; the policy is unmodified on error.
-    fn restore_state(&mut self, state: &PolicyState) -> Result<(), SnapshotError> {
-        let _ = state;
-        Err(snapshot::unsupported(self.name()))
-    }
-
     /// Checked-mode hook: verifies this policy's per-set bookkeeping for
     /// `set` (e.g. that a recency stack is still a permutation). The
     /// default accepts everything; stack-based policies override it.
@@ -120,33 +85,25 @@ pub trait ReplacementPolicy {
     }
 }
 
-/// Expands, inside an `impl ReplacementPolicy for …` block, to the
-/// standard clone-based snapshot hooks: the policy's complete state *is*
-/// the struct, so `snapshot_state` captures `self.clone()` and
-/// `restore_state` downcasts it back. Kept as one macro so the eleven
-/// policies cannot drift from each other or from the trait contract.
-#[macro_export]
-macro_rules! snapshot_policy_via_clone {
-    () => {
-        fn supports_snapshot(&self) -> bool {
-            true
-        }
+/// The clone-behind-`dyn` half of [`ReplacementPolicy`].
+///
+/// Blanket-implemented for every `Clone + Send + Sync + 'static` policy,
+/// so a policy writes no clone code of its own. It makes
+/// `Box<dyn ReplacementPolicy>` `Clone`, and with it
+/// [`SetAssocCache`](crate::SetAssocCache).
+pub trait PolicyClone: Send + Sync {
+    /// Clones the policy behind the trait object.
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy>;
+}
 
-        fn snapshot_state(&self) -> Option<stem_sim_core::PolicyState> {
-            Some(stem_sim_core::PolicyState::new(self.clone()))
-        }
+impl<T: ReplacementPolicy + Clone + Send + Sync + 'static> PolicyClone for T {
+    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
+        Box::new(self.clone())
+    }
+}
 
-        fn restore_state(
-            &mut self,
-            state: &stem_sim_core::PolicyState,
-        ) -> Result<(), stem_sim_core::SnapshotError> {
-            *self = state
-                .downcast_ref::<Self>()
-                .ok_or_else(|| stem_sim_core::SnapshotError::StateMismatch {
-                    scheme: self.name().to_owned(),
-                })?
-                .clone();
-            Ok(())
-        }
-    };
+impl Clone for Box<dyn ReplacementPolicy> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
+    }
 }

@@ -30,8 +30,6 @@ impl Random {
 }
 
 impl ReplacementPolicy for Random {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, _set: usize, _way: usize) {}
 
     fn victim(&mut self, _set: usize) -> usize {

@@ -42,8 +42,6 @@ impl Srrip {
 }
 
 impl ReplacementPolicy for Srrip {
-    crate::snapshot_policy_via_clone!();
-
     fn on_hit(&mut self, set: usize, way: usize) {
         self.rrpv[set][way] = 0;
     }

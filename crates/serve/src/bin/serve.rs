@@ -14,7 +14,7 @@
 //! * `STEM_SERVE_QUEUE` — bounded queue slots (default 8);
 //! * `STEM_SERVE_CACHE` — result-cache entries (default 64, max 255);
 //! * `STEM_SERVE_SNAPSHOT_SLOTS` — warm-state snapshot-cache entries
-//!   (default 16, max 255; 0 disables warm-prefix reuse — results are
+//!   (default 8, max 255; 0 disables warm-prefix reuse — results are
 //!   byte-identical either way, only warm-replay work changes);
 //! * `STEM_THREADS` — executor worker threads (shared workspace knob);
 //! * `STEM_SERVE_BUDGET_SECS` — per-experiment budget (default 600);

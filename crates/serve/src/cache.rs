@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use stem_hierarchy::SystemSnapshot;
+use stem_hierarchy::System;
 use stem_replacement::RecencyStack;
 
 /// One cached value.
@@ -182,25 +182,30 @@ impl ResultCache {
 }
 
 /// A bounded LRU map from canonical **warm prefix** to the warmed
-/// [`SystemSnapshot`] it produces, shared across every `/run` whose warm
-/// state is identical (see
+/// [`System`] it produces (statistics zeroed), shared across every `/run`
+/// whose warm state is identical (see
 /// [`RunRequest::warm_prefix_canonical`](crate::request::RunRequest::warm_prefix_canonical)).
 ///
-/// Purely a scheduling structure: a hit skips re-replaying the warm
-/// prefix; a miss (or a scheme whose LLC declines the snapshot
-/// capability, e.g. STEM) replays it cold. Either way the measured
+/// Purely a scheduling structure: a hit clones the warmed system instead
+/// of re-replaying the warm prefix; a miss replays it cold. Either way the
+/// measured
 /// suffix — and therefore the response body — is byte-identical, which
 /// is why this cache and the [`ResultCache`] can never alias: they live
 /// in different key spaces *and* a snapshot hit still reruns the
 /// measured suffix rather than answering from stored bytes.
 #[derive(Debug)]
 pub struct SnapshotCache {
-    inner: Lru<Arc<SystemSnapshot>>,
+    inner: Lru<Arc<System>>,
     evictions: u64,
 }
 
 impl SnapshotCache {
-    /// Creates a cache holding up to `capacity` warmed snapshots.
+    /// Default number of cached warm systems. Any scheme's system can
+    /// occupy a slot, up to about 1.3 MB each (V-Way at 2048 sets × 16
+    /// ways), so eight slots bound the cache near 10 MB.
+    pub const DEFAULT_CAPACITY: usize = 8;
+
+    /// Creates a cache holding up to `capacity` warmed systems.
     ///
     /// # Panics
     ///
@@ -244,19 +249,14 @@ impl SnapshotCache {
 
     /// Looks the warm prefix up (pre-hashed as `key`); a hit refreshes
     /// the entry to MRU.
-    pub fn get(&mut self, key: u64, canonical: &str) -> Option<Arc<SystemSnapshot>> {
+    pub fn get(&mut self, key: u64, canonical: &str) -> Option<Arc<System>> {
         self.inner.get(key, canonical)
     }
 
-    /// Inserts (or refreshes) a warmed snapshot, evicting the LRU entry
+    /// Inserts (or refreshes) a warmed system, evicting the LRU entry
     /// when full. Returns the evicted canonical string, if any.
-    pub fn insert(
-        &mut self,
-        key: u64,
-        canonical: String,
-        snapshot: Arc<SystemSnapshot>,
-    ) -> Option<String> {
-        let evicted = self.inner.insert(key, canonical, snapshot);
+    pub fn insert(&mut self, key: u64, canonical: String, warmed: Arc<System>) -> Option<String> {
+        let evicted = self.inner.insert(key, canonical, warmed);
         if evicted.is_some() {
             self.evictions += 1;
         }
@@ -329,16 +329,15 @@ mod tests {
     mod snapshots {
         use super::*;
         use stem_analysis::build_cache;
-        use stem_hierarchy::{System, SystemConfig};
+        use stem_hierarchy::SystemConfig;
         use stem_sim_core::CacheGeometry;
 
-        fn snap() -> Arc<SystemSnapshot> {
+        fn snap() -> Arc<System> {
             let geom = CacheGeometry::new(64, 4, 64).unwrap();
-            let system = System::new(
+            Arc::new(System::new(
                 SystemConfig::micro2010(),
                 build_cache(stem_analysis::Scheme::Lru, geom),
-            );
-            Arc::new(system.snapshot().expect("LRU supports snapshots"))
+            ))
         }
 
         fn put(cache: &mut SnapshotCache, name: &str) -> Option<String> {

@@ -96,14 +96,14 @@ pub fn simulation_executor() -> Executor {
 /// Builds the production executor with a bounded warm-state
 /// [`SnapshotCache`] of `snapshot_slots` entries (0 disables it,
 /// reducing to [`simulation_executor`]). Exact runs whose warm prefix is
-/// cached restore the warmed hierarchy instead of re-replaying it; hits,
+/// cached clone the warmed hierarchy instead of re-replaying it; hits,
 /// misses, and evictions land in `metrics`
 /// (`stem_serve_snapshot_*_total`).
 ///
 /// Purely a scheduling cache: the measured suffix always reruns, so the
 /// response body is byte-identical with the cache on, off, hot, or cold
-/// (the warm-state snapshot exactness contract, proven differentially in
-/// `stem-hierarchy` and in this crate's service tests).
+/// (a clone of a warmed system replays exactly like the original, proven
+/// in `stem-hierarchy` and in this crate's service tests).
 ///
 /// # Panics
 ///
@@ -131,12 +131,10 @@ fn run_simulation_snapshotting(
 /// The exact-path metrics replay, warm prefix restored from the snapshot
 /// store when possible.
 ///
-/// The protocol mirrors the sweep drivers': warm → `reset_stats` →
-/// `snapshot` (so cached snapshots carry zeroed counters) → measure; a
-/// hit restores and goes straight to measuring. A scheme whose LLC
-/// declines the capability (STEM's shadow-tag and SCDM state) simply
-/// never yields a snapshot — every such run replays cold and counts a
-/// miss, with bit-identical results.
+/// The protocol: warm → `reset_stats` → store a clone (so cached systems
+/// carry zeroed counters) → measure; a hit clones the cached system and
+/// goes straight to measuring. Every scheme takes this path, STEM, V-Way
+/// and SBC included.
 fn exact_metrics_snapshotting(
     req: &RunRequest,
     geom: CacheGeometry,
@@ -147,39 +145,33 @@ fn exact_metrics_snapshotting(
     let warm_len = warm_split(trace.len(), req.warmup_fraction);
     let key = req.snapshot_key();
     let canonical = req.warm_prefix_canonical().to_string();
-    let mut system = System::new(SystemConfig::micro2010(), build_cache(req.scheme, geom));
     let cached = store
         .lock()
         .expect("snapshot cache lock")
         .get(key, &canonical);
-    match cached {
-        Some(snap) => {
+    // The canonical comparison in `get` pins benchmark, scheme, geometry,
+    // length, and warm-up; the system config is the executor's constant.
+    let mut system = match cached {
+        Some(warmed) => {
             metrics.snapshot_hit();
-            // The canonical comparison in `get` pins benchmark, scheme,
-            // geometry, length, and warm-up; the system config is the
-            // executor's constant. A failure here is a wiring bug and
-            // must fail loudly (the runner's panic isolation turns it
-            // into a 500, never silently-wrong bytes).
-            system
-                .restore(&snap)
-                .expect("cached snapshot restores into its own warm prefix");
+            System::clone(&warmed)
         }
         None => {
             metrics.snapshot_miss();
+            let mut system = System::new(SystemConfig::micro2010(), build_cache(req.scheme, geom));
             system.warm_decoded(trace, warm_len);
             system.reset_stats();
-            if let Some(snap) = system.snapshot() {
-                let evicted = store.lock().expect("snapshot cache lock").insert(
-                    key,
-                    canonical,
-                    Arc::new(snap),
-                );
-                if evicted.is_some() {
-                    metrics.snapshot_evicted();
-                }
+            let evicted = store.lock().expect("snapshot cache lock").insert(
+                key,
+                canonical,
+                Arc::new(system.clone()),
+            );
+            if evicted.is_some() {
+                metrics.snapshot_evicted();
             }
+            system
         }
-    }
+    };
     system.run_decoded_range(trace, warm_len..trace.len())
 }
 
@@ -479,6 +471,7 @@ fn metrics_json(m: &SystemMetrics) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stem_analysis::Scheme;
 
     fn tiny_request(profile: bool) -> RunRequest {
         RunRequest::parse(
@@ -574,48 +567,66 @@ mod tests {
 
     #[test]
     fn snapshotting_runs_are_byte_identical_to_cold_and_count_traffic() {
-        let metrics = Metrics::new();
-        let store = Mutex::new(SnapshotCache::new(4));
-        let req = tiny_request(false);
-        let cold = run_simulation(&req).expect("cold run");
-        let miss = run_simulation_snapshotting(&req, &store, &metrics).expect("miss run");
-        let hit = run_simulation_snapshotting(&req, &store, &metrics).expect("hit run");
-        assert_eq!(cold.to_string(), miss.to_string());
-        assert_eq!(cold.to_string(), hit.to_string());
-        assert_eq!((metrics.snapshot_misses(), metrics.snapshot_hits()), (1, 1));
-        assert_eq!(store.lock().unwrap().len(), 1);
+        for scheme in Scheme::PAPER {
+            let metrics = Metrics::new();
+            let store = Mutex::new(SnapshotCache::new(4));
+            let req = |profile: bool| {
+                RunRequest::parse(
+                    format!(
+                        r#"{{"benchmark": "mcf", "scheme": "{}", "sets": 64, "ways": 4,
+                             "accesses": 5000, "profile": {profile}}}"#,
+                        scheme.label()
+                    )
+                    .as_bytes(),
+                )
+                .expect("valid request")
+            };
+            let cold = run_simulation(&req(false)).expect("cold run");
+            let miss = run_simulation_snapshotting(&req(false), &store, &metrics).expect("miss");
+            let hit = run_simulation_snapshotting(&req(false), &store, &metrics).expect("hit");
+            assert_eq!(cold.to_string(), miss.to_string(), "{scheme}: miss body");
+            assert_eq!(cold.to_string(), hit.to_string(), "{scheme}: hit body");
+            assert_eq!(
+                (metrics.snapshot_misses(), metrics.snapshot_hits()),
+                (1, 1),
+                "{scheme}"
+            );
+            assert_eq!(store.lock().unwrap().len(), 1, "{scheme}");
 
-        // A profile variant shares the warm prefix: snapshot hit, but a
-        // different (larger) response body.
-        let with_profile = tiny_request(true);
-        let out = run_simulation_snapshotting(&with_profile, &store, &metrics).expect("run");
-        assert_eq!(metrics.snapshot_hits(), 2);
-        assert!(out.get("capacity_profile").is_some());
-        assert_eq!(
-            out.get("metrics").expect("metrics").to_string(),
-            cold.get("metrics").expect("metrics").to_string(),
-            "restored metrics replay must match the cold replay exactly"
-        );
+            // A profile twin shares the warm prefix: a snapshot hit whose
+            // body matches the same request with the cache off.
+            let twin = run_simulation_snapshotting(&req(true), &store, &metrics).expect("twin");
+            assert_eq!(metrics.snapshot_hits(), 2, "{scheme}: the twin hits");
+            assert!(twin.get("capacity_profile").is_some());
+            assert_eq!(
+                twin.to_string(),
+                run_simulation(&req(true)).expect("cold twin").to_string(),
+                "{scheme}: twin body must match the cold run byte for byte"
+            );
+        }
     }
 
     #[test]
-    fn refusing_scheme_runs_cold_and_never_populates_the_store() {
-        let metrics = Metrics::new();
-        let store = Mutex::new(SnapshotCache::new(4));
-        let req = RunRequest::parse(
-            br#"{"benchmark": "mcf", "scheme": "stem", "sets": 64, "ways": 16, "accesses": 5000}"#,
-        )
-        .expect("valid request");
-        let cold = run_simulation(&req).expect("cold run");
-        for _ in 0..2 {
-            let out = run_simulation_snapshotting(&req, &store, &metrics).expect("run");
-            assert_eq!(cold.to_string(), out.to_string());
-        }
-        assert!(
-            store.lock().unwrap().is_empty(),
-            "STEM's LLC declines the capability; nothing may be cached"
+    fn warmups_sharing_a_canonical_value_share_one_body() {
+        // Both fractions serialize as 0.2; raw, they would warm 999 and
+        // 1000 accesses of the 5000-access trace.
+        let req = |w: &str| {
+            RunRequest::parse(
+                format!(
+                    r#"{{"benchmark": "mcf", "scheme": "lru", "sets": 64, "ways": 4,
+                         "accesses": 5000, "warmup_fraction": {w}}}"#
+                )
+                .as_bytes(),
+            )
+            .expect("valid request")
+        };
+        assert_ne!(warm_split(5000, 0.1999996), warm_split(5000, 0.2000004));
+        let (a, b) = (req("0.1999996"), req("0.2000004"));
+        assert_eq!(a.cache_key(), b.cache_key());
+        assert_eq!(
+            run_simulation(&a).expect("run a").to_string(),
+            run_simulation(&b).expect("run b").to_string()
         );
-        assert_eq!((metrics.snapshot_misses(), metrics.snapshot_hits()), (2, 0));
     }
 
     #[test]

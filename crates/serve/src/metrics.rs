@@ -48,7 +48,7 @@ pub struct Metrics {
     /// snapshot cache instead of re-replayed.
     snapshot_hits: AtomicU64,
     /// Executed exact runs that replayed their warm prefix cold (no
-    /// snapshot cached yet, or the scheme declines the capability).
+    /// snapshot of it cached yet).
     snapshot_misses: AtomicU64,
     /// Warmed snapshots evicted from the bounded snapshot cache.
     snapshot_evictions: AtomicU64,

@@ -36,6 +36,18 @@ pub const DEFAULT_WARMUP: f64 = 0.2;
 /// service's own executor budget is the real long stop).
 pub const MAX_DEADLINE_MS: u64 = 3_600_000;
 
+/// Decimal places the canonical form keeps for fractional fields
+/// (`warmup_fraction`, mix `weight`).
+const CANONICAL_DECIMALS: u32 = 6;
+
+/// Rounds `x` exactly as the canonical form serializes it. Parsing stores
+/// this value, so a request runs with precisely the number its cache keys
+/// name: two requests that share a key run the same experiment.
+fn quantize(x: f64) -> f64 {
+    let scale = 10f64.powi(CANONICAL_DECIMALS as i32);
+    (x * scale).round() / scale
+}
+
 /// Ceiling on a mix component's trace file name length.
 pub const MAX_TRACE_NAME_LEN: usize = 64;
 
@@ -54,7 +66,8 @@ pub enum MixSource {
 pub struct MixComponent {
     /// The workload this core replays.
     pub source: MixSource,
-    /// Interleave weight (validated positive; defaults to 1.0).
+    /// Interleave weight (validated positive, rounded to the canonical 6
+    /// decimals; defaults to 1.0).
     pub weight: f64,
 }
 
@@ -83,7 +96,8 @@ pub struct RunRequest {
     pub line_bytes: u64,
     /// Trace length in accesses.
     pub accesses: usize,
-    /// Fraction of the trace used to warm the hierarchy before measuring.
+    /// Fraction of the trace used to warm the hierarchy before measuring,
+    /// rounded to the canonical 6 decimals.
     pub warmup_fraction: f64,
     /// Whether to include the §3.1 per-set capacity-demand profile.
     pub profile: bool,
@@ -175,6 +189,7 @@ fn parse_mix_component(i: usize, json: &Json) -> Result<MixComponent, SimError> 
         None => 1.0,
         Some(v) => v
             .as_f64()
+            .map(quantize)
             .filter(|w| w.is_finite() && *w > 0.0)
             .ok_or_else(|| invalid(format!("mix[{i}].weight must be a positive number")))?,
     };
@@ -349,6 +364,7 @@ impl RunRequest {
             Some(v) => v
                 .as_f64()
                 .filter(|w| (0.0..=0.9).contains(w))
+                .map(quantize)
                 .ok_or_else(|| {
                     invalid("field \"warmup_fraction\" must be a number in 0.0..=0.9")
                 })?,
@@ -489,7 +505,10 @@ impl RunRequest {
                     };
                     Json::Obj(vec![
                         (key.to_owned(), Json::str(name.clone())),
-                        ("weight".to_owned(), Json::float_rounded(c.weight, 6)),
+                        (
+                            "weight".to_owned(),
+                            Json::float_rounded(c.weight, CANONICAL_DECIMALS),
+                        ),
                     ])
                 })
                 .collect(),
@@ -522,7 +541,7 @@ impl RunRequest {
             ("accesses".into(), Json::Int(self.accesses as i64)),
             (
                 "warmup_fraction".into(),
-                Json::float_rounded(self.warmup_fraction, 6),
+                Json::float_rounded(self.warmup_fraction, CANONICAL_DECIMALS),
             ),
             ("profile".into(), Json::Bool(self.profile)),
             ("fidelity".into(), Json::str(self.fidelity.to_string())),
@@ -571,7 +590,7 @@ impl RunRequest {
             ("accesses".into(), Json::Int(self.accesses as i64)),
             (
                 "warmup_fraction".into(),
-                Json::float_rounded(self.warmup_fraction, 6),
+                Json::float_rounded(self.warmup_fraction, CANONICAL_DECIMALS),
             ),
         ]);
         Json::Obj(fields)
@@ -834,6 +853,49 @@ mod tests {
                 "{body:?} must not share the warm prefix"
             );
         }
+    }
+
+    #[test]
+    fn fractional_fields_run_with_their_canonical_value() {
+        // Both warm-ups serialize as 0.209999, so they share one result
+        // key and one snapshot key; raw, they would warm 209999 and
+        // 209998 accesses of a 1M trace. Parsing must store the value the
+        // keys name, so key-sharing requests run one experiment.
+        let solo = |w: &str| {
+            RunRequest::parse(
+                format!(
+                    r#"{{"benchmark": "mcf", "scheme": "lru", "accesses": 1000000,
+                         "warmup_fraction": {w}}}"#
+                )
+                .as_bytes(),
+            )
+            .expect("valid")
+        };
+        let (a, b) = (solo("0.2099994"), solo("0.2099986"));
+        assert_ne!(
+            stem_analysis::warm_split(1_000_000, 0.2099994),
+            stem_analysis::warm_split(1_000_000, 0.2099986),
+            "the raw fractions split differently"
+        );
+        assert_eq!(a.warmup_fraction.to_bits(), b.warmup_fraction.to_bits());
+        assert_eq!(a.cache_key(), b.cache_key());
+        assert_eq!(a.snapshot_key(), b.snapshot_key());
+
+        // Mix weights are rounded the same way; one that rounds to zero
+        // is rejected rather than run as a zero weight.
+        let mix = |w: &str| {
+            RunRequest::parse(
+                format!(
+                    r#"{{"mix": [{{"benchmark": "mcf", "weight": {w}}}, {{"benchmark": "ammp"}}],
+                         "scheme": "lru"}}"#
+                )
+                .as_bytes(),
+            )
+        };
+        let weight = |w: &str| mix(w).expect("valid").mix.expect("mix")[0].weight;
+        assert_eq!(weight("1.4999996").to_bits(), weight("1.5000004").to_bits());
+        assert_eq!(weight("1.4999996"), 1.5);
+        assert!(mix("0.0000004").is_err());
     }
 
     #[test]

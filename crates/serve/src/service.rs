@@ -71,7 +71,7 @@ use std::time::Duration;
 use stem_bench::resilience::ExperimentRunner;
 use stem_sim_core::Json;
 
-use crate::cache::ResultCache;
+use crate::cache::{ResultCache, SnapshotCache};
 use crate::exec::{expired_before_execution, Executor, RequestDeadline};
 use crate::http::{read_request_deadline, write_response_deadline, Deadline, HttpRequest};
 use crate::metrics::Metrics;
@@ -110,7 +110,7 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_capacity: 8,
             cache_capacity: ResultCache::DEFAULT_CAPACITY,
-            snapshot_slots: 16,
+            snapshot_slots: SnapshotCache::DEFAULT_CAPACITY,
             threads: stem_bench::pool::configured_threads(),
             budget: Duration::from_secs(600),
             io_deadline: Duration::from_secs(10),

@@ -139,6 +139,7 @@ mod tests {
     use crate::{Access, AccessKind, AccessResult, Address, CacheGeometry, CacheStats};
 
     /// A cache that corrupts itself after a fixed number of accesses.
+    #[derive(Clone)]
     struct FragileCache {
         stats: CacheStats,
         geom: CacheGeometry,

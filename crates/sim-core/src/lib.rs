@@ -21,9 +21,9 @@
 //! * [`SplitMix64`] — a tiny deterministic RNG so every simulation is
 //!   reproducible without external crates;
 //! * [`CacheModel`] — the object-safe trait all six schemes implement;
-//! * [`Snapshot`] / [`PolicyState`] — opt-in checkpoint/restore of warm
-//!   replay state (tag store + policy state + stats), so shared warm-up
-//!   prefixes are replayed once and restored per consumer;
+//! * [`Snapshot`] — checkpoint/restore of warm replay state as a warmed
+//!   clone of the cache, so shared warm-up prefixes are replayed once and
+//!   restored per consumer;
 //! * [`InvariantAuditor`] / [`run_audited`] — checked simulation mode that
 //!   verifies each scheme's internal bookkeeping during a run;
 //! * [`SimError`] / [`TraceError`] — the workspace-wide error taxonomy;
@@ -72,10 +72,10 @@ pub use error::{GeometryError, SimError, TraceError};
 pub use frames::{Frame, SetFrames};
 pub use geometry::CacheGeometry;
 pub use json::{Json, JsonError};
-pub use model::{replay_decoded_via_access, AccessResult, CacheModel};
+pub use model::{replay_decoded_via_access, AccessResult, CacheModel, CacheModelClone};
 pub use rng::SplitMix64;
 pub use sample::SampledTrace;
-pub use snapshot::{PolicyState, Snapshot, SnapshotError};
+pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::CacheStats;
 pub use timing::{AccessLatency, TimingParams};
 pub use trace::{Trace, TraceStats};

@@ -1,6 +1,7 @@
 //! The trait every LLC scheme implements, and the four access outcomes the
 //! paper prices differently.
 
+use std::any::Any;
 use std::fmt;
 use std::ops::Range;
 
@@ -68,7 +69,9 @@ impl fmt::Display for AccessResult {
 /// A last-level cache scheme under trace-driven simulation.
 ///
 /// The trait is object-safe so experiments can hold heterogeneous scheme
-/// collections as `Box<dyn CacheModel>` ([C-OBJECT]).
+/// collections as `Box<dyn CacheModel>` ([C-OBJECT]), and every
+/// implementor is `Clone` through [`CacheModelClone`], so such a box
+/// clones too.
 ///
 /// # Examples
 ///
@@ -84,7 +87,7 @@ impl fmt::Display for AccessResult {
 /// ```
 ///
 /// [C-OBJECT]: https://rust-lang.github.io/api-guidelines/flexibility.html
-pub trait CacheModel {
+pub trait CacheModel: CacheModelClone {
     /// Processes one access and reports its outcome.
     fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult;
 
@@ -214,54 +217,74 @@ pub trait CacheModel {
     }
 
     /// Whether this cache can checkpoint and restore its complete replay
-    /// state.
-    ///
-    /// # Contract
-    ///
-    /// Returning `true` asserts: [`snapshot`](CacheModel::snapshot) returns
-    /// `Some` capture of **every** piece of mutable state the access path
-    /// reads or writes — tag store, replacement metadata, statistics, any
-    /// global counters or RNG — and [`restore`](CacheModel::restore) of
-    /// that capture into a fresh instance of the same scheme and geometry
-    /// makes the instance produce, per subsequent access, exactly the
-    /// [`AccessResult`] stream and [`CacheStats`] the captured instance
-    /// would have produced. Restore is exact or refused; there is no
-    /// approximate tier.
-    ///
-    /// The default is `false` — a cold run is always correct, so a scheme
-    /// must opt in explicitly, and dispatchers silently run anything that
-    /// declines from cold (a declined offer changes no results). Refusing
-    /// overrides document the disqualifying state they cannot capture
-    /// cheaply, mirroring the sampling boundary above.
+    /// state: always `true`, since every cache is a [`CacheModelClone`].
     fn supports_snapshot(&self) -> bool {
-        false
+        true
     }
 
-    /// Checkpoints the complete replay state, or `None` when the scheme
-    /// declines ([`supports_snapshot`](CacheModel::supports_snapshot) is
-    /// `false`).
+    /// Checkpoints the complete replay state: a clone of this cache with
+    /// zeroed statistics (see [`Snapshot`]). Always `Some`.
     ///
     /// The capture is deep: the snapshot stays valid however the live
     /// cache is mutated afterwards.
     fn snapshot(&self) -> Option<Snapshot> {
-        None
+        Some(Snapshot::new(self.clone_box()))
     }
 
-    /// Replaces this cache's complete replay state with `snapshot`'s.
-    ///
-    /// Implementations verify the target first
-    /// ([`Snapshot::verify_target`]): a snapshot of another scheme or
-    /// geometry is an error, never a silent partial restore. On any error
-    /// the cache is left unmodified.
+    /// Replaces this cache's complete replay state with a clone of
+    /// `snapshot`'s cache, after which it replays exactly like the cache
+    /// the snapshot was taken from, measuring from zeroed counters.
     ///
     /// # Errors
     ///
-    /// [`SnapshotError::Unsupported`] (the default — the scheme declines
-    /// the capability), or the scheme/geometry/state mismatches named in
-    /// [`SnapshotError`].
+    /// The scheme and geometry mismatches of [`Snapshot::verify_target`],
+    /// or [`SnapshotError::StateMismatch`] when the snapshot's cache is
+    /// another concrete type. On any error the cache is left unmodified.
     fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        let _ = snapshot;
-        Err(crate::snapshot::unsupported(self.name()))
+        snapshot.verify_target(self.name(), self.geometry())?;
+        if self.clone_from_dyn(snapshot.cache()) {
+            Ok(())
+        } else {
+            Err(SnapshotError::StateMismatch {
+                scheme: self.name().to_owned(),
+            })
+        }
+    }
+}
+
+/// The clone-behind-`dyn` half of [`CacheModel`].
+///
+/// Blanket-implemented for every `Clone + Send + Sync + 'static` cache,
+/// so a scheme gets checkpointing by deriving `Clone` and writes no clone
+/// code of its own. It is what makes `Box<dyn CacheModel>` `Clone`.
+pub trait CacheModelClone: Any + Send + Sync {
+    /// Clones the cache behind the trait object.
+    fn clone_box(&self) -> Box<dyn CacheModel>;
+
+    /// Overwrites `self` with a clone of `other` when `other` is the same
+    /// concrete type; returns whether it was (`self` is untouched if not).
+    fn clone_from_dyn(&mut self, other: &dyn CacheModel) -> bool;
+}
+
+impl<T: CacheModel + Clone + Send + Sync + 'static> CacheModelClone for T {
+    fn clone_box(&self) -> Box<dyn CacheModel> {
+        Box::new(self.clone())
+    }
+
+    fn clone_from_dyn(&mut self, other: &dyn CacheModel) -> bool {
+        match (other as &dyn Any).downcast_ref::<T>() {
+            Some(other) => {
+                self.clone_from(other);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+impl Clone for Box<dyn CacheModel> {
+    fn clone(&self) -> Self {
+        (**self).clone_box()
     }
 }
 
@@ -310,6 +333,7 @@ mod tests {
     }
 
     /// A trivial always-miss cache to exercise the trait's default methods.
+    #[derive(Clone)]
     struct NullCache {
         stats: CacheStats,
         geom: CacheGeometry,

@@ -61,6 +61,7 @@ impl Default for SbcConfig {
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct SbcCache {
     geom: CacheGeometry,
     cfg: SbcConfig,
@@ -390,17 +391,6 @@ impl CacheModel for SbcCache {
     /// different order. Explicit refusal (for contrast with the static
     /// variant, which is safe).
     fn supports_set_sampling(&self) -> bool {
-        false
-    }
-
-    /// NOT snapshotable (yet): the dynamic association table (who is
-    /// coupled to whom, in which role) plus the DSS saturation machinery
-    /// would have to be captured together and restored consistently with
-    /// every foreign block in the frames; nothing about that is per-set
-    /// data the snapshot format carries. The static variant — whose
-    /// pairings are design-time constants — snapshots instead; dynamic
-    /// SBC declines and runs cold.
-    fn supports_snapshot(&self) -> bool {
         false
     }
 }

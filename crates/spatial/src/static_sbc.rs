@@ -12,18 +12,9 @@
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
     replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, PolicyState,
-    SetFrames, SimError, Snapshot, SnapshotError,
+    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
+    SimError,
 };
-
-/// The non-frame mutable state a static-SBC snapshot carries: per-set
-/// recency stacks and saturation levels (the spill decisions are derived
-/// from these, not stored).
-#[derive(Debug, Clone)]
-struct StaticSbcState {
-    ranks: Vec<RecencyStack>,
-    sat: Vec<u32>,
-}
 
 /// The static Set Balancing Cache.
 ///
@@ -40,6 +31,7 @@ struct StaticSbcState {
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct StaticSbcCache {
     geom: CacheGeometry,
     /// Flat tag store; the tag word is the full line address and the flag
@@ -242,40 +234,6 @@ impl CacheModel for StaticSbcCache {
     /// partners together.
     fn supports_set_sampling(&self) -> bool {
         true
-    }
-
-    /// Snapshotable: the complete mutable state is `(frames, ranks, sat,
-    /// stats)` — all plain per-set data with no handles or derived caches.
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(Snapshot::new(
-            self.name(),
-            self.geom,
-            self.frames.clone(),
-            self.stats,
-            PolicyState::new(StaticSbcState {
-                ranks: self.ranks.clone(),
-                sat: self.sat.clone(),
-            }),
-        ))
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        snapshot.verify_target(self.name(), self.geom)?;
-        let state = snapshot
-            .policy()
-            .downcast_ref::<StaticSbcState>()
-            .ok_or_else(|| SnapshotError::StateMismatch {
-                scheme: self.name().to_owned(),
-            })?;
-        self.ranks = state.ranks.clone();
-        self.sat = state.sat.clone();
-        self.frames = snapshot.frames().clone();
-        self.stats = snapshot.stats();
-        Ok(())
     }
 }
 

@@ -10,8 +10,8 @@
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
     replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, PolicyState,
-    SetFrames, SimError, Snapshot, SnapshotError,
+    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
+    SimError,
 };
 
 /// One fully-associative victim-buffer entry.
@@ -40,6 +40,7 @@ struct Line {
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct VictimCache {
     geom: CacheGeometry,
     /// Flat tag store for the main array; the tag word is the full line
@@ -211,58 +212,6 @@ impl CacheModel for VictimCache {
     fn supports_set_sampling(&self) -> bool {
         false
     }
-
-    /// Snapshotable even though it refuses sampling: that boundary is
-    /// about *partial* replay, but a snapshot captures the
-    /// global victim buffer whole — `(frames, ranks, victims, stats)` is
-    /// the complete mutable state, all plain data.
-    fn supports_snapshot(&self) -> bool {
-        true
-    }
-
-    fn snapshot(&self) -> Option<Snapshot> {
-        Some(Snapshot::new(
-            self.name(),
-            self.geom,
-            self.frames.clone(),
-            self.stats,
-            PolicyState::new(VictimState {
-                ranks: self.ranks.clone(),
-                victims: self.victims.clone(),
-            }),
-        ))
-    }
-
-    fn restore(&mut self, snapshot: &Snapshot) -> Result<(), SnapshotError> {
-        snapshot.verify_target(self.name(), self.geom)?;
-        let state = snapshot
-            .policy()
-            .downcast_ref::<VictimState>()
-            .ok_or_else(|| SnapshotError::StateMismatch {
-                scheme: self.name().to_owned(),
-            })?;
-        if state.victims.len() > self.capacity {
-            // Same scheme and geometry but a smaller victim buffer than
-            // the capture's: restoring would overflow it.
-            return Err(SnapshotError::StateMismatch {
-                scheme: self.name().to_owned(),
-            });
-        }
-        self.ranks = state.ranks.clone();
-        self.victims = state.victims.clone();
-        self.frames = snapshot.frames().clone();
-        self.stats = snapshot.stats();
-        Ok(())
-    }
-}
-
-/// The non-frame mutable state a victim-cache snapshot carries: per-set
-/// recency stacks plus the global fully-associative victim buffer
-/// (`capacity` is construction-time configuration, not state).
-#[derive(Debug, Clone)]
-struct VictimState {
-    ranks: Vec<RecencyStack>,
-    victims: Vec<Line>,
 }
 
 impl InvariantAuditor for VictimCache {

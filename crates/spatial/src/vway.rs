@@ -67,6 +67,7 @@ struct DataEntry {
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct VWayCache {
     geom: CacheGeometry,
     cfg: VWayConfig,
@@ -492,17 +493,6 @@ impl CacheModel for VWayCache {
     /// systematically underestimating misses, not just reordering them.
     /// Explicit refusal; the exact path is the only valid one.
     fn supports_set_sampling(&self) -> bool {
-        false
-    }
-
-    /// NOT snapshotable (yet): the decoupled global data store — forward
-    /// and reverse tag↔frame pointer maps, the free list, per-frame reuse
-    /// counters, and the global replacement hand — would all have to be
-    /// captured and re-wired consistently, a deep copy of the whole cache
-    /// rather than the flat `SetFrames + policy` shape the snapshot format
-    /// carries. Until someone does that work and proves it exact, V-Way
-    /// declines and every dispatcher runs it cold.
-    fn supports_snapshot(&self) -> bool {
         false
     }
 }

@@ -32,6 +32,7 @@ use crate::{PolicyKind, SetMonitor, StemConfig, TagHasher};
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct StemCache {
     geom: CacheGeometry,
     cfg: StemConfig,
@@ -496,19 +497,6 @@ impl CacheModel for StemCache {
     /// the distortion is structural, not just a mistrained knob. Explicit
     /// refusal; a sampled STEM story would need its own validated monitor.
     fn supports_set_sampling(&self) -> bool {
-        false
-    }
-
-    /// NOT snapshotable (yet): a faithful checkpoint would have to freeze
-    /// the shadow-set directory and SCDM saturating counters, the global
-    /// donor/receiver coupling heap with its epoch clock mid-epoch, and
-    /// the set-dueling monitor's leader bookkeeping — and restore them in
-    /// perfect agreement with every remotely-filled block in the frames.
-    /// That is a whole-machine deep copy, not the `SetFrames + policy
-    /// state` shape snapshots carry, and getting it subtly wrong would
-    /// silently change coupling elections. STEM declines; every
-    /// dispatcher runs it cold, which is always correct.
-    fn supports_snapshot(&self) -> bool {
         false
     }
 }

@@ -13,7 +13,9 @@
 use stem::replacement::{Lru, RecencyStack, ReplacementPolicy, SetAssocCache};
 use stem::sim_core::{Access, CacheGeometry, CacheModel, Trace};
 
-/// Evict the *most* recently used block.
+/// Evict the *most* recently used block. Policies are `Clone` so the
+/// caches they drive can be checkpointed.
+#[derive(Clone)]
 struct MruEvict {
     sets: Vec<RecencyStack>,
 }

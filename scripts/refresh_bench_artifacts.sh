@@ -3,14 +3,11 @@
 # scale and copies them to the repo root:
 #
 #   BENCH_throughput.json  — scheme replay throughput (accesses/second)
-#   BENCH_run_all.json     — run_all wall clock, stage breakdown, and the
-#                            cold vs warm-once+restore snapshot speedup
+#   BENCH_run_all.json     — run_all wall clock and stage breakdown
 #   BENCH_serve.json       — serve request latency against a live server,
 #                            sampled tier vs exact tier side by side
 #   BENCH_sampling.json    — sampled-fidelity MPKI relative error and
 #                            speedup per (benchmark, scheme, rate)
-#   BENCH_snapshot.json    — warm-state snapshot reuse: cold vs
-#                            warm-once+restore per (benchmark, scheme)
 #   BENCH_mix.json         — multi-programmed shared-LLC mixes: weighted
 #                            speedup and fairness per (mix, scheme)
 #
@@ -36,9 +33,6 @@ STEM_CSV_DIR="$OUT" cargo bench -q -p stem-bench --bench scheme_throughput
 echo "==> sampling bench (full scale: error + speedup per benchmark x scheme x rate)"
 STEM_CSV_DIR="$OUT" cargo bench -q -p stem-bench --bench sampling_bench
 
-echo "==> snapshot bench (full scale: cold vs warm-once+restore per benchmark x scheme)"
-STEM_CSV_DIR="$OUT" cargo bench -q -p stem-bench --bench snapshot_bench
-
 echo "==> run_all (archive scale)"
 # STEM_SWEEP_ACCESSES=800000 matches the archived run_all_output.txt
 # (see README "reproduction" section).
@@ -50,19 +44,6 @@ if ! cmp -s "$OUT/run_all_stdout.txt" run_all_output.txt; then
     exit 1
 fi
 echo "    stdout matches the archived run_all_output.txt"
-
-echo "==> run_all cold control (STEM_SNAPSHOTS=0; restored output must be byte-identical)"
-# The tentpole invariant at archive scale: with warm-state snapshots
-# disabled, every sweep point re-warms from scratch — and the scientific
-# output must not move by a single byte.
-mkdir -p "$OUT/cold"
-STEM_SWEEP_ACCESSES=800000 STEM_SNAPSHOTS=0 STEM_CSV_DIR="$OUT/cold" \
-    target/release/run_all >"$OUT/run_all_stdout_cold.txt" 2>"$OUT/run_all_stderr_cold.txt"
-if ! cmp -s "$OUT/run_all_stdout_cold.txt" "$OUT/run_all_stdout.txt"; then
-    echo "ERROR: STEM_SNAPSHOTS=0 changed run_all's stdout at full scale" >&2
-    exit 1
-fi
-echo "    cold (STEM_SNAPSHOTS=0) stdout is byte-identical to the snapshots-on run"
 
 echo "==> serve bench (live server)"
 ADDR_FILE="$OUT/serve-addr.txt"
@@ -83,9 +64,9 @@ STEM_CSV_DIR="$OUT" target/release/serve_client "$ADDR" BENCH /run "$REQ" 200
 target/release/serve_client "$ADDR" POST /shutdown >/dev/null
 wait "$SERVE_PID"
 
-for f in BENCH_throughput.json BENCH_run_all.json BENCH_serve.json BENCH_sampling.json BENCH_snapshot.json BENCH_mix.json; do
+for f in BENCH_throughput.json BENCH_run_all.json BENCH_serve.json BENCH_sampling.json BENCH_mix.json; do
     [ -s "$OUT/$f" ] || { echo "ERROR: $OUT/$f was not produced" >&2; exit 1; }
     cp "$OUT/$f" "$f"
     echo "    refreshed $f"
 done
-echo "==> artifacts refreshed; review and commit the six BENCH_*.json files"
+echo "==> artifacts refreshed; review and commit the five BENCH_*.json files"

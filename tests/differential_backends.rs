@@ -1548,6 +1548,42 @@ fn stem_matches_reference() {
     }
 }
 
+/// Cross-scheme oracle: STEM with both halves switched off — no spatial
+/// coupling, no temporal adaptation — is plain LRU, so it must equal
+/// `SetAssocCache` + `Lru` in every `AccessResult` and in the final
+/// `CacheStats`, on real benchmark streams at three geometries. The two
+/// sides share no replacement code, so this guards any rewrite of STEM's
+/// per-access bookkeeping.
+#[test]
+fn ablated_stem_equals_lru_access_for_access() {
+    let cfg = StemConfig::micro2010()
+        .with_spatial_coupling(false)
+        .with_temporal_adaptation(false);
+    let accesses = diff_accesses() / 5;
+    for (sets, ways) in [(2048, 16), (64, 4), (256, 8)] {
+        let geom = CacheGeometry::new(sets, ways, 64).expect("valid geometry");
+        for bench in ["omnetpp", "mcf", "ammp", "gromacs"] {
+            let decoded = stem::workloads::BenchmarkProfile::by_name(bench)
+                .expect("suite benchmark")
+                .decoded(geom, accesses);
+            let mut stem = StemCache::with_config(geom, cfg);
+            let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+            for (i, d) in decoded.iter().enumerate() {
+                assert_eq!(
+                    stem.access_decoded(d),
+                    lru.access_decoded(d),
+                    "{bench} at {sets}x{ways}: access #{i} diverged"
+                );
+            }
+            assert_eq!(
+                stem.stats(),
+                lru.stats(),
+                "{bench} at {sets}x{ways}: final CacheStats diverged"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Decoded-stream differentials: the `DecodedTrace` fast path vs the
 // `Access` byte-address path, for all six paper schemes (plus the two
@@ -1736,8 +1772,8 @@ fn replay_decoded_falls_back_on_incompatible_geometry() {
 // (its global PSEL only sees the kept leader sets), so it is the one
 // sampling scheme this differential leaves out.
 
-use stem::analysis::{build_cache, warm_scheme_snapshot, warm_split, Scheme};
-use stem::sim_core::{SampledTrace, SnapshotError};
+use stem::analysis::{build_cache, warm_split, Scheme};
+use stem::sim_core::{SampledTrace, Snapshot};
 use stem_bench::engine::{Exec, RunPlan};
 
 /// Synthesizes and decodes one differential trace.
@@ -1790,14 +1826,10 @@ fn warmed_mpki(scheme: Scheme, geom: CacheGeometry, decoded: &DecodedTrace, exec
     .mpki()
 }
 
-// Capability probes: each asks a freshly built cache of the scheme.
-
+/// Asks a freshly built cache of the scheme whether it opts into set
+/// sampling.
 fn can_sample(scheme: Scheme, geom: CacheGeometry) -> bool {
     build_cache(scheme, geom).supports_set_sampling()
-}
-
-fn can_snapshot(scheme: Scheme, geom: CacheGeometry) -> bool {
-    build_cache(scheme, geom).supports_snapshot()
 }
 
 /// Asserts that, for every exact sampling scheme (every sampling scheme but
@@ -1922,38 +1954,48 @@ fn write_flags_survive_compaction_across_word_boundaries() {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint/restore vs cold replay (the snapshot boundary).
+// Checkpoint/restore vs cold replay.
 // ---------------------------------------------------------------------------
 //
-// `Snapshot` checkpoints a warmed cache's complete replay state; restoring
-// it into a fresh cache must be *invisible*: the post-restore per-access
-// `AccessResult` stream and the final `CacheStats` must be bit-identical
-// to a single uninterrupted replay of the same trace. Schemes that decline
-// the capability (V-Way, dynamic SBC, STEM) must refuse loudly at the
-// model layer — a named error, never a partial restore — while dispatch
-// helpers quietly route them to the cold path, exactly as if snapshots
-// did not exist.
+// A `Snapshot` is a warmed clone of the cache with zeroed counters;
+// restoring it into a fresh cache must be *invisible*: the post-restore
+// per-access `AccessResult` stream and the final `CacheStats` must be
+// bit-identical to a single uninterrupted replay of the same trace that
+// zeroes its counters at the warm boundary — for every scheme.
+
+/// Warms a fresh cache of `scheme` on `decoded[..warm_len]` and
+/// checkpoints it.
+fn warm_snapshot(
+    scheme: Scheme,
+    geom: CacheGeometry,
+    decoded: &DecodedTrace,
+    warm_len: usize,
+) -> Snapshot {
+    let mut cache = build_cache(scheme, geom);
+    cache.replay_decoded(decoded, 0..warm_len);
+    cache.snapshot().expect("every scheme snapshots")
+}
 
 #[test]
 fn restored_replay_matches_cold_for_every_snapshottable_scheme() {
     let geom = paper_geom();
     let decoded = synth_decoded(geom, 0x5A4B_0001, diff_accesses() / 10);
     let warm_len = warm_split(decoded.len(), 0.2);
-    let mut covered = 0;
     for scheme in Scheme::ALL {
-        if !can_snapshot(scheme, geom) {
-            continue;
-        }
-        covered += 1;
         // Cold: one cache, never interrupted. Restored: a second cache is
-        // warmed identically, checkpointed, and the checkpoint lands in a
-        // *fresh* cache that then replays the suffix side by side.
+        // warmed identically, checkpointed, mutated further (the capture
+        // must be deep), and the checkpoint lands in a *fresh* cache that
+        // then replays the suffix side by side.
         let mut cold = build_cache(scheme, geom);
+        assert!(cold.supports_snapshot(), "{scheme}");
         cold.replay_decoded(&decoded, 0..warm_len);
+        cold.reset_stats();
         let snap = {
             let mut warmed = build_cache(scheme, geom);
             warmed.replay_decoded(&decoded, 0..warm_len);
-            warmed.snapshot().expect("scheme opted into snapshots")
+            let snap = warmed.snapshot().expect("every scheme snapshots");
+            warmed.replay_decoded(&decoded, warm_len..decoded.len());
+            snap
         };
         let mut restored = build_cache(scheme, geom);
         restored
@@ -1970,44 +2012,6 @@ fn restored_replay_matches_cold_for_every_snapshottable_scheme() {
             "{scheme}: final CacheStats diverged after restore"
         );
     }
-    assert!(
-        covered >= 10,
-        "snapshot surface shrank to {covered} schemes"
-    );
-}
-
-#[test]
-fn refusing_schemes_decline_loudly_at_the_model_and_run_cold_at_dispatch() {
-    let geom = paper_geom();
-    let decoded = synth_decoded(geom, 0x5A4B_0002, diff_accesses() / 20);
-    let warm_len = warm_split(decoded.len(), 0.2);
-    let donor = warm_scheme_snapshot(Scheme::Lru, geom, &decoded, warm_len)
-        .expect("LRU opts into snapshots");
-    let mut refused = 0;
-    for scheme in Scheme::ALL {
-        if can_snapshot(scheme, geom) {
-            continue;
-        }
-        refused += 1;
-        let cache = build_cache(scheme, geom);
-        assert!(
-            cache.snapshot().is_none(),
-            "{scheme}: a declining scheme must never emit a snapshot"
-        );
-        // The model layer refuses by name, even offered a valid donor.
-        let mut target = build_cache(scheme, geom);
-        match target.restore(&donor) {
-            Err(SnapshotError::Unsupported { scheme: name }) => {
-                assert!(!name.is_empty(), "{scheme}: refusal must name the scheme")
-            }
-            other => panic!("{scheme}: expected a named refusal, got {other:?}"),
-        }
-        // The dispatch layer declines silently: no snapshot is produced,
-        // so every consumer takes the cold path — whose result is the
-        // plain warmed replay, untouched by the feature existing.
-        assert!(warm_scheme_snapshot(scheme, geom, &decoded, warm_len).is_none());
-    }
-    assert_eq!(refused, 3, "the refusal surface is V-Way, SBC and STEM");
 }
 
 #[test]
@@ -2019,12 +2023,14 @@ fn snapshot_of_restored_state_round_trips() {
     let geom = pressure_geom();
     let decoded = synth_decoded(geom, 0x5A4B_0003, diff_accesses() / 20);
     let warm_len = warm_split(decoded.len(), 0.2);
+    let measure = |scheme: Scheme, snap: &Snapshot| {
+        let mut cache = build_cache(scheme, geom);
+        cache.restore(snap).expect("matching scheme and geometry");
+        cache.replay_decoded(&decoded, warm_len..decoded.len());
+        *cache.stats()
+    };
     for scheme in Scheme::ALL {
-        if !can_snapshot(scheme, geom) {
-            continue;
-        }
-        let first =
-            warm_scheme_snapshot(scheme, geom, &decoded, warm_len).expect("scheme opted in");
+        let first = warm_snapshot(scheme, geom, &decoded, warm_len);
         let second = {
             let mut mid = build_cache(scheme, geom);
             mid.restore(&first).expect("first-generation restore");
@@ -2032,20 +2038,16 @@ fn snapshot_of_restored_state_round_trips() {
         };
         assert_eq!(first.scheme(), second.scheme());
         assert_eq!(first.geometry(), second.geometry());
-        assert_eq!(first.stats(), second.stats());
-        let a = warmed_mpki(scheme, geom, &decoded, Exec::Restore(&first));
-        let b = warmed_mpki(scheme, geom, &decoded, Exec::Restore(&second));
-        let cold = warmed_mpki(scheme, geom, &decoded, Exec::Serial);
+        let a = measure(scheme, &first);
         assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
+            a,
+            measure(scheme, &second),
             "{scheme}: second-generation snapshot diverged"
         );
-        assert_eq!(
-            a.to_bits(),
-            cold.to_bits(),
-            "{scheme}: snapshot path diverged from the cold path"
-        );
+        let cold = RunPlan::serial(scheme, geom, 0.2)
+            .run(&decoded)
+            .unwrap_or_else(|e| panic!("{scheme}: {e}"));
+        assert_eq!(a, cold.stats, "{scheme}: snapshot path diverged from cold");
     }
 }
 

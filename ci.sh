@@ -33,8 +33,24 @@ echo "==> cargo test -q (workspace)"
 # (default: all cores) with byte-identical results at any count.
 STEM_CHECKED_ACCESSES="${STEM_CHECKED_ACCESSES:-200000}" cargo test -q --workspace
 
-echo "==> benchmark unit tests (the benchmark package is outside the workspace)"
+echo "==> benchmark unit tests + type-check (the benchmark package is outside the workspace)"
+# The frozen benchmark package builds against the workspace's public API,
+# so checking it catches an API change that would break it. Building it
+# rewrites its stale Cargo.lock by one line: keep a copy, put it back
+# (also on failure), and then require benchmark/ to be unchanged.
+LOCK_COPY="$(mktemp)"
+cp benchmark/Cargo.lock "$LOCK_COPY"
+trap 'cp "$LOCK_COPY" benchmark/Cargo.lock' EXIT
 (cd benchmark && cargo test --offline -q)
+cargo check --offline --manifest-path benchmark/Cargo.toml
+cp "$LOCK_COPY" benchmark/Cargo.lock
+trap - EXIT
+rm -f "$LOCK_COPY"
+git diff --quiet -- benchmark/ || {
+    echo "ERROR: building the benchmark package changed files under benchmark/" >&2
+    git diff --stat -- benchmark/ >&2
+    exit 1
+}
 
 echo "==> throughput bench (smoke) + BENCH_throughput.json"
 # Smoke-sized iterations keep CI fast; drop the override for real numbers.

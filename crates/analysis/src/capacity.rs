@@ -1,7 +1,7 @@
 //! Set-level capacity-demand characterisation (the §3.1 methodology behind
 //! Fig. 1).
 
-use stem_sim_core::{CacheGeometry, DecodedTrace, LineAddr, Trace};
+use stem_sim_core::{CacheGeometry, DecodedTrace, LineAddr};
 
 use crate::StackDistance;
 
@@ -69,13 +69,13 @@ impl DemandHistogram {
 ///
 /// ```
 /// use stem_analysis::CapacityDemandProfiler;
-/// use stem_sim_core::{Access, Address, CacheGeometry, Trace};
+/// use stem_sim_core::{Access, Address, CacheGeometry, DecodedTrace, Trace};
 ///
 /// let geom = CacheGeometry::new(4, 4, 64).unwrap();
 /// let trace: Trace = [0u64, 64, 0, 64].iter()
 ///     .map(|&a| Access::read(Address::new(a))).collect();
 /// let profiler = CapacityDemandProfiler::new(geom, 32, 4);
-/// let periods = profiler.profile(&trace);
+/// let periods = profiler.profile_decoded(&DecodedTrace::decode(&trace, geom));
 /// assert_eq!(periods.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -108,39 +108,15 @@ impl CapacityDemandProfiler {
         CapacityDemandProfiler::new(geom, 32, 50_000)
     }
 
-    /// Profiles a trace, returning one [`DemandHistogram`] per complete
-    /// (or trailing partial) sampling period.
-    pub fn profile(&self, trace: &Trace) -> Vec<DemandHistogram> {
-        let line_bytes = self.geom.line_bytes();
-        self.profile_stream(trace.iter().map(|a| {
-            let line = a.addr.line(line_bytes);
-            (line, self.geom.set_index_of_line(line))
-        }))
-    }
-
-    /// Decoded-stream twin of [`profile`](Self::profile): profiles a
-    /// pre-decoded trace without re-deriving line addresses and set
-    /// indices, returning identical histograms.
+    /// Profiles a decoded trace, returning one [`DemandHistogram`] per
+    /// complete (or trailing partial) sampling period. Sets are this
+    /// profiler's: the trace may have been decoded at any set count.
     ///
     /// # Panics
     ///
-    /// Panics if the trace was decoded against a different set count or
-    /// line size than this profiler's geometry.
+    /// Panics if the trace's line size differs from this profiler's
+    /// geometry.
     pub fn profile_decoded(&self, trace: &DecodedTrace) -> Vec<DemandHistogram> {
-        assert!(
-            trace.compatible_with(self.geom),
-            "trace decoded for {:?} is incompatible with profiler geometry {:?}",
-            trace.geometry(),
-            self.geom
-        );
-        self.profile_stream(trace.iter().map(|a| (a.line, a.set as usize)))
-    }
-
-    /// The shared profiling loop over a `(line, set)` stream.
-    fn profile_stream(
-        &self,
-        stream: impl Iterator<Item = (LineAddr, usize)>,
-    ) -> Vec<DemandHistogram> {
         let mut sd = StackDistance::new(self.geom, self.max_ways);
         let mut periods = Vec::new();
         // Max distance ≤ max_ways seen per set this period (0 = no reuse).
@@ -158,7 +134,9 @@ impl CapacityDemandProfiler {
             }
         };
 
-        for (line, set) in stream {
+        for &line in trace.lines_for(self.geom) {
+            let line = LineAddr::new(line);
+            let set = self.geom.set_index_of_line(line);
             if let Some(d) = sd.access_line(line, set) {
                 if d <= self.max_ways && d > max_dist[set] {
                     max_dist[set] = d;
@@ -192,14 +170,14 @@ impl CapacityDemandProfiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_sim_core::Access;
+    use stem_sim_core::{Access, Trace};
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(4, 4, 64).unwrap()
     }
 
-    fn cyclic_trace(geom: CacheGeometry, set: usize, blocks: u64, rounds: usize) -> Trace {
-        let mut t = Trace::new();
+    fn cyclic_trace(geom: CacheGeometry, set: usize, blocks: u64, rounds: usize) -> DecodedTrace {
+        let mut t = DecodedTrace::with_capacity(geom, 0);
         for _ in 0..rounds {
             for tag in 0..blocks {
                 t.push(Access::read(geom.address_of(tag, set)));
@@ -215,7 +193,7 @@ mod tests {
         let g = geom();
         let profiler = CapacityDemandProfiler::new(g, 32, 1_000_000);
         for k in [2u64, 5, 9] {
-            let periods = profiler.profile(&cyclic_trace(g, 0, k, 4));
+            let periods = profiler.profile_decoded(&cyclic_trace(g, 0, k, 4));
             assert_eq!(periods.len(), 1);
             let h = &periods[0];
             assert_eq!(
@@ -230,10 +208,11 @@ mod tests {
     fn streaming_set_demands_zero() {
         let g = geom();
         let profiler = CapacityDemandProfiler::new(g, 32, 1_000_000);
-        let t: Trace = (0..100u64)
-            .map(|i| Access::read(g.address_of(i, 1)))
-            .collect();
-        let h = &profiler.profile(&t)[0];
+        let mut t = DecodedTrace::with_capacity(g, 100);
+        for i in 0..100u64 {
+            t.push(Access::read(g.address_of(i, 1)));
+        }
+        let h = &profiler.profile_decoded(&t)[0];
         // Set 1 streams (no reuse): demand 0. All other sets idle: also 0.
         assert_eq!(h.count(0), 4);
     }
@@ -242,7 +221,7 @@ mod tests {
     fn untouched_sets_count_as_zero_demand() {
         let g = geom();
         let profiler = CapacityDemandProfiler::new(g, 32, 1_000_000);
-        let h = &profiler.profile(&cyclic_trace(g, 2, 3, 3))[0];
+        let h = &profiler.profile_decoded(&cyclic_trace(g, 2, 3, 3))[0];
         assert_eq!(h.count(3), 1); // the active set
         assert_eq!(h.count(0), 3); // the three idle sets
         assert_eq!(h.sets(), 4);
@@ -253,7 +232,7 @@ mod tests {
         let g = geom();
         let profiler = CapacityDemandProfiler::new(g, 32, 10);
         let t = cyclic_trace(g, 0, 2, 12); // 24 accesses → 3 periods (10/10/4)
-        let periods = profiler.profile(&t);
+        let periods = profiler.profile_decoded(&t);
         assert_eq!(periods.len(), 3);
     }
 
@@ -261,7 +240,7 @@ mod tests {
     fn banded_fractions_sum_to_one() {
         let g = geom();
         let profiler = CapacityDemandProfiler::new(g, 32, 1_000_000);
-        let h = &profiler.profile(&cyclic_trace(g, 0, 7, 3))[0];
+        let h = &profiler.profile_decoded(&cyclic_trace(g, 0, 7, 3))[0];
         let banded = h.banded();
         let sum: f64 = banded.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
@@ -272,7 +251,7 @@ mod tests {
     fn fraction_at_most_is_monotone() {
         let g = geom();
         let profiler = CapacityDemandProfiler::new(g, 32, 1_000_000);
-        let h = &profiler.profile(&cyclic_trace(g, 0, 7, 3))[0];
+        let h = &profiler.profile_decoded(&cyclic_trace(g, 0, 7, 3))[0];
         let mut prev = 0.0;
         for d in 0..=32 {
             let f = h.fraction_at_most(d);
@@ -283,32 +262,26 @@ mod tests {
     }
 
     #[test]
-    fn profile_decoded_matches_profile() {
+    fn profile_is_independent_of_the_decode_set_count() {
         let g = geom();
         let profiler = CapacityDemandProfiler::new(g, 32, 7);
-        let mut t = cyclic_trace(g, 0, 5, 6);
-        for a in cyclic_trace(g, 3, 2, 9) {
-            t.push(a);
+        let mut t = Trace::new();
+        for round in 0..30u64 {
+            t.push(Access::read(g.address_of(round % 5, 0)));
+            t.push(Access::read(g.address_of(round % 2, 3)));
         }
-        let decoded = DecodedTrace::decode(&t, g);
-        assert_eq!(profiler.profile(&t), profiler.profile_decoded(&decoded));
-    }
-
-    #[test]
-    #[should_panic(expected = "incompatible")]
-    fn profile_decoded_rejects_foreign_geometry() {
-        let g = geom();
-        let other = CacheGeometry::new(8, 4, 64).unwrap();
-        let t = cyclic_trace(g, 0, 3, 2);
-        let decoded = DecodedTrace::decode(&t, other);
-        let _ = CapacityDemandProfiler::new(g, 32, 10).profile_decoded(&decoded);
+        let other = CacheGeometry::new(2048, 16, 64).unwrap();
+        assert_eq!(
+            profiler.profile_decoded(&DecodedTrace::decode(&t, g)),
+            profiler.profile_decoded(&DecodedTrace::decode(&t, other))
+        );
     }
 
     #[test]
     fn aggregate_sums_periods() {
         let g = geom();
         let profiler = CapacityDemandProfiler::new(g, 32, 10);
-        let periods = profiler.profile(&cyclic_trace(g, 0, 2, 10));
+        let periods = profiler.profile_decoded(&cyclic_trace(g, 0, 2, 10));
         let agg = CapacityDemandProfiler::aggregate(&periods);
         assert_eq!(agg.sets(), periods.iter().map(|p| p.sets()).sum::<usize>());
     }

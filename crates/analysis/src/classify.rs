@@ -14,7 +14,7 @@
 //! * **Class III** — neither: LRU is sufficient.
 
 use stem_replacement::{Bip, Lru, SetAssocCache};
-use stem_sim_core::{CacheGeometry, CacheModel, Trace};
+use stem_sim_core::{CacheGeometry, CacheModel, DecodedTrace};
 use stem_workloads::WorkloadClass;
 
 use crate::{CapacityDemandProfiler, DemandHistogram};
@@ -43,23 +43,23 @@ pub struct ClassificationReport {
 /// use stem_workloads::{BenchmarkProfile, WorkloadClass};
 ///
 /// let geom = CacheGeometry::new(256, 16, 64).unwrap();
-/// let trace = BenchmarkProfile::by_name("gromacs").unwrap().trace(geom, 60_000);
+/// let trace = BenchmarkProfile::by_name("gromacs").unwrap().decoded(geom, 60_000);
 /// let report = classify_workload(geom, &trace);
 /// assert_eq!(report.class, WorkloadClass::III); // LRU is sufficient
 /// ```
-pub fn classify_workload(geom: CacheGeometry, trace: &Trace) -> ClassificationReport {
+pub fn classify_workload(geom: CacheGeometry, trace: &DecodedTrace) -> ClassificationReport {
     // §3.1 demand profile in the paper's 50k-access sampling periods.
     let profiler =
         CapacityDemandProfiler::new(geom, 2 * geom.ways(), 50_000.min(trace.len().max(1)));
-    let periods = profiler.profile(trace);
+    let periods = profiler.profile_decoded(trace);
     let agg = CapacityDemandProfiler::aggregate(&periods);
     let (need, slack) = need_and_slack(&agg, geom.ways());
 
     // Temporal probe: does BIP fix a meaningful share of LRU's misses?
     let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-    lru.run(trace);
+    lru.run_decoded(trace);
     let mut bip = SetAssocCache::new(geom, Box::new(Bip::new(geom)));
-    bip.run(trace);
+    bip.run_decoded(trace);
     let lru_misses = lru.stats().misses().max(1);
     let bip_ratio = bip.stats().misses() as f64 / lru_misses as f64;
 
@@ -114,7 +114,7 @@ mod tests {
         let geom = CacheGeometry::new(2048, 16, 64).unwrap();
         let trace = BenchmarkProfile::by_name(name)
             .expect("suite benchmark")
-            .trace(geom, 300_000);
+            .decoded(geom, 300_000);
         classify_workload(geom, &trace)
     }
 

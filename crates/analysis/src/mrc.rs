@@ -7,7 +7,7 @@
 //! cross-check for the sweep binaries (the simulated LRU points must land
 //! on this curve).
 
-use stem_sim_core::{CacheGeometry, Trace};
+use stem_sim_core::{CacheGeometry, DecodedTrace, LineAddr};
 
 use crate::StackDistance;
 
@@ -18,12 +18,12 @@ use crate::StackDistance;
 ///
 /// ```
 /// use stem_analysis::MissRateCurve;
-/// use stem_sim_core::{Access, Address, CacheGeometry, Trace};
+/// use stem_sim_core::{Access, Address, CacheGeometry, DecodedTrace, Trace};
 ///
 /// let geom = CacheGeometry::new(4, 4, 64).unwrap();
 /// let trace: Trace = [0u64, 64, 0, 64].iter()
 ///     .map(|&a| Access::read(Address::new(a))).collect();
-/// let mrc = MissRateCurve::profile(geom, 8, &trace);
+/// let mrc = MissRateCurve::profile(geom, 8, &DecodedTrace::decode(&trace, geom));
 /// // Two cold misses, two distance-1 hits at any associativity.
 /// assert_eq!(mrc.miss_rate(1), 0.5);
 /// assert_eq!(mrc.miss_rate(8), 0.5);
@@ -43,14 +43,16 @@ impl MissRateCurve {
     ///
     /// # Panics
     ///
-    /// Panics if `max_ways` is zero.
-    pub fn profile(geom: CacheGeometry, max_ways: usize, trace: &Trace) -> Self {
+    /// Panics if `max_ways` is zero or the trace's line size differs from
+    /// `geom`'s.
+    pub fn profile(geom: CacheGeometry, max_ways: usize, trace: &DecodedTrace) -> Self {
         assert!(max_ways > 0, "need at least one way");
         let mut sd = StackDistance::new(geom, max_ways);
         let mut hits_at = vec![0u64; max_ways];
         let mut cold = 0u64;
-        for a in trace {
-            match sd.access(a.addr) {
+        for &line in trace.lines_for(geom) {
+            let line = LineAddr::new(line);
+            match sd.access_line(line, geom.set_index_of_line(line)) {
                 Some(d) if d <= max_ways => hits_at[d - 1] += 1,
                 _ => cold += 1,
             }
@@ -112,8 +114,8 @@ mod tests {
     use super::*;
     use stem_sim_core::Access;
 
-    fn cyclic(geom: CacheGeometry, blocks: u64, rounds: usize) -> Trace {
-        let mut t = Trace::new();
+    fn cyclic(geom: CacheGeometry, blocks: u64, rounds: usize) -> DecodedTrace {
+        let mut t = DecodedTrace::with_capacity(geom, 0);
         for _ in 0..rounds {
             for tag in 0..blocks {
                 t.push(Access::read(geom.address_of(tag, 0)));
@@ -150,7 +152,7 @@ mod tests {
         use stem_sim_core::CacheModel;
         let geom = CacheGeometry::new(8, 4, 64).unwrap();
         // Mixed pattern across sets.
-        let mut t = Trace::new();
+        let mut t = DecodedTrace::with_capacity(geom, 0);
         for round in 0..200u64 {
             for set in 0..8usize {
                 t.push(Access::read(geom.address_of(round % (set as u64 + 2), set)));
@@ -160,7 +162,7 @@ mod tests {
         for ways in [1usize, 2, 4, 8] {
             let g = CacheGeometry::new(8, ways, 64).unwrap();
             let mut lru = SetAssocCache::new(g, Box::new(Lru::new(g)));
-            lru.run(&t);
+            lru.run_decoded(&t);
             assert_eq!(
                 lru.stats().misses(),
                 mrc.misses(ways),
@@ -172,7 +174,7 @@ mod tests {
     #[test]
     fn empty_trace() {
         let geom = CacheGeometry::new(2, 2, 64).unwrap();
-        let mrc = MissRateCurve::profile(geom, 4, &Trace::new());
+        let mrc = MissRateCurve::profile(geom, 4, &DecodedTrace::with_capacity(geom, 0));
         assert_eq!(mrc.miss_rate(4), 0.0);
         assert_eq!(mrc.accesses(), 0);
     }

@@ -193,9 +193,10 @@ mod tests {
         let trace: Trace = (0..500u64)
             .map(|i| Access::read(Address::new(i % 128 * 64)))
             .collect();
+        let trace = DecodedTrace::decode(&trace, geom);
         for scheme in Scheme::ALL {
             let mut c = build_cache(scheme, geom);
-            c.run(&trace);
+            c.run_decoded(&trace);
             assert_eq!(c.stats().accesses(), 500, "{scheme} lost accesses");
         }
     }
@@ -207,6 +208,7 @@ mod tests {
         let trace: Trace = (0..2_000u64)
             .map(|i| Access::read(Address::new(i % 300 * 64)))
             .collect();
+        let trace = DecodedTrace::decode(&trace, geom);
         for scheme in Scheme::ALL {
             let mut c = build_audited_cache(scheme, geom);
             run_audited(c.as_mut(), &trace, 256)

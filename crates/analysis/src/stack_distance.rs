@@ -58,9 +58,9 @@ impl StackDistance {
         self.access_line(line, self.geom.set_index_of_line(line))
     }
 
-    /// Decoded-stream entry point: records an access whose line address and
-    /// set index are already extracted (e.g. from a
-    /// [`DecodedTrace`](stem_sim_core::DecodedTrace)).
+    /// Line-granular entry point: records an access whose line address
+    /// and set index the caller has already derived (e.g. from a
+    /// [`DecodedTrace`](stem_sim_core::DecodedTrace)'s line column).
     ///
     /// # Panics
     ///

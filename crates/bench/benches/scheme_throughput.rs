@@ -127,7 +127,7 @@ fn main() {
     println!("geomean: {gm:.2} Melem/s");
 
     println!(
-        "\n# scheme_access_decoded ({} accesses/iteration, best of {REPS})",
+        "\n# scheme_replay_decoded ({} accesses/iteration, best of {REPS})",
         dtrace.len()
     );
     for (label, d) in &decoded {

@@ -11,7 +11,7 @@
 
 use stem_analysis::{Scheme, Table};
 use stem_bench::engine::RunPlan;
-use stem_sim_core::{CacheGeometry, DecodedTrace};
+use stem_sim_core::CacheGeometry;
 use stem_workloads::BenchmarkProfile;
 
 fn main() {
@@ -24,8 +24,8 @@ fn main() {
 
     for name in benches {
         let bench = BenchmarkProfile::by_name(name).expect("suite benchmark");
-        let ref_geom = CacheGeometry::micro2010_l2();
-        let trace = bench.trace(ref_geom, accesses);
+        // One stream, generated once, replays at every set count.
+        let trace = bench.decoded(CacheGeometry::micro2010_l2(), accesses);
         eprintln!("capacity sweep for {name}...");
 
         let mut headers = vec!["capacity".to_owned()];
@@ -33,13 +33,11 @@ fn main() {
         let mut t = Table::new(headers);
         for &sets in &set_points {
             let geom = CacheGeometry::new(sets, 16, 64).expect("valid geometry");
-            // One decode per set count serves every scheme at that point.
-            let decoded = DecodedTrace::decode(&trace, geom);
             let values: Vec<f64> = Scheme::PAPER
                 .iter()
                 .map(|&scheme| {
                     RunPlan::serial(scheme, geom, 0.2)
-                        .run(&decoded)
+                        .run(&trace)
                         .expect("serial replay always succeeds")
                         .mpki()
                 })

@@ -23,7 +23,7 @@ fn main() {
     let mut agree = 0;
     let suite = spec2010_suite();
     for bench in &suite {
-        let trace = bench.trace(geom, accesses);
+        let trace = bench.decoded(geom, accesses);
         let r = classify_workload(geom, &trace);
         if r.class == bench.class() {
             agree += 1;

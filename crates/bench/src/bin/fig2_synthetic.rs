@@ -13,15 +13,15 @@
 use stem_analysis::Table;
 use stem_llc::{StemCache, StemConfig};
 use stem_replacement::{Bip, Lru, SetAssocCache};
-use stem_sim_core::{CacheModel, Trace};
+use stem_sim_core::{CacheModel, DecodedTrace};
 use stem_spatial::SbcCache;
 use stem_workloads::synthetic;
 
 /// Steady-state miss rate: warm with `warm`, measure on `trace`.
-fn miss_rate(cache: &mut dyn CacheModel, warm: &Trace, trace: &Trace) -> f64 {
-    cache.run(warm);
+fn miss_rate(cache: &mut dyn CacheModel, warm: &DecodedTrace, trace: &DecodedTrace) -> f64 {
+    cache.run_decoded(warm);
     cache.reset_stats();
-    cache.run(trace);
+    cache.run_decoded(trace);
     cache.stats().miss_rate()
 }
 
@@ -42,8 +42,8 @@ fn main() {
     ]);
 
     for ex in 1u8..=3 {
-        let warm = synthetic::fig2_example(ex, 50);
-        let trace = synthetic::fig2_example(ex, rounds);
+        let warm = DecodedTrace::decode(&synthetic::fig2_example(ex, 50), geom);
+        let trace = DecodedTrace::decode(&synthetic::fig2_example(ex, rounds), geom);
         let expect = synthetic::fig2_expectation(ex);
 
         let lru = miss_rate(

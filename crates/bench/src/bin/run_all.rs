@@ -31,15 +31,14 @@ use stem_analysis::{
 use stem_bench::config::{Config, Fidelity};
 use stem_bench::engine::{Exec, Measured, RunPlan};
 use stem_bench::harness::{
-    capacity_sweep_sets, normalized_table, prepare_trace, prepare_trace_retaining_raw,
-    run_benchmark_matrix_isolated, sensitivity_benchmarks, sweep_ways, PrepTimings,
-    WARMUP_FRACTION,
+    capacity_sweep_sets, normalized_table, prepare_trace, run_benchmark_matrix_isolated,
+    sensitivity_benchmarks, sweep_ways, PrepTimings, WARMUP_FRACTION,
 };
 use stem_bench::resilience::{ExperimentOutcome, ExperimentRunner};
 use stem_hierarchy::SystemConfig;
 use stem_llc::{overhead, StemConfig};
 use stem_sim_core::SampledTrace;
-use stem_sim_core::{CacheGeometry, DecodedTrace, Json, Trace};
+use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
 
 /// Writes `table` to `<dir>/<name>.csv` when an artifact directory is
 /// configured.
@@ -56,10 +55,10 @@ fn maybe_csv(csv_dir: Option<&Path>, name: &str, table: &Table) {
 
 /// The end-to-end pipeline stage breakdown recorded alongside the
 /// per-experiment timings: wall clock spent synthesizing accesses,
-/// decoding retained raw traces into shared [`DecodedTrace`]s (the sweep,
-/// capacity-sweep and mix streams; the matrix and Fig. 1 traces are
-/// generated straight into decoded columns, so their decode time is
-/// inside generate), replaying decoded streams
+/// decoding raw traces into shared [`DecodedTrace`]s (the mix streams;
+/// the matrix, Fig. 1 and sweep traces are generated straight into
+/// decoded columns, so their decode time is inside generate), replaying
+/// decoded streams
 /// through the scheme models (matrix cells and sweep points), and running
 /// the remaining analyses (Fig. 1 profiling net of its trace preparation,
 /// plus Table 3).
@@ -539,82 +538,31 @@ fn main() -> ExitCode {
     let ways = sweep_ways();
     let sens = sensitivity_benchmarks();
 
-    // The two sensitivity traces, generated once each and decoded at the
-    // base geometry; every associativity point replays the shared decoded
-    // stream (the sweep keeps the set count fixed, so one decode is
-    // compatible with every ways point). The raw stream is retained so
-    // the capacity sweep can decode the *same* accesses at its other set
-    // counts — regenerating per geometry would confound the capacity
-    // comparison with trace differences.
+    // The two sensitivity traces, generated once each straight into a
+    // line-granular stream. Every associativity point and every
+    // capacity-sweep set count replays the same shared stream — each
+    // cache derives its own set index from the line — so the capacity
+    // comparison is never confounded with trace differences.
     let sweep_trace_jobs: Vec<(String, _)> = sens
         .iter()
         .map(|bench| {
             let bench = bench.clone();
             (format!("sweep_trace_{}", bench.name()), move || {
-                prepare_trace_retaining_raw(&bench, geom, sweep_accesses)
+                prepare_trace(&bench, geom, sweep_accesses)
             })
         })
         .collect();
-    let sweep_prepared: Vec<Option<(Arc<Trace>, Arc<DecodedTrace>)>> = runner
+    let sweep_traces: Vec<Option<Arc<DecodedTrace>>> = runner
         .run_batch(threads, sweep_trace_jobs)
         .into_iter()
         .map(|p| {
             p.map(|p| {
                 prep.absorb(p.prep);
-                (p.raw, p.trace)
+                p.trace
             })
         })
         .collect();
-    let sweep_traces: Vec<Option<Arc<DecodedTrace>>> = sweep_prepared
-        .iter()
-        .map(|o| o.as_ref().map(|(_, d)| Arc::clone(d)))
-        .collect();
-
-    // Capacity-sweep decodes: the shared raw stream decoded at each
-    // non-base set count (`sweep_trace_cap_*` cells, decode-only — their
-    // time lands in the decode stage, like the base decodes). The base
-    // set count gets no decode and no cell: its point is the
-    // associativity sweep's point at the base ways.
     let cap_sets = capacity_sweep_sets();
-    let mut cap_decodes: Vec<Vec<Option<Arc<DecodedTrace>>>> =
-        vec![vec![None; cap_sets.len()]; sens.len()];
-    {
-        type DecodeJob = Box<dyn FnOnce() -> (Arc<DecodedTrace>, std::time::Duration) + Send>;
-        let mut cap_jobs: Vec<(String, DecodeJob)> = Vec::new();
-        let mut cap_keys: Vec<(usize, usize)> = Vec::new();
-        for (bi, prepared) in sweep_prepared.iter().enumerate() {
-            let Some((raw, _)) = prepared else { continue };
-            for (ci, &sets) in cap_sets.iter().enumerate() {
-                if sets == geom.sets() {
-                    continue;
-                }
-                let raw = Arc::clone(raw);
-                let cap_geom = CacheGeometry::new(sets, geom.ways(), geom.line_bytes())
-                    .expect("capacity geometry is valid");
-                cap_jobs.push((
-                    format!("sweep_trace_cap_{}/{}s", sens[bi].name(), sets),
-                    Box::new(move || {
-                        let t0 = std::time::Instant::now();
-                        let d = Arc::new(DecodedTrace::decode(&raw, cap_geom));
-                        (d, t0.elapsed())
-                    }),
-                ));
-                cap_keys.push((bi, ci));
-            }
-        }
-        for ((bi, ci), result) in cap_keys
-            .into_iter()
-            .zip(runner.run_batch(threads, cap_jobs))
-        {
-            cap_decodes[bi][ci] = result.map(|(d, decode)| {
-                prep.absorb(PrepTimings {
-                    generate: std::time::Duration::ZERO,
-                    decode,
-                });
-                d
-            });
-        }
-    }
 
     // Every (benchmark, scheme, ways) associativity point and every
     // non-base (benchmark, scheme, sets) capacity point is one cell.
@@ -644,14 +592,17 @@ fn main() -> ExitCode {
                 point_keys.push(PointKey::Assoc(bi, si, wi));
             }
             for (ci, &sets) in cap_sets.iter().enumerate() {
-                let Some(source) = cap_decodes[bi][ci].clone() else {
+                // The base set count gets no cell: its point is the
+                // associativity sweep's point at the base ways.
+                if sets == geom.sets() {
                     continue;
-                };
+                }
+                let trace = Arc::clone(trace);
                 let cap_geom = CacheGeometry::new(sets, geom.ways(), geom.line_bytes())
                     .expect("capacity geometry is valid");
                 point_jobs.push((
                     format!("sweep_cap_{}/{}/{}s", sens[bi].name(), scheme.label(), sets),
-                    Box::new(move || sweep_point(scheme, cap_geom, &source)),
+                    Box::new(move || sweep_point(scheme, cap_geom, &trace)),
                 ));
                 point_keys.push(PointKey::Cap(bi, si, ci));
             }

@@ -20,7 +20,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use stem_analysis::{build_audited_cache, Scheme};
 use stem_llc::{StemCache, StemConfig};
-use stem_sim_core::{run_audited, Access, AccessKind, Address, CacheGeometry, SimError, Trace};
+use stem_sim_core::{
+    run_audited, Access, AccessKind, Address, CacheGeometry, DecodedTrace, SimError, Trace,
+};
 use stem_spatial::{SbcCache, SbcConfig, StaticSbcCache, VWayCache, VWayConfig, VictimCache};
 use stem_trace_io::{read_binary, write_binary, IngestError};
 
@@ -183,7 +185,9 @@ pub fn adversarial_trace_suite(accesses_per_trace: usize) -> FaultReport {
     // Every (trace, scheme) case is independent: fan the audited replays
     // out over the pool. `run_ordered` returns results in input order, so
     // the report reads identically at any thread count.
-    let cases: Vec<(String, &Trace, Scheme)> = [
+    let [aliasing_storm, zero_gap, max_addresses] =
+        [aliasing_storm, zero_gap, max_addresses].map(|t| DecodedTrace::decode(&t, geom));
+    let cases: Vec<(String, &DecodedTrace, Scheme)> = [
         ("aliasing storm", &aliasing_storm),
         ("zero inst_gap", &zero_gap),
         ("max addresses", &max_addresses),

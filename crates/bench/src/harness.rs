@@ -5,10 +5,9 @@ use std::time::{Duration, Instant};
 
 use stem_analysis::{geomean, run_system, Scheme, SystemMetrics, Table};
 use stem_hierarchy::SystemConfig;
-use stem_sim_core::{CacheGeometry, DecodedTrace, Trace};
+use stem_sim_core::{CacheGeometry, DecodedTrace};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
-use crate::pool;
 use crate::resilience::ExperimentRunner;
 
 /// Trace length (accesses) per benchmark, overridable with the
@@ -30,13 +29,12 @@ pub fn accesses_per_benchmark() -> usize {
 pub const WARMUP_FRACTION: f64 = 0.2;
 
 /// Wall-clock split of one trace-preparation cell: synthesizing the
-/// access stream, and decoding a retained raw [`Trace`] into the shared
-/// [`DecodedTrace`] representation. [`prepare_trace`] generates straight
-/// into decoded columns, so its decode work is inside `generate` and its
-/// `decode` is zero; only paths that keep or ingest a raw trace
-/// ([`prepare_trace_retaining_raw`], re-decodes at other geometries)
-/// record a separate decode. Drivers accumulate these into the
-/// `BENCH_run_all.json` stage breakdown.
+/// access stream, and decoding a raw [`Trace`](stem_sim_core::Trace)
+/// into the shared [`DecodedTrace`] representation. [`prepare_trace`]
+/// generates straight into decoded columns, so its decode work is inside
+/// `generate` and its `decode` is zero; only paths that ingest a raw
+/// trace (run_all's mix streams) record a separate decode. Drivers
+/// accumulate these into the `BENCH_run_all.json` stage breakdown.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrepTimings {
     /// Time spent synthesizing accesses (decoding included when fused).
@@ -64,8 +62,8 @@ pub struct PreparedTrace {
 }
 
 /// Generates `bench`'s trace at `geom` straight into a [`DecodedTrace`]
-/// ([`BenchmarkProfile::decoded`]): no raw [`Trace`] is ever built, and
-/// the stream is bit-identical to decoding [`BenchmarkProfile::trace`].
+/// ([`BenchmarkProfile::decoded`]): no raw trace is ever built, and the
+/// stream is bit-identical to decoding [`BenchmarkProfile::trace`].
 pub fn prepare_trace(
     bench: &BenchmarkProfile,
     geom: CacheGeometry,
@@ -79,41 +77,6 @@ pub fn prepare_trace(
             generate: t0.elapsed(),
             decode: Duration::ZERO,
         },
-    }
-}
-
-/// A trace generated once with both the raw access stream and its decode
-/// at the base geometry retained, so callers can decode the *same* stream
-/// again at other set counts — the capacity sweep's
-/// one-trace-many-geometries protocol (re-generating per geometry would
-/// confound the capacity comparison with trace differences).
-#[derive(Debug, Clone)]
-pub struct PreparedTraceWithRaw {
-    /// The raw access stream, for further decodes.
-    pub raw: Arc<Trace>,
-    /// The decode at the base geometry.
-    pub trace: Arc<DecodedTrace>,
-    /// How long generation and the base decode took.
-    pub prep: PrepTimings,
-}
-
-/// Like [`prepare_trace`], but keeps the raw [`Trace`] alongside the base
-/// decode instead of dropping it.
-pub fn prepare_trace_retaining_raw(
-    bench: &BenchmarkProfile,
-    geom: CacheGeometry,
-    accesses: usize,
-) -> PreparedTraceWithRaw {
-    let t0 = Instant::now();
-    let raw = Arc::new(bench.trace(geom, accesses));
-    let generate = t0.elapsed();
-    let t1 = Instant::now();
-    let trace = Arc::new(DecodedTrace::decode(&raw, geom));
-    let decode = t1.elapsed();
-    PreparedTraceWithRaw {
-        raw,
-        trace,
-        prep: PrepTimings { generate, decode },
     }
 }
 
@@ -136,36 +99,12 @@ impl BenchmarkRow {
 }
 
 /// Runs the whole 15-benchmark × 6-scheme matrix at the paper's L2
-/// configuration, fanned out over [`pool::configured_threads`] workers,
-/// printing progress to stderr.
-///
-/// Rows come back in suite order with per-scheme metrics in
-/// [`Scheme::PAPER`] order — byte-identical to a serial run at any thread
-/// count. A panic in any (benchmark, scheme) cell propagates as a panic
-/// naming the cell; drivers that must survive broken cells use
-/// [`run_benchmark_matrix_isolated`] instead.
-pub fn run_benchmark_matrix(geom: CacheGeometry, accesses: usize) -> Vec<BenchmarkRow> {
-    let mut runner = ExperimentRunner::new();
-    let mut prep = PrepTimings::default();
-    let rows = run_benchmark_matrix_isolated(
-        &mut runner,
-        geom,
-        accesses,
-        pool::configured_threads(),
-        &mut prep,
-    );
-    if let Some(report) = runner.failure_report() {
-        panic!("benchmark matrix cells failed:\n{report}");
-    }
-    rows
-}
-
-/// The isolated form of [`run_benchmark_matrix`]: every trace generation
-/// and every (benchmark, scheme) cell runs as its own named experiment on
-/// `runner`'s budgeted worker pool (`trace/<bench>` and
-/// `matrix/<bench>/<scheme>`). A failing cell is recorded on the runner
-/// under that name and drops only its own benchmark's row — the other
-/// rows still come back, in suite order.
+/// configuration. Every trace generation and every (benchmark, scheme)
+/// cell runs as its own named experiment on `runner`'s budgeted worker
+/// pool (`trace/<bench>` and `matrix/<bench>/<scheme>`). A failing cell
+/// is recorded on the runner under that name and drops only its own
+/// benchmark's row — the other rows still come back, in suite order,
+/// byte-identical to a serial run at any thread count.
 ///
 /// Each `trace/<bench>` cell generates **and decodes** its trace exactly
 /// once; the six scheme cells of the row share the decoded stream through
@@ -282,7 +221,7 @@ pub fn sweep_ways() -> Vec<usize> {
 /// around the paper's 2MB operating point). The base configuration's own
 /// 2048 sets is always a member, so the capacity sweep and the
 /// associativity sweep share one (sets, ways) geometry, which run_all
-/// computes once for both tables.
+/// computes once for both tables. One stream replays at every set count.
 pub fn capacity_sweep_sets() -> Vec<usize> {
     vec![512, 1024, 2048, 4096]
 }

@@ -25,6 +25,7 @@
 use stem_replacement::{Lru, SetAssocCache};
 use stem_sim_core::{CacheModel, CacheStats, DecodedTrace, SplitMix64};
 
+use crate::system::{metrics, step, Tally};
 use crate::{SystemConfig, SystemMetrics};
 
 /// Builds the deterministic core-interleaving schedule for a mix: entry
@@ -174,40 +175,26 @@ impl MixSystem {
         let cores = self.l1s.len();
         assert_eq!(streams.len(), cores, "one stream per core");
         assert!(warm_steps <= schedule.len());
-        for s in streams {
-            assert_eq!(
-                s.geometry().line_bytes(),
-                self.cfg.l1_geometry.line_bytes(),
-                "decoded line granularity must match the hierarchy's"
-            );
-        }
-
-        let t = self.cfg.timing;
-        let l2_geom = self.l2.geometry();
-        let l2_decoded: Vec<bool> = streams.iter().map(|s| s.compatible_with(l2_geom)).collect();
+        let lines: Vec<&[u64]> = streams
+            .iter()
+            .map(|s| s.lines_for(self.cfg.l1_geometry))
+            .collect();
         let mut cursors = vec![0usize; cores];
 
         // Warm phase: identical event stream to the measured phase,
         // statistics discarded at the boundary.
         for &entry in &schedule[..warm_steps] {
             let core = entry as usize;
-            let a = streams[core].get(cursors[core]);
+            let i = cursors[core];
             cursors[core] += 1;
-            let line_bytes = streams[core].geometry().line_bytes();
-            if self.l1s[core].access_line(a.line, a.write).is_miss() {
-                let l2_r = if l2_decoded[core] {
-                    self.l2.access_decoded(a)
-                } else {
-                    self.l2.access(a.address(line_bytes), a.kind())
-                };
-                if l2_r.is_miss() {
-                    self.cfg.prefetcher.on_l1_miss(
-                        a.address(line_bytes),
-                        l2_geom,
-                        self.l2.as_mut(),
-                    );
-                }
-            }
+            let write = streams[core].is_write(i);
+            step(
+                &self.cfg,
+                &mut self.l1s[core],
+                self.l2.as_mut(),
+                lines[core][i],
+                write,
+            );
         }
         for l1 in &mut self.l1s {
             l1.reset_stats();
@@ -215,99 +202,58 @@ impl MixSystem {
         self.l2.reset_stats();
 
         // Measured phase, with per-core attribution.
-        let mut cycles = vec![0u64; cores];
-        let mut accesses = vec![0u64; cores];
-        let mut instructions = vec![0u64; cores];
+        let mut tallies = vec![Tally::default(); cores];
         let mut core_l2 = vec![CacheStats::new(); cores];
         for &entry in &schedule[warm_steps..] {
             let core = entry as usize;
-            let a = streams[core].get(cursors[core]);
+            let i = cursors[core];
             cursors[core] += 1;
-            accesses[core] += 1;
-            instructions[core] += u64::from(a.inst_gap);
-            let line_bytes = streams[core].geometry().line_bytes();
-            let mut c = self.cfg.l1_hit_cycles;
-            if self.l1s[core].access_line(a.line, a.write).is_miss() {
-                let l2_r = if l2_decoded[core] {
-                    self.l2.access_decoded(a)
-                } else {
-                    self.l2.access(a.address(line_bytes), a.kind())
-                };
-                match (l2_r.is_hit(), l2_r.probed_cooperative()) {
+            let write = streams[core].is_write(i);
+            let (cycles, l2_r) = step(
+                &self.cfg,
+                &mut self.l1s[core],
+                self.l2.as_mut(),
+                lines[core][i],
+                write,
+            );
+            let tally = &mut tallies[core];
+            tally.cycles += cycles;
+            tally.accesses += 1;
+            tally.instructions += u64::from(streams[core].inst_gaps()[i]);
+            if let Some(r) = l2_r {
+                match (r.is_hit(), r.probed_cooperative()) {
                     (true, false) => core_l2[core].record_local_hit(),
                     (true, true) => core_l2[core].record_coop_hit(),
                     (false, false) => core_l2[core].record_local_miss(),
                     (false, true) => core_l2[core].record_coop_miss(),
                 }
-                c += t.l2_latency(l2_r);
-                if l2_r.is_miss() {
-                    c += t.memory();
-                    self.cfg.prefetcher.on_l1_miss(
-                        a.address(line_bytes),
-                        l2_geom,
-                        self.l2.as_mut(),
-                    );
-                }
             }
-            cycles[core] += c;
         }
 
         let per_core: Vec<SystemMetrics> = (0..cores)
             .map(|i| {
-                self.metrics_for(
-                    cycles[i],
-                    accesses[i],
-                    instructions[i].max(1),
-                    self.l1s[i].stats().miss_rate(),
-                    core_l2[i],
-                )
+                let l1_miss_rate = self.l1s[i].stats().miss_rate();
+                let l2 = core_l2[i];
+                metrics(&self.cfg, tallies[i], l2.misses(), l1_miss_rate, l2)
             })
             .collect();
 
-        let total_cycles: u64 = cycles.iter().sum();
-        let total_accesses: u64 = accesses.iter().sum();
-        let total_instructions: u64 = instructions.iter().sum::<u64>().max(1);
+        let total = tallies.iter().fold(Tally::default(), |t, c| Tally {
+            cycles: t.cycles + c.cycles,
+            accesses: t.accesses + c.accesses,
+            instructions: t.instructions + c.instructions,
+        });
         let l1_accesses: u64 = self.l1s.iter().map(|l1| l1.stats().accesses()).sum();
         let l1_misses: u64 = self.l1s.iter().map(|l1| l1.stats().misses()).sum();
-        let combined = self.metrics_for(
-            total_cycles,
-            total_accesses,
-            total_instructions,
-            if l1_accesses == 0 {
-                0.0
-            } else {
-                l1_misses as f64 / l1_accesses as f64
-            },
-            *self.l2.stats(),
-        );
+        let l1_miss_rate = if l1_accesses == 0 {
+            0.0
+        } else {
+            l1_misses as f64 / l1_accesses as f64
+        };
+        let l2 = *self.l2.stats();
+        let combined = metrics(&self.cfg, total, l2.misses(), l1_miss_rate, l2);
 
         MixMetrics { per_core, combined }
-    }
-
-    /// [`System`](crate::System)'s metric algebra over one core's (or the
-    /// whole mix's) measured counters.
-    fn metrics_for(
-        &self,
-        total_cycles: u64,
-        accesses: u64,
-        instructions: u64,
-        l1_miss_rate: f64,
-        l2: CacheStats,
-    ) -> SystemMetrics {
-        let stall_cycles = total_cycles.saturating_sub(accesses * self.cfg.l1_hit_cycles) as f64;
-        SystemMetrics {
-            mpki: l2.misses() as f64 * 1000.0 / instructions as f64,
-            amat: if accesses == 0 {
-                0.0
-            } else {
-                total_cycles as f64 / accesses as f64
-            },
-            cpi: self.cfg.base_cpi + stall_cycles * (1.0 - self.cfg.overlap) / instructions as f64,
-            l1_miss_rate,
-            l2,
-            instructions,
-            accesses,
-        }
     }
 }
 

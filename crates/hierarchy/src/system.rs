@@ -3,7 +3,10 @@
 use std::ops::Range;
 
 use stem_replacement::{Lru, SetAssocCache};
-use stem_sim_core::{CacheGeometry, CacheModel, DecodedTrace, TimingParams, Trace};
+use stem_sim_core::{
+    AccessKind, AccessResult, CacheGeometry, CacheModel, CacheStats, DecodedTrace, LineAddr,
+    TimingParams,
+};
 
 use crate::{NextLinePrefetcher, SystemMetrics};
 
@@ -112,90 +115,19 @@ impl System {
         &self.cfg
     }
 
-    /// Runs `warmup` accesses (statistics discarded), mirroring the
-    /// paper's cache-warming phase, then measures `trace`.
+    /// Warms on the first `warm_len` accesses of `trace` (statistics
+    /// discarded), mirroring the paper's cache-warming phase, then
+    /// measures the remainder.
     ///
     /// The warm-up phase drives exactly the same hierarchy as the measured
     /// phase — including the configured prefetcher — so measurement starts
     /// from the cache state *this* system would have produced, not the
     /// state of a prefetcher-less twin.
-    pub fn warm_then_run(&mut self, warmup: &Trace, trace: &Trace) -> SystemMetrics {
-        let l2_geom = self.l2.geometry();
-        for a in warmup {
-            let r = self.l1.access(a.addr, a.kind);
-            if r.is_miss() && self.l2.access(a.addr, a.kind).is_miss() {
-                self.cfg
-                    .prefetcher
-                    .on_l1_miss(a.addr, l2_geom, self.l2.as_mut());
-            }
-        }
-        self.l1.reset_stats();
-        self.l2.reset_stats();
-        self.run(trace)
-    }
-
-    /// Runs a trace and returns the end-to-end metrics.
-    ///
-    /// Prefetch fills go through the L2's non-demand access path, so the
-    /// raw L2 counters are already demand-only and are reported as-is.
-    pub fn run(&mut self, trace: &Trace) -> SystemMetrics {
-        let t = self.cfg.timing;
-        let mut total_cycles: u64 = 0; // memory access cycles
-        let mut accesses: u64 = 0;
-        let l2_geom = self.l2.geometry();
-        let stats_base = *self.l2.stats();
-
-        for a in trace {
-            accesses += 1;
-            let l1_result = self.l1.access(a.addr, a.kind);
-            let mut cycles = self.cfg.l1_hit_cycles;
-            if l1_result.is_miss() {
-                let l2_result = self.l2.access(a.addr, a.kind);
-                cycles += t.l2_latency(l2_result);
-                if l2_result.is_miss() {
-                    cycles += t.memory();
-                    self.cfg
-                        .prefetcher
-                        .on_l1_miss(a.addr, l2_geom, self.l2.as_mut());
-                }
-            }
-            total_cycles += cycles;
-        }
-
-        let instructions = trace.instructions().max(1);
-        let l2_stats = *self.l2.stats();
-        // Misses accumulated by *this* run (the caller may not have reset
-        // the counters between phases).
-        let run_misses = l2_stats.misses() - stats_base.misses();
-        let stall_cycles = total_cycles.saturating_sub(accesses * self.cfg.l1_hit_cycles) as f64;
-        let cpi = self.cfg.base_cpi + stall_cycles * (1.0 - self.cfg.overlap) / instructions as f64;
-
-        SystemMetrics {
-            mpki: run_misses as f64 * 1000.0 / instructions as f64,
-            amat: if accesses == 0 {
-                0.0
-            } else {
-                total_cycles as f64 / accesses as f64
-            },
-            cpi,
-            l1_miss_rate: self.l1.stats().miss_rate(),
-            l2: l2_stats,
-            instructions,
-            accesses,
-        }
-    }
-
-    /// Decoded-stream twin of [`warm_then_run`](System::warm_then_run):
-    /// warms on the first `warm_len` accesses of `trace` (statistics
-    /// discarded), then measures the remainder. Produces metrics identical
-    /// to splitting the source trace at `warm_len` and calling
-    /// `warm_then_run` — without materializing either sub-trace.
     ///
     /// # Panics
     ///
     /// Panics if `warm_len` exceeds the trace length or the trace's line
-    /// size differs from the L1's (the decoded line addresses would be at
-    /// the wrong granularity).
+    /// size differs from the L1's.
     pub fn warm_then_run_decoded(
         &mut self,
         trace: &DecodedTrace,
@@ -219,30 +151,10 @@ impl System {
     /// Panics if `warm_len` exceeds the trace length or the trace's line
     /// size differs from the L1's.
     pub fn warm_decoded(&mut self, trace: &DecodedTrace, warm_len: usize) {
-        assert!(warm_len <= trace.len());
-        assert_eq!(
-            trace.geometry().line_bytes(),
-            self.cfg.l1_geometry.line_bytes(),
-            "decoded line granularity must match the hierarchy's"
-        );
-        let l2_geom = self.l2.geometry();
-        let l2_decoded = trace.compatible_with(l2_geom);
-        let line_bytes = trace.geometry().line_bytes();
-        for a in trace.iter_range(0..warm_len) {
-            if self.l1.access_line(a.line, a.write).is_miss() {
-                let l2_r = if l2_decoded {
-                    self.l2.access_decoded(a)
-                } else {
-                    self.l2.access(a.address(line_bytes), a.kind())
-                };
-                if l2_r.is_miss() {
-                    self.cfg.prefetcher.on_l1_miss(
-                        a.address(line_bytes),
-                        l2_geom,
-                        self.l2.as_mut(),
-                    );
-                }
-            }
+        let lines = &trace.lines_for(self.cfg.l1_geometry)[..warm_len];
+        for (i, &line) in lines.iter().enumerate() {
+            let write = trace.is_write(i);
+            step(&self.cfg, &mut self.l1, self.l2.as_mut(), line, write);
         }
     }
 
@@ -253,10 +165,11 @@ impl System {
         self.l2.reset_stats();
     }
 
-    /// Decoded-stream twin of [`run`](System::run) over a sub-range of the
-    /// trace. The per-access event stream reaching the L1, L2, and
-    /// prefetcher is identical to the byte-address path (every consumer is
-    /// line-granular), so all metrics match exactly.
+    /// Runs the accesses in `range` of `trace` and returns the end-to-end
+    /// metrics of that range.
+    ///
+    /// Prefetch fills go through the L2's non-demand access path, so the
+    /// raw L2 counters are already demand-only and are reported as-is.
     ///
     /// # Panics
     ///
@@ -267,61 +180,99 @@ impl System {
         trace: &DecodedTrace,
         range: Range<usize>,
     ) -> SystemMetrics {
-        assert_eq!(
-            trace.geometry().line_bytes(),
-            self.cfg.l1_geometry.line_bytes(),
-            "decoded line granularity must match the hierarchy's"
-        );
-        let t = self.cfg.timing;
-        let mut total_cycles: u64 = 0; // memory access cycles
-        let mut accesses: u64 = 0;
-        let l2_geom = self.l2.geometry();
-        let l2_decoded = trace.compatible_with(l2_geom);
-        let line_bytes = trace.geometry().line_bytes();
-        let stats_base = *self.l2.stats();
-        let instructions = trace.instructions_in(range.clone()).max(1);
-
-        for a in trace.iter_range(range) {
-            accesses += 1;
-            let l1_result = self.l1.access_line(a.line, a.write);
-            let mut cycles = self.cfg.l1_hit_cycles;
-            if l1_result.is_miss() {
-                let l2_result = if l2_decoded {
-                    self.l2.access_decoded(a)
-                } else {
-                    self.l2.access(a.address(line_bytes), a.kind())
-                };
-                cycles += t.l2_latency(l2_result);
-                if l2_result.is_miss() {
-                    cycles += t.memory();
-                    self.cfg.prefetcher.on_l1_miss(
-                        a.address(line_bytes),
-                        l2_geom,
-                        self.l2.as_mut(),
-                    );
-                }
-            }
-            total_cycles += cycles;
+        let lines = &trace.lines_for(self.cfg.l1_geometry)[range.clone()];
+        // Misses accumulated by *this* run (the caller may not have reset
+        // the counters between phases).
+        let misses_before = self.l2.stats().misses();
+        let mut tally = Tally {
+            instructions: trace.instructions_in(range.clone()),
+            accesses: lines.len() as u64,
+            ..Tally::default()
+        };
+        for (i, &line) in range.zip(lines) {
+            let write = trace.is_write(i);
+            tally.cycles += step(&self.cfg, &mut self.l1, self.l2.as_mut(), line, write).0;
         }
+        let l2 = *self.l2.stats();
+        metrics(
+            &self.cfg,
+            tally,
+            l2.misses() - misses_before,
+            self.l1.stats().miss_rate(),
+            l2,
+        )
+    }
+}
 
-        let l2_stats = *self.l2.stats();
-        let run_misses = l2_stats.misses() - stats_base.misses();
-        let stall_cycles = total_cycles.saturating_sub(accesses * self.cfg.l1_hit_cycles) as f64;
-        let cpi = self.cfg.base_cpi + stall_cycles * (1.0 - self.cfg.overlap) / instructions as f64;
+/// One demand access through a core's L1 and the LLC behind it: the one
+/// per-access step of every hierarchy run, warm-up included. An L1 miss
+/// goes to the LLC and, if that misses too, to memory and the prefetch
+/// hook. Returns the access's memory cycles under the §5.1 latency
+/// algebra, and the LLC outcome when the access missed the L1.
+pub(crate) fn step(
+    cfg: &SystemConfig,
+    l1: &mut SetAssocCache,
+    l2: &mut dyn CacheModel,
+    line: u64,
+    write: bool,
+) -> (u64, Option<AccessResult>) {
+    let line = LineAddr::new(line);
+    if l1.access_line(line, write).is_hit() {
+        return (cfg.l1_hit_cycles, None);
+    }
+    let addr = line.to_address(cfg.l1_geometry.line_bytes());
+    let r = l2.access(addr, AccessKind::from_write(write));
+    let mut cycles = cfg.l1_hit_cycles + cfg.timing.l2_latency(r);
+    if r.is_miss() {
+        cycles += cfg.timing.memory();
+        let l2_geom = l2.geometry();
+        cfg.prefetcher.on_l1_miss(addr, l2_geom, l2);
+    }
+    (cycles, Some(r))
+}
 
-        SystemMetrics {
-            mpki: run_misses as f64 * 1000.0 / instructions as f64,
-            amat: if accesses == 0 {
-                0.0
-            } else {
-                total_cycles as f64 / accesses as f64
-            },
-            cpi,
-            l1_miss_rate: self.l1.stats().miss_rate(),
-            l2: l2_stats,
-            instructions,
-            accesses,
-        }
+/// The measured counters of one core (or of a whole mix) that the metric
+/// algebra turns into a [`SystemMetrics`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    /// Memory cycles summed over the accesses ([`step`]'s first result).
+    pub(crate) cycles: u64,
+    /// Core-issued accesses.
+    pub(crate) accesses: u64,
+    /// Instructions represented by the accesses.
+    pub(crate) instructions: u64,
+}
+
+/// The one metric algebra of every hierarchy run: MPKI from `misses`,
+/// AMAT from the tallied cycles, and CPI as base CPI plus the stall cycles
+/// beyond L1 hits, discounted by the overlap factor. A zero instruction
+/// count is taken as one.
+pub(crate) fn metrics(
+    cfg: &SystemConfig,
+    tally: Tally,
+    misses: u64,
+    l1_miss_rate: f64,
+    l2: CacheStats,
+) -> SystemMetrics {
+    let Tally {
+        cycles,
+        accesses,
+        instructions,
+    } = tally;
+    let instructions = instructions.max(1);
+    let stall_cycles = cycles.saturating_sub(accesses * cfg.l1_hit_cycles) as f64;
+    SystemMetrics {
+        mpki: misses as f64 * 1000.0 / instructions as f64,
+        amat: if accesses == 0 {
+            0.0
+        } else {
+            cycles as f64 / accesses as f64
+        },
+        cpi: cfg.base_cpi + stall_cycles * (1.0 - cfg.overlap) / instructions as f64,
+        l1_miss_rate,
+        l2,
+        instructions,
+        accesses,
     }
 }
 
@@ -337,10 +288,14 @@ impl std::fmt::Debug for System {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_sim_core::{Access, Address};
+    use stem_sim_core::{Access, Address, Trace};
+
+    fn l2_geom() -> CacheGeometry {
+        CacheGeometry::new(64, 4, 64).unwrap()
+    }
 
     fn lru_l2() -> Box<dyn CacheModel> {
-        let geom = CacheGeometry::new(64, 4, 64).unwrap();
+        let geom = l2_geom();
         Box::new(SetAssocCache::new(geom, Box::new(Lru::new(geom))))
     }
 
@@ -348,12 +303,22 @@ mod tests {
         System::new(SystemConfig::micro2010(), lru_l2())
     }
 
+    fn decode(trace: &Trace) -> DecodedTrace {
+        DecodedTrace::decode(trace, l2_geom())
+    }
+
+    /// Measures a whole trace, counting from the system's current state.
+    fn run(sys: &mut System, trace: &Trace) -> SystemMetrics {
+        let d = decode(trace);
+        sys.run_decoded_range(&d, 0..d.len())
+    }
+
     #[test]
     fn all_l1_hits_cost_l1_latency_only() {
         let mut sys = system();
         // One address accessed repeatedly: 1 cold path, then L1 hits.
         let trace: Trace = (0..100).map(|_| Access::read(Address::new(0))).collect();
-        let m = sys.run(&trace);
+        let m = run(&mut sys, &trace);
         assert!(
             m.amat < 10.0,
             "AMAT {} should be near the L1 hit time",
@@ -368,7 +333,7 @@ mod tests {
         let trace: Trace = (0..1000u64)
             .map(|i| Access::read(Address::new(i * 64)))
             .collect();
-        let m = sys.run(&trace);
+        let m = run(&mut sys, &trace);
         // Every access: L1 miss, L2 miss, memory: AMAT ≈ 2 + 6 + 300.
         assert!((m.amat - 308.0).abs() < 1.0, "AMAT {}", m.amat);
         assert!(m.l1_miss_rate > 0.99);
@@ -381,7 +346,7 @@ mod tests {
         let trace: Trace = (0..100u64)
             .map(|i| Access::read(Address::new(i * 64)).with_inst_gap(10))
             .collect();
-        let m = sys.run(&trace);
+        let m = run(&mut sys, &trace);
         assert_eq!(m.instructions, 1000);
         assert!((m.mpki - 100.0).abs() < 1e-9); // 100 misses / 1k insts
     }
@@ -390,12 +355,12 @@ mod tests {
     fn cpi_increases_with_misses() {
         let mut hit_sys = system();
         let hit_trace: Trace = (0..500).map(|_| Access::read(Address::new(0))).collect();
-        let hits = hit_sys.run(&hit_trace);
+        let hits = run(&mut hit_sys, &hit_trace);
         let mut miss_sys = system();
         let miss_trace: Trace = (0..500u64)
             .map(|i| Access::read(Address::new(i * 64)))
             .collect();
-        let misses = miss_sys.run(&miss_trace);
+        let misses = run(&mut miss_sys, &miss_trace);
         assert!(misses.cpi > hits.cpi * 5.0);
     }
 
@@ -405,7 +370,8 @@ mod tests {
         let warm: Trace = (0..64u64)
             .map(|i| Access::read(Address::new(i * 64)))
             .collect();
-        let m = sys.warm_then_run(&warm, &warm);
+        let twice: Trace = warm.iter().chain(&warm).copied().collect();
+        let m = sys.warm_then_run_decoded(&decode(&twice), 64);
         // All 64 lines were warmed: the measured pass hits in L1 or L2.
         assert_eq!(m.l2.misses(), 0);
     }
@@ -417,9 +383,11 @@ mod tests {
         // would. Measuring line 1 then hits the L2 (it misses the L1).
         let cfg = SystemConfig::micro2010().with_prefetcher(1);
         let mut sys = System::new(cfg, lru_l2());
-        let warm: Trace = [Access::read(Address::new(0))].into_iter().collect();
-        let measured: Trace = [Access::read(Address::new(64))].into_iter().collect();
-        let m = sys.warm_then_run(&warm, &measured);
+        let trace: Trace = [0, 64]
+            .map(|a| Access::read(Address::new(a)))
+            .into_iter()
+            .collect();
+        let m = sys.warm_then_run_decoded(&decode(&trace), 1);
         assert_eq!(m.l2.misses(), 0, "warm-up must have prefetched line 1");
         assert_eq!(m.l2.hits(), 1);
     }
@@ -430,20 +398,19 @@ mod tests {
         // (stats discarded) then measuring Y: the warm path and the run
         // path drive the identical hierarchy, prefetcher included.
         let cfg = SystemConfig::micro2010().with_prefetcher(2);
-        let x: Trace = (0..600u64)
+        let xy: Trace = (0..600u64)
             .map(|i| Access::read(Address::new((i % 97) * 192)))
+            .chain((0..400u64).map(|i| Access::read(Address::new((i % 61) * 256))))
             .collect();
-        let y: Trace = (0..400u64)
-            .map(|i| Access::read(Address::new((i % 61) * 256)))
-            .collect();
+        let xy = decode(&xy);
 
         let mut warmed = System::new(cfg, lru_l2());
-        let via_warm = warmed.warm_then_run(&x, &y);
+        let via_warm = warmed.warm_then_run_decoded(&xy, 600);
 
         let mut ran = System::new(cfg, lru_l2());
-        ran.run(&x);
-        let empty = Trace::new();
-        let via_run = ran.warm_then_run(&empty, &y); // resets stats, measures y
+        ran.run_decoded_range(&xy, 0..600);
+        ran.reset_stats();
+        let via_run = ran.run_decoded_range(&xy, 600..xy.len());
         assert_eq!(via_warm.l2, via_run.l2);
         assert_eq!(via_warm.mpki, via_run.mpki);
         assert_eq!(via_warm.amat, via_run.amat);
@@ -457,67 +424,11 @@ mod tests {
         let trace: Trace = (0..200u64)
             .map(|i| Access::read(Address::new(i * 64)))
             .collect();
-        let m = sys.run(&trace);
+        let m = run(&mut sys, &trace);
         // Every trace access misses L1; the L2 sees exactly those 200
         // demand accesses even though 4 prefetches fired per L2 miss.
         assert_eq!(m.l2.accesses(), 200);
         assert_eq!(*sys.l2().stats(), m.l2);
-    }
-
-    #[test]
-    fn decoded_run_matches_access_path_exactly() {
-        // Same trace, same config (prefetcher on), split at 1/5 for warmup:
-        // decoded and byte-address paths must agree on every metric bit.
-        let cfg = SystemConfig::micro2010().with_prefetcher(2);
-        let trace: Trace = (0..2000u64)
-            .map(|i| {
-                let a = Address::new((i % 371) * 192 + i % 64); // unaligned
-                if i % 7 == 0 {
-                    Access::write(a).with_inst_gap((i % 9 + 1) as u32)
-                } else {
-                    Access::read(a).with_inst_gap((i % 9 + 1) as u32)
-                }
-            })
-            .collect();
-        let warm_len = trace.len() / 5;
-        let warm: Trace = trace.iter().take(warm_len).copied().collect();
-        let measured: Trace = trace.iter().skip(warm_len).copied().collect();
-
-        let l2_geom = CacheGeometry::new(64, 4, 64).unwrap();
-        let decoded = DecodedTrace::decode(&trace, l2_geom);
-
-        let l2 = || -> Box<dyn CacheModel> {
-            Box::new(SetAssocCache::new(l2_geom, Box::new(Lru::new(l2_geom))))
-        };
-        let mut reference = System::new(cfg, l2());
-        let expect = reference.warm_then_run(&warm, &measured);
-        let mut fast = System::new(cfg, l2());
-        let got = fast.warm_then_run_decoded(&decoded, warm_len);
-
-        assert_eq!(got.l2, expect.l2);
-        assert_eq!(got.mpki, expect.mpki);
-        assert_eq!(got.amat, expect.amat);
-        assert_eq!(got.cpi, expect.cpi);
-        assert_eq!(got.l1_miss_rate, expect.l1_miss_rate);
-        assert_eq!(got.instructions, expect.instructions);
-        assert_eq!(got.accesses, expect.accesses);
-
-        // An L2 with an incompatible set count takes the fallback arm and
-        // must still agree.
-        let other_geom = CacheGeometry::new(32, 8, 64).unwrap();
-        let other = || -> Box<dyn CacheModel> {
-            Box::new(SetAssocCache::new(
-                other_geom,
-                Box::new(Lru::new(other_geom)),
-            ))
-        };
-        let mut reference = System::new(cfg, other());
-        let expect = reference.warm_then_run(&warm, &measured);
-        let mut fast = System::new(cfg, other());
-        assert!(!decoded.compatible_with(other_geom));
-        let got = fast.warm_then_run_decoded(&decoded, warm_len);
-        assert_eq!(got.l2, expect.l2);
-        assert_eq!(got.cpi, expect.cpi);
     }
 
     #[test]
@@ -563,6 +474,6 @@ mod tests {
             .collect();
         let mut blocking = System::new(SystemConfig::micro2010().with_overlap(0.0), lru_l2());
         let mut hiding = System::new(SystemConfig::micro2010().with_overlap(0.9), lru_l2());
-        assert!(blocking.run(&trace).cpi > hiding.run(&trace).cpi);
+        assert!(run(&mut blocking, &trace).cpi > run(&mut hiding, &trace).cpi);
     }
 }

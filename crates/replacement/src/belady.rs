@@ -9,20 +9,21 @@
 use std::collections::{HashMap, VecDeque};
 
 use stem_sim_core::{
-    AccessKind, AccessResult, Address, CacheGeometry, CacheModel, CacheStats, LineAddr, Trace,
+    AccessKind, AccessResult, Address, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
+    LineAddr,
 };
 
 /// A cache with Belady-optimal (farthest-future-use) replacement.
 ///
 /// `OptCache` is constructed from the complete trace it will later be fed,
 /// because OPT requires future knowledge. Feed it the *same trace in the
-/// same order* (most conveniently via [`CacheModel::run`]).
+/// same order* (most conveniently via [`CacheModel::run_decoded`]).
 ///
 /// # Examples
 ///
 /// ```
 /// use stem_replacement::OptCache;
-/// use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, Trace};
+/// use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, DecodedTrace, Trace};
 ///
 /// # fn main() -> Result<(), stem_sim_core::GeometryError> {
 /// let geom = CacheGeometry::new(1, 2, 64)?;
@@ -30,8 +31,9 @@ use stem_sim_core::{
 ///     .iter()
 ///     .map(|&a| Access::read(Address::new(a)))
 ///     .collect();
+/// let trace = DecodedTrace::decode(&trace, geom);
 /// let mut opt = OptCache::new(geom, &trace);
-/// opt.run(&trace);
+/// opt.run_decoded(&trace);
 /// // OPT keeps two of the three blocks: 3 cold misses + 1 conflict miss.
 /// assert_eq!(opt.stats().misses(), 4);
 /// # Ok(())
@@ -51,11 +53,15 @@ pub struct OptCache {
 
 impl OptCache {
     /// Pre-scans `trace` and creates an OPT cache ready to replay it.
-    pub fn new(geom: CacheGeometry, trace: &Trace) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace's line size differs from `geom`'s.
+    pub fn new(geom: CacheGeometry, trace: &DecodedTrace) -> Self {
         let mut future: HashMap<LineAddr, VecDeque<u64>> = HashMap::new();
-        for (i, a) in trace.iter().enumerate() {
+        for (i, &line) in trace.lines_for(geom).iter().enumerate() {
             future
-                .entry(a.addr.line(geom.line_bytes()))
+                .entry(LineAddr::new(line))
                 .or_default()
                 .push_back(i as u64);
         }
@@ -70,9 +76,9 @@ impl OptCache {
 
     /// The minimum achievable misses for `trace` on `geom` — a convenience
     /// that constructs, replays and reads out the miss count.
-    pub fn min_misses(geom: CacheGeometry, trace: &Trace) -> u64 {
+    pub fn min_misses(geom: CacheGeometry, trace: &DecodedTrace) -> u64 {
         let mut opt = OptCache::new(geom, trace);
-        opt.run(trace);
+        opt.run_decoded(trace);
         opt.stats().misses()
     }
 
@@ -158,12 +164,14 @@ impl std::fmt::Debug for OptCache {
 mod tests {
     use super::*;
     use crate::{Lru, SetAssocCache};
-    use stem_sim_core::{prop, Access};
+    use stem_sim_core::{prop, Access, Trace};
 
-    fn trace_of(geom: CacheGeometry, tags: &[u64]) -> Trace {
-        tags.iter()
+    fn trace_of(geom: CacheGeometry, tags: &[u64]) -> DecodedTrace {
+        let trace: Trace = tags
+            .iter()
             .map(|&t| Access::read(geom.address_of(t, 0)))
-            .collect()
+            .collect();
+        DecodedTrace::decode(&trace, geom)
     }
 
     #[test]
@@ -175,7 +183,7 @@ mod tests {
         let trace = trace_of(geom, &tags);
         let opt_misses = OptCache::min_misses(geom, &trace);
         let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-        lru.run(&trace);
+        lru.run_decoded(&trace);
         assert_eq!(lru.stats().misses(), 60);
         assert!(opt_misses < 40, "OPT should do far better: {opt_misses}");
     }
@@ -193,7 +201,7 @@ mod tests {
         let geom = CacheGeometry::new(1, 2, 64).unwrap();
         let trace = trace_of(geom, &[0, 0, 1]);
         let mut opt = OptCache::new(geom, &trace);
-        opt.run(&trace);
+        opt.run_decoded(&trace);
         assert_eq!(opt.stats().hits(), 1);
         assert_eq!(opt.stats().misses(), 2);
     }
@@ -210,9 +218,10 @@ mod tests {
                 .iter()
                 .map(|&t| Access::read(geom.address_of(t / 2, (t % 2) as usize)))
                 .collect();
+            let trace = DecodedTrace::decode(&trace, geom);
             let opt = OptCache::min_misses(geom, &trace);
             let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-            lru.run(&trace);
+            lru.run_decoded(&trace);
             assert!(
                 opt <= lru.stats().misses(),
                 "OPT ({}) must not exceed LRU ({})",

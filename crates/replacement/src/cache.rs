@@ -3,8 +3,8 @@
 use std::ops::Range;
 
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
+    DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
 };
 
 use crate::ReplacementPolicy;
@@ -20,13 +20,13 @@ use crate::ReplacementPolicy;
 ///
 /// ```
 /// use stem_replacement::{Dip, SetAssocCache};
-/// use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, Trace};
+/// use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, DecodedTrace, Trace};
 ///
 /// # fn main() -> Result<(), stem_sim_core::GeometryError> {
 /// let geom = CacheGeometry::new(256, 8, 64)?;
 /// let mut cache = SetAssocCache::new(geom, Box::new(Dip::new(geom)));
 /// let trace: Trace = (0..100u64).map(|i| Access::read(Address::new(i * 64))).collect();
-/// cache.run(&trace);
+/// cache.run_decoded(&DecodedTrace::decode(&trace, geom));
 /// assert_eq!(cache.stats().accesses(), 100);
 /// # Ok(())
 /// # }
@@ -108,9 +108,9 @@ impl SetAssocCache {
         )
     }
 
-    /// The single lookup/replacement path behind every access entry point
-    /// (`access`, `access_decoded`, `access_line`): set index and tag word
-    /// are already extracted.
+    /// The single lookup/replacement path behind the per-access entry
+    /// points (`access`, `access_line`): set index and tag word are already
+    /// extracted.
     #[inline]
     fn access_at(&mut self, set: usize, tag: u64, write: bool) -> AccessResult {
         access_kernel(
@@ -125,9 +125,8 @@ impl SetAssocCache {
     }
 
     /// Processes one line-granular access, deriving set and tag from this
-    /// cache's own geometry. The decoded-replay entry point for caches
-    /// whose geometry differs from the decode geometry but shares its line
-    /// size (e.g. the L1 in a [`DecodedTrace`]-driven hierarchy run).
+    /// cache's own geometry: the per-access entry point of a
+    /// [`DecodedTrace`]-driven hierarchy run's L1.
     #[inline]
     pub fn access_line(&mut self, line: LineAddr, write: bool) -> AccessResult {
         self.access_at(
@@ -194,17 +193,15 @@ fn replay_kernel<P: ReplacementPolicy + ?Sized>(
     trace: &DecodedTrace,
     range: Range<usize>,
 ) {
-    let sets = trace.set_indices();
-    let lines = trace.line_addrs();
-    for i in range {
-        let line = LineAddr::new(lines[i]);
-        debug_assert_eq!(sets[i] as usize, geom.set_index_of_line(line));
+    let lines = &trace.lines_for(*geom)[range.clone()];
+    for (i, &line) in range.zip(lines) {
+        let line = LineAddr::new(line);
         access_kernel(
             geom,
             frames,
             stats,
             policy,
-            sets[i] as usize,
+            geom.set_index_of_line(line),
             geom.tag_of_line(line),
             trace.is_write(i),
         );
@@ -217,24 +214,14 @@ impl CacheModel for SetAssocCache {
         self.access_at(set, tag, kind.is_write())
     }
 
-    /// Consumes the pre-decoded set index directly; only the narrow tag
-    /// word remains to derive (one shift off the line address).
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        self.access_at(a.set as usize, self.geom.tag_of_line(a.line), a.write)
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// the lookup/replacement kernel with static dispatch, instead of one
-    /// virtual `access_decoded` call per access through the trait default.
+    /// Monomorphic replay loop: streams the line column straight into the
+    /// lookup/replacement kernel with static dispatch, instead of one
+    /// virtual `access` call per access through the trait default.
     /// Policies that expose [`ReplacementPolicy::as_any_mut`] are downcast
     /// so the whole per-access protocol (hit promotion, victim choice,
     /// fill ranking) compiles as one inlined loop; any other policy runs
     /// the same kernel through the boxed vtable, identically.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
         let SetAssocCache {
             geom,
             frames,
@@ -435,10 +422,11 @@ mod tests {
                 trace.push(Access::read(a));
             }
         }
+        let trace = DecodedTrace::decode(&trace, geom);
         let mut lru = lru_cache(geom);
-        lru.run(&trace);
+        lru.run_decoded(&trace);
         let mut bip = SetAssocCache::new(geom, Box::new(Bip::new(geom)));
-        bip.run(&trace);
+        bip.run_decoded(&trace);
         assert_eq!(
             lru.stats().hits(),
             0,

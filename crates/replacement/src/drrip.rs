@@ -136,7 +136,7 @@ impl ReplacementPolicy for Drrip {
 mod tests {
     use super::*;
     use crate::{Lru, SetAssocCache};
-    use stem_sim_core::{Access, CacheModel, Trace};
+    use stem_sim_core::{Access, CacheModel, DecodedTrace, Trace};
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(1024, 4, 64).unwrap()
@@ -174,10 +174,11 @@ mod tests {
                 }
             }
         }
+        let trace = DecodedTrace::decode(&trace, g);
         let mut lru = SetAssocCache::new(g, Box::new(Lru::new(g)));
-        lru.run(&trace);
+        lru.run_decoded(&trace);
         let mut drrip = SetAssocCache::new(g, Box::new(Drrip::new(g)));
-        drrip.run(&trace);
+        drrip.run_decoded(&trace);
         assert!(
             drrip.stats().misses() < lru.stats().misses() * 9 / 10,
             "DRRIP {} should beat LRU {} on a uniform thrash",

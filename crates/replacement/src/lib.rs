@@ -27,13 +27,13 @@
 //!
 //! ```
 //! use stem_replacement::{Lru, SetAssocCache};
-//! use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, Trace};
+//! use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, DecodedTrace, Trace};
 //!
 //! # fn main() -> Result<(), stem_sim_core::GeometryError> {
 //! let geom = CacheGeometry::new(64, 4, 64)?;
 //! let mut cache = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
 //! let trace: Trace = (0..8u64).map(|i| Access::read(Address::new(i * 64))).collect();
-//! cache.run(&trace);
+//! cache.run_decoded(&DecodedTrace::decode(&trace, geom));
 //! assert_eq!(cache.stats().misses(), 8); // cold misses
 //! # Ok(())
 //! # }

@@ -14,6 +14,7 @@
 
 use stem_analysis::{build_cache, Scheme};
 use stem_bench::config::Fidelity;
+use stem_hierarchy::SystemConfig;
 use stem_sim_core::{CacheGeometry, Json, SimError};
 use stem_workloads::{spec2010_suite, BenchmarkProfile, MAX_MIX_PROGRAMS};
 
@@ -397,6 +398,17 @@ impl RunRequest {
                      (a mix replays the full shared hierarchy, which set sampling cannot cover)",
                 ));
             }
+        }
+        let l1_line_bytes = SystemConfig::micro2010().l1_geometry.line_bytes();
+        if fidelity == Fidelity::Exact && line_bytes != l1_line_bytes {
+            // Exact and mix requests replay the full hierarchy, whose L1
+            // consumes the stream at its own line size; only the bare-LLC
+            // sampled tier replays at any line size.
+            return Err(invalid(format!(
+                "field \"line_bytes\" must be {l1_line_bytes} for exact and mix requests \
+                 (the hierarchy's L1 uses {l1_line_bytes}-byte lines; \
+                 \"fidelity\": \"sampled\" accepts any power of two), got {line_bytes}"
+            )));
         }
         let sample_rate = field_u64(json, "sample_rate")?;
         let sample_seed = field_u64(json, "sample_seed")?;
@@ -794,6 +806,34 @@ mod tests {
             let msg = err.to_string();
             assert!(msg.contains(needle), "{body} → {msg} (wanted {needle:?})");
         }
+    }
+
+    #[test]
+    fn only_sampled_requests_leave_the_hierarchy_line_size() {
+        // Exact and mix requests drive the full hierarchy, whose 64-byte
+        // L1 cannot replay a stream of another line size: rejected at
+        // parse time instead of failing inside the simulation.
+        for body in [
+            r#"{"benchmark": "gromacs", "scheme": "lru", "line_bytes": 128}"#,
+            r#"{"benchmark": "gromacs", "scheme": "lru", "line_bytes": 32}"#,
+            r#"{"mix": [{"benchmark": "mcf"}, {"benchmark": "art"}], "scheme": "lru",
+                "line_bytes": 128}"#,
+        ] {
+            let msg = RunRequest::parse(body.as_bytes())
+                .expect_err(body)
+                .to_string();
+            assert!(
+                msg.contains("\"line_bytes\" must be 64 for exact and mix requests"),
+                "{body} → {msg}"
+            );
+        }
+        // The sampled tier replays a bare LLC at any line size.
+        let sampled = RunRequest::parse(
+            br#"{"benchmark": "gromacs", "scheme": "lru", "fidelity": "sampled",
+                 "line_bytes": 128}"#,
+        )
+        .expect("sampled requests keep any power-of-two line size");
+        assert_eq!(sampled.line_bytes, 128);
     }
 
     #[test]

@@ -277,6 +277,47 @@ fn sampled_requests_for_global_state_schemes_are_rejected() {
     handle.join();
 }
 
+#[test]
+fn exact_and_mix_requests_at_a_foreign_line_size_are_400s_not_panics() {
+    let (listener, connector) = duplex_transport();
+    let handle = service::start(Box::new(listener), small_config());
+    let panics = || {
+        let page = exchange(&connector, "GET", "/metrics", b"").body_text();
+        metric(&page, "stem_serve_panics_total")
+    };
+    let panics_before = panics();
+    for body in [
+        &br#"{"benchmark": "gromacs", "scheme": "lru", "sets": 256, "ways": 4,
+              "accesses": 20000, "line_bytes": 128}"#[..],
+        br#"{"benchmark": "gromacs", "scheme": "lru", "sets": 256, "ways": 4,
+             "accesses": 20000, "line_bytes": 32}"#,
+        br#"{"mix": [{"benchmark": "mcf"}, {"benchmark": "art"}], "scheme": "lru",
+             "sets": 256, "ways": 4, "accesses": 20000, "line_bytes": 128}"#,
+    ] {
+        let resp = exchange(&connector, "POST", "/run", body);
+        assert_eq!(resp.status, 400, "{}", resp.body_text());
+        assert!(
+            resp.body_text()
+                .contains("must be 64 for exact and mix requests"),
+            "{}",
+            resp.body_text()
+        );
+    }
+    assert_eq!(handle.metrics().sim_executions(), 0);
+    // The sampled tier replays a bare LLC, so it still runs at 128 B.
+    let sampled = exchange(
+        &connector,
+        "POST",
+        "/run",
+        br#"{"benchmark": "gromacs", "scheme": "lru", "sets": 256, "ways": 4,
+             "accesses": 20000, "line_bytes": 128, "fidelity": "sampled"}"#,
+    );
+    assert_eq!(sampled.status, 200, "{}", sampled.body_text());
+    assert_eq!(panics(), panics_before, "no request may panic a handler");
+    handle.shutdown();
+    handle.join();
+}
+
 /// An injectable executor that signals when a cell starts and then blocks
 /// until released, making queue-saturation timing deterministic.
 fn blocking_executor() -> (Executor, mpsc::Receiver<()>, mpsc::Sender<()>) {

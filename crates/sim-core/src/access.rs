@@ -20,6 +20,16 @@ pub enum AccessKind {
 }
 
 impl AccessKind {
+    /// [`AccessKind::Write`] for a store, [`AccessKind::Read`] otherwise.
+    #[inline]
+    pub fn from_write(write: bool) -> Self {
+        if write {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        }
+    }
+
     /// Returns `true` for [`AccessKind::Write`].
     #[inline]
     pub fn is_write(self) -> bool {

@@ -12,9 +12,9 @@
 //! # Examples
 //!
 //! ```no_run
-//! use stem_sim_core::{run_audited, AuditedCacheModel, Trace};
+//! use stem_sim_core::{run_audited, AuditedCacheModel, DecodedTrace};
 //!
-//! fn checked_run(cache: &mut dyn AuditedCacheModel, trace: &Trace) {
+//! fn checked_run(cache: &mut dyn AuditedCacheModel, trace: &DecodedTrace) {
 //!     // Audit every 1024 accesses plus once at the end.
 //!     run_audited(cache, trace, 1024).expect("invariant violated");
 //! }
@@ -23,7 +23,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::{CacheModel, Trace};
+use crate::{CacheModel, DecodedTrace};
 
 /// A structural invariant violation detected by an [`InvariantAuditor`].
 ///
@@ -102,31 +102,40 @@ impl<T: CacheModel + InvariantAuditor + ?Sized> AuditedCacheModel for T {}
 /// With `stride == 0` the audit runs only once, after the final access.
 /// With `stride == n` it additionally runs after every `n`-th access. A
 /// stride of 1 is the paper-grade paranoid mode: every access boundary is
-/// checked.
+/// checked. The accesses between audits go through the cache's own
+/// [`replay_decoded`](CacheModel::replay_decoded) kernel, so checked mode
+/// audits the replay path every experiment runs.
 ///
 /// # Errors
 ///
 /// Returns the first invariant violation, tagged with the index of the
 /// access after which it was detected.
+///
+/// # Panics
+///
+/// Panics if the trace's line size differs from the cache's.
 pub fn run_audited(
     cache: &mut (impl AuditedCacheModel + ?Sized),
-    trace: &Trace,
+    trace: &DecodedTrace,
     stride: u64,
 ) -> Result<(), AuditError> {
-    let mut index: u64 = 0;
-    for a in trace {
-        cache.access(a.addr, a.kind);
-        index += 1;
-        if stride != 0 && index.is_multiple_of(stride) {
-            cache.audit().map_err(|e| e.at_access(index - 1))?;
+    let len = trace.len();
+    let step = if stride == 0 { len } else { stride as usize };
+    let mut done = 0;
+    while done < len {
+        let end = done.saturating_add(step).min(len);
+        cache.replay_decoded(trace, done..end);
+        done = end;
+        if stride != 0 && done.is_multiple_of(step) {
+            cache.audit().map_err(|e| e.at_access(done as u64 - 1))?;
         }
     }
-    if index == 0 || stride == 0 || !index.is_multiple_of(stride) {
+    if len == 0 || stride == 0 || !len.is_multiple_of(step) {
         cache.audit().map_err(|e| {
-            if index == 0 {
+            if len == 0 {
                 e
             } else {
-                e.at_access(index - 1)
+                e.at_access(len as u64 - 1)
             }
         })?;
     }
@@ -188,8 +197,9 @@ mod tests {
         }
     }
 
-    fn trace(n: u64) -> Trace {
-        (0..n).map(|i| Access::read(Address::new(i * 64))).collect()
+    fn trace(n: u64) -> DecodedTrace {
+        let trace: crate::Trace = (0..n).map(|i| Access::read(Address::new(i * 64))).collect();
+        DecodedTrace::decode(&trace, CacheGeometry::micro2010_l2())
     }
 
     #[test]

@@ -1,14 +1,18 @@
-//! Pre-decoded structure-of-arrays access streams.
+//! Pre-decoded, line-granular structure-of-arrays access streams.
 //!
-//! Decoding an [`Access`](crate::Access) against a [`CacheGeometry`] —
-//! stripping the intra-line offset, extracting the set index — is pure
-//! arithmetic, yet the experiment drivers historically repeated it once per
-//! *scheme*: the six cells of a benchmark row each re-derived the same set
-//! indices from the same byte addresses. A [`DecodedTrace`] performs that
-//! decode exactly once and stores the results as parallel arrays
-//! (contiguous `u32` set indices, `u64` line addresses, bit-packed write
-//! flags, and `u32` instruction gaps) that every scheme can replay directly,
-//! shared across worker threads via `Arc`.
+//! Decoding an [`Access`](crate::Access) — stripping the intra-line
+//! offset — is pure arithmetic, yet the experiment drivers would otherwise
+//! repeat it once per *scheme*. A [`DecodedTrace`] performs that decode
+//! exactly once and stores the results as parallel arrays (contiguous
+//! `u64` line addresses, bit-packed write flags, and `u32` instruction
+//! gaps) that every scheme replays directly, shared across worker threads
+//! via `Arc`.
+//!
+//! The stream carries no set index: every scheme picks a set from the low
+//! bits of the line address under its *own* geometry
+//! ([`CacheGeometry::set_index_of_line`], one AND), so one stream replays
+//! into a cache of any set count and associativity. The line size is the
+//! one replay contract, checked by [`DecodedTrace::lines_for`].
 //!
 //! The decode is a pure representation change: replaying a `DecodedTrace`
 //! through a scheme produces exactly the per-access outcomes of feeding the
@@ -21,24 +25,22 @@
 //! use stem_sim_core::{Access, Address, CacheGeometry, DecodedTrace, Trace};
 //!
 //! let geom = CacheGeometry::micro2010_l2();
-//! let trace: Trace = (0..4u64).map(|i| Access::read(Address::new(i * 64))).collect();
+//! let trace: Trace = (0..4u64).map(|i| Access::read(Address::new(i * 64 + 5))).collect();
 //! let decoded = DecodedTrace::decode(&trace, geom);
 //! assert_eq!(decoded.len(), 4);
-//! assert_eq!(decoded.get(3).set, 3);
 //! assert_eq!(decoded.get(3).line.raw(), 3);
+//! assert_eq!(decoded.lines_for(geom), &[0, 1, 2, 3]);
 //! ```
 
 use std::ops::Range;
 
-use crate::{Access, AccessKind, Address, CacheGeometry, LineAddr, Trace};
+use crate::{Access, AccessKind, CacheGeometry, LineAddr, Trace};
 
-/// One access of a [`DecodedTrace`]: the set index and line address are
-/// already extracted, so schemes sharing the decode geometry can probe
-/// their tag store without touching the byte address at all.
+/// One access of a [`DecodedTrace`]: the line address is already
+/// extracted, so a scheme derives its set and tag from it without touching
+/// the byte address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecodedAccess {
-    /// Set index under the decode geometry (`set_index_of_line(line)`).
-    pub set: u32,
     /// The line address (byte address with the intra-line offset stripped).
     pub line: LineAddr,
     /// Whether the access is a store.
@@ -51,45 +53,29 @@ impl DecodedAccess {
     /// The access kind this decoded record represents.
     #[inline]
     pub fn kind(self) -> AccessKind {
-        if self.write {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        }
-    }
-
-    /// Reconstructs the (line-aligned) byte address for `line_bytes`-byte
-    /// lines. The intra-line offset of the original access is not retained —
-    /// every consumer in this workspace is offset-invariant, operating at
-    /// line granularity.
-    #[inline]
-    pub fn address(self, line_bytes: u64) -> Address {
-        self.line.to_address(line_bytes)
+        AccessKind::from_write(self.write)
     }
 }
 
-/// A structure-of-arrays view of a `(Trace, CacheGeometry)` pair, decoded
-/// once and replayed many times.
+/// A line-granular structure-of-arrays view of a [`Trace`], decoded once
+/// and replayed many times.
 ///
 /// The columns are parallel arrays indexed by access position:
 ///
-/// * `sets[i]` — the set index of access `i` under the decode geometry;
 /// * `lines[i]` — the raw line address, which is exactly the tag word the
 ///   line-addressed schemes (SBC, static SBC, victim, V-Way, STEM) store in
 ///   their [`SetFrames`](crate::SetFrames); the classic set-associative
-///   cache derives its narrower tag with a single shift;
+///   cache derives its narrower tag with a single shift, and every scheme
+///   derives its set index with a single AND;
 /// * bit-packed write flags (one bit per access, 64 per word);
 /// * `inst_gaps[i]` — the instruction gap, for MPKI/CPI accounting.
 ///
-/// Replay validity is governed by [`compatible_with`]
-/// (set count and line size; associativity is deliberately excluded so one
-/// decode serves a whole constant-capacity associativity sweep).
-///
-/// [`compatible_with`]: DecodedTrace::compatible_with
+/// A stream replays into any cache with its line size
+/// ([`lines_for`](DecodedTrace::lines_for)); the set count and
+/// associativity of the decode geometry play no part in replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedTrace {
     geom: CacheGeometry,
-    sets: Vec<u32>,
     lines: Vec<u64>,
     write_words: Vec<u64>,
     inst_gaps: Vec<u32>,
@@ -97,12 +83,7 @@ pub struct DecodedTrace {
 }
 
 impl DecodedTrace {
-    /// Decodes every access of `trace` against `geom` in one pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geom` has more than `u32::MAX` sets (far beyond any
-    /// simulated geometry; set indices are stored as `u32`).
+    /// Decodes every access of `trace` at `geom`'s line size in one pass.
     pub fn decode(trace: &Trace, geom: CacheGeometry) -> Self {
         let mut decoded = DecodedTrace::with_capacity(geom, trace.len());
         for &a in trace.iter() {
@@ -114,19 +95,9 @@ impl DecodedTrace {
     /// An empty stream decoded against `geom`, with room for `capacity`
     /// accesses. Generators [`push`](Self::push) straight into it, so a
     /// synthesized stream never exists as a [`Trace`] first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `geom` has more than `u32::MAX` sets (set indices are
-    /// stored as `u32`).
     pub fn with_capacity(geom: CacheGeometry, capacity: usize) -> Self {
-        assert!(
-            geom.sets() as u64 <= u64::from(u32::MAX),
-            "set indices are stored as u32"
-        );
         DecodedTrace {
             geom,
-            sets: Vec::with_capacity(capacity),
             lines: Vec::with_capacity(capacity),
             write_words: Vec::with_capacity(capacity.div_ceil(64)),
             inst_gaps: Vec::with_capacity(capacity),
@@ -139,9 +110,7 @@ impl DecodedTrace {
     #[inline]
     pub fn push(&mut self, a: Access) {
         let i = self.lines.len();
-        let line = a.addr.line(self.geom.line_bytes());
-        self.sets.push(self.geom.set_index_of_line(line) as u32);
-        self.lines.push(line.raw());
+        self.lines.push(a.addr.line(self.geom.line_bytes()).raw());
         if i & 63 == 0 {
             self.write_words.push(0);
         }
@@ -155,24 +124,20 @@ impl DecodedTrace {
     /// Assembles a `DecodedTrace` directly from pre-decoded columns, used by
     /// the set sampler to materialize its compacted stream without
     /// round-tripping through byte addresses. The columns must be parallel
-    /// (`sets`, `lines`, `inst_gaps` of equal length; `write_words` packed 64
-    /// flags per word) and every set index must be below `geom.sets()`.
+    /// (`lines` and `inst_gaps` of equal length; `write_words` packed 64
+    /// flags per word).
     pub(crate) fn from_parts(
         geom: CacheGeometry,
-        sets: Vec<u32>,
         lines: Vec<u64>,
         write_words: Vec<u64>,
         inst_gaps: Vec<u32>,
     ) -> Self {
-        let n = sets.len();
-        debug_assert_eq!(lines.len(), n);
+        let n = lines.len();
         debug_assert_eq!(inst_gaps.len(), n);
         debug_assert_eq!(write_words.len(), n.div_ceil(64));
-        debug_assert!(sets.iter().all(|&s| (s as usize) < geom.sets()));
         let instructions = sum_gaps(&inst_gaps);
         DecodedTrace {
             geom,
-            sets,
             lines,
             write_words,
             inst_gaps,
@@ -180,7 +145,9 @@ impl DecodedTrace {
         }
     }
 
-    /// The geometry the trace was decoded against.
+    /// The geometry the trace was decoded against. Only its line size
+    /// shapes the stream; the set sampler also takes its pair-domain count
+    /// from it.
     #[inline]
     pub fn geometry(&self) -> CacheGeometry {
         self.geom
@@ -224,14 +191,24 @@ impl DecodedTrace {
         sum_gaps(&self.inst_gaps[range])
     }
 
-    /// Whether a cache of geometry `geom` may consume the pre-extracted
-    /// `set`/`line` columns directly: the set count and line size must match
-    /// the decode geometry. Associativity is irrelevant to address decode,
-    /// so one `DecodedTrace` covers every point of an associativity sweep
-    /// that holds the set count and line size fixed (Fig. 3 / Fig. 10).
+    /// The line-address column, for a consumer of geometry `geom`: the
+    /// stream's one replay contract. Every replay kernel reads its lines
+    /// through this accessor and derives set and tag under its own
+    /// geometry, so any set count and associativity replay the same
+    /// stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `geom`'s line size differs from the decode line size (the
+    /// line addresses would be at the wrong granularity).
     #[inline]
-    pub fn compatible_with(&self, geom: CacheGeometry) -> bool {
-        geom.sets() == self.geom.sets() && geom.line_bytes() == self.geom.line_bytes()
+    pub fn lines_for(&self, geom: CacheGeometry) -> &[u64] {
+        assert_eq!(
+            geom.line_bytes(),
+            self.geom.line_bytes(),
+            "a decoded stream replays only at its own line size"
+        );
+        &self.lines
     }
 
     /// The decoded access at position `i`.
@@ -242,7 +219,6 @@ impl DecodedTrace {
     #[inline]
     pub fn get(&self, i: usize) -> DecodedAccess {
         DecodedAccess {
-            set: self.sets[i],
             line: LineAddr::new(self.lines[i]),
             write: self.is_write(i),
             inst_gap: self.inst_gaps[i],
@@ -260,18 +236,6 @@ impl DecodedTrace {
         (self.write_words[i >> 6] >> (i & 63)) & 1 != 0
     }
 
-    /// The raw set-index column.
-    #[inline]
-    pub fn set_indices(&self) -> &[u32] {
-        &self.sets
-    }
-
-    /// The raw line-address column.
-    #[inline]
-    pub fn line_addrs(&self) -> &[u64] {
-        &self.lines
-    }
-
     /// The raw instruction-gap column.
     #[inline]
     pub fn inst_gaps(&self) -> &[u32] {
@@ -279,34 +243,8 @@ impl DecodedTrace {
     }
 
     /// Iterates over all decoded accesses in order.
-    pub fn iter(&self) -> DecodedIter<'_> {
-        self.iter_range(0..self.len())
-    }
-
-    /// Iterates over the decoded accesses in `range`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    pub fn iter_range(&self, range: Range<usize>) -> DecodedIter<'_> {
-        assert!(range.start <= range.end && range.end <= self.len());
-        DecodedIter {
-            trace: self,
-            idx: range.start,
-            end: range.end,
-        }
-    }
-
-    /// Re-materializes the access at `i` as an [`Access`] record with a
-    /// line-aligned byte address (the representation `CacheModel::access`
-    /// consumes). Used by the differential tests and fallback paths.
-    pub fn to_access(&self, i: usize) -> Access {
-        let a = self.get(i);
-        Access {
-            addr: a.address(self.geom.line_bytes()),
-            kind: a.kind(),
-            inst_gap: a.inst_gap,
-        }
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = DecodedAccess> + '_ {
+        (0..self.len()).map(move |i| self.get(i))
     }
 }
 
@@ -314,40 +252,10 @@ fn sum_gaps(gaps: &[u32]) -> u64 {
     gaps.iter().map(|&g| u64::from(g)).sum()
 }
 
-/// Iterator over a [`DecodedTrace`] (or a sub-range of one).
-#[derive(Debug, Clone)]
-pub struct DecodedIter<'a> {
-    trace: &'a DecodedTrace,
-    idx: usize,
-    end: usize,
-}
-
-impl Iterator for DecodedIter<'_> {
-    type Item = DecodedAccess;
-
-    #[inline]
-    fn next(&mut self) -> Option<DecodedAccess> {
-        if self.idx < self.end {
-            let a = self.trace.get(self.idx);
-            self.idx += 1;
-            Some(a)
-        } else {
-            None
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let n = self.end - self.idx;
-        (n, Some(n))
-    }
-}
-
-impl ExactSizeIterator for DecodedIter<'_> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SplitMix64;
+    use crate::{Address, SplitMix64};
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(8, 4, 64).unwrap()
@@ -377,9 +285,7 @@ mod tests {
         assert_eq!(d.instructions(), t.instructions());
         for (i, a) in t.iter().enumerate() {
             let da = d.get(i);
-            let line = a.addr.line(g.line_bytes());
-            assert_eq!(da.line, line);
-            assert_eq!(da.set as usize, g.set_index_of_line(line));
+            assert_eq!(da.line, a.addr.line(g.line_bytes()));
             assert_eq!(da.write, a.kind.is_write());
             assert_eq!(da.kind(), a.kind);
             assert_eq!(da.inst_gap, a.inst_gap);
@@ -388,31 +294,13 @@ mod tests {
     }
 
     #[test]
-    fn to_access_is_line_aligned_round_trip() {
-        let g = geom();
-        let t = mixed_trace(100);
-        let d = DecodedTrace::decode(&t, g);
-        for (i, a) in t.iter().enumerate() {
-            let r = d.to_access(i);
-            assert_eq!(r.addr.line(g.line_bytes()), a.addr.line(g.line_bytes()));
-            assert_eq!(r.addr.raw() % g.line_bytes(), 0);
-            assert_eq!(r.kind, a.kind);
-            assert_eq!(r.inst_gap, a.inst_gap);
-        }
-    }
-
-    #[test]
-    fn iter_and_ranges() {
-        let g = geom();
+    fn iter_visits_every_access_in_order() {
         let t = mixed_trace(130); // crosses a write-word boundary
-        let d = DecodedTrace::decode(&t, g);
+        let d = DecodedTrace::decode(&t, geom());
         let all: Vec<DecodedAccess> = d.iter().collect();
         assert_eq!(all.len(), 130);
-        let mid: Vec<DecodedAccess> = d.iter_range(40..90).collect();
-        assert_eq!(mid.len(), 50);
-        assert_eq!(mid[0], all[40]);
-        assert_eq!(mid[49], all[89]);
-        assert_eq!(d.iter_range(0..0).count(), 0);
+        assert_eq!(all[40], d.get(40));
+        assert_eq!(all[129], d.get(129));
         assert_eq!(d.iter().size_hint(), (130, Some(130)));
     }
 
@@ -431,14 +319,26 @@ mod tests {
     }
 
     #[test]
-    fn compatibility_ignores_ways_only() {
+    fn lines_serve_any_set_count_at_the_decode_line_size() {
         let g = CacheGeometry::new(2048, 16, 64).unwrap();
-        let d = DecodedTrace::decode(&Trace::new(), g);
-        assert!(d.compatible_with(g));
-        assert!(d.compatible_with(CacheGeometry::new(2048, 4, 64).unwrap()));
-        assert!(d.compatible_with(CacheGeometry::new(2048, 32, 64).unwrap()));
-        assert!(!d.compatible_with(CacheGeometry::new(1024, 16, 64).unwrap()));
-        assert!(!d.compatible_with(CacheGeometry::new(2048, 16, 32).unwrap()));
+        let d = DecodedTrace::decode(&mixed_trace(70), g);
+        for other in [
+            CacheGeometry::new(2048, 4, 64).unwrap(),
+            CacheGeometry::new(512, 16, 64).unwrap(),
+            CacheGeometry::new(1, 1, 64).unwrap(),
+        ] {
+            assert_eq!(d.lines_for(other), d.lines_for(g));
+        }
+        for (i, &line) in d.lines_for(g).iter().enumerate() {
+            assert_eq!(line, d.get(i).line.raw());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "own line size")]
+    fn lines_refuse_another_line_size() {
+        let d = DecodedTrace::decode(&mixed_trace(4), geom());
+        let _ = d.lines_for(CacheGeometry::new(8, 4, 32).unwrap());
     }
 
     #[test]
@@ -448,13 +348,6 @@ mod tests {
         assert_eq!(d.len(), 0);
         assert_eq!(d.instructions(), 0);
         assert_eq!(d.iter().count(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn out_of_bounds_range_panics() {
-        let d = DecodedTrace::decode(&mixed_trace(4), geom());
-        let _ = d.iter_range(2..9);
     }
 
     #[test]
@@ -475,21 +368,6 @@ mod tests {
                 .map(|a| u64::from(a.inst_gap))
                 .sum();
             assert_eq!(d.instructions_in(start..end), manual);
-        }
-    }
-
-    #[test]
-    fn raw_columns_are_parallel() {
-        let g = geom();
-        let t = mixed_trace(70);
-        let d = DecodedTrace::decode(&t, g);
-        assert_eq!(d.set_indices().len(), 70);
-        assert_eq!(d.line_addrs().len(), 70);
-        assert_eq!(d.inst_gaps().len(), 70);
-        for i in 0..70 {
-            assert_eq!(d.set_indices()[i], d.get(i).set);
-            assert_eq!(d.line_addrs()[i], d.get(i).line.raw());
-            assert_eq!(d.inst_gaps()[i], d.get(i).inst_gap);
         }
     }
 }

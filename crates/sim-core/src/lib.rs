@@ -8,9 +8,9 @@
 //! * [`CacheGeometry`] — sets × ways × line-size arithmetic (tag/index/offset
 //!   extraction);
 //! * [`Access`], [`AccessKind`], [`Trace`] — trace-driven simulation inputs;
-//! * [`DecodedTrace`] — a structure-of-arrays `(Trace, CacheGeometry)`
-//!   decode (set indices, line addresses, packed write flags) performed once
-//!   and replayed by every scheme;
+//! * [`DecodedTrace`] — a line-granular structure-of-arrays decode of a
+//!   `Trace` (line addresses, packed write flags, instruction gaps)
+//!   performed once and replayed by every scheme at any set count;
 //! * [`SetFrames`] — flat structure-of-arrays tag storage (contiguous tag
 //!   words plus bit-packed valid/dirty/flag words) backing every scheme's
 //!   set frames;
@@ -67,12 +67,12 @@ pub use access::{Access, AccessKind};
 pub use addr::{Address, LineAddr};
 pub use audit::{run_audited, AuditError, AuditedCacheModel, InvariantAuditor};
 pub use counter::SaturatingCounter;
-pub use decoded::{DecodedAccess, DecodedIter, DecodedTrace};
+pub use decoded::{DecodedAccess, DecodedTrace};
 pub use error::{GeometryError, SimError, TraceError};
 pub use frames::{Frame, SetFrames};
 pub use geometry::CacheGeometry;
 pub use json::{Json, JsonError};
-pub use model::{replay_decoded_via_access, AccessResult, CacheModel, CacheModelClone};
+pub use model::{AccessResult, CacheModel, CacheModelClone};
 pub use rng::SplitMix64;
 pub use sample::SampledTrace;
 pub use snapshot::{Snapshot, SnapshotError};

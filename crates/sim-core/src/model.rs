@@ -6,8 +6,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::{
-    AccessKind, Address, CacheGeometry, CacheStats, DecodedAccess, DecodedTrace, Snapshot,
-    SnapshotError, Trace,
+    AccessKind, Address, CacheGeometry, CacheStats, DecodedTrace, LineAddr, Snapshot, SnapshotError,
 };
 
 /// The outcome of one cache access, at the granularity the paper's timing
@@ -75,13 +74,13 @@ impl fmt::Display for AccessResult {
 ///
 /// # Examples
 ///
-/// Run a trace through any scheme and read its statistics:
+/// Run a decoded stream through any scheme and read its statistics:
 ///
 /// ```no_run
-/// use stem_sim_core::{Access, Address, CacheModel, Trace};
+/// use stem_sim_core::{CacheModel, DecodedTrace};
 ///
-/// fn mpki(cache: &mut dyn CacheModel, trace: &Trace) -> f64 {
-///     cache.run(trace);
+/// fn mpki(cache: &mut dyn CacheModel, trace: &DecodedTrace) -> f64 {
+///     cache.run_decoded(trace);
 ///     cache.stats().mpki(trace.instructions())
 /// }
 /// ```
@@ -126,52 +125,26 @@ pub trait CacheModel: CacheModelClone {
     /// A short scheme name for reports (e.g. `"LRU"`, `"STEM"`).
     fn name(&self) -> &str;
 
-    /// Processes every access of a trace in order.
-    fn run(&mut self, trace: &Trace) {
-        for a in trace {
-            self.access(a.addr, a.kind);
-        }
-    }
-
-    /// Processes one pre-decoded access.
-    ///
-    /// # Contract
-    ///
-    /// Callers must only invoke this when the access was decoded at this
-    /// cache's set count and line size
-    /// ([`DecodedTrace::compatible_with`]); under that contract the
-    /// pre-extracted `set`/`line` fields are exactly what
-    /// [`access`](CacheModel::access) would re-derive, and overriding
-    /// implementations may consume them directly. The provided default is
-    /// the documented *fallback through the existing `Access` path*: it
-    /// reconstructs the line-aligned byte address and calls
-    /// [`access`](CacheModel::access), so schemes whose probe geometry
-    /// differs from the decode geometry (e.g. V-Way's tag-store lookup)
-    /// need no override and still behave identically.
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        self.access(a.address(self.geometry().line_bytes()), a.kind())
-    }
-
     /// Replays the decoded accesses in `range`, in order.
     ///
-    /// When the decode geometry is compatible with this cache
-    /// ([`DecodedTrace::compatible_with`]) each access goes through
-    /// [`access_decoded`](CacheModel::access_decoded); otherwise every
-    /// access falls back to the byte-address [`access`](CacheModel::access)
-    /// path, reconstructed at the *trace's* line granularity so the stream
-    /// of line addresses the cache observes is unchanged. Both arms produce
-    /// per-access outcomes identical to replaying the original `Trace`.
+    /// The provided loop feeds each access, as a line-aligned byte address,
+    /// to [`access`](CacheModel::access); schemes override it with a
+    /// monomorphic kernel over the line column that derives the set from
+    /// each line under their own geometry. Either way the per-access
+    /// outcomes are identical to replaying the original `Trace`, at any
+    /// set count.
     ///
     /// # Panics
     ///
-    /// Panics if `range` is out of bounds for `trace`.
+    /// Panics if `range` is out of bounds for `trace`, or if the trace's
+    /// line size differs from this cache's
+    /// ([`DecodedTrace::lines_for`]).
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: Range<usize>) {
-        if trace.compatible_with(self.geometry()) {
-            for a in trace.iter_range(range) {
-                self.access_decoded(a);
-            }
-        } else {
-            replay_decoded_via_access(self, trace, range);
+        let geom = self.geometry();
+        let lines = &trace.lines_for(geom)[range.clone()];
+        for (i, &line) in range.zip(lines) {
+            let addr = LineAddr::new(line).to_address(geom.line_bytes());
+            self.access(addr, AccessKind::from_write(trace.is_write(i)));
         }
     }
 
@@ -288,24 +261,6 @@ impl Clone for Box<dyn CacheModel> {
     }
 }
 
-/// The documented incompatible-geometry fallback for
-/// [`CacheModel::replay_decoded`]: re-materializes each access as a
-/// line-aligned byte address at the *trace's* line granularity and feeds it
-/// to [`CacheModel::access`], so the stream of line addresses the cache
-/// observes is exactly what the original `Trace` would have produced.
-/// Scheme-specific `replay_decoded` overrides delegate their incompatible
-/// arm here so the fallback semantics stay in one place.
-pub fn replay_decoded_via_access<C: CacheModel + ?Sized>(
-    cache: &mut C,
-    trace: &DecodedTrace,
-    range: Range<usize>,
-) {
-    let line_bytes = trace.geometry().line_bytes();
-    for a in trace.iter_range(range) {
-        cache.access(a.address(line_bytes), a.kind());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,16 +287,29 @@ mod tests {
         );
     }
 
-    /// A trivial always-miss cache to exercise the trait's default methods.
+    /// A trivial always-miss cache that records what reaches `access`, to
+    /// exercise the trait's default methods.
     #[derive(Clone)]
     struct NullCache {
         stats: CacheStats,
         geom: CacheGeometry,
+        seen: Vec<(Address, AccessKind)>,
+    }
+
+    impl NullCache {
+        fn new(geom: CacheGeometry) -> Self {
+            NullCache {
+                stats: CacheStats::default(),
+                geom,
+                seen: Vec::new(),
+            }
+        }
     }
 
     impl CacheModel for NullCache {
-        fn access(&mut self, _addr: Address, _kind: AccessKind) -> AccessResult {
+        fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
             self.stats.record_local_miss();
+            self.seen.push((addr, kind));
             AccessResult::MissLocal
         }
         fn stats(&self) -> &CacheStats {
@@ -359,60 +327,46 @@ mod tests {
     }
 
     #[test]
-    fn run_processes_whole_trace_and_is_object_safe() {
-        let mut cache: Box<dyn CacheModel> = Box::new(NullCache {
-            stats: CacheStats::default(),
-            geom: CacheGeometry::micro2010_l2(),
-        });
-        let trace: Trace = (0..10u64)
-            .map(|i| Access::read(Address::new(i * 64)))
+    fn default_replay_feeds_line_aligned_accesses_at_any_set_count() {
+        let trace: crate::Trace = (0..100u64)
+            .map(|i| {
+                let addr = Address::new(i * 64 + i % 64); // unaligned
+                if i % 3 == 0 {
+                    Access::write(addr)
+                } else {
+                    Access::read(addr)
+                }
+            })
             .collect();
-        cache.run(&trace);
-        assert_eq!(cache.stats().accesses(), 10);
+        let decoded = DecodedTrace::decode(&trace, CacheGeometry::micro2010_l2());
+        for sets in [2048, 64, 1] {
+            let mut cache = NullCache::new(CacheGeometry::new(sets, 4, 64).unwrap());
+            cache.run_decoded(&decoded);
+            assert_eq!(cache.stats().accesses(), 100);
+            for (&(addr, kind), a) in cache.seen.iter().zip(&trace) {
+                assert_eq!(addr.raw(), a.addr.raw() / 64 * 64);
+                assert_eq!(kind, a.kind);
+            }
+        }
+
+        let mut cache: Box<dyn CacheModel> = Box::new(NullCache::new(decoded.geometry()));
+        cache.replay_decoded(&decoded, 10..30);
+        assert_eq!(cache.stats().accesses(), 20);
         cache.reset_stats();
         assert_eq!(cache.stats().accesses(), 0);
-        let r = cache.access(Address::new(0), AccessKind::Write);
-        assert!(r.is_miss());
     }
 
     #[test]
-    fn decoded_defaults_replay_through_access_path() {
-        let geom = CacheGeometry::micro2010_l2();
-        let trace: Trace = (0..100u64)
-            .map(|i| Access::read(Address::new(i * 64 + i % 64))) // unaligned
-            .collect();
-        let decoded = crate::DecodedTrace::decode(&trace, geom);
-
-        let mut cache: Box<dyn CacheModel> = Box::new(NullCache {
-            stats: CacheStats::default(),
-            geom,
-        });
-        cache.run_decoded(&decoded);
-        assert_eq!(cache.stats().accesses(), 100);
-
-        cache.reset_stats();
-        cache.replay_decoded(&decoded, 10..30);
-        assert_eq!(cache.stats().accesses(), 20);
-
-        // Incompatible geometry exercises the fallback arm.
-        let mut small = NullCache {
-            stats: CacheStats::default(),
-            geom: CacheGeometry::new(64, 4, 64).unwrap(),
-        };
-        assert!(!decoded.compatible_with(small.geom));
-        small.run_decoded(&decoded);
-        assert_eq!(small.stats.accesses(), 100);
-
-        let r = cache.access_decoded(decoded.get(0));
-        assert!(r.is_miss());
+    #[should_panic(expected = "own line size")]
+    fn default_replay_refuses_another_line_size() {
+        let trace: crate::Trace = [Access::read(Address::new(0))].into_iter().collect();
+        let decoded = DecodedTrace::decode(&trace, CacheGeometry::micro2010_l2());
+        NullCache::new(CacheGeometry::new(64, 4, 32).unwrap()).run_decoded(&decoded);
     }
 
     #[test]
     fn non_demand_access_leaves_stats_untouched() {
-        let mut cache = NullCache {
-            stats: CacheStats::default(),
-            geom: CacheGeometry::micro2010_l2(),
-        };
+        let mut cache = NullCache::new(CacheGeometry::micro2010_l2());
         cache.access(Address::new(0), AccessKind::Read);
         let before = *cache.stats();
         let r = cache.access_non_demand(Address::new(64), AccessKind::Read);

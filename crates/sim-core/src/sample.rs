@@ -69,11 +69,12 @@ fn domain_count(geom: CacheGeometry) -> usize {
     (geom.sets() / 2).max(1)
 }
 
-/// The pair domain of `set`: `set & (sets/2 - 1)` (set counts are powers of
-/// two), folding partner pairs `(s, s ^ sets/2)` onto one domain.
+/// The pair domain of `line`: `line & (sets/2 - 1)`, which is the domain
+/// of its set `line & (sets - 1)` (set counts are powers of two), folding
+/// partner pairs `(s, s ^ sets/2)` onto one domain.
 #[inline]
-fn domain_of(set: u32, domains: usize) -> usize {
-    (set as usize) & (domains - 1)
+fn domain_of(line: u64, domains: usize) -> usize {
+    (line as usize) & (domains - 1)
 }
 
 impl SampledTrace {
@@ -121,33 +122,30 @@ impl SampledTrace {
 
         // Size exactly, then scatter in one stable pass through a keep/drop
         // mask.
-        let sets = source.set_indices();
-        let lines = source.line_addrs();
+        let lines = source.lines_for(geom);
         let gaps = source.inst_gaps();
-        let count = sets
+        let count = lines
             .iter()
-            .filter(|&&s| selected_mask[domain_of(s, domains)])
+            .filter(|&&l| selected_mask[domain_of(l, domains)])
             .count();
-        let mut b_sets = Vec::with_capacity(count);
         let mut b_lines = Vec::with_capacity(count);
         let mut b_write_words = vec![0u64; count.div_ceil(64)];
         let mut b_gaps = Vec::with_capacity(count);
         let mut orig = Vec::with_capacity(count);
         for i in 0..n {
-            if !selected_mask[domain_of(sets[i], domains)] {
+            if !selected_mask[domain_of(lines[i], domains)] {
                 continue;
             }
-            let local = b_sets.len();
+            let local = b_lines.len();
             if source.is_write(i) {
                 b_write_words[local >> 6] |= 1u64 << (local & 63);
             }
-            b_sets.push(sets[i]);
             b_lines.push(lines[i]);
             b_gaps.push(gaps[i]);
             orig.push(i as u32);
         }
         SampledTrace {
-            trace: DecodedTrace::from_parts(geom, b_sets, b_lines, b_write_words, b_gaps),
+            trace: DecodedTrace::from_parts(geom, b_lines, b_write_words, b_gaps),
             orig,
             selected,
             domains,
@@ -280,8 +278,7 @@ mod tests {
                 let b = SampledTrace::select(&d, rate, seed);
                 assert_eq!(a.selected_domains(), b.selected_domains());
                 assert_eq!(a.orig_indices(), b.orig_indices());
-                assert_eq!(a.trace().set_indices(), b.trace().set_indices());
-                assert_eq!(a.trace().line_addrs(), b.trace().line_addrs());
+                assert_eq!(a.trace(), b.trace());
             }
         }
     }
@@ -305,14 +302,10 @@ mod tests {
         assert_eq!(s.len(), d.len());
         assert_eq!(s.selected_domains().len(), s.domain_count());
         assert_eq!(s.scale_factor().to_bits(), 1.0f64.to_bits());
-        assert_eq!(s.trace().set_indices(), d.set_indices());
-        assert_eq!(s.trace().line_addrs(), d.line_addrs());
-        assert_eq!(s.trace().inst_gaps(), d.inst_gaps());
+        assert_eq!(s.trace(), &d);
         for i in 0..d.len() {
-            assert_eq!(s.trace().is_write(i), d.is_write(i));
             assert_eq!(s.orig_indices()[i] as usize, i);
         }
-        assert_eq!(s.trace().instructions(), d.instructions());
     }
 
     #[test]
@@ -325,7 +318,7 @@ mod tests {
             .collect();
         // Every selected-domain access survives; none else do.
         let expected: Vec<usize> = (0..d.len())
-            .filter(|&i| mask[domain_of(d.set_indices()[i], domains)])
+            .filter(|&i| mask[domain_of(d.get(i).line.raw(), domains)])
             .collect();
         assert_eq!(
             s.orig_indices()
@@ -336,10 +329,7 @@ mod tests {
         );
         for (j, &o) in s.orig_indices().iter().enumerate() {
             let o = o as usize;
-            assert_eq!(s.trace().set_indices()[j], d.set_indices()[o]);
-            assert_eq!(s.trace().line_addrs()[j], d.line_addrs()[o]);
-            assert_eq!(s.trace().inst_gaps()[j], d.inst_gaps()[o]);
-            assert_eq!(s.trace().is_write(j), d.is_write(o));
+            assert_eq!(s.trace().get(j), d.get(o));
         }
     }
 
@@ -350,7 +340,8 @@ mod tests {
         for seed in [0u64, 3, 99] {
             let s = SampledTrace::select(&d, 8, seed);
             let covered: std::collections::BTreeSet<usize> = s.selected_sets().collect();
-            for &set in s.trace().set_indices() {
+            for a in s.trace().iter() {
+                let set = d.geometry().set_index_of_line(a.line) as u32;
                 assert!(covered.contains(&(set as usize)));
                 assert!(
                     covered.contains(&((set ^ half) as usize)),

@@ -20,13 +20,13 @@
 //!
 //! ```
 //! use stem_spatial::SbcCache;
-//! use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, Trace};
+//! use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, DecodedTrace, Trace};
 //!
 //! # fn main() -> Result<(), stem_sim_core::GeometryError> {
 //! let geom = CacheGeometry::new(64, 4, 64)?;
 //! let mut sbc = SbcCache::new(geom);
 //! let trace: Trace = (0..100u64).map(|i| Access::read(Address::new(i * 64))).collect();
-//! sbc.run(&trace);
+//! sbc.run_decoded(&DecodedTrace::decode(&trace, geom));
 //! assert_eq!(sbc.stats().accesses(), 100);
 //! # Ok(())
 //! # }

@@ -18,9 +18,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
-    SimError,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
+    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 use crate::{AssociationTable, DestinationSetSelector};
@@ -346,24 +345,16 @@ impl CacheModel for SbcCache {
         self.access_at(line, home, kind.is_write())
     }
 
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        self.access_at(a.line, a.set as usize, a.write)
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// `access_at` with static dispatch, instead of one
-    /// virtual `access_decoded` call per access through the trait default.
+    /// Monomorphic replay loop: streams the line column straight into
+    /// `access_at` with static dispatch, deriving each set under this
+    /// cache's own geometry, instead of one virtual `access` call per
+    /// access through the trait default.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            self.access_at(line, sets[i] as usize, trace.is_write(i));
+        let lines = &trace.lines_for(self.geom)[range.clone()];
+        for (i, &line) in range.zip(lines) {
+            let line = LineAddr::new(line);
+            let set = self.geom.set_index_of_line(line);
+            self.access_at(line, set, trace.is_write(i));
         }
     }
 
@@ -479,14 +470,14 @@ impl std::fmt::Debug for SbcCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_sim_core::{prop, Access, Trace};
+    use stem_sim_core::{prop, Access, DecodedTrace};
 
     /// A trace that thrashes set 0 (cycle of `2 * ways` blocks) while
     /// leaving set 1 idle after a warm single block — the paper's Example
     /// #1 shape.
-    fn example1_trace(geom: CacheGeometry, rounds: usize) -> Trace {
+    fn example1_trace(geom: CacheGeometry, rounds: usize) -> DecodedTrace {
         let ways = geom.ways() as u64;
-        let mut t = Trace::new();
+        let mut t = DecodedTrace::with_capacity(geom, 0);
         for _ in 0..rounds {
             for tag in 0..(ways + ways / 2) {
                 t.push(Access::read(geom.address_of(tag, 0)));
@@ -500,7 +491,7 @@ mod tests {
     fn sbc_couples_thrashed_set_with_idle_set() {
         let geom = CacheGeometry::new(4, 4, 64).unwrap();
         let mut sbc = SbcCache::new(geom);
-        sbc.run(&example1_trace(geom, 100));
+        sbc.run_decoded(&example1_trace(geom, 100));
         assert!(sbc.stats().couplings() > 0, "SBC never coupled");
         assert!(sbc.stats().spills() > 0, "SBC never spilled");
         assert!(
@@ -515,9 +506,9 @@ mod tests {
         let geom = CacheGeometry::new(4, 4, 64).unwrap();
         let trace = example1_trace(geom, 200);
         let mut sbc = SbcCache::new(geom);
-        sbc.run(&trace);
+        sbc.run_decoded(&trace);
         let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-        lru.run(&trace);
+        lru.run_decoded(&trace);
         assert!(
             sbc.stats().misses() < lru.stats().misses(),
             "SBC ({}) should beat LRU ({}) when demands are complementary",
@@ -545,7 +536,7 @@ mod tests {
     fn foreign_blocks_counted_and_drained() {
         let geom = CacheGeometry::new(4, 2, 64).unwrap();
         let mut sbc = SbcCache::new(geom);
-        sbc.run(&example1_trace(geom, 300));
+        sbc.run_decoded(&example1_trace(geom, 300));
         // Consistency: every foreign count matches the actual lines.
         for s in 0..geom.sets() {
             let actual = sbc.frames.flagged_count(s) as u32;
@@ -559,14 +550,14 @@ mod tests {
         // destination and behaves like LRU.
         let geom = CacheGeometry::new(2, 2, 64).unwrap();
         let mut sbc = SbcCache::new(geom);
-        let mut t = Trace::new();
+        let mut t = DecodedTrace::with_capacity(geom, 0);
         for _ in 0..200 {
             for tag in 0..4u64 {
                 t.push(Access::read(geom.address_of(tag, 0)));
                 t.push(Access::read(geom.address_of(tag, 1)));
             }
         }
-        sbc.run(&t);
+        sbc.run_decoded(&t);
         assert_eq!(sbc.stats().coop_hits(), 0);
         assert_eq!(sbc.stats().hits(), 0, "both sets must thrash");
     }

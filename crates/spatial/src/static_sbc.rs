@@ -11,9 +11,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
-    SimError,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
+    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 /// The static Set Balancing Cache.
@@ -190,24 +189,16 @@ impl CacheModel for StaticSbcCache {
         self.access_at(line, home, kind.is_write())
     }
 
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        self.access_at(a.line, a.set as usize, a.write)
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// `access_at` with static dispatch, instead of one
-    /// virtual `access_decoded` call per access through the trait default.
+    /// Monomorphic replay loop: streams the line column straight into
+    /// `access_at` with static dispatch, deriving each set under this
+    /// cache's own geometry, instead of one virtual `access` call per
+    /// access through the trait default.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            self.access_at(line, sets[i] as usize, trace.is_write(i));
+        let lines = &trace.lines_for(self.geom)[range.clone()];
+        for (i, &line) in range.zip(lines) {
+            let line = LineAddr::new(line);
+            let set = self.geom.set_index_of_line(line);
+            self.access_at(line, set, trace.is_write(i));
         }
     }
 
@@ -304,7 +295,7 @@ impl std::fmt::Debug for StaticSbcCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_sim_core::{Access, Trace};
+    use stem_sim_core::{Access, DecodedTrace};
 
     #[test]
     fn partner_is_top_bit_complement() {
@@ -320,15 +311,15 @@ mod tests {
         use stem_replacement::{Lru, SetAssocCache};
         let geom = CacheGeometry::new(4, 4, 64).unwrap();
         // Set 0 cycles 6 blocks; its partner (set 2) idles on one block.
-        let mut trace = Trace::new();
+        let mut trace = DecodedTrace::with_capacity(geom, 0);
         for round in 0..400u64 {
             trace.push(Access::read(geom.address_of(round % 6, 0)));
             trace.push(Access::read(geom.address_of(0, 2)));
         }
         let mut sbc = StaticSbcCache::new(geom);
-        sbc.run(&trace);
+        sbc.run_decoded(&trace);
         let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-        lru.run(&trace);
+        lru.run_decoded(&trace);
         assert!(sbc.stats().spills() > 0);
         assert!(
             sbc.stats().misses() < lru.stats().misses(),

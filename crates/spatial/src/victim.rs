@@ -9,9 +9,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
-    SimError,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
+    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 /// One fully-associative victim-buffer entry.
@@ -167,24 +166,16 @@ impl CacheModel for VictimCache {
         self.access_at(line, set, kind.is_write())
     }
 
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        self.access_at(a.line, a.set as usize, a.write)
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// `access_at` with static dispatch, instead of one
-    /// virtual `access_decoded` call per access through the trait default.
+    /// Monomorphic replay loop: streams the line column straight into
+    /// `access_at` with static dispatch, deriving each set under this
+    /// cache's own geometry, instead of one virtual `access` call per
+    /// access through the trait default.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            self.access_at(line, sets[i] as usize, trace.is_write(i));
+        let lines = &trace.lines_for(self.geom)[range.clone()];
+        for (i, &line) in range.zip(lines) {
+            let line = LineAddr::new(line);
+            let set = self.geom.set_index_of_line(line);
+            self.access_at(line, set, trace.is_write(i));
         }
     }
 

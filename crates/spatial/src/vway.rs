@@ -14,9 +14,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
-    SimError,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
+    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 /// Tuning parameters for [`VWayCache`].
@@ -327,7 +326,7 @@ impl VWayCache {
     /// and the decoded replay loop: line address and *data-geometry* set
     /// index are already extracted. V-Way's tag store is wider than the
     /// data store (`tag_data_ratio x ways` entries per set) but indexes its
-    /// sets identically, so the pre-decoded set index addresses the tag
+    /// sets identically, so the data-geometry set index addresses the tag
     /// probe directly.
     ///
     /// # Errors
@@ -434,36 +433,16 @@ impl CacheModel for VWayCache {
         }
     }
 
-    /// V-Way's tag store is shaped differently from the data geometry a
-    /// `DecodedTrace` is decoded against (`tag_data_ratio` x more entries
-    /// per set, decoupled from the global data store), but it *indexes*
-    /// sets identically — same set count, same line size — so the
-    /// pre-decoded `set`/`line` pair drives the tag probe directly. When
-    /// the decode geometry is incompatible, the documented fallback through
-    /// the byte-address [`access`](CacheModel::access) path applies (the
-    /// trait-default behaviour, exercised by the differential tests).
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        match self.try_access_at(a.line, a.set as usize, a.write) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// `try_access_at` with static dispatch, instead
-    /// of one virtual `access_decoded` call per access through the trait
-    /// default.
+    /// Monomorphic replay loop: streams the line column straight into
+    /// `try_access_at` with static dispatch, deriving each set under this
+    /// cache's own geometry, instead of one virtual `access` call per
+    /// access through the trait default.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            if let Err(e) = self.try_access_at(line, sets[i] as usize, trace.is_write(i)) {
+        let lines = &trace.lines_for(self.geom)[range.clone()];
+        for (i, &line) in range.zip(lines) {
+            let line = LineAddr::new(line);
+            let set = self.geom.set_index_of_line(line);
+            if let Err(e) = self.try_access_at(line, set, trace.is_write(i)) {
                 panic!("{e}");
             }
         }
@@ -552,7 +531,7 @@ impl std::fmt::Debug for VWayCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_sim_core::{prop, Access, Trace};
+    use stem_sim_core::{prop, Access, DecodedTrace};
 
     #[test]
     fn hot_set_exceeds_nominal_associativity() {
@@ -584,7 +563,7 @@ mod tests {
     fn vway_beats_lru_on_skewed_demand() {
         use stem_replacement::{Lru, SetAssocCache};
         let geom = CacheGeometry::new(4, 2, 64).unwrap();
-        let mut trace = Trace::new();
+        let mut trace = DecodedTrace::with_capacity(geom, 0);
         for _ in 0..300 {
             // Set 0 cycles 3 blocks (doesn't fit 2 ways); sets 1-3 idle.
             for tag in 0..3u64 {
@@ -592,9 +571,9 @@ mod tests {
             }
         }
         let mut v = VWayCache::new(geom);
-        v.run(&trace);
+        v.run_decoded(&trace);
         let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-        lru.run(&trace);
+        lru.run_decoded(&trace);
         assert!(
             v.stats().misses() < lru.stats().misses() / 2,
             "V-Way {} vs LRU {}",

@@ -2,9 +2,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    replay_decoded_via_access, AccessKind, AccessResult, Address, AuditError, CacheGeometry,
-    CacheModel, CacheStats, DecodedAccess, DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
-    SimError, SplitMix64,
+    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
+    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError, SplitMix64,
 };
 use stem_spatial::{AssociationTable, DestinationSetSelector};
 
@@ -445,28 +444,16 @@ impl CacheModel for StemCache {
         }
     }
 
-    fn access_decoded(&mut self, a: DecodedAccess) -> AccessResult {
-        debug_assert_eq!(a.set as usize, self.geom.set_index_of_line(a.line));
-        match self.try_access_at(a.line, a.set as usize, a.write) {
-            Ok(r) => r,
-            Err(e) => panic!("STEM internal state corrupted: {e}"),
-        }
-    }
-
-    /// Monomorphic replay loop: streams the raw SoA columns straight into
-    /// `try_access_at` with static dispatch, instead
-    /// of one virtual `access_decoded` call per access through the trait
-    /// default.
+    /// Monomorphic replay loop: streams the line column straight into
+    /// `try_access_at` with static dispatch, deriving each set under this
+    /// cache's own geometry, instead of one virtual `access` call per
+    /// access through the trait default.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
-        if !trace.compatible_with(self.geom) {
-            return replay_decoded_via_access(self, trace, range);
-        }
-        let sets = trace.set_indices();
-        let lines = trace.line_addrs();
-        for i in range {
-            let line = LineAddr::new(lines[i]);
-            debug_assert_eq!(sets[i] as usize, self.geom.set_index_of_line(line));
-            if let Err(e) = self.try_access_at(line, sets[i] as usize, trace.is_write(i)) {
+        let lines = &trace.lines_for(self.geom)[range.clone()];
+        for (i, &line) in range.zip(lines) {
+            let line = LineAddr::new(line);
+            let set = self.geom.set_index_of_line(line);
+            if let Err(e) = self.try_access_at(line, set, trace.is_write(i)) {
                 panic!("STEM internal state corrupted: {e}");
             }
         }
@@ -589,13 +576,13 @@ impl std::fmt::Debug for StemCache {
 mod tests {
     use super::*;
     use stem_replacement::{Lru, SetAssocCache};
-    use stem_sim_core::{prop, Access, Trace};
+    use stem_sim_core::{prop, Access, DecodedTrace};
 
     /// Thrash set 0 with a cycle of `1.5 × ways` blocks while set 1 holds a
     /// well-reused pair of blocks (the paper's Example #1 shape).
-    fn complementary_trace(geom: CacheGeometry, rounds: usize) -> Trace {
+    fn complementary_trace(geom: CacheGeometry, rounds: usize) -> DecodedTrace {
         let ways = geom.ways() as u64;
-        let mut t = Trace::new();
+        let mut t = DecodedTrace::with_capacity(geom, 0);
         for _ in 0..rounds {
             for tag in 0..(ways + ways / 2) {
                 t.push(Access::read(geom.address_of(tag, 0)));
@@ -606,9 +593,9 @@ mod tests {
     }
 
     /// A pure thrashing cycle over one set (BIP-friendly, LRU-hostile).
-    fn thrash_trace(geom: CacheGeometry, set: usize, extra: u64, rounds: usize) -> Trace {
+    fn thrash_trace(geom: CacheGeometry, set: usize, extra: u64, rounds: usize) -> DecodedTrace {
         let n = geom.ways() as u64 + extra;
-        let mut t = Trace::new();
+        let mut t = DecodedTrace::with_capacity(geom, 0);
         for _ in 0..rounds {
             for tag in 0..n {
                 t.push(Access::read(geom.address_of(tag, set)));
@@ -621,7 +608,7 @@ mod tests {
     fn stem_couples_and_cooperates() {
         let geom = CacheGeometry::new(8, 4, 64).unwrap();
         let mut stem = StemCache::new(geom);
-        stem.run(&complementary_trace(geom, 200));
+        stem.run_decoded(&complementary_trace(geom, 200));
         assert!(stem.stats().couplings() > 0, "STEM never coupled");
         assert!(stem.stats().spills() > 0, "STEM never spilled");
         assert!(stem.stats().coop_hits() > 0, "STEM never coop-hit");
@@ -632,9 +619,9 @@ mod tests {
         let geom = CacheGeometry::new(8, 4, 64).unwrap();
         let trace = complementary_trace(geom, 300);
         let mut stem = StemCache::new(geom);
-        stem.run(&trace);
+        stem.run_decoded(&trace);
         let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-        lru.run(&trace);
+        lru.run_decoded(&trace);
         assert!(
             stem.stats().misses() < lru.stats().misses(),
             "STEM ({}) should beat LRU ({})",
@@ -648,7 +635,7 @@ mod tests {
         // No giver available (every set thrashes) — the temporal half must
         // save the day by swapping sets to BIP.
         let geom = CacheGeometry::new(4, 4, 64).unwrap();
-        let mut trace = Trace::new();
+        let mut trace = DecodedTrace::with_capacity(geom, 0);
         for _ in 0..400 {
             for set in 0..4 {
                 for tag in 0..6u64 {
@@ -657,9 +644,9 @@ mod tests {
             }
         }
         let mut stem = StemCache::new(geom);
-        stem.run(&trace);
+        stem.run_decoded(&trace);
         let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-        lru.run(&trace);
+        lru.run_decoded(&trace);
         assert_eq!(lru.stats().hits(), 0, "LRU must fully thrash");
         assert!(stem.stats().policy_swaps() > 0, "no policy swap happened");
         assert!(
@@ -675,7 +662,7 @@ mod tests {
         let geom = CacheGeometry::new(2, 4, 64).unwrap();
         let mut stem = StemCache::new(geom);
         assert_eq!(stem.policy_of(0), PolicyKind::Lru);
-        stem.run(&thrash_trace(geom, 0, 2, 500));
+        stem.run_decoded(&thrash_trace(geom, 0, 2, 500));
         // A thrashing set's shadow (running BIP) out-hits it: SC_T
         // saturates and the set swaps to BIP.
         assert!(stem.stats().policy_swaps() > 0);
@@ -686,7 +673,7 @@ mod tests {
         // Compare spills with and without the constraint under heavy
         // pressure on the giver: the constrained config must spill less.
         let geom = CacheGeometry::new(4, 4, 64).unwrap();
-        let mut t = Trace::new();
+        let mut t = DecodedTrace::with_capacity(geom, 0);
         for round in 0..400 {
             for tag in 0..6u64 {
                 t.push(Access::read(geom.address_of(tag, 0)));
@@ -699,10 +686,10 @@ mod tests {
             }
         }
         let mut constrained = StemCache::with_config(geom, StemConfig::micro2010());
-        constrained.run(&t);
+        constrained.run_decoded(&t);
         let mut unconstrained =
             StemCache::with_config(geom, StemConfig::micro2010().with_receive_constraint(false));
-        unconstrained.run(&t);
+        unconstrained.run_decoded(&t);
         assert!(
             constrained.stats().receives() <= unconstrained.stats().receives(),
             "constraint should not increase receives: {} vs {}",
@@ -716,7 +703,7 @@ mod tests {
         let geom = CacheGeometry::new(8, 4, 64).unwrap();
         let mut stem =
             StemCache::with_config(geom, StemConfig::micro2010().with_spatial_coupling(false));
-        stem.run(&complementary_trace(geom, 200));
+        stem.run_decoded(&complementary_trace(geom, 200));
         assert_eq!(stem.stats().couplings(), 0);
         assert_eq!(stem.stats().coop_hits(), 0);
         assert_eq!(stem.stats().spills(), 0);
@@ -729,7 +716,7 @@ mod tests {
             geom,
             StemConfig::micro2010().with_temporal_adaptation(false),
         );
-        stem.run(&thrash_trace(geom, 0, 2, 500));
+        stem.run_decoded(&thrash_trace(geom, 0, 2, 500));
         assert_eq!(stem.stats().policy_swaps(), 0);
         assert_eq!(stem.policy_of(0), PolicyKind::Lru);
     }
@@ -738,7 +725,7 @@ mod tests {
     fn decoupling_follows_cc_drain() {
         let geom = CacheGeometry::new(8, 4, 64).unwrap();
         let mut stem = StemCache::new(geom);
-        stem.run(&complementary_trace(geom, 300));
+        stem.run_decoded(&complementary_trace(geom, 300));
         // Consistency rather than a specific count: all CC accounting must
         // match reality.
         for s in 0..geom.sets() {

@@ -30,13 +30,13 @@
 //!
 //! ```
 //! use stem_llc::StemCache;
-//! use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, Trace};
+//! use stem_sim_core::{Access, Address, CacheGeometry, CacheModel, DecodedTrace, Trace};
 //!
 //! # fn main() -> Result<(), stem_sim_core::GeometryError> {
 //! let geom = CacheGeometry::new(128, 8, 64)?;
 //! let mut stem = StemCache::new(geom);
 //! let trace: Trace = (0..1000u64).map(|i| Access::read(Address::new(i % 64 * 64))).collect();
-//! stem.run(&trace);
+//! stem.run_decoded(&DecodedTrace::decode(&trace, geom));
 //! assert!(stem.stats().hits() > 0);
 //! # Ok(())
 //! # }

@@ -2,10 +2,10 @@
 //! workloads, exercising the §4 mechanisms end to end.
 
 use stem_llc::{PolicyKind, StemCache, StemConfig};
-use stem_sim_core::{Access, AccessKind, CacheGeometry, CacheModel, Trace};
+use stem_sim_core::{Access, AccessKind, CacheGeometry, CacheModel, DecodedTrace};
 
-fn cyclic(geom: CacheGeometry, set: usize, blocks: u64, rounds: usize) -> Trace {
-    let mut t = Trace::new();
+fn cyclic(geom: CacheGeometry, set: usize, blocks: u64, rounds: usize) -> DecodedTrace {
+    let mut t = DecodedTrace::with_capacity(geom, 0);
     for _ in 0..rounds {
         for tag in 0..blocks {
             t.push(Access::read(geom.address_of(tag, set)));
@@ -22,14 +22,14 @@ fn thrashing_set_converges_to_bip_hit_rate() {
     let geom = CacheGeometry::new(2, 8, 64).unwrap();
     let blocks = 12u64;
     let mut stem = StemCache::new(geom);
-    stem.run(&cyclic(geom, 0, blocks, 200));
+    stem.run_decoded(&cyclic(geom, 0, blocks, 200));
     assert_eq!(
         stem.policy_of(0),
         PolicyKind::Bip,
         "set 0 should have swapped"
     );
     stem.reset_stats();
-    stem.run(&cyclic(geom, 0, blocks, 200));
+    stem.run_decoded(&cyclic(geom, 0, blocks, 200));
     let hit_rate = 1.0 - stem.stats().miss_rate();
     let bip_bound = (geom.ways() as f64 - 1.0) / blocks as f64;
     assert!(
@@ -48,23 +48,23 @@ fn coupling_lifecycle_with_role_change() {
 
     // Phase 1: set 0 cycles 6 blocks (taker), set 1 holds one block
     // (giver). Expect coupling and cooperative hits.
-    let mut phase1 = Trace::new();
+    let mut phase1 = DecodedTrace::with_capacity(geom, 0);
     for round in 0..3000u64 {
         phase1.push(Access::read(geom.address_of(round % 6, 0)));
         phase1.push(Access::read(geom.address_of(0, 1)));
     }
-    stem.run(&phase1);
+    stem.run_decoded(&phase1);
     assert!(stem.stats().couplings() > 0, "no coupling in phase 1");
     assert!(stem.stats().coop_hits() > 0, "no cooperation in phase 1");
 
     // Phase 2: set 1's own working set explodes; receiving must stop
     // (§4.6 feedback) and the pair eventually dissolves (§4.7).
-    let mut phase2 = Trace::new();
+    let mut phase2 = DecodedTrace::with_capacity(geom, 0);
     for round in 0..4000u64 {
         phase2.push(Access::read(geom.address_of(round % 6, 0)));
         phase2.push(Access::read(geom.address_of(round % 7, 1)));
     }
-    stem.run(&phase2);
+    stem.run_decoded(&phase2);
     assert!(
         stem.stats().decouplings() > 0,
         "the overwhelmed giver never decoupled"
@@ -77,12 +77,12 @@ fn coupling_lifecycle_with_role_change() {
 fn dirty_spills_write_back() {
     let geom = CacheGeometry::new(2, 4, 64).unwrap();
     let mut stem = StemCache::new(geom);
-    let mut t = Trace::new();
+    let mut t = DecodedTrace::with_capacity(geom, 0);
     for round in 0..3000u64 {
         t.push(Access::write(geom.address_of(round % 6, 0)));
         t.push(Access::read(geom.address_of(0, 1)));
     }
-    stem.run(&t);
+    stem.run_decoded(&t);
     assert!(
         stem.stats().writebacks() > 0,
         "dirty evictions must write back"
@@ -96,7 +96,7 @@ fn dirty_spills_write_back() {
 #[test]
 fn full_stem_not_worse_than_both_halves() {
     let geom = CacheGeometry::new(8, 4, 64).unwrap();
-    let mut trace = Trace::new();
+    let mut trace = DecodedTrace::with_capacity(geom, 0);
     for round in 0..2000u64 {
         // Sets 0-3 thrash (temporal territory); set 4 idles (giver);
         // sets 5-7 moderate.
@@ -110,7 +110,7 @@ fn full_stem_not_worse_than_both_halves() {
     }
     let run = |cfg: StemConfig| {
         let mut c = StemCache::with_config(geom, cfg);
-        c.run(&trace);
+        c.run_decoded(&trace);
         c.stats().misses()
     };
     let full = run(StemConfig::micro2010());

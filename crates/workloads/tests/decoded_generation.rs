@@ -25,8 +25,11 @@ fn decoded_generation_equals_decoding_the_generated_trace() {
                 let reference = DecodedTrace::decode(&bench.trace(geom, n), geom);
                 assert_eq!(fused.len(), n, "{case}");
                 assert_eq!(fused.geometry(), reference.geometry(), "{case}");
-                assert_eq!(fused.set_indices(), reference.set_indices(), "{case}: sets");
-                assert_eq!(fused.line_addrs(), reference.line_addrs(), "{case}: lines");
+                assert_eq!(
+                    fused.lines_for(geom),
+                    reference.lines_for(geom),
+                    "{case}: lines"
+                );
                 assert!(
                     (0..n).all(|i| fused.is_write(i) == reference.is_write(i)),
                     "{case}: write bits"

@@ -18,9 +18,9 @@ fn main() {
     };
 
     let geom = CacheGeometry::micro2010_l2();
-    let trace = bench.trace(geom, 500_000);
+    let trace = bench.decoded(geom, 500_000);
     let profiler = CapacityDemandProfiler::micro2010(geom);
-    let periods = profiler.profile(&trace);
+    let periods = profiler.profile_decoded(&trace);
     let agg = CapacityDemandProfiler::aggregate(&periods);
 
     println!(

@@ -11,7 +11,7 @@
 //! ```
 
 use stem::replacement::{Lru, RecencyStack, ReplacementPolicy, SetAssocCache};
-use stem::sim_core::{Access, CacheGeometry, CacheModel, Trace};
+use stem::sim_core::{Access, CacheGeometry, CacheModel, DecodedTrace};
 
 /// Evict the *most* recently used block. Policies are `Clone` so the
 /// caches they drive can be checkpointed.
@@ -46,8 +46,8 @@ impl ReplacementPolicy for MruEvict {
     }
 }
 
-fn miss_rate(cache: &mut dyn CacheModel, trace: &Trace) -> f64 {
-    cache.run(trace);
+fn miss_rate(cache: &mut dyn CacheModel, trace: &DecodedTrace) -> f64 {
+    cache.run_decoded(trace);
     cache.stats().miss_rate()
 }
 
@@ -56,7 +56,7 @@ fn main() {
 
     // A cyclic pattern one block larger than the associativity in every
     // set: the LRU worst case.
-    let mut thrash = Trace::new();
+    let mut thrash = DecodedTrace::with_capacity(geom, 0);
     for _ in 0..500 {
         for set in 0..geom.sets() {
             for tag in 0..(geom.ways() as u64 + 1) {

@@ -20,13 +20,12 @@ fn main() {
     // A synthetic analog of the omnetpp benchmark (Class I: non-uniform
     // set-level capacity demands).
     let bench = BenchmarkProfile::by_name("omnetpp").expect("known benchmark");
-    let trace = bench.trace(geom, 500_000);
+    let trace = bench.decoded(geom, 500_000);
 
-    // Core + L1 + STEM L2 + memory, with the §5.1 latency algebra.
+    // Core + L1 + STEM L2 + memory, with the §5.1 latency algebra: the
+    // first 100k accesses warm the caches, the rest are measured.
     let mut system = System::new(SystemConfig::micro2010(), Box::new(stem));
-    let warm = trace.iter().take(100_000).copied().collect();
-    let measured = trace.iter().skip(100_000).copied().collect();
-    let metrics = system.warm_then_run(&warm, &measured);
+    let metrics = system.warm_then_run_decoded(&trace, 100_000);
 
     println!("workload : {} ({})", bench.name(), bench.class());
     println!("scheme   : STEM");

@@ -8,14 +8,17 @@
 
 use stem::llc::StemCache;
 use stem::replacement::{Bip, Lru, SetAssocCache};
-use stem::sim_core::CacheModel;
+use stem::sim_core::{CacheModel, DecodedTrace};
 use stem::spatial::SbcCache;
 use stem::workloads::synthetic;
 
 fn steady_state_miss_rate(cache: &mut dyn CacheModel, example: u8) -> f64 {
-    cache.run(&synthetic::fig2_example(example, 100)); // warm up
+    let stream =
+        |rounds| DecodedTrace::decode(&synthetic::fig2_example(example, rounds), cache.geometry());
+    let (warm, measured) = (stream(100), stream(1000));
+    cache.run_decoded(&warm);
     cache.reset_stats();
-    cache.run(&synthetic::fig2_example(example, 1000));
+    cache.run_decoded(&measured);
     cache.stats().miss_rate()
 }
 

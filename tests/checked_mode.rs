@@ -34,7 +34,7 @@ fn audit_stride() -> u64 {
 /// per scheme), auditing at `stride`, and panics with the scheme name on
 /// the first violation. The pool contains a panicking job to its own
 /// slot, so one broken scheme reports without masking the others.
-fn audit_paper_schemes(geom: CacheGeometry, trace: &stem::sim_core::Trace, stride: u64) {
+fn audit_paper_schemes(geom: CacheGeometry, trace: &stem::sim_core::DecodedTrace, stride: u64) {
     let jobs: Vec<_> = Scheme::PAPER
         .iter()
         .map(|&scheme| {
@@ -64,7 +64,7 @@ fn paper_schemes_pass_full_audit_over_long_traces() {
     // spills, policy swaps, and V-Way global replacement.
     let trace = BenchmarkProfile::by_name("omnetpp")
         .expect("suite benchmark")
-        .trace(geom, accesses);
+        .decoded(geom, accesses);
     assert!(trace.len() >= accesses);
     audit_paper_schemes(geom, &trace, audit_stride());
 }
@@ -77,7 +77,7 @@ fn paper_schemes_pass_paranoid_audit_under_pressure() {
     let geom = CacheGeometry::new(16, 4, 64).unwrap();
     let trace = BenchmarkProfile::by_name("mcf")
         .expect("suite benchmark")
-        .trace(geom, 40_000);
+        .decoded(geom, 40_000);
     audit_paper_schemes(geom, &trace, 1);
 }
 
@@ -92,7 +92,7 @@ fn paper_schemes_pass_per_access_audit_over_long_traces() {
     let geom = CacheGeometry::micro2010_l2();
     let trace = BenchmarkProfile::by_name("omnetpp")
         .expect("suite benchmark")
-        .trace(geom, checked_accesses());
+        .decoded(geom, checked_accesses());
     audit_paper_schemes(geom, &trace, 1);
 }
 

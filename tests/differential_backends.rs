@@ -1568,10 +1568,10 @@ fn ablated_stem_equals_lru_access_for_access() {
                 .decoded(geom, accesses);
             let mut stem = StemCache::with_config(geom, cfg);
             let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-            for (i, d) in decoded.iter().enumerate() {
+            for i in 0..decoded.len() {
                 assert_eq!(
-                    stem.access_decoded(d),
-                    lru.access_decoded(d),
+                    replay_one(&mut stem, &decoded, i),
+                    replay_one(&mut lru, &decoded, i),
                     "{bench} at {sets}x{ways}: access #{i} diverged"
                 );
             }
@@ -1585,12 +1585,39 @@ fn ablated_stem_equals_lru_access_for_access() {
 }
 
 // ---------------------------------------------------------------------------
-// Decoded-stream differentials: the `DecodedTrace` fast path vs the
-// `Access` byte-address path, for all six paper schemes (plus the two
-// auxiliary spatial baselines). The decode-once refactor is a pure
+// Decoded-stream differentials: each scheme's `replay_decoded` kernel vs
+// the `Access` byte-address path, for all six paper schemes (plus the two
+// auxiliary spatial baselines). The line-granular decode is a pure
 // representation change, so the per-access `AccessResult` stream and the
 // final `CacheStats` must be identical.
 // ---------------------------------------------------------------------------
+
+/// Replays access `i` of `stream` through the cache's own
+/// `replay_decoded` kernel and reads the outcome off the one hit/miss
+/// counter it moved.
+fn replay_one<C: CacheModel + ?Sized>(
+    cache: &mut C,
+    stream: &DecodedTrace,
+    i: usize,
+) -> AccessResult {
+    let before = *cache.stats();
+    cache.replay_decoded(stream, i..i + 1);
+    let after = cache.stats();
+    assert_eq!(
+        after.accesses(),
+        before.accesses() + 1,
+        "one access replayed"
+    );
+    if after.local_hits() > before.local_hits() {
+        AccessResult::HitLocal
+    } else if after.coop_hits() > before.coop_hits() {
+        AccessResult::HitCooperative
+    } else if after.local_misses() > before.local_misses() {
+        AccessResult::MissLocal
+    } else {
+        AccessResult::MissCooperative
+    }
+}
 
 /// Materializes the synthetic stream once, decodes it, and replays both
 /// representations through two identically constructed caches.
@@ -1614,9 +1641,9 @@ fn assert_decoded_equivalent<C: CacheModel>(
     let decoded = DecodedTrace::decode(&trace, geom);
     let mut byte_path = build();
     let mut fast_path = build();
-    for (i, (a, d)) in trace.iter().zip(decoded.iter()).enumerate() {
+    for (i, a) in trace.iter().enumerate() {
         let old = byte_path.access(a.addr, a.kind);
-        let new = fast_path.access_decoded(d);
+        let new = replay_one(&mut fast_path, &decoded, i);
         assert_eq!(
             old, new,
             "{name}: access #{i} ({:?}, {:?}) diverged (Access path vs decoded path)",
@@ -1668,8 +1695,6 @@ fn pelifo_decoded_matches_access_path() {
 
 #[test]
 fn vway_decoded_matches_access_path() {
-    // V-Way has no decoded fast path (its tag store probes a different
-    // shape); this pins the documented trait-default fallback.
     let geom = paper_geom();
     assert_decoded_equivalent(
         "VWAY/decoded",
@@ -1724,38 +1749,48 @@ fn auxiliary_spatial_decoded_match_access_path() {
 }
 
 #[test]
-fn replay_decoded_falls_back_on_incompatible_geometry() {
-    // A trace decoded for one geometry replayed into a cache of another
-    // must take the documented line-aligned fallback and match a direct
-    // `Access`-path replay exactly.
-    let decode_geom = paper_geom();
-    let cache_geom = pressure_geom();
+fn one_stream_replays_at_any_set_count() {
+    // A stream carries lines, not sets: one stream generated at the
+    // paper's 2048 sets replays into every scheme at 512, 1024 and 4096
+    // sets, each cache deriving its own set index, and must match that
+    // cache's byte-address `access` path exactly. The stream is long
+    // enough that every geometry evicts: a set derived from the wrong
+    // mask only shows once sets overflow.
+    let source_geom = CacheGeometry::micro2010_l2();
     let mut rng = SplitMix64::new(0xDEC0_8001);
-    let trace: Trace = (0..diff_accesses() / 10)
+    let trace: Trace = (0..diff_accesses() / 5)
         .map(|i| {
-            let (addr, kind) = synth_access(&mut rng, decode_geom, i);
-            match kind {
+            let (addr, kind) = synth_access(&mut rng, source_geom, i);
+            let a = match kind {
                 AccessKind::Write => Access::write(addr),
                 AccessKind::Read => Access::read(addr),
+            };
+            Access {
+                addr: Address::new(addr.raw() | (i as u64 % 64)), // unaligned
+                ..a
             }
         })
         .collect();
-    let decoded = DecodedTrace::decode(&trace, decode_geom);
-    assert!(!decoded.compatible_with(cache_geom));
-    let mut byte_path = SetAssocCache::new(cache_geom, Box::new(Lru::new(cache_geom)));
-    let mut fast_path = SetAssocCache::new(cache_geom, Box::new(Lru::new(cache_geom)));
-    // The byte path sees line-aligned addresses: intra-line offsets are not
-    // representable in a decoded stream, and every model is offset-invariant.
-    for a in &trace {
-        let line = a.addr.line(decode_geom.line_bytes());
-        byte_path.access(line.to_address(decode_geom.line_bytes()), a.kind);
+    let decoded = DecodedTrace::decode(&trace, source_geom);
+    for sets in [512, 1024, 4096] {
+        let geom = CacheGeometry::new(sets, 16, 64).expect("valid geometry");
+        for scheme in Scheme::ALL {
+            let mut byte_path = build_cache(scheme, geom);
+            let mut stream_path = build_cache(scheme, geom);
+            for (i, a) in trace.iter().enumerate() {
+                assert_eq!(
+                    byte_path.access(a.addr, a.kind),
+                    replay_one(stream_path.as_mut(), &decoded, i),
+                    "{scheme} at {sets} sets: access #{i} diverged"
+                );
+            }
+            assert_eq!(
+                byte_path.stats(),
+                stream_path.stats(),
+                "{scheme} at {sets} sets: final CacheStats diverged"
+            );
+        }
     }
-    fast_path.run_decoded(&decoded);
-    assert_eq!(
-        byte_path.stats(),
-        fast_path.stats(),
-        "incompatible-geometry fallback diverged from the Access path"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -2001,9 +2036,9 @@ fn restored_replay_matches_cold_for_every_snapshottable_scheme() {
         restored
             .restore(&snap)
             .expect("matching scheme and geometry");
-        for (i, d) in decoded.iter().enumerate().skip(warm_len) {
-            let want = cold.access_decoded(d);
-            let got = restored.access_decoded(d);
+        for i in warm_len..decoded.len() {
+            let want = replay_one(cold.as_mut(), &decoded, i);
+            let got = replay_one(restored.as_mut(), &decoded, i);
             assert_eq!(want, got, "{scheme}: access #{i} diverged after restore");
         }
         assert_eq!(

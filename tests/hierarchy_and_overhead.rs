@@ -6,7 +6,9 @@ use stem::analysis::{geomean, CapacityDemandProfiler};
 use stem::hierarchy::{System, SystemConfig};
 use stem::llc::{overhead, StemCache, StemConfig};
 use stem::replacement::{Lru, SetAssocCache};
-use stem::sim_core::{Access, AccessResult, Address, CacheGeometry, TimingParams, Trace};
+use stem::sim_core::{
+    Access, AccessResult, Address, CacheGeometry, DecodedTrace, TimingParams, Trace,
+};
 use stem::workloads::BenchmarkProfile;
 
 /// §5.1's latency table drives AMAT exactly.
@@ -35,7 +37,8 @@ fn amat_orders_hit_classes() {
         cfg,
         Box::new(SetAssocCache::new(geom, Box::new(Lru::new(geom)))),
     );
-    let miss_amat = sys.run(&stream).amat;
+    let stream = DecodedTrace::decode(&stream, geom);
+    let miss_amat = sys.warm_then_run_decoded(&stream, 0).amat;
 
     // All-L2-hit: two blocks per set, revisited (but L1-evicted via many
     // sets? keep it simple: alternate 64 lines > L1 set capacity of 2).
@@ -43,18 +46,17 @@ fn amat_orders_hit_classes() {
     let lines: Vec<Address> = (0..2048u64)
         .map(|i| geom_big.address_of(7, i as usize % 2048))
         .collect();
-    let mut hit_trace = Trace::new();
-    for _ in 0..5 {
-        for &a in &lines {
-            hit_trace.push(Access::read(a));
-        }
-    }
+    // One warm pass over the lines, then five measured passes.
+    let hit_trace: Trace = (0..6)
+        .flat_map(|_| &lines)
+        .map(|&a| Access::read(a))
+        .collect();
     let mut sys2 = System::new(
         cfg,
         Box::new(SetAssocCache::new(geom_big, Box::new(Lru::new(geom_big)))),
     );
-    let warm: Trace = lines.iter().map(|&a| Access::read(a)).collect();
-    let hit_amat = sys2.warm_then_run(&warm, &hit_trace).amat;
+    let hit_trace = DecodedTrace::decode(&hit_trace, geom_big);
+    let hit_amat = sys2.warm_then_run_decoded(&hit_trace, lines.len()).amat;
 
     assert!(
         hit_amat < 25.0,
@@ -86,8 +88,8 @@ fn ammp_demand_distribution_matches_fig1b() {
     let geom = CacheGeometry::micro2010_l2();
     let trace = BenchmarkProfile::by_name("ammp")
         .unwrap()
-        .trace(geom, 200_000);
-    let periods = CapacityDemandProfiler::micro2010(geom).profile(&trace);
+        .decoded(geom, 200_000);
+    let periods = CapacityDemandProfiler::micro2010(geom).profile_decoded(&trace);
     let agg = CapacityDemandProfiler::aggregate(&periods);
     let le4 = agg.fraction_at_most(4);
     assert!(
@@ -105,8 +107,8 @@ fn omnetpp_demands_spread_wider_than_ammp() {
     let frac_le4 = |name: &str| {
         let trace = BenchmarkProfile::by_name(name)
             .unwrap()
-            .trace(geom, 200_000);
-        let agg = CapacityDemandProfiler::aggregate(&profiler.profile(&trace));
+            .decoded(geom, 200_000);
+        let agg = CapacityDemandProfiler::aggregate(&profiler.profile_decoded(&trace));
         agg.fraction_at_most(4)
     };
     assert!(frac_le4("ammp") > frac_le4("omnetpp") + 0.2);
@@ -118,10 +120,12 @@ fn warmup_is_excluded_from_metrics() {
     let geom = CacheGeometry::new(64, 4, 64).unwrap();
     let cfg = SystemConfig::micro2010();
     let mut sys = System::new(cfg, Box::new(StemCache::new(geom)));
-    let trace: Trace = (0..1000u64)
-        .map(|i| Access::read(Address::new(i % 256 * 64)))
+    // The same 1000 accesses twice: the first pass warms, the second is
+    // measured.
+    let trace: Trace = (0..2000u64)
+        .map(|i| Access::read(Address::new(i % 1000 % 256 * 64)))
         .collect();
-    let m = sys.warm_then_run(&trace, &trace);
+    let m = sys.warm_then_run_decoded(&DecodedTrace::decode(&trace, geom), 1000);
     assert_eq!(m.accesses, 1000);
     // After warming all 256 lines, the measured pass should mostly hit.
     assert!(m.l2.miss_rate() < 0.1);

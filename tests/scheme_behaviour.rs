@@ -10,18 +10,24 @@ use stem::workloads::synthetic;
 use stem_bench::engine::RunPlan;
 
 /// Bare-LLC MPKI of `scheme` over `trace` after a `warmup` fraction.
-fn warmed_mpki(scheme: Scheme, geom: CacheGeometry, trace: &Trace, warmup: f64) -> f64 {
+fn warmed_mpki(scheme: Scheme, geom: CacheGeometry, trace: &DecodedTrace, warmup: f64) -> f64 {
     RunPlan::serial(scheme, geom, warmup)
-        .run(&DecodedTrace::decode(trace, geom))
+        .run(trace)
         .expect("serial replay")
         .mpki()
 }
 
+/// The Fig. 2 example stream of `rounds` rounds, decoded.
+fn fig2_stream(example: u8, rounds: usize) -> DecodedTrace {
+    let geom = synthetic::fig2_geometry().unwrap();
+    DecodedTrace::decode(&synthetic::fig2_example(example, rounds), geom)
+}
+
 /// Steady-state miss rate after a warm-up replay.
-fn steady_miss_rate(cache: &mut dyn CacheModel, warm: &Trace, trace: &Trace) -> f64 {
-    cache.run(warm);
+fn steady_miss_rate(cache: &mut dyn CacheModel, warm: &DecodedTrace, trace: &DecodedTrace) -> f64 {
+    cache.run_decoded(warm);
     cache.reset_stats();
-    cache.run(trace);
+    cache.run_decoded(trace);
     cache.stats().miss_rate()
 }
 
@@ -30,8 +36,8 @@ fn steady_miss_rate(cache: &mut dyn CacheModel, warm: &Trace, trace: &Trace) -> 
 #[test]
 fn fig2_example1_spatial_schemes_win() {
     let geom = synthetic::fig2_geometry().unwrap();
-    let warm = synthetic::fig2_example(1, 100);
-    let trace = synthetic::fig2_example(1, 1000);
+    let warm = fig2_stream(1, 100);
+    let trace = fig2_stream(1, 1000);
 
     let lru = steady_miss_rate(
         &mut SetAssocCache::new(geom, Box::new(Lru::new(geom))),
@@ -52,8 +58,8 @@ fn fig2_example1_spatial_schemes_win() {
 #[test]
 fn fig2_example3_only_temporal_helps() {
     let geom = synthetic::fig2_geometry().unwrap();
-    let warm = synthetic::fig2_example(3, 100);
-    let trace = synthetic::fig2_example(3, 1000);
+    let warm = fig2_stream(3, 100);
+    let trace = fig2_stream(3, 1000);
 
     let lru = steady_miss_rate(
         &mut SetAssocCache::new(geom, Box::new(Lru::new(geom))),
@@ -95,6 +101,7 @@ fn opt_is_a_lower_bound_for_all_schemes() {
             trace.push(Access::read(geom.address_of(tag, set)));
         }
     }
+    let trace = DecodedTrace::decode(&trace, geom);
     let opt = OptCache::min_misses(geom, &trace);
     for scheme in Scheme::PAPER {
         let mpki = warmed_mpki(scheme, geom, &trace, 0.0);
@@ -117,7 +124,7 @@ fn vway_variable_associativity_end_to_end() {
     for round in 0..200u64 {
         trace.push(Access::read(geom.address_of(round % 4, 0)));
     }
-    vway.run(&trace);
+    vway.run_decoded(&DecodedTrace::decode(&trace, geom));
     assert!(
         vway.data_lines_of(0) >= 4,
         "hot set holds {} lines",
@@ -138,7 +145,7 @@ fn vway_variable_associativity_end_to_end() {
 fn simulation_is_deterministic() {
     let geom = CacheGeometry::new(64, 4, 64).unwrap();
     let bench = stem::workloads::BenchmarkProfile::by_name("omnetpp").unwrap();
-    let trace = bench.trace(geom, 30_000);
+    let trace = bench.decoded(geom, 30_000);
     for scheme in Scheme::PAPER {
         let a = warmed_mpki(scheme, geom, &trace, 0.1);
         let b = warmed_mpki(scheme, geom, &trace, 0.1);

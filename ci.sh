@@ -176,6 +176,15 @@ if [ ! -s "$SAMP_BASE/BENCH_sampling.json" ]; then
 fi
 cp "$SAMP_BASE/BENCH_sampling.json" "$CSV_DIR/BENCH_sampling.json"
 echo "    all cells within the pinned rel-error bound; stdout byte-identical across {1,4} threads"
+# Negative check: a misspelled benchmark must fail the gate, not shrink
+# it to zero measured cells and pass.
+if STEM_SAMPLING_BENCHMARKS=omnettp STEM_SAMPLING_ERROR_BOUND=0.10 \
+    cargo bench -q -p stem-bench --bench sampling_bench \
+    >"$CSV_DIR/sampling-typo.txt" 2>&1; then
+    echo "ERROR: sampling_bench passed its gate with an unknown benchmark name" >&2
+    exit 1
+fi
+echo "    an unknown benchmark name fails the gate"
 
 echo "==> serve smoke (loopback ephemeral port, cache hit, capacity profile, sampled tier, mix requests, graceful drain)"
 ADDR_FILE="$CSV_DIR/serve-addr.txt"

@@ -19,8 +19,9 @@
 //! `STEM_SAMPLING_BENCHMARKS` a comma-separated benchmark subset (default
 //! `omnetpp,ammp,mcf`), and `STEM_SAMPLING_ERROR_BOUND` (a float) makes
 //! the run *gate*: exit nonzero if any cell's MPKI relative error exceeds
-//! the bound. When `STEM_CSV_DIR` is set the full record lands in
-//! `$STEM_CSV_DIR/BENCH_sampling.json`.
+//! the bound, or if no cell was measured. An unknown benchmark name or a
+//! malformed bound exits 2 before anything runs. When `STEM_CSV_DIR` is
+//! set the full record lands in `$STEM_CSV_DIR/BENCH_sampling.json`.
 
 use std::time::Duration;
 
@@ -38,7 +39,7 @@ const REPS: usize = 3;
 
 /// One (benchmark, scheme, rate) measurement.
 struct Cell {
-    benchmark: String,
+    benchmark: &'static str,
     scheme: &'static str,
     rate: u32,
     exact_mpki: f64,
@@ -71,14 +72,25 @@ impl Cell {
     }
 }
 
-fn benchmarks_under_test() -> Vec<String> {
-    std::env::var("STEM_SAMPLING_BENCHMARKS")
+/// `STEM_SAMPLING_BENCHMARKS`, resolved to profiles. An unknown name
+/// exits 2, like a malformed bound: a typo must not shrink the gate.
+fn benchmarks_under_test() -> Vec<BenchmarkProfile> {
+    let raw = std::env::var("STEM_SAMPLING_BENCHMARKS")
         .ok()
         .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| "omnetpp,ammp,mcf".to_owned())
-        .split(',')
-        .map(|s| s.trim().to_owned())
+        .unwrap_or_else(|| "omnetpp,ammp,mcf".to_owned());
+    raw.split(',')
+        .map(str::trim)
         .filter(|s| !s.is_empty())
+        .map(|name| {
+            BenchmarkProfile::by_name(name).unwrap_or_else(|| {
+                eprintln!(
+                    "STEM_SAMPLING_BENCHMARKS={raw:?} is malformed: \
+                     {name:?} is not a suite benchmark"
+                );
+                std::process::exit(2);
+            })
+        })
         .collect()
 }
 
@@ -108,7 +120,7 @@ fn maybe_json(cfg: &Config, accesses: usize, seed: u64, cells: &[Cell], schemes_
         .iter()
         .map(|c| {
             Json::Obj(vec![
-                ("benchmark".into(), Json::str(c.benchmark.clone())),
+                ("benchmark".into(), Json::str(c.benchmark)),
                 ("scheme".into(), Json::str(c.scheme)),
                 ("rate".into(), Json::Int(i64::from(c.rate))),
                 ("exact_mpki".into(), Json::float_rounded(c.exact_mpki, 6)),
@@ -175,12 +187,9 @@ fn main() {
     println!("# benchmark scheme rate exact_mpki sampled_mpki rel_error");
 
     let mut cells: Vec<Cell> = Vec::new();
-    for name in &benchmarks {
-        let Some(bench) = BenchmarkProfile::by_name(name) else {
-            eprintln!("unknown benchmark {name:?}; skipping");
-            continue;
-        };
-        let prepared = prepare_trace(&bench, geom, accesses);
+    for bench in &benchmarks {
+        let name = bench.name();
+        let prepared = prepare_trace(bench, geom, accesses);
         let source = &*prepared.trace;
         for &rate in &RATES {
             // Selection is timed separately: one sample serves every
@@ -222,7 +231,7 @@ fn main() {
                     },
                 );
                 let cell = Cell {
-                    benchmark: name.clone(),
+                    benchmark: name,
                     scheme: scheme.label(),
                     rate,
                     exact_mpki,
@@ -256,11 +265,8 @@ fn main() {
     }
 
     // Timing smoke for trace selection alone (stderr only).
-    if let Some(bench) = benchmarks
-        .first()
-        .and_then(|n| BenchmarkProfile::by_name(n))
-    {
-        let prepared = prepare_trace(&bench, geom, accesses);
+    if let Some(bench) = benchmarks.first() {
+        let prepared = prepare_trace(bench, geom, accesses);
         let d = best_of(REPS, || {
             SampledTrace::select(&prepared.trace, 16, seed).len()
         });
@@ -276,6 +282,10 @@ fn main() {
     maybe_json(&cfg, accesses, seed, &cells, eligible.len());
 
     if let Some(bound) = bound {
+        if cells.is_empty() {
+            eprintln!("ERROR: no cell was measured, so the rel-error bound {bound} gates nothing");
+            std::process::exit(1);
+        }
         let violations: Vec<&Cell> = cells.iter().filter(|c| c.rel_error() > bound).collect();
         if !violations.is_empty() {
             eprintln!(

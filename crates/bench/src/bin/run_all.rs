@@ -25,11 +25,9 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use stem_analysis::{
-    build_cache, geomean, run_mix_decoded, CapacityDemandProfiler, MixOutcome, Scheme, Table,
-};
-use stem_bench::config::{Config, Fidelity};
-use stem_bench::engine::{Exec, Measured, RunPlan};
+use stem_analysis::{geomean, run_mix_decoded, CapacityDemandProfiler, MixOutcome, Scheme, Table};
+use stem_bench::config::Config;
+use stem_bench::engine::RunPlan;
 use stem_bench::harness::{
     capacity_sweep_sets, normalized_table, prepare_trace, run_benchmark_matrix_isolated,
     sensitivity_benchmarks, sweep_ways, PrepTimings, WARMUP_FRACTION,
@@ -37,7 +35,6 @@ use stem_bench::harness::{
 use stem_bench::resilience::{ExperimentOutcome, ExperimentRunner};
 use stem_hierarchy::SystemConfig;
 use stem_llc::{overhead, StemConfig};
-use stem_sim_core::SampledTrace;
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
 
 /// Writes `table` to `<dir>/<name>.csv` when an artifact directory is
@@ -101,126 +98,6 @@ impl StageBreakdown {
     }
 }
 
-/// Repetitions behind every best-of wall clock of the measurement stages.
-const REPS: usize = 3;
-
-/// Times two plans over the same trace, best-of-`REPS` each, running
-/// them alternately so both see the same host conditions. Returns each
-/// plan's measurement and best wall clock in seconds.
-///
-/// # Panics
-///
-/// Panics if the engine refuses a plan; the stages offer each strategy
-/// only to schemes whose cache opts in.
-fn time_plans(source: &DecodedTrace, [first, second]: [RunPlan<'_>; 2]) -> [(Measured, f64); 2] {
-    let time = |plan: &RunPlan<'_>, (measured, secs): &mut (Option<Measured>, f64)| {
-        let t = std::time::Instant::now();
-        *measured = Some(
-            plan.run(source)
-                .expect("stage plans are capability-filtered"),
-        );
-        *secs = secs.min(t.elapsed().as_secs_f64());
-    };
-    let [mut a, mut b] = [(None, f64::INFINITY); 2];
-    for _ in 0..REPS {
-        time(&first, &mut a);
-        time(&second, &mut b);
-    }
-    [a, b].map(|(measured, secs)| (measured.expect("REPS > 0"), secs))
-}
-
-/// One scheme's exact-vs-sampled comparison from the sampled-fidelity
-/// measurement stage: the whole-trace warmed MPKI and the scaled sampled
-/// estimate, with best-of-N wall clock for each path.
-struct SchemeSampleError {
-    label: &'static str,
-    exact_mpki: f64,
-    sampled_mpki: f64,
-    exact_secs: f64,
-    sampled_secs: f64,
-}
-
-impl SchemeSampleError {
-    /// |sampled - exact| / exact (0 when the exact MPKI is 0).
-    fn rel_error(&self) -> f64 {
-        if self.exact_mpki == 0.0 {
-            0.0
-        } else {
-            (self.sampled_mpki - self.exact_mpki).abs() / self.exact_mpki
-        }
-    }
-}
-
-/// The sampled-vs-exact record for one benchmark trace, emitted (stderr +
-/// the `sampled_fidelity` section of `BENCH_run_all.json`) when
-/// `STEM_FIDELITY=sampled`. Measured outside the experiment runner, stderr
-/// and JSON only — stdout stays byte-identical to the exact-path archive.
-struct SampledFidelity {
-    trace_name: String,
-    accesses: usize,
-    rate: u32,
-    seed: u64,
-    select_secs: f64,
-    schemes: Vec<SchemeSampleError>,
-}
-
-/// Measures exact vs sampled warmed replay of `source` for every scheme
-/// that opts into set sampling, best-of-`REPS` each. The sampled timing
-/// covers replay only (selection is timed once, separately — one sample
-/// serves every scheme, like one decode serves every cell).
-fn measure_sampled_fidelity(
-    geom: CacheGeometry,
-    source: &DecodedTrace,
-    trace_name: String,
-    rate: u32,
-    seed: u64,
-) -> SampledFidelity {
-    let t0 = std::time::Instant::now();
-    let sample = SampledTrace::select(source, rate, seed);
-    let select_secs = t0.elapsed().as_secs_f64();
-    let mut schemes = Vec::new();
-    for &scheme in Scheme::ALL.iter() {
-        if !build_cache(scheme, geom).supports_set_sampling() {
-            continue;
-        }
-        let exact = RunPlan::serial(scheme, geom, WARMUP_FRACTION);
-        let sampled = RunPlan {
-            exec: Exec::Sampled(&sample),
-            ..exact
-        };
-        let [(exact_m, exact_secs), (sampled_m, sampled_secs)] =
-            time_plans(source, [exact, sampled]);
-        let entry = SchemeSampleError {
-            label: scheme.label(),
-            exact_mpki: exact_m.mpki(),
-            sampled_mpki: sampled_m.mpki(),
-            exact_secs,
-            sampled_secs,
-        };
-        eprintln!(
-            "  {:<8} exact {:.3} MPKI in {:.3}s, sampled {:.3} MPKI in {:.3}s \
-             (rel err {:.2}%, {:.1}x at rate 1/{})",
-            entry.label,
-            entry.exact_mpki,
-            entry.exact_secs,
-            entry.sampled_mpki,
-            entry.sampled_secs,
-            entry.rel_error() * 100.0,
-            entry.exact_secs / entry.sampled_secs.max(1e-12),
-            sample.stride(),
-        );
-        schemes.push(entry);
-    }
-    SampledFidelity {
-        trace_name,
-        accesses: source.len(),
-        rate,
-        seed,
-        select_secs,
-        schemes,
-    }
-}
-
 /// The MPKI of one sweep point: a warmed serial replay of `trace`.
 fn sweep_point(scheme: Scheme, geom: CacheGeometry, trace: &DecodedTrace) -> f64 {
     RunPlan::serial(scheme, geom, WARMUP_FRACTION)
@@ -240,7 +117,6 @@ fn emit_timing_summary(
     threads: usize,
     outcomes: &[ExperimentOutcome],
     stages: &StageBreakdown,
-    sampled: &[SampledFidelity],
 ) {
     let total: f64 = outcomes.iter().map(|o| o.elapsed.as_secs_f64()).sum();
     eprintln!(
@@ -282,7 +158,7 @@ fn emit_timing_summary(
                 ])
             })
             .collect();
-        let mut fields = vec![
+        let doc = Json::Obj(vec![
             ("threads".into(), Json::Int(threads as i64)),
             ("total_cell_seconds".into(), secs3(total)),
             (
@@ -294,49 +170,8 @@ fn emit_timing_summary(
                     ("analysis_secs".into(), secs3(stages.analysis_secs)),
                 ]),
             ),
-        ];
-        if !sampled.is_empty() {
-            let entries: Vec<Json> = sampled
-                .iter()
-                .map(|sf| {
-                    let schemes: Vec<Json> = sf
-                        .schemes
-                        .iter()
-                        .map(|s| {
-                            Json::Obj(vec![
-                                ("scheme".into(), Json::str(s.label)),
-                                ("exact_mpki".into(), Json::float_rounded(s.exact_mpki, 6)),
-                                (
-                                    "sampled_mpki".into(),
-                                    Json::float_rounded(s.sampled_mpki, 6),
-                                ),
-                                ("rel_error".into(), Json::float_rounded(s.rel_error(), 6)),
-                                ("exact_secs".into(), secs3(s.exact_secs)),
-                                ("sampled_secs".into(), secs3(s.sampled_secs)),
-                                (
-                                    "speedup".into(),
-                                    Json::float_rounded(
-                                        s.exact_secs / s.sampled_secs.max(1e-12),
-                                        2,
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect();
-                    Json::Obj(vec![
-                        ("benchmark".into(), Json::str(sf.trace_name.clone())),
-                        ("accesses".into(), Json::Int(sf.accesses as i64)),
-                        ("rate".into(), Json::Int(i64::from(sf.rate))),
-                        ("seed".into(), Json::Int(sf.seed as i64)),
-                        ("select_secs".into(), secs3(sf.select_secs)),
-                        ("schemes".into(), Json::Arr(schemes)),
-                    ])
-                })
-                .collect();
-            fields.push(("sampled_fidelity".into(), Json::Arr(entries)));
-        }
-        fields.push(("experiments".into(), Json::Arr(experiments)));
-        let doc = Json::Obj(fields);
+            ("experiments".into(), Json::Arr(experiments)),
+        ]);
         let path = dir.join("BENCH_run_all.json");
         if let Err(e) =
             std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, doc.pretty()))
@@ -831,38 +666,9 @@ fn main() -> ExitCode {
     maybe_csv(csv_dir, "mix", &mix_table);
     emit_mix_artifact(csv_dir, accesses, &mix_results);
 
-    // ---- Sampled-fidelity error + speedup (stderr + JSON only) ------
-    // Measured per sensitivity benchmark against the exact path when
-    // STEM_FIDELITY=sampled; stdout stays byte-identical to the exact
-    // archive — the record lands on stderr and in BENCH_run_all.json.
-    let mut sampled_records = Vec::new();
-    if cfg.fidelity() == Fidelity::Sampled {
-        let (rate, seed) = (cfg.sample_rate(), cfg.sample_seed());
-        for (bi, trace) in sweep_traces.iter().enumerate() {
-            let Some(trace) = trace else { continue };
-            eprintln!(
-                "\nmeasuring exact vs sampled replay ({}, rate 1/{rate}, seed {seed}):",
-                sens[bi].name()
-            );
-            sampled_records.push(measure_sampled_fidelity(
-                geom,
-                trace,
-                sens[bi].name().to_owned(),
-                rate,
-                seed,
-            ));
-        }
-    }
-
     // ---- Outcome ----------------------------------------------------
     let stages = StageBreakdown::from_outcomes(prep, fig1_prep_secs, runner.outcomes());
-    emit_timing_summary(
-        csv_dir,
-        threads,
-        runner.outcomes(),
-        &stages,
-        &sampled_records,
-    );
+    emit_timing_summary(csv_dir, threads, runner.outcomes(), &stages);
     match runner.failure_report() {
         None => {
             eprintln!("\nall {} experiments completed", runner.outcomes().len());

@@ -31,10 +31,6 @@ use std::time::Duration;
 
 /// Environment variable overriding the worker count.
 pub const THREADS_ENV: &str = "STEM_THREADS";
-/// Simulation fidelity: `exact` (default) or `sampled`.
-pub const FIDELITY_ENV: &str = "STEM_FIDELITY";
-/// Strided set-sampling rate (keep ~1/rate of the set space).
-pub const SAMPLE_RATE_ENV: &str = "STEM_SAMPLE_RATE";
 /// Seed for the sampled-set selection offset (0 allowed).
 pub const SAMPLE_SEED_ENV: &str = "STEM_SAMPLE_SEED";
 /// Directory receiving CSV/JSON artifacts, when set.
@@ -45,12 +41,8 @@ pub const ACCESSES_ENV: &str = "STEM_ACCESSES";
 pub const SWEEP_ACCESSES_ENV: &str = "STEM_SWEEP_ACCESSES";
 /// Fig. 1 sampling-period count.
 pub const PERIODS_ENV: &str = "STEM_PERIODS";
-/// Checked-mode audit stride (1 = audit every access).
-pub const AUDIT_STRIDE_ENV: &str = "STEM_AUDIT_STRIDE";
 /// Accesses per audited checked-mode replay.
 pub const CHECKED_ACCESSES_ENV: &str = "STEM_CHECKED_ACCESSES";
-/// Accesses per differential-backend comparison.
-pub const DIFF_ACCESSES_ENV: &str = "STEM_DIFF_ACCESSES";
 /// Accesses per timed throughput-bench iteration.
 pub const BENCH_ACCESSES_ENV: &str = "STEM_BENCH_ACCESSES";
 /// Accesses per adversarial fault-injection replay.
@@ -83,7 +75,7 @@ pub const SERVE_IO_DEADLINE_ENV: &str = "STEM_SERVE_IO_DEADLINE_MS";
 /// Snapshot-cache capacity for the `serve` binary (0 = disabled).
 pub const SERVE_SNAPSHOT_SLOTS_ENV: &str = "STEM_SERVE_SNAPSHOT_SLOTS";
 
-/// The simulation-fidelity tier selected by `STEM_FIDELITY`.
+/// The simulation-fidelity tier of a serve request's `fidelity` field.
 ///
 /// `Exact` replays every access of every set (the default — sampling is
 /// strictly opt-in); `Sampled` replays only a strided
@@ -154,10 +146,6 @@ impl std::error::Error for ConfigError {}
 pub struct Config {
     /// `STEM_THREADS`: worker count for every parallel fan-out.
     pub threads: Option<usize>,
-    /// `STEM_FIDELITY`: simulation fidelity tier.
-    pub fidelity: Option<Fidelity>,
-    /// `STEM_SAMPLE_RATE`: strided set-sampling rate.
-    pub sample_rate: Option<u32>,
     /// `STEM_SAMPLE_SEED`: sampled-set selection seed.
     pub sample_seed: Option<u64>,
     /// `STEM_CSV_DIR`: artifact directory for CSVs and `BENCH_*.json`.
@@ -168,12 +156,8 @@ pub struct Config {
     pub sweep_accesses: Option<usize>,
     /// `STEM_PERIODS`: Fig. 1 sampling periods.
     pub periods: Option<usize>,
-    /// `STEM_AUDIT_STRIDE`: checked-mode audit stride.
-    pub audit_stride: Option<u64>,
     /// `STEM_CHECKED_ACCESSES`: accesses per audited replay.
     pub checked_accesses: Option<usize>,
-    /// `STEM_DIFF_ACCESSES`: accesses per differential comparison.
-    pub diff_accesses: Option<usize>,
     /// `STEM_BENCH_ACCESSES`: accesses per timed bench iteration.
     pub bench_accesses: Option<usize>,
     /// `STEM_FAULT_ACCESSES`: accesses per fault-injection replay.
@@ -218,16 +202,12 @@ impl Config {
         let src = Source { get: &get };
         Ok(Config {
             threads: src.positive(THREADS_ENV)?,
-            fidelity: src.parsed(FIDELITY_ENV, "\"exact\" or \"sampled\"")?,
-            sample_rate: src.positive(SAMPLE_RATE_ENV)?,
             sample_seed: src.parsed(SAMPLE_SEED_ENV, "a u64 seed (0 allowed)")?,
             csv_dir: src.raw(CSV_DIR_ENV).map(PathBuf::from),
             accesses: src.positive(ACCESSES_ENV)?,
             sweep_accesses: src.positive(SWEEP_ACCESSES_ENV)?,
             periods: src.positive(PERIODS_ENV)?,
-            audit_stride: src.positive(AUDIT_STRIDE_ENV)?,
             checked_accesses: src.positive(CHECKED_ACCESSES_ENV)?,
-            diff_accesses: src.positive(DIFF_ACCESSES_ENV)?,
             bench_accesses: src.positive(BENCH_ACCESSES_ENV)?,
             fault_accesses: src.positive(FAULT_ACCESSES_ENV)?,
             experiment_budget_secs: src.parsed(BUDGET_ENV, "a non-negative integer (seconds)")?,
@@ -278,19 +258,6 @@ impl Config {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
-    /// Simulation fidelity: `STEM_FIDELITY`, defaulting to
-    /// [`Fidelity::Exact`] (sampling is strictly opt-in).
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity.unwrap_or_default()
-    }
-
-    /// Strided set-sampling rate: `STEM_SAMPLE_RATE`, defaulting to 16
-    /// (keep ~1/16 of the set space — the middle of the measured
-    /// error/speedup table in EXPERIMENTS.md).
-    pub fn sample_rate(&self) -> u32 {
-        self.sample_rate.unwrap_or(16)
-    }
-
     /// Sampled-set selection seed: `STEM_SAMPLE_SEED`, defaulting to 0.
     pub fn sample_seed(&self) -> u64 {
         self.sample_seed.unwrap_or(0)
@@ -305,11 +272,6 @@ impl Config {
     /// [`accesses`](Config::accesses).
     pub fn sweep_accesses(&self) -> usize {
         self.sweep_accesses.unwrap_or(self.accesses() / 4)
-    }
-
-    /// Checked-mode audit stride, defaulting to 16384.
-    pub fn audit_stride(&self) -> u64 {
-        self.audit_stride.unwrap_or(16_384)
     }
 
     /// Per-experiment wall-clock budget, defaulting to four hours.
@@ -433,7 +395,6 @@ mod tests {
         assert!(cfg.threads() >= 1);
         assert_eq!(cfg.accesses(), 2_000_000);
         assert_eq!(cfg.sweep_accesses(), 500_000);
-        assert_eq!(cfg.audit_stride(), 16_384);
         assert_eq!(cfg.experiment_budget(), Duration::from_secs(4 * 60 * 60));
     }
 
@@ -479,7 +440,7 @@ mod tests {
     fn zero_is_rejected_where_positive_is_required() {
         assert!(cfg_of(&[(THREADS_ENV, "0")]).is_err());
         assert!(cfg_of(&[(ACCESSES_ENV, "0")]).is_err());
-        assert!(cfg_of(&[(AUDIT_STRIDE_ENV, "0")]).is_err());
+        assert!(cfg_of(&[(CHECKED_ACCESSES_ENV, "0")]).is_err());
     }
 
     #[test]
@@ -531,31 +492,9 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_knobs_default_to_exact_and_validate() {
-        let cfg = cfg_of(&[]).unwrap();
-        assert_eq!(cfg.fidelity(), Fidelity::Exact, "sampling must be opt-in");
-        assert_eq!(cfg.sample_rate(), 16);
-        assert_eq!(cfg.sample_seed(), 0);
-
-        let cfg = cfg_of(&[
-            (FIDELITY_ENV, "sampled"),
-            (SAMPLE_RATE_ENV, "8"),
-            (SAMPLE_SEED_ENV, "0"),
-        ])
-        .unwrap();
-        assert_eq!(cfg.fidelity(), Fidelity::Sampled);
-        assert_eq!(cfg.sample_rate(), 8);
-        assert_eq!(cfg.sample_seed(), 0, "seed 0 is a valid explicit seed");
-        assert_eq!(
-            cfg_of(&[(FIDELITY_ENV, "EXACT")]).unwrap().fidelity(),
-            Fidelity::Exact
-        );
-
-        let err = cfg_of(&[(FIDELITY_ENV, "approximate")]).expect_err("bad fidelity");
-        assert_eq!(err.var, FIDELITY_ENV);
-        assert!(err.to_string().contains("sampled"));
-        assert!(cfg_of(&[(SAMPLE_RATE_ENV, "0")]).is_err());
-        assert!(cfg_of(&[(SAMPLE_RATE_ENV, "sixteen")]).is_err());
+    fn sample_seed_defaults_to_zero_and_validates() {
+        assert_eq!(cfg_of(&[]).unwrap().sample_seed(), 0);
+        assert_eq!(cfg_of(&[(SAMPLE_SEED_ENV, "7")]).unwrap().sample_seed(), 7);
         assert!(cfg_of(&[(SAMPLE_SEED_ENV, "-1")]).is_err());
     }
 
@@ -564,6 +503,8 @@ mod tests {
         assert_eq!(Fidelity::Exact.to_string(), "exact");
         assert_eq!(Fidelity::Sampled.to_string(), "sampled");
         assert_eq!("sampled".parse::<Fidelity>().unwrap(), Fidelity::Sampled);
+        assert_eq!("EXACT".parse::<Fidelity>().unwrap(), Fidelity::Exact);
+        assert_eq!(Fidelity::default(), Fidelity::Exact, "sampling is opt-in");
         assert!("fuzzy".parse::<Fidelity>().is_err());
     }
 

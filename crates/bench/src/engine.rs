@@ -4,9 +4,9 @@
 //! replay a decoded trace through a fresh cache of one scheme, replay the
 //! first `warmup` fraction unmeasured, reset the counters at that
 //! boundary, and measure the rest. The Fig. 3/10 and capacity sweeps,
-//! run_all's measurement stages, the sampling bench and serve's sampled
-//! tier all describe that operation as a [`RunPlan`], and
-//! [`RunPlan::run`] is the only code that executes it.
+//! `stem_sim`, the sampling bench and serve's sampled tier all describe
+//! that operation as a [`RunPlan`], and [`RunPlan::run`] is the only code
+//! that executes it.
 //!
 //! [`Exec`] chooses *how* the plan replays. Both strategies measure the
 //! same thing. [`Exec::Sampled`] is gated by the capability the scheme's

@@ -47,12 +47,6 @@ impl FaultReport {
             self.failures.push(what.to_owned());
         }
     }
-
-    /// Merges another report into this one.
-    pub fn merge(&mut self, other: FaultReport) {
-        self.cases += other.cases;
-        self.failures.extend(other.failures);
-    }
 }
 
 impl std::fmt::Display for FaultReport {
@@ -337,14 +331,6 @@ pub fn invalid_config_suite() -> FaultReport {
         &mut report,
     );
 
-    report
-}
-
-/// Runs all three suites with a smoke-sized adversarial trace.
-pub fn full_suite(adversarial_accesses: usize) -> FaultReport {
-    let mut report = corrupted_trace_suite();
-    report.merge(adversarial_trace_suite(adversarial_accesses));
-    report.merge(invalid_config_suite());
     report
 }
 

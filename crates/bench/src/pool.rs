@@ -16,11 +16,10 @@
 //!
 //! [`ExperimentRunner::run_batch`](crate::resilience::ExperimentRunner::run_batch)
 //! layers per-experiment panic/budget isolation on top for the
-//! long-running drivers; use the plain [`run_ordered`]/[`map_ordered`]
-//! here when borrowing local data (scoped threads do not require
+//! long-running drivers; use the plain [`run_ordered`] here when borrowing local data (scoped threads do not require
 //! `'static` jobs).
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -127,20 +126,6 @@ where
         .collect()
 }
 
-/// Like [`run_ordered`] with [`configured_threads`] workers, propagating
-/// the first panic (in input order) to the caller. The convenience shape
-/// for drivers that have no per-job failure story of their own.
-pub fn map_ordered<T, F>(jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    run_ordered(configured_threads(), jobs)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,14 +192,6 @@ mod tests {
     fn empty_batch_is_fine() {
         let jobs: Vec<fn() -> ()> = Vec::new();
         assert!(run_ordered(4, jobs).is_empty());
-    }
-
-    #[test]
-    fn map_ordered_borrows_local_data() {
-        let data: Vec<u64> = (0..32).collect();
-        let jobs: Vec<_> = data.iter().map(|x| move || x + 1).collect();
-        let out = map_ordered(jobs);
-        assert_eq!(out, (1..=32).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -7,13 +7,6 @@
 
 use std::time::{Duration, Instant};
 
-/// Times one invocation of `f`.
-pub fn time_once<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let t0 = Instant::now();
-    let value = f();
-    (value, t0.elapsed())
-}
-
 /// Runs `f` once for warm-up, then `reps` measured times, returning the
 /// minimum duration. The warm-up result is discarded; every measured
 /// result is passed through `std::hint::black_box` so the work is not
@@ -68,13 +61,6 @@ pub fn throughput_line(label: &str, elements: u64, d: Duration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn time_once_returns_value() {
-        let (v, d) = time_once(|| 41 + 1);
-        assert_eq!(v, 42);
-        assert!(d < Duration::from_secs(5));
-    }
 
     #[test]
     fn best_of_is_finite() {

@@ -8,6 +8,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use stem_sim_core::Json;
+
 /// A scratch directory unique to this test process.
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("stem-run-all-{tag}-{}", std::process::id()));
@@ -78,11 +80,42 @@ fn run_all_is_byte_identical_across_thread_counts() {
         let b = std::fs::read(dir_parallel.join(name)).expect("parallel CSV");
         assert_eq!(a, b, "{name} differs between thread counts");
     }
+    // The summary's schema is what the repo benchmark's reproduce
+    // workload reads: exactly these top-level keys, numeric threads and
+    // totals, numeric stages, and one {name, elapsed_secs, status} record
+    // per cell.
     for dir in [&dir_serial, &dir_parallel] {
-        let json = std::fs::read_to_string(dir.join("BENCH_run_all.json"))
+        let text = std::fs::read_to_string(dir.join("BENCH_run_all.json"))
             .expect("the wall-clock summary JSON");
-        assert!(json.contains("\"experiments\""));
-        assert!(json.contains("matrix/omnetpp/STEM"));
+        let doc = Json::parse(&text).expect("BENCH_run_all.json parses");
+        let keys: Vec<&str> = doc
+            .as_obj()
+            .expect("a top-level object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            ["threads", "total_cell_seconds", "stages", "experiments"]
+        );
+        assert!(doc.get("threads").and_then(Json::as_f64).is_some());
+        assert!(doc
+            .get("total_cell_seconds")
+            .and_then(Json::as_f64)
+            .is_some());
+        let stages = doc.get("stages").and_then(Json::as_obj).expect("stages");
+        assert!(stages.iter().all(|(_, v)| v.as_f64().is_some()));
+        let cells = doc
+            .get("experiments")
+            .and_then(Json::as_arr)
+            .expect("experiments");
+        for cell in cells {
+            assert_eq!(cell.get("status").and_then(Json::as_str), Some("ok"));
+            assert!(cell.get("elapsed_secs").and_then(Json::as_f64).is_some());
+        }
+        assert!(cells
+            .iter()
+            .any(|c| c.get("name").and_then(Json::as_str) == Some("matrix/omnetpp/STEM")));
     }
 
     let _ = std::fs::remove_dir_all(&dir_serial);

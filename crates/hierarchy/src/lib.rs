@@ -4,7 +4,7 @@
 //! (Table 1). Per the substitution documented in `DESIGN.md` §1, this crate
 //! replaces the cycle-accurate core with an analytical model: the L2 event
 //! stream and the §5.1 latency algebra are exact, and CPI adds a
-//! configurable base CPI plus memory stalls discounted by an overlap factor
+//! fixed base CPI plus memory stalls discounted by an overlap factor
 //! (modelling the OOO core's latency hiding). All paper figures are
 //! *normalized to LRU*, which cancels the model's constant factors.
 //!
@@ -28,10 +28,8 @@
 
 mod metrics;
 mod mix;
-mod prefetch;
 mod system;
 
 pub use metrics::SystemMetrics;
 pub use mix::{interleave_schedule, MixMetrics, MixSystem};
-pub use prefetch::NextLinePrefetcher;
 pub use system::{System, SystemConfig};

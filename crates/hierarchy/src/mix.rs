@@ -136,7 +136,10 @@ impl MixSystem {
     pub fn new(cfg: SystemConfig, l2: Box<dyn CacheModel>, cores: usize) -> Self {
         assert!(cores > 0, "a mix needs at least one core");
         let l1s = (0..cores)
-            .map(|_| SetAssocCache::new(cfg.l1_geometry, Box::new(Lru::new(cfg.l1_geometry))))
+            .map(|_| {
+                let geom = cfg.l1_geometry();
+                SetAssocCache::new(geom, Box::new(Lru::new(geom)))
+            })
             .collect();
         MixSystem { cfg, l1s, l2 }
     }
@@ -155,8 +158,8 @@ impl MixSystem {
     /// whole hierarchy (statistics discarded), the remainder is measured.
     ///
     /// Each schedule entry names a core; that core issues its next access
-    /// (a per-core cursor into its stream). Per-access pricing, the
-    /// prefetcher hook, and the CPI algebra are exactly
+    /// (a per-core cursor into its stream). Per-access pricing and
+    /// the CPI algebra are exactly
     /// [`System`](crate::System)'s — a one-core mix is bit-identical to a
     /// solo `System` run over the same stream.
     ///
@@ -177,7 +180,7 @@ impl MixSystem {
         assert!(warm_steps <= schedule.len());
         let lines: Vec<&[u64]> = streams
             .iter()
-            .map(|s| s.lines_for(self.cfg.l1_geometry))
+            .map(|s| s.lines_for(self.cfg.l1_geometry()))
             .collect();
         let mut cursors = vec![0usize; cores];
 
@@ -318,7 +321,7 @@ mod tests {
     #[test]
     fn one_core_mix_is_bit_identical_to_a_solo_system() {
         let geom = CacheGeometry::new(64, 4, 64).unwrap();
-        let cfg = SystemConfig::micro2010().with_prefetcher(2);
+        let cfg = SystemConfig::micro2010();
         let s = stream(0, 3000, 192, geom);
         let warm = 600;
 

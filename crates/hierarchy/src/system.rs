@@ -8,26 +8,24 @@ use stem_sim_core::{
     TimingParams,
 };
 
-use crate::{NextLinePrefetcher, SystemMetrics};
+use crate::SystemMetrics;
 
-/// System-level configuration (Table 1 defaults).
+/// System-level configuration: the paper's Table 1 system, the one
+/// configuration the evaluation uses and this crate validates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// L1 data cache geometry (Table 1: 2-way, 32KB, 64B lines).
-    pub l1_geometry: CacheGeometry,
+    l1_geometry: CacheGeometry,
     /// L1 data hit latency in cycles (Table 1: 2).
-    pub l1_hit_cycles: u64,
+    l1_hit_cycles: u64,
     /// L2/memory latency parameters (§5.1).
-    pub timing: TimingParams,
+    timing: TimingParams,
     /// Base CPI of the core with a perfect memory system. The simulated
     /// 8-wide Alpha-like core retires well above 1 IPC when not stalled.
-    pub base_cpi: f64,
+    base_cpi: f64,
     /// Fraction of memory stall cycles hidden by the out-of-order core
     /// (MLP/ILP overlap). 0 = in-order blocking, 1 = perfect hiding.
-    pub overlap: f64,
-    /// Optional next-line prefetcher between L1 and L2 (disabled by
-    /// default; prefetch fills do not count as demand accesses).
-    pub prefetcher: NextLinePrefetcher,
+    overlap: f64,
 }
 
 impl SystemConfig {
@@ -40,36 +38,13 @@ impl SystemConfig {
             timing: TimingParams::micro2010(),
             base_cpi: 0.6,
             overlap: 0.4,
-            prefetcher: NextLinePrefetcher::default(),
         }
     }
 
-    /// Sets the base CPI.
-    #[must_use]
-    pub fn with_base_cpi(mut self, cpi: f64) -> Self {
-        self.base_cpi = cpi;
-        self
-    }
-
-    /// Sets the stall overlap factor (clamped to `[0, 1]`).
-    #[must_use]
-    pub fn with_overlap(mut self, overlap: f64) -> Self {
-        self.overlap = overlap.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the timing parameters.
-    #[must_use]
-    pub fn with_timing(mut self, timing: TimingParams) -> Self {
-        self.timing = timing;
-        self
-    }
-
-    /// Enables a next-line prefetcher of the given degree.
-    #[must_use]
-    pub fn with_prefetcher(mut self, degree: usize) -> Self {
-        self.prefetcher = NextLinePrefetcher::new(degree);
-        self
+    /// The L1 data cache geometry; its line size is the line size every
+    /// stream driven through the hierarchy must be decoded at.
+    pub fn l1_geometry(&self) -> CacheGeometry {
+        self.l1_geometry
     }
 }
 
@@ -89,8 +64,8 @@ impl Default for SystemConfig {
 /// allocate-on-write L2s, and all reported metrics are LRU-normalized).
 ///
 /// A `System` is `Clone`: a clone of a warmed system is an exact
-/// checkpoint of both cache levels (the prefetcher holds no replay state),
-/// so a clone replays exactly like the original from that point on.
+/// checkpoint of both cache levels, so a clone replays exactly like the
+/// original from that point on.
 #[derive(Clone)]
 pub struct System {
     cfg: SystemConfig,
@@ -110,19 +85,10 @@ impl System {
         self.l2.as_ref()
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SystemConfig {
-        &self.cfg
-    }
-
     /// Warms on the first `warm_len` accesses of `trace` (statistics
     /// discarded), mirroring the paper's cache-warming phase, then
-    /// measures the remainder.
-    ///
-    /// The warm-up phase drives exactly the same hierarchy as the measured
-    /// phase — including the configured prefetcher — so measurement starts
-    /// from the cache state *this* system would have produced, not the
-    /// state of a prefetcher-less twin.
+    /// measures the remainder. The warm-up phase drives exactly the same
+    /// per-access step as the measured phase.
     ///
     /// # Panics
     ///
@@ -140,11 +106,10 @@ impl System {
 
     /// The warm half of [`warm_then_run_decoded`](System::warm_then_run_decoded):
     /// drives the first `warm_len` accesses through the full hierarchy
-    /// (prefetcher included) and stops, leaving statistics dirty. Callers
-    /// that intend to measure afterwards call
-    /// [`reset_stats`](System::reset_stats) — and may clone the system
-    /// after that, capturing the warm state with zeroed counters so the
-    /// clone measures exactly like this one.
+    /// and stops, leaving statistics dirty. Callers that intend to
+    /// measure afterwards call [`reset_stats`](System::reset_stats) —
+    /// and may clone the system after that, capturing the warm state
+    /// with zeroed counters so the clone measures exactly like this one.
     ///
     /// # Panics
     ///
@@ -167,9 +132,6 @@ impl System {
 
     /// Runs the accesses in `range` of `trace` and returns the end-to-end
     /// metrics of that range.
-    ///
-    /// Prefetch fills go through the L2's non-demand access path, so the
-    /// raw L2 counters are already demand-only and are reported as-is.
     ///
     /// # Panics
     ///
@@ -206,9 +168,9 @@ impl System {
 
 /// One demand access through a core's L1 and the LLC behind it: the one
 /// per-access step of every hierarchy run, warm-up included. An L1 miss
-/// goes to the LLC and, if that misses too, to memory and the prefetch
-/// hook. Returns the access's memory cycles under the §5.1 latency
-/// algebra, and the LLC outcome when the access missed the L1.
+/// goes to the LLC and, if that misses too, to memory. Returns the
+/// access's memory cycles under the §5.1 latency algebra, and the LLC
+/// outcome when the access missed the L1.
 pub(crate) fn step(
     cfg: &SystemConfig,
     l1: &mut SetAssocCache,
@@ -225,8 +187,6 @@ pub(crate) fn step(
     let mut cycles = cfg.l1_hit_cycles + cfg.timing.l2_latency(r);
     if r.is_miss() {
         cycles += cfg.timing.memory();
-        let l2_geom = l2.geometry();
-        cfg.prefetcher.on_l1_miss(addr, l2_geom, l2);
     }
     (cycles, Some(r))
 }
@@ -377,27 +337,11 @@ mod tests {
     }
 
     #[test]
-    fn warmup_drives_the_prefetcher_like_the_measured_phase() {
-        // Warm with line 0 only: with a degree-1 prefetcher, warm-up must
-        // also bring line 1 into the L2, exactly as the measured phase
-        // would. Measuring line 1 then hits the L2 (it misses the L1).
-        let cfg = SystemConfig::micro2010().with_prefetcher(1);
-        let mut sys = System::new(cfg, lru_l2());
-        let trace: Trace = [0, 64]
-            .map(|a| Access::read(Address::new(a)))
-            .into_iter()
-            .collect();
-        let m = sys.warm_then_run_decoded(&decode(&trace), 1);
-        assert_eq!(m.l2.misses(), 0, "warm-up must have prefetched line 1");
-        assert_eq!(m.l2.hits(), 1);
-    }
-
-    #[test]
     fn warm_phase_and_run_phase_produce_the_same_state() {
         // Warming with X then measuring Y must equal running X measured
         // (stats discarded) then measuring Y: the warm path and the run
-        // path drive the identical hierarchy, prefetcher included.
-        let cfg = SystemConfig::micro2010().with_prefetcher(2);
+        // path drive the identical hierarchy.
+        let cfg = SystemConfig::micro2010();
         let xy: Trace = (0..600u64)
             .map(|i| Access::read(Address::new((i % 97) * 192)))
             .chain((0..400u64).map(|i| Access::read(Address::new((i % 61) * 256))))
@@ -418,25 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn raw_l2_counters_stay_demand_only_with_prefetcher() {
-        let cfg = SystemConfig::micro2010().with_prefetcher(4);
-        let mut sys = System::new(cfg, lru_l2());
-        let trace: Trace = (0..200u64)
-            .map(|i| Access::read(Address::new(i * 64)))
-            .collect();
-        let m = run(&mut sys, &trace);
-        // Every trace access misses L1; the L2 sees exactly those 200
-        // demand accesses even though 4 prefetches fired per L2 miss.
-        assert_eq!(m.l2.accesses(), 200);
-        assert_eq!(*sys.l2().stats(), m.l2);
-    }
-
-    #[test]
     fn warmed_clone_resumes_the_cold_trajectory_exactly() {
         // Warm a system, clone it at the warm boundary, measure. The clone
         // must produce bit-identical metrics on the measured suffix, even
         // after the original has moved on.
-        let cfg = SystemConfig::micro2010().with_prefetcher(2);
+        let cfg = SystemConfig::micro2010();
         let trace: Trace = (0..3000u64)
             .map(|i| {
                 let a = Address::new((i % 413) * 192 + i % 64);
@@ -472,8 +402,12 @@ mod tests {
         let trace: Trace = (0..500u64)
             .map(|i| Access::read(Address::new(i * 64)))
             .collect();
-        let mut blocking = System::new(SystemConfig::micro2010().with_overlap(0.0), lru_l2());
-        let mut hiding = System::new(SystemConfig::micro2010().with_overlap(0.9), lru_l2());
+        let config = |overlap| SystemConfig {
+            overlap,
+            ..SystemConfig::micro2010()
+        };
+        let mut blocking = System::new(config(0.0), lru_l2());
+        let mut hiding = System::new(config(0.9), lru_l2());
         assert!(run(&mut blocking, &trace).cpi > run(&mut hiding, &trace).cpi);
     }
 }

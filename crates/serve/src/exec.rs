@@ -370,9 +370,10 @@ fn mix_json(labels: &[String], weights: &[f64], outcome: &MixOutcome) -> Json {
 /// `domains / selected` factor.
 ///
 /// The sampled result deliberately carries **LLC estimates only** — no
-/// `amat`/`cpi`. Those need the full hierarchy (L1 filtering, the
-/// next-line prefetcher), which crosses set boundaries and therefore has
-/// no sound sampled story; clients who need them ask for `exact`.
+/// `amat`/`cpi`. Those need the full hierarchy, whose 256-set L1 sees
+/// every access: at most rates a sample drops part of a kept L1 set's
+/// stream, which changes its contention (DESIGN.md §14). Clients who
+/// need them ask for `exact`.
 ///
 /// Determinism: selection and replay are both serial pure functions of
 /// the canonical request, so the response body is byte-identical at any

@@ -249,8 +249,9 @@ impl RunRequest {
         "deadline_ms",
     ];
 
-    /// Default sampling rate when a `sampled` request omits it (matches
-    /// [`stem_bench::config::Config::sample_rate`]).
+    /// Default sampling rate when a `sampled` request omits it: keep
+    /// ~1/16 of the set space, the middle of the measured error/speedup
+    /// table in EXPERIMENTS.md.
     pub const DEFAULT_SAMPLE_RATE: u32 = 16;
 
     /// Default sampling seed when a `sampled` request omits it (matches
@@ -399,7 +400,7 @@ impl RunRequest {
                 ));
             }
         }
-        let l1_line_bytes = SystemConfig::micro2010().l1_geometry.line_bytes();
+        let l1_line_bytes = SystemConfig::micro2010().l1_geometry().line_bytes();
         if fidelity == Fidelity::Exact && line_bytes != l1_line_bytes {
             // Exact and mix requests replay the full hierarchy, whose L1
             // consumes the stream at its own line size; only the bare-LLC

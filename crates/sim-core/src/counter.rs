@@ -42,17 +42,6 @@ impl SaturatingCounter {
         SaturatingCounter { value: 0, bits }
     }
 
-    /// Creates a counter with an initial value (clamped to the maximum).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or greater than 31.
-    pub fn with_value(bits: u32, value: u32) -> Self {
-        let mut c = SaturatingCounter::new(bits);
-        c.value = value.min(c.max());
-        c
-    }
-
     /// The maximum representable value, `2^bits - 1`.
     #[inline]
     pub fn max(&self) -> u32 {
@@ -174,12 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn with_value_clamps() {
-        let c = SaturatingCounter::with_value(3, 100);
-        assert_eq!(c.value(), 7);
-    }
-
-    #[test]
     fn set_clamps() {
         let mut c = SaturatingCounter::new(4);
         c.set(99);
@@ -203,6 +186,8 @@ mod tests {
 
     #[test]
     fn display_shows_value_and_max() {
-        assert_eq!(SaturatingCounter::with_value(4, 3).to_string(), "3/15");
+        let mut c = SaturatingCounter::new(4);
+        c.set(3);
+        assert_eq!(c.to_string(), "3/15");
     }
 }

@@ -64,23 +64,6 @@ impl CacheGeometry {
         }
     }
 
-    /// A geometry with the same capacity but a different associativity,
-    /// used by the paper's associativity sweeps (Fig. 3 / Fig. 10), which
-    /// hold total capacity constant while varying ways.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the resulting set count is not a power of two
-    /// (i.e. `ways` must divide the line count evenly into a power of two).
-    pub fn with_ways_same_capacity(self, ways: usize) -> Result<Self, GeometryError> {
-        if ways == 0 {
-            return Err(GeometryError::ZeroWays);
-        }
-        let lines = self.sets * self.ways;
-        let sets = lines / ways;
-        CacheGeometry::new(sets, ways, self.line_bytes)
-    }
-
     /// Number of sets.
     #[inline]
     pub fn sets(&self) -> usize {
@@ -225,18 +208,5 @@ mod tests {
                 assert_eq!(g.tag_of_line(a.line(64)), tag);
             }
         }
-    }
-
-    #[test]
-    fn with_ways_same_capacity_preserves_bytes() {
-        let g = CacheGeometry::micro2010_l2();
-        for ways in [1usize, 2, 4, 8, 16, 32] {
-            let g2 = g.with_ways_same_capacity(ways).unwrap();
-            assert_eq!(g2.capacity_bytes(), g.capacity_bytes());
-            assert_eq!(g2.ways(), ways);
-        }
-        // 2048*16 lines / 3 ways is not a power-of-two set count.
-        assert!(g.with_ways_same_capacity(3).is_err());
-        assert!(g.with_ways_same_capacity(0).is_err());
     }
 }

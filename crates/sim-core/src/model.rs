@@ -94,10 +94,8 @@ pub trait CacheModel: CacheModelClone {
     /// [`reset_stats`](CacheModel::reset_stats)).
     fn stats(&self) -> &CacheStats;
 
-    /// Mutable access to the statistics, so non-demand traffic (prefetch
-    /// fills, diagnostics) can snapshot and restore the counters around an
-    /// access instead of polluting the demand view. See
-    /// [`access_non_demand`](CacheModel::access_non_demand).
+    /// Mutable access to the statistics, through which the provided
+    /// [`reset_stats`](CacheModel::reset_stats) zeroes them.
     fn stats_mut(&mut self) -> &mut CacheStats;
 
     /// Clears the statistics without disturbing cache contents — used to
@@ -105,18 +103,6 @@ pub trait CacheModel: CacheModelClone {
     /// cache-warming phase (§5.1).
     fn reset_stats(&mut self) {
         *self.stats_mut() = CacheStats::default();
-    }
-
-    /// Processes one access *without* perturbing the statistics: the cache
-    /// contents update normally (fills, evictions, replacement state) but
-    /// every counter is restored to its pre-access value. This is the
-    /// insertion path for prefetches and other non-demand traffic, which
-    /// the paper's MPKI/AMAT metrics must exclude.
-    fn access_non_demand(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let before = *self.stats();
-        let result = self.access(addr, kind);
-        *self.stats_mut() = before;
-        result
     }
 
     /// The data-store geometry of this cache.
@@ -362,15 +348,5 @@ mod tests {
         let trace: crate::Trace = [Access::read(Address::new(0))].into_iter().collect();
         let decoded = DecodedTrace::decode(&trace, CacheGeometry::micro2010_l2());
         NullCache::new(CacheGeometry::new(64, 4, 32).unwrap()).run_decoded(&decoded);
-    }
-
-    #[test]
-    fn non_demand_access_leaves_stats_untouched() {
-        let mut cache = NullCache::new(CacheGeometry::micro2010_l2());
-        cache.access(Address::new(0), AccessKind::Read);
-        let before = *cache.stats();
-        let r = cache.access_non_demand(Address::new(64), AccessKind::Read);
-        assert!(r.is_miss());
-        assert_eq!(*cache.stats(), before, "non-demand traffic must not count");
     }
 }

@@ -19,8 +19,8 @@ use crate::model::AccessResult;
 
 /// Latencies of the simulated memory system, in core cycles.
 ///
-/// Construct with [`TimingParams::micro2010`] for the paper's Table 1
-/// values, or customise via the `with_*` builders.
+/// Construct with [`TimingParams::micro2010`], the paper's Table 1
+/// values.
 ///
 /// # Examples
 ///
@@ -51,30 +51,6 @@ impl TimingParams {
             l2_data: 8,
             memory: 300,
         }
-    }
-
-    /// Sets the L1 hit latency.
-    pub fn with_l1_hit(mut self, cycles: u64) -> Self {
-        self.l1_hit = cycles;
-        self
-    }
-
-    /// Sets the L2 tag-store access latency.
-    pub fn with_l2_tag(mut self, cycles: u64) -> Self {
-        self.l2_tag = cycles;
-        self
-    }
-
-    /// Sets the L2 data-store access latency.
-    pub fn with_l2_data(mut self, cycles: u64) -> Self {
-        self.l2_data = cycles;
-        self
-    }
-
-    /// Sets the main-memory latency.
-    pub fn with_memory(mut self, cycles: u64) -> Self {
-        self.memory = cycles;
-        self
     }
 
     /// L1 hit latency in cycles.
@@ -170,12 +146,13 @@ mod tests {
     }
 
     #[test]
-    fn builders_override_fields() {
-        let t = TimingParams::micro2010()
-            .with_l1_hit(2)
-            .with_l2_tag(5)
-            .with_l2_data(9)
-            .with_memory(200);
+    fn latencies_follow_every_field() {
+        let t = TimingParams {
+            l1_hit: 2,
+            l2_tag: 5,
+            l2_data: 9,
+            memory: 200,
+        };
         assert_eq!(t.l1_hit(), 2);
         assert_eq!(t.l2_tag(), 5);
         assert_eq!(t.l2_data(), 9);

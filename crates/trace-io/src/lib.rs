@@ -1,6 +1,7 @@
 //! Trace ingestion front-end: externally-captured access traces in two
-//! documented formats, validated with typed errors and lowered into the
-//! workspace's [`DecodedTrace`] pipeline.
+//! documented formats, validated with typed errors and returned as a
+//! [`Trace`] that callers decode once into the workspace's
+//! [`DecodedTrace`](stem_sim_core::DecodedTrace) pipeline.
 //!
 //! # Formats
 //!
@@ -66,9 +67,7 @@ use std::fmt;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use stem_sim_core::{
-    Access, AccessKind, Address, CacheGeometry, DecodedTrace, SimError, Trace, TraceError,
-};
+use stem_sim_core::{Access, AccessKind, Address, SimError, Trace, TraceError};
 
 /// The 7-byte magic shared by every binary container version.
 pub const BINARY_MAGIC: &[u8; 7] = b"STEMTRC";
@@ -427,20 +426,6 @@ pub fn load_trace(path: &Path) -> Result<(TraceFormat, Trace), IngestError> {
     parse_bytes(&bytes)
 }
 
-/// Loads a trace file and lowers it straight into the decode-once
-/// [`DecodedTrace`] pipeline at `geom` — the entry point that puts
-/// ingested traces on exactly the footing of the synthetic ones
-/// (sampling, snapshots, and the serve result cache all consume
-/// `DecodedTrace`).
-///
-/// # Errors
-///
-/// Any error from [`load_trace`].
-pub fn load_decoded(path: &Path, geom: CacheGeometry) -> Result<DecodedTrace, IngestError> {
-    let (_, trace) = load_trace(path)?;
-    Ok(DecodedTrace::decode(&trace, geom))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,24 +578,5 @@ mod tests {
         let sim: SimError = IngestError::MissingHeader.into();
         assert!(matches!(sim, SimError::Trace(_)));
         assert!(sim.to_string().contains("header"));
-    }
-
-    #[test]
-    fn load_decoded_lowers_into_the_decode_pipeline() {
-        let t = sample();
-        let dir = std::env::temp_dir().join("stem-trace-io-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sample.stemtrc");
-        let mut buf = Vec::new();
-        write_binary(&mut buf, &t).unwrap();
-        std::fs::write(&path, &buf).unwrap();
-        let geom = CacheGeometry::new(64, 4, 64).unwrap();
-        let decoded = load_decoded(&path, geom).unwrap();
-        let expect = DecodedTrace::decode(&t, geom);
-        assert_eq!(decoded.len(), expect.len());
-        for i in 0..decoded.len() {
-            assert_eq!(decoded.get(i), expect.get(i));
-        }
-        std::fs::remove_file(&path).ok();
     }
 }

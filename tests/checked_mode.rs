@@ -4,10 +4,9 @@
 //! an auditor that never fires proves nothing).
 //!
 //! The long replays are independent per scheme, so they fan out over the
-//! deterministic pool (`STEM_THREADS` workers). The audit stride defaults
-//! to every 16384 accesses plus once at the end; `STEM_AUDIT_STRIDE`
-//! overrides it (1 = paper-grade per-access auditing, also available as
-//! the `--ignored` test below).
+//! deterministic pool (`STEM_THREADS` workers). They audit every 16384
+//! accesses plus once at the end; paper-grade per-access auditing of the
+//! long trace is the `--ignored` test below.
 
 use stem::analysis::{build_audited_cache, Scheme};
 use stem::sim_core::{run_audited, AccessKind, CacheGeometry, CacheModel, InvariantAuditor};
@@ -25,10 +24,8 @@ fn checked_accesses() -> usize {
 }
 
 /// Audit stride for the long replays: every `n` accesses plus once at the
-/// end. Overridable with `STEM_AUDIT_STRIDE` (1 = audit every access).
-fn audit_stride() -> u64 {
-    stem_bench::config::Config::from_env_or_panic().audit_stride()
-}
+/// end.
+const AUDIT_STRIDE: u64 = 16_384;
 
 /// Replays `trace` through every paper scheme in parallel (one pool job
 /// per scheme), auditing at `stride`, and panics with the scheme name on
@@ -66,7 +63,7 @@ fn paper_schemes_pass_full_audit_over_long_traces() {
         .expect("suite benchmark")
         .decoded(geom, accesses);
     assert!(trace.len() >= accesses);
-    audit_paper_schemes(geom, &trace, audit_stride());
+    audit_paper_schemes(geom, &trace, AUDIT_STRIDE);
 }
 
 /// A second, pathological workload: a tiny geometry so sets overflow and
@@ -83,9 +80,7 @@ fn paper_schemes_pass_paranoid_audit_under_pressure() {
 
 /// The paper-grade mode on the big geometry: audit after *every* access
 /// of the long trace. Hours of CPU at the default trace length, so it is
-/// `--ignored`; `STEM_CHECKED_ACCESSES` scales it, or set
-/// `STEM_AUDIT_STRIDE=1` to fold per-access auditing into the default
-/// test instead.
+/// `--ignored`; `STEM_CHECKED_ACCESSES` scales it.
 #[test]
 #[ignore = "per-access audit of the full-length trace; run explicitly with --ignored"]
 fn paper_schemes_pass_per_access_audit_over_long_traces() {

@@ -18,10 +18,10 @@
 //! direct random-op differentials, since a compensating pair of bugs at the
 //! scheme level could otherwise hide a primitive-level divergence.
 //!
-//! Each paper-scheme run replays `STEM_DIFF_ACCESSES` accesses (default
-//! 1 000 000) at the paper's 16-way associativity — the packed-recency
-//! boundary case — plus a high-pressure pass on a tiny geometry where every
-//! eviction/spill/couple/decouple path fires constantly.
+//! Each paper-scheme run replays 1 000 000 accesses at the paper's 16-way
+//! associativity — the packed-recency boundary case — plus a high-pressure
+//! pass on a tiny geometry where every eviction/spill/couple/decouple path
+//! fires constantly.
 
 use stem::llc::{PolicyKind, SetMonitor, ShadowSet, StemCache, StemConfig, TagHasher};
 use stem::replacement::{Dip, Lru, PeLifo, RecencyStack, ReplacementPolicy, SetAssocCache};
@@ -34,13 +34,9 @@ use stem::spatial::{
     VWayConfig, VictimCache,
 };
 
-/// Accesses per paper-scheme differential. The acceptance bar is >= 1M per
-/// scheme; `STEM_DIFF_ACCESSES` scales it down for quick local runs.
-fn diff_accesses() -> usize {
-    stem_bench::config::Config::from_env_or_panic()
-        .diff_accesses
-        .unwrap_or(1_000_000)
-}
+/// Accesses per paper-scheme differential: the acceptance bar is >= 1M per
+/// scheme.
+const DIFF_ACCESSES: usize = 1_000_000;
 
 // ---------------------------------------------------------------------------
 // Reference primitive: the pre-refactor `RecencyStack` (rank vector).
@@ -468,7 +464,7 @@ fn run_setassoc_diff(
         &mut new,
         geom,
         seed,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
     let geom = pressure_geom();
     let mut new = SetAssocCache::new(geom, make_policy(geom));
@@ -478,7 +474,7 @@ fn run_setassoc_diff(
         &mut new,
         geom,
         seed ^ 0xFF,
-        diff_accesses() / 10,
+        DIFF_ACCESSES / 10,
     );
 }
 
@@ -727,7 +723,7 @@ fn sbc_matches_reference() {
         &mut new,
         geom,
         0xD1FF_2001,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
     let geom = pressure_geom();
     let mut new = SbcCache::new(geom);
@@ -737,7 +733,7 @@ fn sbc_matches_reference() {
         &mut new,
         geom,
         0xD1FF_2002,
-        diff_accesses() / 10,
+        DIFF_ACCESSES / 10,
     );
 }
 
@@ -893,7 +889,7 @@ fn static_sbc_matches_reference() {
         &mut new,
         geom,
         0xD1FF_3001,
-        diff_accesses() / 2,
+        DIFF_ACCESSES / 2,
     );
     let geom = pressure_geom();
     let mut new = StaticSbcCache::new(geom);
@@ -903,7 +899,7 @@ fn static_sbc_matches_reference() {
         &mut new,
         geom,
         0xD1FF_3002,
-        diff_accesses() / 10,
+        DIFF_ACCESSES / 10,
     );
 }
 
@@ -1024,7 +1020,7 @@ fn victim_cache_matches_reference() {
         &mut new,
         geom,
         0xD1FF_4001,
-        diff_accesses() / 2,
+        DIFF_ACCESSES / 2,
     );
     let geom = pressure_geom();
     let mut new = VictimCache::new(geom, 4);
@@ -1034,7 +1030,7 @@ fn victim_cache_matches_reference() {
         &mut new,
         geom,
         0xD1FF_4002,
-        diff_accesses() / 10,
+        DIFF_ACCESSES / 10,
     );
 }
 
@@ -1190,7 +1186,7 @@ fn vway_matches_reference() {
         &mut new,
         geom,
         0xD1FF_5001,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
     let geom = pressure_geom();
     let mut new = VWayCache::new(geom);
@@ -1200,7 +1196,7 @@ fn vway_matches_reference() {
         &mut new,
         geom,
         0xD1FF_5002,
-        diff_accesses() / 10,
+        DIFF_ACCESSES / 10,
     );
 }
 
@@ -1513,7 +1509,7 @@ fn stem_matches_reference() {
         &mut new,
         geom,
         0xD1FF_6001,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
     let geom = pressure_geom();
     let mut new = StemCache::with_config(geom, StemConfig::micro2010());
@@ -1523,7 +1519,7 @@ fn stem_matches_reference() {
         &mut new,
         geom,
         0xD1FF_6002,
-        diff_accesses() / 10,
+        DIFF_ACCESSES / 10,
     );
     // The ablations ride the same data path with different branches taken;
     // a shorter pass each keeps the whole config surface covered.
@@ -1543,7 +1539,7 @@ fn stem_matches_reference() {
             &mut new,
             geom,
             0xD1FF_6100 + i as u64,
-            diff_accesses() / 20,
+            DIFF_ACCESSES / 20,
         );
     }
 }
@@ -1559,7 +1555,7 @@ fn ablated_stem_equals_lru_access_for_access() {
     let cfg = StemConfig::micro2010()
         .with_spatial_coupling(false)
         .with_temporal_adaptation(false);
-    let accesses = diff_accesses() / 5;
+    let accesses = DIFF_ACCESSES / 5;
     for (sets, ways) in [(2048, 16), (64, 4), (256, 8)] {
         let geom = CacheGeometry::new(sets, ways, 64).expect("valid geometry");
         for bench in ["omnetpp", "mcf", "ammp", "gromacs"] {
@@ -1665,7 +1661,7 @@ fn lru_decoded_matches_access_path() {
         || SetAssocCache::new(geom, Box::new(Lru::new(geom))),
         geom,
         0xDEC0_1001,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
 }
 
@@ -1677,7 +1673,7 @@ fn dip_decoded_matches_access_path() {
         || SetAssocCache::new(geom, Box::new(Dip::new(geom))),
         geom,
         0xDEC0_2001,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
 }
 
@@ -1689,7 +1685,7 @@ fn pelifo_decoded_matches_access_path() {
         || SetAssocCache::new(geom, Box::new(PeLifo::new(geom))),
         geom,
         0xDEC0_3001,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
 }
 
@@ -1701,7 +1697,7 @@ fn vway_decoded_matches_access_path() {
         || VWayCache::new(geom),
         geom,
         0xDEC0_4001,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
 }
 
@@ -1713,7 +1709,7 @@ fn sbc_decoded_matches_access_path() {
         || SbcCache::new(geom),
         geom,
         0xDEC0_5001,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
 }
 
@@ -1725,7 +1721,7 @@ fn stem_decoded_matches_access_path() {
         || StemCache::with_config(geom, StemConfig::micro2010()),
         geom,
         0xDEC0_6001,
-        diff_accesses(),
+        DIFF_ACCESSES,
     );
 }
 
@@ -1737,14 +1733,14 @@ fn auxiliary_spatial_decoded_match_access_path() {
         || StaticSbcCache::new(geom),
         geom,
         0xDEC0_7001,
-        diff_accesses() / 10,
+        DIFF_ACCESSES / 10,
     );
     assert_decoded_equivalent(
         "LRU+VC/decoded",
         || VictimCache::new(geom, 16),
         geom,
         0xDEC0_7002,
-        diff_accesses() / 10,
+        DIFF_ACCESSES / 10,
     );
 }
 
@@ -1758,7 +1754,7 @@ fn one_stream_replays_at_any_set_count() {
     // mask only shows once sets overflow.
     let source_geom = CacheGeometry::micro2010_l2();
     let mut rng = SplitMix64::new(0xDEC0_8001);
-    let trace: Trace = (0..diff_accesses() / 5)
+    let trace: Trace = (0..DIFF_ACCESSES / 5)
         .map(|i| {
             let (addr, kind) = synth_access(&mut rng, source_geom, i);
             let a = match kind {
@@ -1923,8 +1919,8 @@ fn assert_partitions_sum_to_serial(
 #[test]
 fn sharded_replay_matches_serial_for_every_shardable_scheme() {
     for (geom, seed, accesses) in [
-        (paper_geom(), 0x5AAD_0001, diff_accesses()),
-        (pressure_geom(), 0x5AAD_0002, diff_accesses() / 10),
+        (paper_geom(), 0x5AAD_0001, DIFF_ACCESSES),
+        (pressure_geom(), 0x5AAD_0002, DIFF_ACCESSES / 10),
     ] {
         let decoded = synth_decoded(geom, seed, accesses);
         let partitions: Vec<(u32, Vec<SampledTrace>)> = [2u32, 4, 7]
@@ -1947,7 +1943,7 @@ fn surplus_shards_stay_empty_and_preserve_stats() {
     // the eight classes hold no access. Empty classes must replay as
     // no-ops, and the summed stats must still match serial exactly.
     let geom = pressure_geom();
-    let full = synth_decoded(geom, 0x5AAD_0002, diff_accesses() / 10);
+    let full = synth_decoded(geom, 0x5AAD_0002, DIFF_ACCESSES / 10);
     let decoded = partition_samples(&full, 4)[0].trace().clone();
     let samples = partition_samples(&decoded, 32);
     assert_eq!(samples.len(), 8, "a rate above the domain count must clamp");
@@ -2014,7 +2010,7 @@ fn warm_snapshot(
 #[test]
 fn restored_replay_matches_cold_for_every_snapshottable_scheme() {
     let geom = paper_geom();
-    let decoded = synth_decoded(geom, 0x5A4B_0001, diff_accesses() / 10);
+    let decoded = synth_decoded(geom, 0x5A4B_0001, DIFF_ACCESSES / 10);
     let warm_len = warm_split(decoded.len(), 0.2);
     for scheme in Scheme::ALL {
         // Cold: one cache, never interrupted. Restored: a second cache is
@@ -2056,7 +2052,7 @@ fn snapshot_of_restored_state_round_trips() {
     // measured suffix from either generation (or from no snapshot at all)
     // is bit-identical.
     let geom = pressure_geom();
-    let decoded = synth_decoded(geom, 0x5A4B_0003, diff_accesses() / 20);
+    let decoded = synth_decoded(geom, 0x5A4B_0003, DIFF_ACCESSES / 20);
     let warm_len = warm_split(decoded.len(), 0.2);
     let measure = |scheme: Scheme, snap: &Snapshot| {
         let mut cache = build_cache(scheme, geom);
@@ -2133,7 +2129,7 @@ fn full_rate_sample_replays_exactly_for_every_sampling_scheme() {
     // reproduce the exact decoded runner bit for bit — for every scheme
     // that opts into sampling, over a shared randomized trace.
     let geom = paper_geom();
-    let decoded = synth_decoded(geom, 0x5A3D_0003, diff_accesses() / 10);
+    let decoded = synth_decoded(geom, 0x5A3D_0003, DIFF_ACCESSES / 10);
     let sample = SampledTrace::select(&decoded, 1, 0xFACE);
     assert_eq!(sample.scale_factor().to_bits(), 1.0f64.to_bits());
     let mut covered = 0;

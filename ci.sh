@@ -69,6 +69,10 @@ if [ ! -s "$CSV_DIR/BENCH_throughput.json" ]; then
     echo "ERROR: $CSV_DIR/BENCH_throughput.json was not written" >&2
     exit 1
 fi
+grep -q '"generate"' "$CSV_DIR/BENCH_throughput.json" || {
+    echo "ERROR: BENCH_throughput.json is missing the generate (synthesis throughput) section" >&2
+    exit 1
+}
 echo "    archived $CSV_DIR/BENCH_throughput.json"
 
 echo "==> trace ingestion round-trip gate (convert -> ingest -> replay, byte-compare)"

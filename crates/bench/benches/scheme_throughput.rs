@@ -7,10 +7,15 @@
 //! workspace builds offline with no benchmarking dependency. Run with
 //! `cargo bench -p stem-bench --bench scheme_throughput`.
 //!
+//! A last series times trace synthesis: every suite profile generated
+//! straight into a `DecodedTrace` (`BenchmarkProfile::decoded`, the path
+//! run_all and serve use).
+//!
 //! `STEM_BENCH_ACCESSES` scales the trace length (default 100 000; CI's
 //! smoke mode uses a fraction of that), and when `STEM_CSV_DIR` is set the
-//! per-scheme Melem/s land in `$STEM_CSV_DIR/BENCH_throughput.json` next to
-//! the correctness artifacts, so every PR records its accesses/second.
+//! per-scheme Melem/s and the per-profile synthesis Maccess/s land in
+//! `$STEM_CSV_DIR/BENCH_throughput.json` next to the correctness
+//! artifacts, so every PR records its accesses/second.
 
 use std::time::Duration;
 
@@ -18,7 +23,7 @@ use stem_analysis::{build_cache, geomean, Scheme};
 use stem_bench::config::Config;
 use stem_bench::timing::{best_of, best_of_paired, throughput_line};
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
-use stem_workloads::BenchmarkProfile;
+use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
 /// One per-scheme JSON series (`"schemes"` or `"decoded"`).
 fn series(accesses: u64, results: &[(&str, Duration)]) -> Json {
@@ -37,38 +42,35 @@ fn series(accesses: u64, results: &[(&str, Duration)]) -> Json {
     )
 }
 
+/// The `"generate"` section: synthesis Maccess/s per suite profile and
+/// their geomean.
+fn generate_section(accesses: u64, results: &[(&str, Duration)], geomean_maccess: f64) -> Json {
+    let profiles = results
+        .iter()
+        .map(|(name, d)| {
+            let maccess = accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6;
+            Json::Obj(vec![
+                ("benchmark".into(), Json::str(*name)),
+                ("best_secs".into(), Json::float_rounded(d.as_secs_f64(), 6)),
+                ("maccess_per_s".into(), Json::float_rounded(maccess, 4)),
+            ])
+        })
+        .collect();
+    Json::Obj(vec![
+        (
+            "geomean_maccess_per_s".into(),
+            Json::float_rounded(geomean_maccess, 4),
+        ),
+        ("profiles".into(), Json::Arr(profiles)),
+    ])
+}
+
 /// Writes the machine-readable summary to
 /// `$STEM_CSV_DIR/BENCH_throughput.json` when the variable is set.
-fn maybe_json(
-    csv_dir: Option<&std::path::Path>,
-    accesses: u64,
-    reps: usize,
-    results: &[(&str, Duration)],
-    geomean_melems: f64,
-    decoded: &[(&str, Duration)],
-    decoded_geomean_melems: f64,
-) {
+fn maybe_json(csv_dir: Option<&std::path::Path>, doc: &Json) {
     let Some(dir) = csv_dir else {
         return;
     };
-    let doc = Json::Obj(vec![
-        ("accesses_per_iteration".into(), Json::Int(accesses as i64)),
-        ("best_of".into(), Json::Int(reps as i64)),
-        (
-            "geomean_melem_per_s".into(),
-            Json::float_rounded(geomean_melems, 4),
-        ),
-        (
-            "decoded_geomean_melem_per_s".into(),
-            Json::float_rounded(decoded_geomean_melems, 4),
-        ),
-        (
-            "decoded_vs_access_speedup".into(),
-            Json::float_rounded(decoded_geomean_melems / geomean_melems.max(1e-12), 4),
-        ),
-        ("schemes".into(), series(accesses, results)),
-        ("decoded".into(), series(accesses, decoded)),
-    ]);
     let path = dir.join("BENCH_throughput.json");
     if let Err(e) = std::fs::create_dir_all(dir).and_then(|_| std::fs::write(&path, doc.pretty())) {
         eprintln!("warning: could not write {}: {e}", path.display());
@@ -139,18 +141,49 @@ fn main() {
         .collect();
     let dgm = geomean(&decoded_melems);
     println!("geomean: {dgm:.2} Melem/s ({:.2}x access path)", dgm / gm);
-    maybe_json(
-        cfg.csv_dir.as_deref(),
-        trace.len() as u64,
-        REPS,
-        &results,
-        gm,
-        &decoded,
-        dgm,
-    );
 
-    let bench = BenchmarkProfile::by_name("mcf").expect("suite benchmark");
-    let d = best_of(REPS, || bench.trace(geom, 50_000).len());
-    println!("\n# workload");
-    println!("{}", throughput_line("generate_mcf_50k", 50_000, d));
+    let generated: Vec<(&str, Duration)> = spec2010_suite()
+        .iter()
+        .map(|p| {
+            (
+                p.name(),
+                best_of(REPS, || p.decoded(geom, trace.len()).len()),
+            )
+        })
+        .collect();
+    println!(
+        "\n# generate_decoded ({} accesses/iteration, best of {REPS})",
+        trace.len()
+    );
+    for (name, d) in &generated {
+        println!("{}", throughput_line(name, trace.len() as u64, *d));
+    }
+    let generate_maccess: Vec<f64> = generated
+        .iter()
+        .map(|(_, d)| trace.len() as f64 / d.as_secs_f64().max(1e-12) / 1e6)
+        .collect();
+    let ggm = geomean(&generate_maccess);
+    println!("geomean: {ggm:.2} Maccess/s");
+
+    let accesses = trace.len() as u64;
+    let doc = Json::Obj(vec![
+        ("accesses_per_iteration".into(), Json::Int(accesses as i64)),
+        ("best_of".into(), Json::Int(REPS as i64)),
+        ("geomean_melem_per_s".into(), Json::float_rounded(gm, 4)),
+        (
+            "decoded_geomean_melem_per_s".into(),
+            Json::float_rounded(dgm, 4),
+        ),
+        (
+            "decoded_vs_access_speedup".into(),
+            Json::float_rounded(dgm / gm.max(1e-12), 4),
+        ),
+        ("schemes".into(), series(accesses, &results)),
+        ("decoded".into(), series(accesses, &decoded)),
+        (
+            "generate".into(),
+            generate_section(accesses, &generated, ggm),
+        ),
+    ]);
+    maybe_json(cfg.csv_dir.as_deref(), &doc);
 }

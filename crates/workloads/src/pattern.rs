@@ -1,6 +1,8 @@
 //! Per-set reference patterns: the temporal behaviours working sets
 //! exhibit.
 
+use std::sync::Arc;
+
 use stem_sim_core::SplitMix64;
 
 use crate::Zipf;
@@ -81,11 +83,67 @@ impl SetPattern {
         }
     }
 
-    /// Creates the per-set generator state.
+    /// Why this pattern cannot generate a stream, if it cannot: every
+    /// size is at least 1, `theta` is finite and non-negative, and every
+    /// permille is at most 1000.
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        fn require(ok: bool, why: &'static str) -> Result<(), &'static str> {
+            if ok {
+                Ok(())
+            } else {
+                Err(why)
+            }
+        }
+        match *self {
+            SetPattern::Friendly { blocks, theta } => {
+                require(blocks >= 1, "Friendly blocks must be at least 1")?;
+                require(
+                    theta.is_finite() && theta >= 0.0,
+                    "Friendly theta must be finite and non-negative",
+                )
+            }
+            SetPattern::Cyclic { blocks } => {
+                require(blocks >= 1, "Cyclic blocks must be at least 1")
+            }
+            SetPattern::Stream => Ok(()),
+            SetPattern::Mixed { hot, scan } => {
+                require(hot >= 1, "Mixed hot must be at least 1")?;
+                require(scan >= 1, "Mixed scan must be at least 1")
+            }
+            SetPattern::NoisyCyclic {
+                blocks,
+                jump_permille,
+            } => {
+                require(blocks >= 1, "NoisyCyclic blocks must be at least 1")?;
+                require(
+                    jump_permille <= 1000,
+                    "NoisyCyclic jump_permille must be at most 1000",
+                )
+            }
+            SetPattern::Recency {
+                blocks,
+                window,
+                reuse_permille,
+            } => {
+                require(blocks >= 1, "Recency blocks must be at least 1")?;
+                require(window >= 1, "Recency window must be at least 1")?;
+                require(
+                    reuse_permille <= 1000,
+                    "Recency reuse_permille must be at most 1000",
+                )
+            }
+        }
+    }
+
+    /// Creates the per-set generator state. Clones of one state share its
+    /// read-only Zipf table, so a single state can seed every set of a
+    /// pattern.
     pub fn state(&self) -> PatternState {
         PatternState {
             zipf: match self {
-                SetPattern::Friendly { blocks, theta } => Some(Zipf::new(*blocks as usize, *theta)),
+                SetPattern::Friendly { blocks, theta } => {
+                    Some(Arc::new(Zipf::new(*blocks as usize, *theta)))
+                }
                 _ => None,
             },
             position: 0,
@@ -95,18 +153,15 @@ impl SetPattern {
     }
 
     /// Produces the next line tag (a per-set-unique block id) of this
-    /// pattern.
+    /// pattern. Cycle lengths must be at least 1, as
+    /// [`BenchmarkProfile::new`](crate::BenchmarkProfile::new) requires.
     pub fn next_tag(&self, state: &mut PatternState, rng: &mut SplitMix64) -> u64 {
         match self {
             SetPattern::Friendly { .. } => {
                 let z = state.zipf.as_ref().expect("friendly state has a sampler");
                 z.sample(rng) as u64
             }
-            SetPattern::Cyclic { blocks } => {
-                let t = state.position % blocks;
-                state.position += 1;
-                t
-            }
+            SetPattern::Cyclic { blocks } => state.advance(*blocks),
             SetPattern::Stream => {
                 let t = state.position;
                 state.position += 1;
@@ -119,9 +174,7 @@ impl SetPattern {
                     rng.next_below(*hot)
                 } else {
                     // Scan half: cyclic beyond the hot region.
-                    let t = hot + (state.position % scan);
-                    state.position += 1;
-                    t
+                    hot + state.advance(*scan)
                 }
             }
             SetPattern::NoisyCyclic {
@@ -131,25 +184,30 @@ impl SetPattern {
                 if rng.chance(*jump_permille, 1000) {
                     state.position = rng.next_below(*blocks);
                 }
-                let t = state.position % blocks;
-                state.position += 1;
-                t
+                state.advance(*blocks)
             }
             SetPattern::Recency {
                 blocks,
                 window,
                 reuse_permille,
             } => {
-                let reuse = !state.window.is_empty() && rng.chance(*reuse_permille, 1000);
-                let tag = if reuse {
-                    let i = rng.next_below(state.window.len() as u64) as usize;
-                    state.window.remove(i)
+                // Move the tag to the front of the window: a reused line
+                // from its slot, a fresh one from past the end (then drop
+                // what overflows the window).
+                let w = &mut state.window;
+                let reuse = !w.is_empty() && rng.chance(*reuse_permille, 1000);
+                let slot = if reuse {
+                    rng.next_below(w.len() as u64) as usize
                 } else {
-                    rng.next_below(*blocks)
+                    let tag = rng.next_below(*blocks);
+                    w.iter().position(|&t| t == tag).unwrap_or_else(|| {
+                        w.push(tag);
+                        w.len() - 1
+                    })
                 };
-                state.window.retain(|&t| t != tag);
-                state.window.insert(0, tag);
-                state.window.truncate(*window as usize);
+                w[..=slot].rotate_right(1);
+                let tag = w[0];
+                w.truncate(*window as usize);
                 tag
             }
         }
@@ -159,11 +217,25 @@ impl SetPattern {
 /// Mutable generator state for one set's [`SetPattern`].
 #[derive(Debug, Clone)]
 pub struct PatternState {
-    zipf: Option<Zipf>,
+    zipf: Option<Arc<Zipf>>,
+    /// The stream counter, or the cycle cursor (always below the cycle
+    /// length) of the cyclic patterns.
     position: u64,
     toggle: bool,
     /// Most-recently-touched distinct lines (for [`SetPattern::Recency`]).
     window: Vec<u64>,
+}
+
+impl PatternState {
+    /// Returns the cycle cursor and steps it around a cycle of `len`
+    /// positions: the `n`-th call yields `n % len`, without a division.
+    #[inline]
+    fn advance(&mut self, len: u64) -> u64 {
+        debug_assert!(self.position < len, "cursor outside its cycle");
+        let t = self.position;
+        self.position = if t + 1 == len { 0 } else { t + 1 };
+        t
+    }
 }
 
 #[cfg(test)]

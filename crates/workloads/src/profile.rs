@@ -70,7 +70,10 @@ impl BenchmarkProfile {
     /// # Panics
     ///
     /// Panics if `buckets` is empty, `apki` is not positive, or `phases`
-    /// is zero.
+    /// is zero. Also panics, naming the bucket's index, if a bucket's
+    /// weight or activity is not finite and positive, or its pattern is
+    /// degenerate: a `blocks`, `hot`, `scan` or `window` of zero, a `theta`
+    /// that is not finite and non-negative, or a permille above 1000.
     pub fn new(
         name: &'static str,
         class: WorkloadClass,
@@ -82,6 +85,19 @@ impl BenchmarkProfile {
         assert!(!buckets.is_empty(), "a profile needs at least one bucket");
         assert!(apki > 0.0, "APKI must be positive");
         assert!(phases >= 1, "at least one phase required");
+        for (i, b) in buckets.iter().enumerate() {
+            assert!(
+                b.weight.is_finite() && b.weight > 0.0,
+                "bucket {i}: weight must be finite and positive"
+            );
+            assert!(
+                b.activity.is_finite() && b.activity > 0.0,
+                "bucket {i}: activity must be finite and positive"
+            );
+            if let Err(why) = b.pattern.validate() {
+                panic!("bucket {i}: {why}");
+            }
+        }
         BenchmarkProfile {
             name,
             class,
@@ -105,6 +121,17 @@ impl BenchmarkProfile {
     /// Accesses per kilo-instruction.
     pub fn apki(&self) -> f64 {
         self.apki
+    }
+
+    /// Number of phases; the set assignment and tags are re-drawn at each
+    /// phase boundary.
+    pub fn phases(&self) -> usize {
+        self.phases
+    }
+
+    /// The seed every phase's draws derive from.
+    pub fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// The demand buckets (analysis hook).
@@ -139,15 +166,23 @@ impl BenchmarkProfile {
     /// Hands all `accesses` references, phase by phase, to `push` — the one
     /// generator behind both [`trace`](Self::trace) and
     /// [`decoded`](Self::decoded).
+    ///
+    /// Each phase gets `accesses / phases` references (at least one). When
+    /// that does not divide evenly, the remainder is emitted as one more,
+    /// shorter phase whose index equals `phases`: it draws a fresh set
+    /// assignment and fresh tags like any other phase.
     fn generate(&self, geom: CacheGeometry, accesses: usize, push: &mut impl FnMut(Access)) {
         let ref_geom = CacheGeometry::new(REFERENCE_SETS, 16, geom.line_bytes())
             .expect("reference geometry is valid");
+        // One fresh state per bucket; every set starts from a clone of its
+        // bucket's, so each Friendly bucket builds its Zipf table once.
+        let fresh: Vec<PatternState> = self.buckets.iter().map(|b| b.pattern.state()).collect();
         let per_phase = (accesses / self.phases).max(1);
         let mut emitted = 0usize;
         let mut phase = 0usize;
         while emitted < accesses {
             let n = per_phase.min(accesses - emitted);
-            self.generate_phase(&ref_geom, phase, n, push);
+            self.generate_phase(&ref_geom, &fresh, phase, n, push);
             emitted += n;
             phase += 1;
         }
@@ -157,79 +192,135 @@ impl BenchmarkProfile {
     fn generate_phase(
         &self,
         ref_geom: &CacheGeometry,
+        fresh: &[PatternState],
         phase: usize,
         accesses: usize,
         push: &mut impl FnMut(Access),
     ) {
         let mut rng = SplitMix64::new(self.seed ^ (phase as u64).wrapping_mul(0x9E37_79B9));
-        let sets = REFERENCE_SETS;
+        let assignment = self.assign_buckets(phase);
 
-        // Assign each reference set a bucket (deterministically shuffled so
-        // buckets interleave across the index space) and build the
-        // activity CDF.
-        let total_weight: f64 = self.buckets.iter().map(|b| b.weight).sum();
-        let mut assignment: Vec<usize> = Vec::with_capacity(sets);
-        let mut acc = 0.0;
-        let mut boundaries = Vec::with_capacity(self.buckets.len());
-        for b in &self.buckets {
-            acc += b.weight / total_weight;
-            boundaries.push(acc);
+        // Per-set pattern and state; tags are offset per phase so phases
+        // touch fresh lines.
+        let mut sets: Vec<(&SetPattern, PatternState)> = assignment
+            .iter()
+            .map(|&b| (&self.buckets[b].pattern, fresh[b].clone()))
+            .collect();
+        let draw = SetDraw::new(assignment.iter().map(|&b| self.buckets[b].activity));
+        let tag_base = (phase as u64) << 24;
+
+        // Instruction gap: probabilistic rounding of 1000/apki.
+        let gap_mean = 1000.0 / self.apki;
+        let gap_floor = gap_mean.floor() as u32;
+        let gap_permille = ((gap_mean - gap_mean.floor()) * 1000.0) as u64;
+
+        for _ in 0..accesses {
+            let set = draw.set(rng.next_u64());
+            let (pattern, state) = &mut sets[set];
+            let tag = pattern.next_tag(state, &mut rng);
+            let addr = ref_geom.address_of(tag_base | tag, set);
+            let gap = gap_floor + u32::from(rng.chance(gap_permille, 1000));
+            push(Access::read(addr).with_inst_gap(gap.max(1)));
         }
-        for s in 0..sets {
-            // Hash the set index to a uniform [0,1) so buckets spread over
-            // the whole index space (deterministic per profile).
-            let u = {
-                // Per-phase reassignment models the paper's observation
-                // that set-level demands are "highly non-uniform AND
-                // dynamic" (§1): a set's pattern changes across phases.
+    }
+
+    /// Assigns each reference set a bucket for `phase`, by hashing the set
+    /// index to a uniform [0,1) so buckets spread over the whole index
+    /// space (deterministic per profile). Per-phase reassignment models the
+    /// paper's observation that set-level demands are "highly non-uniform
+    /// AND dynamic" (§1): a set's pattern changes across phases.
+    fn assign_buckets(&self, phase: usize) -> Vec<usize> {
+        let total_weight: f64 = self.buckets.iter().map(|b| b.weight).sum();
+        let mut acc = 0.0;
+        let boundaries: Vec<f64> = self
+            .buckets
+            .iter()
+            .map(|b| {
+                acc += b.weight / total_weight;
+                acc
+            })
+            .collect();
+        (0..REFERENCE_SETS)
+            .map(|s| {
                 let mut h = SplitMix64::new(
                     self.seed
                         ^ 0xA55A
                         ^ (s as u64)
                         ^ (phase as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
                 );
-                (h.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-            };
-            let bucket = boundaries
-                .iter()
-                .position(|&b| u < b)
-                .unwrap_or(self.buckets.len() - 1);
-            assignment.push(bucket);
-        }
+                let u = unit(h.next_u64() >> 11);
+                boundaries
+                    .iter()
+                    .position(|&b| u < b)
+                    .unwrap_or(self.buckets.len() - 1)
+            })
+            .collect()
+    }
+}
 
-        // Activity CDF over sets.
-        let mut cdf: Vec<f64> = Vec::with_capacity(sets);
-        let mut total_act = 0.0;
-        for &b in &assignment {
-            total_act += self.buckets[b].activity;
-            cdf.push(total_act);
-        }
+/// Maps a 53-bit draw to [0,1): the one expression every set and bucket
+/// draw uses. It is exact (a 53-bit integer over a power of two) and
+/// monotone in the draw.
+#[inline]
+fn unit(draw: u64) -> f64 {
+    draw as f64 / (1u64 << 53) as f64
+}
 
-        // Per-set pattern state; tags are offset per phase so phases touch
-        // fresh lines.
-        let mut states: Vec<PatternState> = assignment
-            .iter()
-            .map(|&b| self.buckets[b].pattern.state())
+/// Bits of the draw that index [`SetDraw`]'s guide table.
+const GUIDE_BITS: u32 = 12;
+
+/// The per-access set draw: inverse-CDF sampling over the sets' cumulative
+/// activity, answered by a guide table plus a short forward scan instead
+/// of a binary search.
+///
+/// A draw `d` (53 bits) maps to `u = unit(d) * total`, and its set is the
+/// first one whose cumulative activity reaches `u`. `guide[k]` holds that
+/// set for the smallest draw of slot `k` (the draws sharing their top
+/// [`GUIDE_BITS`] bits), computed with the same float expression. The
+/// expression is monotone in `d`, so every draw of slot `k` lands at or
+/// after `guide[k]`, and the forward scan finds the first set reaching
+/// `u` — the set a binary search returns whenever activities are strictly
+/// positive.
+struct SetDraw {
+    cdf: Vec<f64>,
+    guide: Vec<u32>,
+    total: f64,
+}
+
+impl SetDraw {
+    /// Builds the draw from each set's activity, in set order.
+    fn new(activities: impl Iterator<Item = f64>) -> Self {
+        let mut total = 0.0;
+        let cdf: Vec<f64> = activities
+            .map(|a| {
+                total += a;
+                total
+            })
             .collect();
-        let tag_base = (phase as u64) << 24;
+        let mut set = 0;
+        let guide = (0..1u64 << GUIDE_BITS)
+            .map(|k| {
+                let u = unit(k << (53 - GUIDE_BITS)) * total;
+                while cdf[set] < u {
+                    set += 1;
+                }
+                set as u32
+            })
+            .collect();
+        SetDraw { cdf, guide, total }
+    }
 
-        // Instruction gap: probabilistic rounding of 1000/apki.
-        let gap_mean = 1000.0 / self.apki;
-        let gap_floor = gap_mean.floor() as u32;
-        let gap_frac = gap_mean - gap_mean.floor();
-
-        for _ in 0..accesses {
-            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total_act;
-            let set = match cdf.binary_search_by(|c| c.partial_cmp(&u).expect("finite")) {
-                Ok(i) => i,
-                Err(i) => i.min(sets - 1),
-            };
-            let bucket = &self.buckets[assignment[set]];
-            let tag = bucket.pattern.next_tag(&mut states[set], &mut rng);
-            let addr = ref_geom.address_of(tag_base | tag, set);
-            let gap = gap_floor + u32::from(rng.chance((gap_frac * 1000.0) as u64, 1000));
-            push(Access::read(addr).with_inst_gap(gap.max(1)));
+    /// The set chosen by one raw 64-bit RNG output.
+    #[inline]
+    fn set(&self, bits: u64) -> usize {
+        let draw = bits >> 11;
+        let u = unit(draw) * self.total;
+        let mut set = self.guide[(draw >> (53 - GUIDE_BITS)) as usize] as usize;
+        // Terminates in bounds: u <= total, the last cdf entry.
+        while self.cdf[set] < u {
+            set += 1;
         }
+        set
     }
 }
 
@@ -761,6 +852,131 @@ mod tests {
             .map(|b| b.weight)
             .sum();
         assert!((tiny - 0.5).abs() < 0.1);
+    }
+
+    #[test]
+    fn trailing_remainder_is_an_extra_phase() {
+        // 100 037 accesses over 3 phases: three phases of 33 345, then the
+        // 2 left over as phase 3, with phase 3's own set assignment and
+        // tags (the tag's bits from 24 up carry the phase).
+        let p = BenchmarkProfile::by_name("apsi").unwrap();
+        assert_eq!(p.phases(), 3);
+        let geom = CacheGeometry::micro2010_l2();
+        let ref_geom = CacheGeometry::new(REFERENCE_SETS, 16, geom.line_bytes()).unwrap();
+        let t = p.trace(geom, 100_037);
+        let phase_of = |a: &Access| ref_geom.tag_of_line(a.addr.line(geom.line_bytes())) >> 24;
+        let phases: Vec<u64> = t.iter().map(phase_of).collect();
+        for (phase, run) in [(0, 0..33_345), (1, 33_345..66_690), (2, 66_690..100_035)] {
+            assert!(phases[run].iter().all(|&x| x == phase));
+        }
+        assert_eq!(phases[100_035..], [3, 3]);
+
+        let fresh: Vec<PatternState> = p.buckets.iter().map(|b| b.pattern.state()).collect();
+        let mut tail = Vec::new();
+        p.generate_phase(&ref_geom, &fresh, 3, 2, &mut |a| tail.push(a));
+        assert_eq!(t.as_slice()[100_035..], tail[..]);
+    }
+
+    /// Builds a profile whose bucket 1 is `bad` (bucket 0 is valid).
+    fn with_bucket(bad: DemandBucket) -> BenchmarkProfile {
+        let ok = DemandBucket::new(1.0, SetPattern::Stream, 1.0);
+        BenchmarkProfile::new("bad", WorkloadClass::I, vec![ok, bad], 10.0, 1, 1)
+    }
+
+    fn cyclic(blocks: u64) -> SetPattern {
+        SetPattern::Cyclic { blocks }
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: weight must be finite and positive")]
+    fn zero_weight_panics() {
+        with_bucket(DemandBucket::new(0.0, cyclic(4), 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: weight must be finite and positive")]
+    fn infinite_weight_panics() {
+        with_bucket(DemandBucket::new(f64::INFINITY, cyclic(4), 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: activity must be finite and positive")]
+    fn nan_activity_panics() {
+        with_bucket(DemandBucket::new(1.0, cyclic(4), f64::NAN));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: activity must be finite and positive")]
+    fn negative_activity_panics() {
+        with_bucket(DemandBucket::new(1.0, cyclic(4), -0.5));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: Cyclic blocks must be at least 1")]
+    fn zero_blocks_panics() {
+        with_bucket(DemandBucket::new(1.0, cyclic(0), 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: Mixed hot must be at least 1")]
+    fn zero_hot_panics() {
+        with_bucket(DemandBucket::new(
+            1.0,
+            SetPattern::Mixed { hot: 0, scan: 4 },
+            1.0,
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: Mixed scan must be at least 1")]
+    fn zero_scan_panics() {
+        with_bucket(DemandBucket::new(
+            1.0,
+            SetPattern::Mixed { hot: 4, scan: 0 },
+            1.0,
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: Recency window must be at least 1")]
+    fn zero_window_panics() {
+        let pattern = SetPattern::Recency {
+            blocks: 8,
+            window: 0,
+            reuse_permille: 500,
+        };
+        with_bucket(DemandBucket::new(1.0, pattern, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: Friendly theta must be finite and non-negative")]
+    fn negative_theta_panics() {
+        let pattern = SetPattern::Friendly {
+            blocks: 8,
+            theta: -1.0,
+        };
+        with_bucket(DemandBucket::new(1.0, pattern, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: NoisyCyclic jump_permille must be at most 1000")]
+    fn jump_permille_above_1000_panics() {
+        let pattern = SetPattern::NoisyCyclic {
+            blocks: 8,
+            jump_permille: 1001,
+        };
+        with_bucket(DemandBucket::new(1.0, pattern, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 1: Recency reuse_permille must be at most 1000")]
+    fn reuse_permille_above_1000_panics() {
+        let pattern = SetPattern::Recency {
+            blocks: 8,
+            window: 4,
+            reuse_permille: 1001,
+        };
+        with_bucket(DemandBucket::new(1.0, pattern, 1.0));
     }
 
     #[test]

@@ -55,8 +55,8 @@ git diff --quiet -- benchmark/ || {
 echo "==> throughput bench (smoke) + BENCH_throughput.json"
 # Smoke-sized iterations keep CI fast; drop the override for real numbers.
 # 50k accesses keeps each timed iteration in the milliseconds — big enough
-# for the paired access/decoded comparison to mean something, small enough
-# for the gate. The JSON lands under STEM_CSV_DIR next to the correctness
+# for the per-scheme replay timings to mean something, small enough for
+# the gate. The JSON lands under STEM_CSV_DIR next to the correctness
 # artifacts so every PR records its accesses/second (see EXPERIMENTS.md).
 CSV_DIR="${STEM_CSV_DIR:-target/ci-artifacts}"
 mkdir -p "$CSV_DIR"
@@ -69,6 +69,10 @@ if [ ! -s "$CSV_DIR/BENCH_throughput.json" ]; then
     echo "ERROR: $CSV_DIR/BENCH_throughput.json was not written" >&2
     exit 1
 fi
+grep -q '"decoded"' "$CSV_DIR/BENCH_throughput.json" || {
+    echo "ERROR: BENCH_throughput.json is missing the decoded (scheme replay throughput) section" >&2
+    exit 1
+}
 grep -q '"generate"' "$CSV_DIR/BENCH_throughput.json" || {
     echo "ERROR: BENCH_throughput.json is missing the generate (synthesis throughput) section" >&2
     exit 1

@@ -1,5 +1,6 @@
-//! Simulation-throughput bench: every LLC scheme replays a fixed
-//! omnetpp-analog trace slice at the paper's L2 geometry, so the numbers
+//! Simulation-throughput bench: every paper scheme replays a fixed
+//! omnetpp-analog decoded stream at the paper's L2 geometry through its
+//! `replay_decoded` kernel — the one path every run takes — so the numbers
 //! compare the *cost of the management machinery* (shadow sets, heaps,
 //! pointer chasing), not the workload.
 //!
@@ -21,11 +22,11 @@ use std::time::Duration;
 
 use stem_analysis::{build_cache, geomean, Scheme};
 use stem_bench::config::Config;
-use stem_bench::timing::{best_of, best_of_paired, throughput_line};
-use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
+use stem_bench::timing::{best_of, throughput_line};
+use stem_sim_core::{CacheGeometry, Json};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
-/// One per-scheme JSON series (`"schemes"` or `"decoded"`).
+/// The per-scheme `"decoded"` JSON series.
 fn series(accesses: u64, results: &[(&str, Duration)]) -> Json {
     Json::Arr(
         results
@@ -81,55 +82,26 @@ fn main() {
     const REPS: usize = 5;
     let cfg = Config::from_env_or_panic();
     let geom = CacheGeometry::micro2010_l2();
-    let trace = BenchmarkProfile::by_name("omnetpp")
+    let accesses = cfg.bench_accesses.unwrap_or(100_000);
+    let dtrace = BenchmarkProfile::by_name("omnetpp")
         .expect("suite benchmark")
-        .trace(geom, cfg.bench_accesses.unwrap_or(100_000));
+        .decoded(geom, accesses);
 
-    // The byte-`Access` path and the pre-decoded SoA stream are timed
-    // *interleaved* per scheme (see `best_of_paired`): on a shared host the
-    // clock drifts over seconds, and timing one whole series before the
-    // other would hand the faster window to whichever ran first. Decode
-    // cost is excluded from the decoded series: run_all amortizes one
-    // decode per benchmark over all scheme cells.
-    let dtrace = DecodedTrace::decode(&trace, geom);
-    let mut results: Vec<(&str, Duration)> = Vec::new();
-    let mut decoded: Vec<(&str, Duration)> = Vec::new();
-    for scheme in Scheme::PAPER {
-        let (da, dd) = best_of_paired(
-            REPS,
-            || {
-                let mut cache = build_cache(scheme, geom);
-                for a in &trace {
-                    cache.access(a.addr, a.kind);
-                }
-                cache.stats().misses()
-            },
-            || {
+    // Decode cost is excluded: run_all amortizes one stream per benchmark
+    // over all scheme cells.
+    let decoded: Vec<(&str, Duration)> = Scheme::PAPER
+        .iter()
+        .map(|&scheme| {
+            let d = best_of(REPS, || {
                 let mut cache = build_cache(scheme, geom);
                 cache.run_decoded(&dtrace);
                 cache.stats().misses()
-            },
-        );
-        results.push((scheme.label(), da));
-        decoded.push((scheme.label(), dd));
-    }
-
-    println!(
-        "# scheme_access ({} accesses/iteration, best of {REPS})",
-        trace.len()
-    );
-    for (label, d) in &results {
-        println!("{}", throughput_line(label, trace.len() as u64, *d));
-    }
-    let melems: Vec<f64> = results
-        .iter()
-        .map(|(_, d)| trace.len() as f64 / d.as_secs_f64().max(1e-12) / 1e6)
+            });
+            (scheme.label(), d)
+        })
         .collect();
-    let gm = geomean(&melems);
-    println!("geomean: {gm:.2} Melem/s");
-
     println!(
-        "\n# scheme_replay_decoded ({} accesses/iteration, best of {REPS})",
+        "# scheme_replay_decoded ({} accesses/iteration, best of {REPS})",
         dtrace.len()
     );
     for (label, d) in &decoded {
@@ -140,45 +112,31 @@ fn main() {
         .map(|(_, d)| dtrace.len() as f64 / d.as_secs_f64().max(1e-12) / 1e6)
         .collect();
     let dgm = geomean(&decoded_melems);
-    println!("geomean: {dgm:.2} Melem/s ({:.2}x access path)", dgm / gm);
+    println!("geomean: {dgm:.2} Melem/s");
 
     let generated: Vec<(&str, Duration)> = spec2010_suite()
         .iter()
-        .map(|p| {
-            (
-                p.name(),
-                best_of(REPS, || p.decoded(geom, trace.len()).len()),
-            )
-        })
+        .map(|p| (p.name(), best_of(REPS, || p.decoded(geom, accesses).len())))
         .collect();
-    println!(
-        "\n# generate_decoded ({} accesses/iteration, best of {REPS})",
-        trace.len()
-    );
+    println!("\n# generate_decoded ({accesses} accesses/iteration, best of {REPS})");
     for (name, d) in &generated {
-        println!("{}", throughput_line(name, trace.len() as u64, *d));
+        println!("{}", throughput_line(name, accesses as u64, *d));
     }
     let generate_maccess: Vec<f64> = generated
         .iter()
-        .map(|(_, d)| trace.len() as f64 / d.as_secs_f64().max(1e-12) / 1e6)
+        .map(|(_, d)| accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6)
         .collect();
     let ggm = geomean(&generate_maccess);
     println!("geomean: {ggm:.2} Maccess/s");
 
-    let accesses = trace.len() as u64;
+    let accesses = accesses as u64;
     let doc = Json::Obj(vec![
         ("accesses_per_iteration".into(), Json::Int(accesses as i64)),
         ("best_of".into(), Json::Int(REPS as i64)),
-        ("geomean_melem_per_s".into(), Json::float_rounded(gm, 4)),
         (
             "decoded_geomean_melem_per_s".into(),
             Json::float_rounded(dgm, 4),
         ),
-        (
-            "decoded_vs_access_speedup".into(),
-            Json::float_rounded(dgm / gm.max(1e-12), 4),
-        ),
-        ("schemes".into(), series(accesses, &results)),
         ("decoded".into(), series(accesses, &decoded)),
         (
             "generate".into(),

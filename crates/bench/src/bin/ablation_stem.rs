@@ -8,23 +8,20 @@
 
 use stem_analysis::Table;
 use stem_llc::{StemCache, StemConfig};
-use stem_sim_core::{CacheGeometry, CacheModel, Trace};
+use stem_sim_core::{CacheGeometry, CacheModel, DecodedTrace};
 use stem_workloads::BenchmarkProfile;
 
-fn mpki(cfg: StemConfig, geom: CacheGeometry, trace: &Trace) -> f64 {
+/// MPKI of STEM under `cfg` on `trace`: warm on the first fifth, then
+/// measure the rest.
+fn mpki(cfg: StemConfig, geom: CacheGeometry, trace: &DecodedTrace) -> f64 {
     let mut cache = StemCache::with_config(geom, cfg);
     let warm = trace.len() / 5;
-    let mut instructions = 0u64;
-    for (i, a) in trace.iter().enumerate() {
-        if i == warm {
-            cache.reset_stats();
-        }
-        if i >= warm {
-            instructions += u64::from(a.inst_gap);
-        }
-        cache.access(a.addr, a.kind);
-    }
-    cache.stats().mpki(instructions.max(1))
+    cache.replay_decoded(trace, 0..warm);
+    cache.reset_stats();
+    cache.replay_decoded(trace, warm..trace.len());
+    cache
+        .stats()
+        .mpki(trace.instructions_in(warm..trace.len()).max(1))
 }
 
 fn main() {
@@ -33,12 +30,12 @@ fn main() {
         .accesses
         .unwrap_or(1_000_000);
     let probes = ["omnetpp", "cactusADM", "twolf"]; // Class I / II / III
-    let traces: Vec<Trace> = probes
+    let traces: Vec<DecodedTrace> = probes
         .iter()
         .map(|n| {
             BenchmarkProfile::by_name(n)
                 .expect("suite benchmark")
-                .trace(geom, accesses)
+                .decoded(geom, accesses)
         })
         .collect();
 

@@ -32,4 +32,4 @@ mod system;
 
 pub use metrics::SystemMetrics;
 pub use mix::{interleave_schedule, MixMetrics, MixSystem};
-pub use system::{System, SystemConfig};
+pub use system::{System, SystemConfig, FILTER_CHUNK};

@@ -16,16 +16,18 @@
 //! # Accounting model
 //!
 //! Each core owns its L1 (so L1 metrics are exactly per-core) and the LLC
-//! is shared (so its [`CacheStats`] mixes all cores' traffic). Per-core
-//! LLC hit/miss attribution is rebuilt from each core's own
-//! [`AccessResult`](stem_sim_core::AccessResult) stream; capacity-event
-//! counters that have no single owner under sharing (evictions,
-//! writebacks, spills) are reported only in the combined stats.
+//! is shared (so its [`CacheStats`] mixes all cores' traffic). The LLC
+//! replays the schedule's L1 misses in schedule order, one call per
+//! maximal run of one core's misses, and per-core LLC hit/miss
+//! attribution credits each run's core with the outcome counts the run
+//! added ([`CacheStats::outcomes_since`]); capacity-event counters that
+//! have no single owner under sharing (evictions, writebacks, spills) are
+//! reported only in the combined stats.
 
 use stem_replacement::{Lru, SetAssocCache};
 use stem_sim_core::{CacheModel, CacheStats, DecodedTrace, SplitMix64};
 
-use crate::system::{metrics, step, Tally};
+use crate::system::{filter, metrics, FILTER_CHUNK};
 use crate::{SystemConfig, SystemMetrics};
 
 /// Builds the deterministic core-interleaving schedule for a mix: entry
@@ -178,74 +180,43 @@ impl MixSystem {
         let cores = self.l1s.len();
         assert_eq!(streams.len(), cores, "one stream per core");
         assert!(warm_steps <= schedule.len());
-        let lines: Vec<&[u64]> = streams
-            .iter()
-            .map(|s| s.lines_for(self.cfg.l1_geometry()))
-            .collect();
         let mut cursors = vec![0usize; cores];
 
-        // Warm phase: identical event stream to the measured phase,
+        // Warm phase: the same LLC stream as the measured phase,
         // statistics discarded at the boundary.
-        for &entry in &schedule[..warm_steps] {
-            let core = entry as usize;
-            let i = cursors[core];
-            cursors[core] += 1;
-            let write = streams[core].is_write(i);
-            step(
-                &self.cfg,
-                &mut self.l1s[core],
-                self.l2.as_mut(),
-                lines[core][i],
-                write,
-            );
-        }
+        self.drive(streams, &schedule[..warm_steps], &mut cursors, None);
         for l1 in &mut self.l1s {
             l1.reset_stats();
         }
         self.l2.reset_stats();
 
         // Measured phase, with per-core attribution.
-        let mut tallies = vec![Tally::default(); cores];
+        let warm_cursors = cursors.clone();
         let mut core_l2 = vec![CacheStats::new(); cores];
-        for &entry in &schedule[warm_steps..] {
-            let core = entry as usize;
-            let i = cursors[core];
-            cursors[core] += 1;
-            let write = streams[core].is_write(i);
-            let (cycles, l2_r) = step(
-                &self.cfg,
-                &mut self.l1s[core],
-                self.l2.as_mut(),
-                lines[core][i],
-                write,
-            );
-            let tally = &mut tallies[core];
-            tally.cycles += cycles;
-            tally.accesses += 1;
-            tally.instructions += u64::from(streams[core].inst_gaps()[i]);
-            if let Some(r) = l2_r {
-                match (r.is_hit(), r.probed_cooperative()) {
-                    (true, false) => core_l2[core].record_local_hit(),
-                    (true, true) => core_l2[core].record_coop_hit(),
-                    (false, false) => core_l2[core].record_local_miss(),
-                    (false, true) => core_l2[core].record_coop_miss(),
-                }
-            }
-        }
+        self.drive(
+            streams,
+            &schedule[warm_steps..],
+            &mut cursors,
+            Some(&mut core_l2),
+        );
 
+        let instructions: Vec<u64> = (0..cores)
+            .map(|i| streams[i].instructions_in(warm_cursors[i]..cursors[i]))
+            .collect();
         let per_core: Vec<SystemMetrics> = (0..cores)
             .map(|i| {
-                let l1_miss_rate = self.l1s[i].stats().miss_rate();
-                let l2 = core_l2[i];
-                metrics(&self.cfg, tallies[i], l2.misses(), l1_miss_rate, l2)
+                metrics(
+                    &self.cfg,
+                    (cursors[i] - warm_cursors[i]) as u64,
+                    instructions[i],
+                    core_l2[i],
+                    self.l1s[i].stats().miss_rate(),
+                    core_l2[i],
+                )
             })
             .collect();
 
-        let total = tallies.iter().fold(Tally::default(), |t, c| Tally {
-            cycles: t.cycles + c.cycles,
-            accesses: t.accesses + c.accesses,
-            instructions: t.instructions + c.instructions,
-        });
+        let accesses = per_core.iter().map(|m| m.accesses).sum();
         let l1_accesses: u64 = self.l1s.iter().map(|l1| l1.stats().accesses()).sum();
         let l1_misses: u64 = self.l1s.iter().map(|l1| l1.stats().misses()).sum();
         let l1_miss_rate = if l1_accesses == 0 {
@@ -254,9 +225,62 @@ impl MixSystem {
             l1_misses as f64 / l1_accesses as f64
         };
         let l2 = *self.l2.stats();
-        let combined = metrics(&self.cfg, total, l2.misses(), l1_miss_rate, l2);
+        let combined = metrics(
+            &self.cfg,
+            accesses,
+            instructions.iter().sum(),
+            l2,
+            l1_miss_rate,
+            l2,
+        );
 
         MixMetrics { per_core, combined }
+    }
+
+    /// Issues `schedule` from the per-core `cursors`, filtering each
+    /// [`FILTER_CHUNK`] of it through the issuing cores' L1s and replaying
+    /// the chunk's L1 misses, in schedule order, through the shared LLC.
+    /// With `core_l2`, every maximal run of one core's misses is replayed
+    /// in one call and that core is credited with the outcome counts the
+    /// run added.
+    fn drive(
+        &mut self,
+        streams: &[DecodedTrace],
+        schedule: &[u32],
+        cursors: &mut [usize],
+        mut core_l2: Option<&mut [CacheStats]>,
+    ) {
+        let geom = self.cfg.l1_geometry();
+        let lines: Vec<&[u64]> = streams.iter().map(|s| s.lines_for(geom)).collect();
+        let chunk_len = schedule.len().min(FILTER_CHUNK);
+        let mut misses = DecodedTrace::with_capacity(geom, chunk_len);
+        let mut owners: Vec<u32> = Vec::with_capacity(chunk_len);
+        for chunk in schedule.chunks(FILTER_CHUNK) {
+            misses.clear();
+            owners.clear();
+            for &entry in chunk {
+                let core = entry as usize;
+                let i = cursors[core];
+                cursors[core] += 1;
+                let write = streams[core].is_write(i);
+                if filter(&mut self.l1s[core], &mut misses, lines[core][i], write) {
+                    owners.push(entry);
+                }
+            }
+            let Some(core_l2) = core_l2.as_deref_mut() else {
+                self.l2.run_decoded(&misses);
+                continue;
+            };
+            let mut start = 0;
+            let mut before = *self.l2.stats();
+            for run in owners.chunk_by(|a, b| a == b) {
+                self.l2.replay_decoded(&misses, start..start + run.len());
+                let after = *self.l2.stats();
+                core_l2[run[0] as usize] += after.outcomes_since(&before);
+                before = after;
+                start += run.len();
+            }
+        }
     }
 }
 

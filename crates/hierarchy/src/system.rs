@@ -4,8 +4,7 @@ use std::ops::Range;
 
 use stem_replacement::{Lru, SetAssocCache};
 use stem_sim_core::{
-    AccessKind, AccessResult, CacheGeometry, CacheModel, CacheStats, DecodedTrace, LineAddr,
-    TimingParams,
+    Access, AccessKind, CacheGeometry, CacheModel, CacheStats, DecodedTrace, LineAddr, TimingParams,
 };
 
 use crate::SystemMetrics;
@@ -54,14 +53,26 @@ impl Default for SystemConfig {
     }
 }
 
+/// Accesses filtered through the L1 per LLC replay call.
+///
+/// Nothing the LLC does reaches the L1 (a private LRU that nothing
+/// back-invalidates), so a hierarchy run filters each chunk of the stream
+/// through the L1 and then replays the chunk's L1 misses through the LLC's
+/// own [`replay_decoded`](CacheModel::replay_decoded) kernel, in order.
+/// Replay composes over ranges, so the chunk size changes no result; it
+/// only bounds the miss buffer, whatever the stream length.
+pub const FILTER_CHUNK: usize = 4096;
+
 /// A core + L1D + L2 + memory system driving any
 /// [`CacheModel`](stem_sim_core::CacheModel) as its LLC.
 ///
 /// The L1 is a conventional LRU cache (Table 1); accesses that miss it are
-/// forwarded to the L2, whose [`AccessResult`](stem_sim_core::AccessResult)
-/// is priced by the §5.1 latency rules. L1 write-back traffic to the L2 is
-/// not modelled (it does not change L2 *miss* counts under the paper's
-/// allocate-on-write L2s, and all reported metrics are LRU-normalized).
+/// forwarded to the L2 (see [`FILTER_CHUNK`]), and the L2's outcome counts
+/// are priced by the §5.1 latency algebra
+/// ([`TimingParams::l2_cycles`](stem_sim_core::TimingParams::l2_cycles)).
+/// L1 write-back traffic to the L2 is not modelled (it does not change L2
+/// *miss* counts under the paper's allocate-on-write L2s, and all reported
+/// metrics are LRU-normalized).
 ///
 /// A `System` is `Clone`: a clone of a warmed system is an exact
 /// checkpoint of both cache levels, so a clone replays exactly like the
@@ -87,8 +98,8 @@ impl System {
 
     /// Warms on the first `warm_len` accesses of `trace` (statistics
     /// discarded), mirroring the paper's cache-warming phase, then
-    /// measures the remainder. The warm-up phase drives exactly the same
-    /// per-access step as the measured phase.
+    /// measures the remainder. The warm-up phase drives the hierarchy
+    /// exactly as the measured phase does.
     ///
     /// # Panics
     ///
@@ -116,11 +127,7 @@ impl System {
     /// Panics if `warm_len` exceeds the trace length or the trace's line
     /// size differs from the L1's.
     pub fn warm_decoded(&mut self, trace: &DecodedTrace, warm_len: usize) {
-        let lines = &trace.lines_for(self.cfg.l1_geometry)[..warm_len];
-        for (i, &line) in lines.iter().enumerate() {
-            let write = trace.is_write(i);
-            step(&self.cfg, &mut self.l1, self.l2.as_mut(), line, write);
-        }
+        self.drive(trace, 0..warm_len);
     }
 
     /// Zeroes both cache levels' statistics counters (the boundary between
@@ -142,93 +149,89 @@ impl System {
         trace: &DecodedTrace,
         range: Range<usize>,
     ) -> SystemMetrics {
-        let lines = &trace.lines_for(self.cfg.l1_geometry)[range.clone()];
-        // Misses accumulated by *this* run (the caller may not have reset
-        // the counters between phases).
-        let misses_before = self.l2.stats().misses();
-        let mut tally = Tally {
-            instructions: trace.instructions_in(range.clone()),
-            accesses: lines.len() as u64,
-            ..Tally::default()
-        };
-        for (i, &line) in range.zip(lines) {
-            let write = trace.is_write(i);
-            tally.cycles += step(&self.cfg, &mut self.l1, self.l2.as_mut(), line, write).0;
-        }
+        // Outcomes of *this* run (the caller may not have reset the
+        // counters between phases).
+        let before = *self.l2.stats();
+        self.drive(trace, range.clone());
         let l2 = *self.l2.stats();
         metrics(
             &self.cfg,
-            tally,
-            l2.misses() - misses_before,
+            range.len() as u64,
+            trace.instructions_in(range),
+            l2.outcomes_since(&before),
             self.l1.stats().miss_rate(),
             l2,
         )
     }
+
+    /// Filters `range` through the L1 a [`FILTER_CHUNK`] at a time and
+    /// replays each chunk's L1 misses through the LLC.
+    fn drive(&mut self, trace: &DecodedTrace, range: Range<usize>) {
+        let lines = &trace.lines_for(self.cfg.l1_geometry)[range.clone()];
+        let mut misses =
+            DecodedTrace::with_capacity(self.cfg.l1_geometry, lines.len().min(FILTER_CHUNK));
+        for (start, chunk) in (range.start..)
+            .step_by(FILTER_CHUNK)
+            .zip(lines.chunks(FILTER_CHUNK))
+        {
+            misses.clear();
+            for (i, &line) in (start..).zip(chunk) {
+                filter(&mut self.l1, &mut misses, line, trace.is_write(i));
+            }
+            self.l2.run_decoded(&misses);
+        }
+    }
 }
 
-/// One demand access through a core's L1 and the LLC behind it: the one
-/// per-access step of every hierarchy run, warm-up included. An L1 miss
-/// goes to the LLC and, if that misses too, to memory. Returns the
-/// access's memory cycles under the §5.1 latency algebra, and the LLC
-/// outcome when the access missed the L1.
-pub(crate) fn step(
-    cfg: &SystemConfig,
+/// Probes a core's L1 with one demand access and, on a miss, appends the
+/// access to `misses`, the LLC stream being built. Returns whether it
+/// missed.
+#[inline]
+pub(crate) fn filter(
     l1: &mut SetAssocCache,
-    l2: &mut dyn CacheModel,
+    misses: &mut DecodedTrace,
     line: u64,
     write: bool,
-) -> (u64, Option<AccessResult>) {
+) -> bool {
     let line = LineAddr::new(line);
-    if l1.access_line(line, write).is_hit() {
-        return (cfg.l1_hit_cycles, None);
+    let missed = l1.access_line(line, write).is_miss();
+    if missed {
+        misses.push(Access {
+            addr: line.to_address(misses.geometry().line_bytes()),
+            kind: AccessKind::from_write(write),
+            inst_gap: 0,
+        });
     }
-    let addr = line.to_address(cfg.l1_geometry.line_bytes());
-    let r = l2.access(addr, AccessKind::from_write(write));
-    let mut cycles = cfg.l1_hit_cycles + cfg.timing.l2_latency(r);
-    if r.is_miss() {
-        cycles += cfg.timing.memory();
-    }
-    (cycles, Some(r))
+    missed
 }
 
-/// The measured counters of one core (or of a whole mix) that the metric
-/// algebra turns into a [`SystemMetrics`].
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Tally {
-    /// Memory cycles summed over the accesses ([`step`]'s first result).
-    pub(crate) cycles: u64,
-    /// Core-issued accesses.
-    pub(crate) accesses: u64,
-    /// Instructions represented by the accesses.
-    pub(crate) instructions: u64,
-}
-
-/// The one metric algebra of every hierarchy run: MPKI from `misses`,
-/// AMAT from the tallied cycles, and CPI as base CPI plus the stall cycles
-/// beyond L1 hits, discounted by the overlap factor. A zero instruction
-/// count is taken as one.
+/// The one metric algebra of every hierarchy run, over `accesses`
+/// core-issued accesses representing `instructions` instructions, whose L1
+/// misses produced the LLC outcome counts `outcomes`. Memory cycles are
+/// an L1 hit per access plus the §5.1 L2 and memory cycles of the
+/// outcomes; MPKI counts the outcome misses; AMAT is cycles per access;
+/// CPI is base CPI plus the stall cycles beyond L1 hits, discounted by the
+/// overlap factor. A zero instruction count is taken as one. `l2` is
+/// reported as the run's LLC statistics.
 pub(crate) fn metrics(
     cfg: &SystemConfig,
-    tally: Tally,
-    misses: u64,
+    accesses: u64,
+    instructions: u64,
+    outcomes: CacheStats,
     l1_miss_rate: f64,
     l2: CacheStats,
 ) -> SystemMetrics {
-    let Tally {
-        cycles,
-        accesses,
-        instructions,
-    } = tally;
+    let stall_cycles = cfg.timing.l2_cycles(&outcomes);
+    let cycles = accesses * cfg.l1_hit_cycles + stall_cycles;
     let instructions = instructions.max(1);
-    let stall_cycles = cycles.saturating_sub(accesses * cfg.l1_hit_cycles) as f64;
     SystemMetrics {
-        mpki: misses as f64 * 1000.0 / instructions as f64,
+        mpki: outcomes.misses() as f64 * 1000.0 / instructions as f64,
         amat: if accesses == 0 {
             0.0
         } else {
             cycles as f64 / accesses as f64
         },
-        cpi: cfg.base_cpi + stall_cycles * (1.0 - cfg.overlap) / instructions as f64,
+        cpi: cfg.base_cpi + stall_cycles as f64 * (1.0 - cfg.overlap) / instructions as f64,
         l1_miss_rate,
         l2,
         instructions,

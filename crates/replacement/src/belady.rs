@@ -7,11 +7,9 @@
 //! bound no online policy may beat.
 
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 
-use stem_sim_core::{
-    AccessKind, AccessResult, Address, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
-    LineAddr,
-};
+use stem_sim_core::{CacheGeometry, CacheModel, CacheStats, DecodedTrace, LineAddr};
 
 /// A cache with Belady-optimal (farthest-future-use) replacement.
 ///
@@ -82,24 +80,9 @@ impl OptCache {
         opt.stats().misses()
     }
 
-    /// Next future use of `line` strictly after the current step.
-    fn next_use(&mut self, line: LineAddr) -> u64 {
-        let step = self.step;
-        match self.future.get_mut(&line) {
-            Some(q) => {
-                while q.front().is_some_and(|&p| p <= step) {
-                    q.pop_front();
-                }
-                q.front().copied().unwrap_or(u64::MAX)
-            }
-            None => u64::MAX,
-        }
-    }
-}
-
-impl CacheModel for OptCache {
-    fn access(&mut self, addr: Address, _kind: AccessKind) -> AccessResult {
-        let line = addr.line(self.geom.line_bytes());
+    /// Processes one access: OPT's lookup and farthest-future-use
+    /// replacement.
+    fn access_line(&mut self, line: LineAddr) {
         let set = self.geom.set_index_of_line(line);
         let next = self.next_use(line);
         self.step += 1;
@@ -107,7 +90,7 @@ impl CacheModel for OptCache {
         if let Some(entry) = self.resident[set].iter_mut().find(|(l, _)| *l == line) {
             entry.1 = next;
             self.stats.record_local_hit();
-            return AccessResult::HitLocal;
+            return;
         }
 
         self.stats.record_local_miss();
@@ -130,7 +113,29 @@ impl CacheModel for OptCache {
         } else {
             self.resident[set].push((line, next));
         }
-        AccessResult::MissLocal
+    }
+
+    /// Next future use of `line` strictly after the current step.
+    fn next_use(&mut self, line: LineAddr) -> u64 {
+        let step = self.step;
+        match self.future.get_mut(&line) {
+            Some(q) => {
+                while q.front().is_some_and(|&p| p <= step) {
+                    q.pop_front();
+                }
+                q.front().copied().unwrap_or(u64::MAX)
+            }
+            None => u64::MAX,
+        }
+    }
+}
+
+impl CacheModel for OptCache {
+    /// Replays the line column in order; OPT ignores the access kind.
+    fn replay_decoded(&mut self, trace: &DecodedTrace, range: Range<usize>) {
+        for &line in &trace.lines_for(self.geom)[range] {
+            self.access_line(LineAddr::new(line));
+        }
     }
 
     fn stats(&self) -> &CacheStats {

@@ -3,8 +3,8 @@
 use std::ops::Range;
 
 use stem_sim_core::{
-    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
-    DecodedTrace, InvariantAuditor, LineAddr, SetFrames,
+    AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
+    InvariantAuditor, LineAddr, SetFrames,
 };
 
 use crate::ReplacementPolicy;
@@ -100,17 +100,8 @@ impl SetAssocCache {
         }
     }
 
-    fn line_of(&self, addr: Address) -> (usize, u64) {
-        let line: LineAddr = addr.line(self.geom.line_bytes());
-        (
-            self.geom.set_index_of_line(line),
-            self.geom.tag_of_line(line),
-        )
-    }
-
-    /// The single lookup/replacement path behind the per-access entry
-    /// points (`access`, `access_line`): set index and tag word are already
-    /// extracted.
+    /// The lookup/replacement path behind [`access_line`](Self::access_line):
+    /// set index and tag word are already extracted.
     #[inline]
     fn access_at(&mut self, set: usize, tag: u64, write: bool) -> AccessResult {
         access_kernel(
@@ -137,10 +128,10 @@ impl SetAssocCache {
     }
 }
 
-/// The lookup/replacement kernel shared by every access entry point,
-/// generic over the policy so the decoded replay loop can monomorphize it
-/// (`P = Lru`, `Dip`, `PeLifo`) while the per-call byte path keeps dynamic
-/// dispatch (`P = dyn ReplacementPolicy`). Takes the cache fields
+/// The lookup/replacement kernel shared by the decoded replay loop and
+/// [`SetAssocCache::access_line`], generic over the policy so the replay
+/// loop can monomorphize it (`P = Lru`, `Dip`, `PeLifo`) while the
+/// per-line L1 path keeps dynamic dispatch (`P = dyn ReplacementPolicy`). Takes the cache fields
 /// individually to keep the borrows split from the boxed policy.
 #[inline]
 fn access_kernel<P: ReplacementPolicy + ?Sized>(
@@ -209,15 +200,8 @@ fn replay_kernel<P: ReplacementPolicy + ?Sized>(
 }
 
 impl CacheModel for SetAssocCache {
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let (set, tag) = self.line_of(addr);
-        self.access_at(set, tag, kind.is_write())
-    }
-
     /// Monomorphic replay loop: streams the line column straight into the
-    /// lookup/replacement kernel with static dispatch, instead of one
-    /// virtual `access` call per access through the trait default.
-    /// Policies that expose [`ReplacementPolicy::as_any_mut`] are downcast
+    /// lookup/replacement kernel with static dispatch. Policies that expose [`ReplacementPolicy::as_any_mut`] are downcast
     /// so the whole per-access protocol (hit promotion, victim choice,
     /// fill ranking) compiles as one inlined loop; any other policy runs
     /// the same kernel through the boxed vtable, identically.
@@ -316,7 +300,7 @@ impl std::fmt::Debug for SetAssocCache {
 mod tests {
     use super::*;
     use crate::{Bip, Lru};
-    use stem_sim_core::{prop, Access, Trace};
+    use stem_sim_core::{prop, Access, AccessKind, Trace};
 
     fn small() -> CacheGeometry {
         CacheGeometry::new(2, 2, 64).unwrap()

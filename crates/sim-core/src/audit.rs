@@ -145,7 +145,7 @@ pub fn run_audited(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Access, AccessKind, AccessResult, Address, CacheGeometry, CacheStats};
+    use crate::{Access, Address, CacheGeometry, CacheStats};
 
     /// A cache that corrupts itself after a fixed number of accesses.
     #[derive(Clone)]
@@ -168,10 +168,11 @@ mod tests {
     }
 
     impl CacheModel for FragileCache {
-        fn access(&mut self, _addr: Address, _kind: AccessKind) -> AccessResult {
-            self.seen += 1;
-            self.stats.record_local_miss();
-            AccessResult::MissLocal
+        fn replay_decoded(&mut self, _trace: &DecodedTrace, range: std::ops::Range<usize>) {
+            for _ in range {
+                self.seen += 1;
+                self.stats.record_local_miss();
+            }
         }
         fn stats(&self) -> &CacheStats {
             &self.stats

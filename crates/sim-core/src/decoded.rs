@@ -15,9 +15,10 @@
 //! one replay contract, checked by [`DecodedTrace::lines_for`].
 //!
 //! The decode is a pure representation change: replaying a `DecodedTrace`
-//! through a scheme produces exactly the per-access outcomes of feeding the
-//! original `Trace` through [`CacheModel::access`](crate::CacheModel::access)
-//! (see `replay_decoded` on [`CacheModel`](crate::CacheModel)).
+//! through a scheme's `replay_decoded` kernel (on
+//! [`CacheModel`](crate::CacheModel)) is the scheme's one per-access path,
+//! and [`CacheModel::access`](crate::CacheModel::access) replays a
+//! one-access stream through that same kernel.
 //!
 //! # Examples
 //!
@@ -119,6 +120,15 @@ impl DecodedTrace {
         }
         self.inst_gaps.push(a.inst_gap);
         self.instructions += u64::from(a.inst_gap);
+    }
+
+    /// Removes every access, keeping the column allocations, so one buffer
+    /// can carry a stream built chunk by chunk.
+    pub fn clear(&mut self) {
+        self.lines.clear();
+        self.write_words.clear();
+        self.inst_gaps.clear();
+        self.instructions = 0;
     }
 
     /// Assembles a `DecodedTrace` directly from pre-decoded columns, used by
@@ -291,6 +301,20 @@ mod tests {
             assert_eq!(da.inst_gap, a.inst_gap);
             assert_eq!(d.is_write(i), a.kind.is_write());
         }
+    }
+
+    #[test]
+    fn cleared_stream_refills_like_a_fresh_one() {
+        let g = geom();
+        let (a, b) = (mixed_trace(130), mixed_trace(70));
+        let mut d = DecodedTrace::decode(&a, g);
+        d.clear();
+        assert!(d.is_empty());
+        assert_eq!(d.instructions(), 0);
+        for &x in b.iter() {
+            d.push(x);
+        }
+        assert_eq!(d, DecodedTrace::decode(&b, g));
     }
 
     #[test]

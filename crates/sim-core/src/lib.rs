@@ -77,5 +77,5 @@ pub use rng::SplitMix64;
 pub use sample::SampledTrace;
 pub use snapshot::{Snapshot, SnapshotError};
 pub use stats::CacheStats;
-pub use timing::{AccessLatency, TimingParams};
+pub use timing::TimingParams;
 pub use trace::{Trace, TraceStats};

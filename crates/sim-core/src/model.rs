@@ -6,7 +6,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::{
-    AccessKind, Address, CacheGeometry, CacheStats, DecodedTrace, LineAddr, Snapshot, SnapshotError,
+    Access, AccessKind, Address, CacheGeometry, CacheStats, DecodedTrace, Snapshot, SnapshotError,
 };
 
 /// The outcome of one cache access, at the granularity the paper's timing
@@ -87,8 +87,51 @@ impl fmt::Display for AccessResult {
 ///
 /// [C-OBJECT]: https://rust-lang.github.io/api-guidelines/flexibility.html
 pub trait CacheModel: CacheModelClone {
+    /// Replays the decoded accesses in `range`, in order: the scheme's one
+    /// per-access path, which every run drives.
+    ///
+    /// Each scheme implements it as a monomorphic kernel over the line
+    /// column that derives the set from each line under its own geometry,
+    /// so one stream replays at any set count. Replay composes: replaying
+    /// `a..b` and then `b..c` leaves exactly the state and statistics of
+    /// replaying `a..c`, which is what lets the hierarchy feed the LLC in
+    /// chunks and attribute counts by differencing [`CacheStats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is out of bounds for `trace`, or if the trace's
+    /// line size differs from this cache's
+    /// ([`DecodedTrace::lines_for`]).
+    fn replay_decoded(&mut self, trace: &DecodedTrace, range: Range<usize>);
+
     /// Processes one access and reports its outcome.
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult;
+    ///
+    /// A convenience over [`replay_decoded`](CacheModel::replay_decoded):
+    /// it replays a one-access stream decoded at this cache's line size
+    /// and reads the outcome off the one outcome counter that moved. It
+    /// allocates that stream on every call, so runs over many accesses
+    /// replay a [`DecodedTrace`] instead.
+    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
+        let mut one = DecodedTrace::with_capacity(self.geometry(), 1);
+        one.push(Access {
+            addr,
+            kind,
+            inst_gap: 0,
+        });
+        let before = *self.stats();
+        self.replay_decoded(&one, 0..1);
+        let moved = self.stats().outcomes_since(&before);
+        debug_assert_eq!(moved.accesses(), 1, "one access replayed");
+        if moved.local_hits() > 0 {
+            AccessResult::HitLocal
+        } else if moved.coop_hits() > 0 {
+            AccessResult::HitCooperative
+        } else if moved.local_misses() > 0 {
+            AccessResult::MissLocal
+        } else {
+            AccessResult::MissCooperative
+        }
+    }
 
     /// Aggregate statistics since construction (or the last
     /// [`reset_stats`](CacheModel::reset_stats)).
@@ -110,29 +153,6 @@ pub trait CacheModel: CacheModelClone {
 
     /// A short scheme name for reports (e.g. `"LRU"`, `"STEM"`).
     fn name(&self) -> &str;
-
-    /// Replays the decoded accesses in `range`, in order.
-    ///
-    /// The provided loop feeds each access, as a line-aligned byte address,
-    /// to [`access`](CacheModel::access); schemes override it with a
-    /// monomorphic kernel over the line column that derives the set from
-    /// each line under their own geometry. Either way the per-access
-    /// outcomes are identical to replaying the original `Trace`, at any
-    /// set count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds for `trace`, or if the trace's
-    /// line size differs from this cache's
-    /// ([`DecodedTrace::lines_for`]).
-    fn replay_decoded(&mut self, trace: &DecodedTrace, range: Range<usize>) {
-        let geom = self.geometry();
-        let lines = &trace.lines_for(geom)[range.clone()];
-        for (i, &line) in range.zip(lines) {
-            let addr = LineAddr::new(line).to_address(geom.line_bytes());
-            self.access(addr, AccessKind::from_write(trace.is_write(i)));
-        }
-    }
 
     /// Replays an entire decoded trace
     /// (see [`replay_decoded`](CacheModel::replay_decoded)).
@@ -250,7 +270,6 @@ impl Clone for Box<dyn CacheModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Access;
 
     #[test]
     fn result_predicates() {
@@ -273,18 +292,19 @@ mod tests {
         );
     }
 
-    /// A trivial always-miss cache that records what reaches `access`, to
-    /// exercise the trait's default methods.
+    /// A cache that records every replayed line and write flag, and
+    /// reports the four outcomes in rotation, to exercise the trait's
+    /// provided methods.
     #[derive(Clone)]
-    struct NullCache {
+    struct RecordingCache {
         stats: CacheStats,
         geom: CacheGeometry,
-        seen: Vec<(Address, AccessKind)>,
+        seen: Vec<(u64, bool)>,
     }
 
-    impl NullCache {
+    impl RecordingCache {
         fn new(geom: CacheGeometry) -> Self {
-            NullCache {
+            RecordingCache {
                 stats: CacheStats::default(),
                 geom,
                 seen: Vec::new(),
@@ -292,11 +312,18 @@ mod tests {
         }
     }
 
-    impl CacheModel for NullCache {
-        fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-            self.stats.record_local_miss();
-            self.seen.push((addr, kind));
-            AccessResult::MissLocal
+    impl CacheModel for RecordingCache {
+        fn replay_decoded(&mut self, trace: &DecodedTrace, range: Range<usize>) {
+            let lines = &trace.lines_for(self.geom)[range.clone()];
+            for (i, &line) in range.zip(lines) {
+                match self.seen.len() % 4 {
+                    0 => self.stats.record_local_hit(),
+                    1 => self.stats.record_coop_hit(),
+                    2 => self.stats.record_local_miss(),
+                    _ => self.stats.record_coop_miss(),
+                }
+                self.seen.push((line, trace.is_write(i)));
+            }
         }
         fn stats(&self) -> &CacheStats {
             &self.stats
@@ -308,45 +335,47 @@ mod tests {
             self.geom
         }
         fn name(&self) -> &str {
-            "null"
+            "recording"
         }
     }
 
     #[test]
-    fn default_replay_feeds_line_aligned_accesses_at_any_set_count() {
-        let trace: crate::Trace = (0..100u64)
+    fn access_replays_one_line_aligned_access_and_reads_its_outcome() {
+        let mut cache = RecordingCache::new(CacheGeometry::new(64, 4, 64).unwrap());
+        let outcomes: Vec<AccessResult> = (0..8u64)
             .map(|i| {
                 let addr = Address::new(i * 64 + i % 64); // unaligned
-                if i % 3 == 0 {
-                    Access::write(addr)
-                } else {
-                    Access::read(addr)
-                }
+                cache.access(addr, AccessKind::from_write(i % 3 == 0))
             })
             .collect();
-        let decoded = DecodedTrace::decode(&trace, CacheGeometry::micro2010_l2());
-        for sets in [2048, 64, 1] {
-            let mut cache = NullCache::new(CacheGeometry::new(sets, 4, 64).unwrap());
-            cache.run_decoded(&decoded);
-            assert_eq!(cache.stats().accesses(), 100);
-            for (&(addr, kind), a) in cache.seen.iter().zip(&trace) {
-                assert_eq!(addr.raw(), a.addr.raw() / 64 * 64);
-                assert_eq!(kind, a.kind);
-            }
-        }
+        use AccessResult::*;
+        let rotation = [HitLocal, HitCooperative, MissLocal, MissCooperative];
+        assert_eq!(outcomes, [rotation, rotation].concat());
+        let expect: Vec<(u64, bool)> = (0..8u64).map(|i| (i, i % 3 == 0)).collect();
+        assert_eq!(cache.seen, expect);
+        assert_eq!(cache.stats().accesses(), 8);
+    }
 
-        let mut cache: Box<dyn CacheModel> = Box::new(NullCache::new(decoded.geometry()));
+    #[test]
+    fn run_decoded_replays_every_access_through_the_trait_object() {
+        let trace: crate::Trace = (0..100u64)
+            .map(|i| Access::read(Address::new(i * 64)))
+            .collect();
+        let decoded = DecodedTrace::decode(&trace, CacheGeometry::micro2010_l2());
+        let mut cache: Box<dyn CacheModel> =
+            Box::new(RecordingCache::new(CacheGeometry::new(1, 4, 64).unwrap()));
         cache.replay_decoded(&decoded, 10..30);
         assert_eq!(cache.stats().accesses(), 20);
         cache.reset_stats();
-        assert_eq!(cache.stats().accesses(), 0);
+        cache.run_decoded(&decoded);
+        assert_eq!(cache.stats().accesses(), 100);
     }
 
     #[test]
     #[should_panic(expected = "own line size")]
-    fn default_replay_refuses_another_line_size() {
+    fn replay_refuses_another_line_size() {
         let trace: crate::Trace = [Access::read(Address::new(0))].into_iter().collect();
         let decoded = DecodedTrace::decode(&trace, CacheGeometry::micro2010_l2());
-        NullCache::new(CacheGeometry::new(64, 4, 32).unwrap()).run_decoded(&decoded);
+        RecordingCache::new(CacheGeometry::new(64, 4, 32).unwrap()).run_decoded(&decoded);
     }
 }

@@ -146,7 +146,7 @@ impl fmt::Debug for Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AccessKind, AccessResult, Address, CacheStats};
+    use crate::{AccessKind, Address, CacheStats, DecodedTrace};
 
     /// A cache that counts accesses in a field outside its stats.
     #[derive(Clone)]
@@ -158,10 +158,11 @@ mod tests {
     }
 
     impl CacheModel for Counting {
-        fn access(&mut self, _addr: Address, _kind: AccessKind) -> AccessResult {
-            self.seen += 1;
-            self.stats.record_local_miss();
-            AccessResult::MissLocal
+        fn replay_decoded(&mut self, _trace: &DecodedTrace, range: std::ops::Range<usize>) {
+            for _ in range {
+                self.seen += 1;
+                self.stats.record_local_miss();
+            }
         }
         fn stats(&self) -> &CacheStats {
             &self.stats
@@ -182,8 +183,8 @@ mod tests {
     struct Impostor(Counting);
 
     impl CacheModel for Impostor {
-        fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-            self.0.access(addr, kind)
+        fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
+            self.0.replay_decoded(trace, range);
         }
         fn stats(&self) -> &CacheStats {
             self.0.stats()

@@ -204,6 +204,43 @@ impl CacheStats {
         }
     }
 
+    /// The four outcome counts (local and cooperative hits and misses)
+    /// accumulated since `earlier`, an earlier copy of these statistics;
+    /// every other counter of the result is zero.
+    ///
+    /// This is how a replayed range is measured: copy the statistics,
+    /// replay, and difference. The outcome counts are all the §5.1 latency
+    /// algebra ([`TimingParams::l2_cycles`](crate::TimingParams::l2_cycles))
+    /// needs.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if a counter of `earlier` exceeds this
+    /// one's, i.e. `earlier` is not an earlier copy.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stem_sim_core::CacheStats;
+    ///
+    /// let mut s = CacheStats::default();
+    /// s.record_local_hit();
+    /// let before = s;
+    /// s.record_coop_miss();
+    /// s.record_eviction();
+    /// let delta = s.outcomes_since(&before);
+    /// assert_eq!((delta.hits(), delta.coop_misses(), delta.evictions()), (0, 1, 0));
+    /// ```
+    pub fn outcomes_since(&self, earlier: &CacheStats) -> CacheStats {
+        CacheStats {
+            local_hits: self.local_hits - earlier.local_hits,
+            coop_hits: self.coop_hits - earlier.coop_hits,
+            local_misses: self.local_misses - earlier.local_misses,
+            coop_misses: self.coop_misses - earlier.coop_misses,
+            ..CacheStats::default()
+        }
+    }
+
     /// Misses per 1000 instructions, the paper's primary metric.
     pub fn mpki(&self, instructions: u64) -> f64 {
         if instructions == 0 {
@@ -318,6 +355,28 @@ mod tests {
         let mut d = a;
         d += b;
         assert_eq!(d, c);
+    }
+
+    #[test]
+    fn outcomes_since_differences_only_the_outcome_counters() {
+        let mut s = CacheStats::new();
+        s.record_local_hit();
+        s.record_spill();
+        let before = s;
+        s.record_local_hit();
+        s.record_coop_hit();
+        s.record_local_miss();
+        s.record_coop_miss();
+        s.record_coop_miss();
+        s.record_spill();
+        s.record_writeback();
+        let d = s.outcomes_since(&before);
+        assert_eq!(d.local_hits(), 1);
+        assert_eq!(d.coop_hits(), 1);
+        assert_eq!(d.local_misses(), 1);
+        assert_eq!(d.coop_misses(), 2);
+        assert_eq!(d.spills() + d.writebacks(), 0);
+        assert_eq!(s.outcomes_since(&s), CacheStats::default());
     }
 
     #[test]

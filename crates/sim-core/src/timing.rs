@@ -16,8 +16,10 @@
 //! paper also reports AMAT and CPI.
 
 use crate::model::AccessResult;
+use crate::CacheStats;
 
-/// Latencies of the simulated memory system, in core cycles.
+/// Latencies of the L2 and main memory, in core cycles. The L1 hit
+/// latency is the hierarchy's (`SystemConfig`, Table 1: 2 cycles).
 ///
 /// Construct with [`TimingParams::micro2010`], the paper's Table 1
 /// values.
@@ -30,33 +32,24 @@ use crate::model::AccessResult;
 /// let t = TimingParams::micro2010();
 /// assert_eq!(t.l2_latency(AccessResult::HitLocal), 14);
 /// assert_eq!(t.l2_latency(AccessResult::MissCooperative), 12);
-/// assert_eq!(t.total_latency(AccessResult::MissLocal), 1 + 6 + 300);
+/// assert_eq!(t.memory(), 300);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingParams {
-    l1_hit: u64,
     l2_tag: u64,
     l2_data: u64,
     memory: u64,
 }
 
 impl TimingParams {
-    /// The paper's configuration (Table 1 / §5.1): L1 hit 1 cycle (2 for
-    /// data; we use the instruction-side 1 plus model the extra data cycle
-    /// in the hierarchy crate), L2 tag 6, L2 data 8, memory 300.
+    /// The paper's configuration (Table 1 / §5.1): L2 tag 6, L2 data 8,
+    /// memory 300.
     pub fn micro2010() -> Self {
         TimingParams {
-            l1_hit: 1,
             l2_tag: 6,
             l2_data: 8,
             memory: 300,
         }
-    }
-
-    /// L1 hit latency in cycles.
-    #[inline]
-    pub fn l1_hit(&self) -> u64 {
-        self.l1_hit
     }
 
     /// L2 tag-store latency in cycles.
@@ -88,36 +81,35 @@ impl TimingParams {
         }
     }
 
-    /// Total latency of an L1-missing access: L1 probe + L2 cycles + memory
-    /// on an L2 miss.
-    pub fn total_latency(&self, result: AccessResult) -> u64 {
-        let mem = if result.is_hit() { 0 } else { self.memory };
-        self.l1_hit + self.l2_latency(result) + mem
+    /// Cycles the L2 and main memory add over the L2 accesses counted in
+    /// `l2`: each outcome count times its [`l2_latency`](Self::l2_latency),
+    /// plus [`memory`](Self::memory) for every miss. Only the four outcome
+    /// counters are read, so the result of
+    /// [`CacheStats::outcomes_since`] prices a replayed range exactly as
+    /// summing the per-access latencies would.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use stem_sim_core::{CacheStats, TimingParams};
+    ///
+    /// let mut s = CacheStats::default();
+    /// s.record_local_hit(); // 14
+    /// s.record_coop_miss(); // 12 + 300
+    /// assert_eq!(TimingParams::micro2010().l2_cycles(&s), 326);
+    /// ```
+    pub fn l2_cycles(&self, l2: &CacheStats) -> u64 {
+        l2.local_hits() * self.l2_latency(AccessResult::HitLocal)
+            + l2.coop_hits() * self.l2_latency(AccessResult::HitCooperative)
+            + l2.local_misses() * self.l2_latency(AccessResult::MissLocal)
+            + l2.coop_misses() * self.l2_latency(AccessResult::MissCooperative)
+            + l2.misses() * self.memory
     }
 }
 
 impl Default for TimingParams {
     fn default() -> Self {
         TimingParams::micro2010()
-    }
-}
-
-/// The latency breakdown of one access through the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AccessLatency {
-    /// Cycles to probe the L1.
-    pub l1: u64,
-    /// Cycles spent in the L2 (0 when the L1 hit).
-    pub l2: u64,
-    /// Cycles spent in main memory (0 unless the L2 missed).
-    pub memory: u64,
-}
-
-impl AccessLatency {
-    /// Total cycles.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.l1 + self.l2 + self.memory
     }
 }
 
@@ -137,38 +129,44 @@ mod tests {
     }
 
     #[test]
-    fn total_latency_adds_memory_only_on_miss() {
+    fn l2_cycles_sum_the_per_access_latencies() {
         let t = TimingParams::micro2010();
-        assert_eq!(t.total_latency(AccessResult::HitLocal), 15);
-        assert_eq!(t.total_latency(AccessResult::HitCooperative), 21);
-        assert_eq!(t.total_latency(AccessResult::MissLocal), 307);
-        assert_eq!(t.total_latency(AccessResult::MissCooperative), 313);
+        let mut s = CacheStats::new();
+        let mut per_access = 0;
+        for (r, n) in [
+            (AccessResult::HitLocal, 5),
+            (AccessResult::HitCooperative, 3),
+            (AccessResult::MissLocal, 7),
+            (AccessResult::MissCooperative, 2),
+        ] {
+            for _ in 0..n {
+                match r {
+                    AccessResult::HitLocal => s.record_local_hit(),
+                    AccessResult::HitCooperative => s.record_coop_hit(),
+                    AccessResult::MissLocal => s.record_local_miss(),
+                    AccessResult::MissCooperative => s.record_coop_miss(),
+                }
+                per_access += t.l2_latency(r) + if r.is_miss() { t.memory() } else { 0 };
+            }
+            s.record_eviction();
+        }
+        assert_eq!(t.l2_cycles(&s), per_access);
+        assert_eq!(t.l2_cycles(&CacheStats::default()), 0);
     }
 
     #[test]
     fn latencies_follow_every_field() {
         let t = TimingParams {
-            l1_hit: 2,
             l2_tag: 5,
             l2_data: 9,
             memory: 200,
         };
-        assert_eq!(t.l1_hit(), 2);
         assert_eq!(t.l2_tag(), 5);
         assert_eq!(t.l2_data(), 9);
         assert_eq!(t.memory(), 200);
         assert_eq!(t.l2_latency(AccessResult::HitLocal), 14);
-        assert_eq!(t.total_latency(AccessResult::MissLocal), 2 + 5 + 200);
-    }
-
-    #[test]
-    fn access_latency_total() {
-        let l = AccessLatency {
-            l1: 1,
-            l2: 14,
-            memory: 0,
-        };
-        assert_eq!(l.total(), 15);
-        assert_eq!(AccessLatency::default().total(), 0);
+        let mut s = CacheStats::new();
+        s.record_local_miss();
+        assert_eq!(t.l2_cycles(&s), 5 + 200);
     }
 }

@@ -18,8 +18,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
-    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError,
+    AccessResult, AuditError, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
+    InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 use crate::{AssociationTable, DestinationSetSelector};
@@ -339,16 +339,9 @@ impl SbcCache {
 }
 
 impl CacheModel for SbcCache {
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let line = addr.line(self.geom.line_bytes());
-        let home = self.geom.set_index_of_line(line);
-        self.access_at(line, home, kind.is_write())
-    }
-
     /// Monomorphic replay loop: streams the line column straight into
     /// `access_at` with static dispatch, deriving each set under this
-    /// cache's own geometry, instead of one virtual `access` call per
-    /// access through the trait default.
+    /// cache's own geometry.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
         let lines = &trace.lines_for(self.geom)[range.clone()];
         for (i, &line) in range.zip(lines) {
@@ -470,7 +463,7 @@ impl std::fmt::Debug for SbcCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_sim_core::{prop, Access, DecodedTrace};
+    use stem_sim_core::{prop, Access, AccessKind, DecodedTrace};
 
     /// A trace that thrashes set 0 (cycle of `2 * ways` blocks) while
     /// leaving set 1 idle after a warm single block — the paper's Example

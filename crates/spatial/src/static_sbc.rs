@@ -11,8 +11,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
-    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError,
+    AccessResult, AuditError, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
+    InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 /// The static Set Balancing Cache.
@@ -183,16 +183,9 @@ impl StaticSbcCache {
 }
 
 impl CacheModel for StaticSbcCache {
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let line = addr.line(self.geom.line_bytes());
-        let home = self.geom.set_index_of_line(line);
-        self.access_at(line, home, kind.is_write())
-    }
-
     /// Monomorphic replay loop: streams the line column straight into
     /// `access_at` with static dispatch, deriving each set under this
-    /// cache's own geometry, instead of one virtual `access` call per
-    /// access through the trait default.
+    /// cache's own geometry.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
         let lines = &trace.lines_for(self.geom)[range.clone()];
         for (i, &line) in range.zip(lines) {
@@ -295,7 +288,7 @@ impl std::fmt::Debug for StaticSbcCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_sim_core::{Access, DecodedTrace};
+    use stem_sim_core::{Access, AccessKind, DecodedTrace};
 
     #[test]
     fn partner_is_top_bit_complement() {

@@ -9,8 +9,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
-    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError,
+    AccessResult, AuditError, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
+    InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 /// One fully-associative victim-buffer entry.
@@ -160,16 +160,9 @@ impl VictimCache {
 }
 
 impl CacheModel for VictimCache {
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let line = addr.line(self.geom.line_bytes());
-        let set = self.geom.set_index_of_line(line);
-        self.access_at(line, set, kind.is_write())
-    }
-
     /// Monomorphic replay loop: streams the line column straight into
     /// `access_at` with static dispatch, deriving each set under this
-    /// cache's own geometry, instead of one virtual `access` call per
-    /// access through the trait default.
+    /// cache's own geometry.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
         let lines = &trace.lines_for(self.geom)[range.clone()];
         for (i, &line) in range.zip(lines) {
@@ -269,6 +262,7 @@ impl std::fmt::Debug for VictimCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stem_sim_core::AccessKind;
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(2, 2, 64).unwrap()

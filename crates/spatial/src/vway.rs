@@ -14,8 +14,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
-    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError,
+    AccessResult, AuditError, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
+    InvariantAuditor, LineAddr, SetFrames, SimError,
 };
 
 /// Tuning parameters for [`VWayCache`].
@@ -304,27 +304,8 @@ impl VWayCache {
         )))
     }
 
-    /// Processes one access, surfacing internal-state corruption as a typed
-    /// error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Audit`] if the tag/data pointer bijection is
-    /// broken mid-access — which cannot happen unless the state was
-    /// corrupted externally (see [`InvariantAuditor`]).
-    pub fn try_access(
-        &mut self,
-        addr: Address,
-        kind: AccessKind,
-    ) -> Result<AccessResult, SimError> {
-        let line = addr.line(self.geom.line_bytes());
-        let set = self.geom.set_index_of_line(line);
-        self.try_access_at(line, set, kind.is_write())
-    }
-
-    /// The lookup/replacement path behind [`try_access`](Self::try_access)
-    /// and the decoded replay loop: line address and *data-geometry* set
-    /// index are already extracted. V-Way's tag store is wider than the
+    /// The lookup/replacement path behind the decoded replay loop: line
+    /// address and *data-geometry* set index are already extracted. V-Way's tag store is wider than the
     /// data store (`tag_data_ratio x ways` entries per set) but indexes its
     /// sets identically, so the data-geometry set index addresses the tag
     /// probe directly.
@@ -332,7 +313,8 @@ impl VWayCache {
     /// # Errors
     ///
     /// Returns [`SimError::Audit`] if the tag/data pointer bijection is
-    /// broken mid-access (see [`try_access`](Self::try_access)).
+    /// broken mid-access — which cannot happen unless the state was
+    /// corrupted externally (see [`InvariantAuditor`]).
     fn try_access_at(
         &mut self,
         line: LineAddr,
@@ -423,20 +405,11 @@ fn corrupt_rptr(idx: usize, set: u32, way: u16) -> SimError {
 }
 
 impl CacheModel for VWayCache {
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        // The only panic site of the scheme: CacheModel::access is
-        // infallible by contract, so internal corruption (detectable ahead
-        // of time via `audit`) escalates here.
-        match self.try_access(addr, kind) {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Monomorphic replay loop: streams the line column straight into
     /// `try_access_at` with static dispatch, deriving each set under this
-    /// cache's own geometry, instead of one virtual `access` call per
-    /// access through the trait default.
+    /// cache's own geometry. The only panic site of the scheme: replay is
+    /// infallible by contract, so internal corruption (detectable ahead of
+    /// time via `audit`) escalates here.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
         let lines = &trace.lines_for(self.geom)[range.clone()];
         for (i, &line) in range.zip(lines) {
@@ -531,7 +504,7 @@ impl std::fmt::Debug for VWayCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_sim_core::{prop, Access, DecodedTrace};
+    use stem_sim_core::{prop, Access, AccessKind, DecodedTrace};
 
     #[test]
     fn hot_set_exceeds_nominal_associativity() {

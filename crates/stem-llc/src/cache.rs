@@ -2,8 +2,8 @@
 
 use stem_replacement::RecencyStack;
 use stem_sim_core::{
-    AccessKind, AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats,
-    DecodedTrace, InvariantAuditor, LineAddr, SetFrames, SimError, SplitMix64,
+    AccessResult, AuditError, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
+    InvariantAuditor, LineAddr, SetFrames, SimError, SplitMix64,
 };
 use stem_spatial::{AssociationTable, DestinationSetSelector};
 
@@ -351,22 +351,10 @@ impl StemCache {
         self.evict_off_chip(home, way, true)
     }
 
-    /// The fallible access path: identical to
-    /// [`CacheModel::access`] but surfaces internal-state corruption
-    /// (invalid victim ways, CC accounting underflow) as typed
-    /// [`SimError::Audit`] errors instead of panicking.
-    pub fn try_access(
-        &mut self,
-        addr: Address,
-        kind: AccessKind,
-    ) -> Result<AccessResult, SimError> {
-        let line = addr.line(self.geom.line_bytes());
-        let home = self.geom.set_index_of_line(line);
-        self.try_access_at(line, home, kind.is_write())
-    }
-
-    /// The single controller path behind both access entry points: the
-    /// line address and its home set are already extracted. The shadow-set
+    /// The controller path behind the decoded replay loop, surfacing
+    /// internal-state corruption (invalid victim ways, CC accounting
+    /// underflow) as typed [`SimError::Audit`] errors: the line address and
+    /// its home set are already extracted. The shadow-set
     /// signature is still derived internally (it is a function of the line
     /// address alone).
     #[inline]
@@ -434,20 +422,11 @@ impl StemCache {
 }
 
 impl CacheModel for StemCache {
-    /// Delegates to [`StemCache::try_access`]. This is the scheme's single
-    /// panic site: an `Err` here means the controller's own state is
-    /// corrupt, which the infallible trait surface cannot express.
-    fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        match self.try_access(addr, kind) {
-            Ok(r) => r,
-            Err(e) => panic!("STEM internal state corrupted: {e}"),
-        }
-    }
-
     /// Monomorphic replay loop: streams the line column straight into
     /// `try_access_at` with static dispatch, deriving each set under this
-    /// cache's own geometry, instead of one virtual `access` call per
-    /// access through the trait default.
+    /// cache's own geometry. This is the scheme's single panic site: an
+    /// `Err` here means the controller's own state is corrupt, which the
+    /// infallible trait surface cannot express.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: std::ops::Range<usize>) {
         let lines = &trace.lines_for(self.geom)[range.clone()];
         for (i, &line) in range.zip(lines) {
@@ -576,7 +555,7 @@ impl std::fmt::Debug for StemCache {
 mod tests {
     use super::*;
     use stem_replacement::{Lru, SetAssocCache};
-    use stem_sim_core::{prop, Access, DecodedTrace};
+    use stem_sim_core::{prop, Access, AccessKind, DecodedTrace};
 
     /// Thrash set 0 with a cycle of `1.5 × ways` blocks while set 1 holds a
     /// well-reused pair of blocks (the paper's Example #1 shape).

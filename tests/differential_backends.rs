@@ -1582,10 +1582,13 @@ fn ablated_stem_equals_lru_access_for_access() {
 
 // ---------------------------------------------------------------------------
 // Decoded-stream differentials: each scheme's `replay_decoded` kernel vs
-// the `Access` byte-address path, for all six paper schemes (plus the two
-// auxiliary spatial baselines). The line-granular decode is a pure
-// representation change, so the per-access `AccessResult` stream and the
-// final `CacheStats` must be identical.
+// the byte-address `access` call, for all six paper schemes (plus the two
+// auxiliary spatial baselines). `access` replays a one-access stream
+// decoded from the byte address, so the per-access `AccessResult` stream
+// and the final `CacheStats` must be identical. Replay must also compose:
+// one whole-stream replay and a replay split at random points reach the
+// same final `CacheStats`, which the hierarchy's chunked L1 filter and the
+// mix's per-core attribution rely on.
 // ---------------------------------------------------------------------------
 
 /// Replays access `i` of `stream` through the cache's own
@@ -1615,8 +1618,10 @@ fn replay_one<C: CacheModel + ?Sized>(
     }
 }
 
-/// Materializes the synthetic stream once, decodes it, and replays both
-/// representations through two identically constructed caches.
+/// Materializes the synthetic stream once, decodes it, and replays it
+/// through four identically constructed caches: byte address by byte
+/// address, access by access, as one whole-stream replay, and as ragged
+/// ranges split at random points.
 fn assert_decoded_equivalent<C: CacheModel>(
     name: &str,
     build: impl Fn() -> C,
@@ -1650,6 +1655,27 @@ fn assert_decoded_equivalent<C: CacheModel>(
         byte_path.stats(),
         fast_path.stats(),
         "{name}: final CacheStats diverged after {accesses} decoded accesses"
+    );
+
+    let mut whole = build();
+    whole.run_decoded(&decoded);
+    assert_eq!(
+        whole.stats(),
+        fast_path.stats(),
+        "{name}: one whole-stream replay diverged from access-by-access replay"
+    );
+
+    let mut ragged = build();
+    let mut start = 0;
+    while start < decoded.len() {
+        let end = (start + rng.next_below(2 * 4096) as usize).min(decoded.len());
+        ragged.replay_decoded(&decoded, start..end);
+        start = end;
+    }
+    assert_eq!(
+        ragged.stats(),
+        fast_path.stats(),
+        "{name}: a replay split into ragged ranges diverged from one replay"
     );
 }
 

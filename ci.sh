@@ -73,6 +73,10 @@ grep -q '"decoded"' "$CSV_DIR/BENCH_throughput.json" || {
     echo "ERROR: BENCH_throughput.json is missing the decoded (scheme replay throughput) section" >&2
     exit 1
 }
+grep -q '"decoded_wide"' "$CSV_DIR/BENCH_throughput.json" || {
+    echo "ERROR: BENCH_throughput.json is missing the decoded_wide (2048x32 replay throughput) section" >&2
+    exit 1
+}
 grep -q '"generate"' "$CSV_DIR/BENCH_throughput.json" || {
     echo "ERROR: BENCH_throughput.json is missing the generate (synthesis throughput) section" >&2
     exit 1

@@ -2,7 +2,9 @@
 //! omnetpp-analog decoded stream at the paper's L2 geometry through its
 //! `replay_decoded` kernel — the one path every run takes — so the numbers
 //! compare the *cost of the management machinery* (shadow sets, heaps,
-//! pointer chasing), not the workload.
+//! pointer chasing), not the workload. A second series, `decoded_wide`,
+//! replays the same stream at 2048 sets × 32 ways, the widest point of the
+//! associativity sweeps, where every recency stack is wider than 16 ways.
 //!
 //! A plain `harness = false` binary timed with `std::time` — the
 //! workspace builds offline with no benchmarking dependency. Run with
@@ -23,10 +25,10 @@ use std::time::Duration;
 use stem_analysis::{build_cache, geomean, Scheme};
 use stem_bench::config::Config;
 use stem_bench::timing::{best_of, throughput_line};
-use stem_sim_core::{CacheGeometry, Json};
+use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
-/// The per-scheme `"decoded"` JSON series.
+/// A per-scheme replay JSON series (`"decoded"`, `"decoded_wide"`).
 fn series(accesses: u64, results: &[(&str, Duration)]) -> Json {
     Json::Arr(
         results
@@ -78,41 +80,58 @@ fn maybe_json(csv_dir: Option<&std::path::Path>, doc: &Json) {
     }
 }
 
-fn main() {
-    const REPS: usize = 5;
-    let cfg = Config::from_env_or_panic();
-    let geom = CacheGeometry::micro2010_l2();
-    let accesses = cfg.bench_accesses.unwrap_or(100_000);
-    let dtrace = BenchmarkProfile::by_name("omnetpp")
-        .expect("suite benchmark")
-        .decoded(geom, accesses);
-
-    // Decode cost is excluded: run_all amortizes one stream per benchmark
-    // over all scheme cells.
-    let decoded: Vec<(&str, Duration)> = Scheme::PAPER
+/// Best-of-`reps` replay time of every paper scheme over `dtrace` at
+/// `geom`, printed under `title` with the geomean Melem/s, which it returns
+/// alongside the timings. Decode cost is excluded: run_all amortizes one
+/// stream per benchmark over all scheme cells.
+fn replay_series(
+    title: &str,
+    reps: usize,
+    geom: CacheGeometry,
+    dtrace: &DecodedTrace,
+) -> (Vec<(&'static str, Duration)>, f64) {
+    let results: Vec<(&str, Duration)> = Scheme::PAPER
         .iter()
         .map(|&scheme| {
-            let d = best_of(REPS, || {
+            let d = best_of(reps, || {
                 let mut cache = build_cache(scheme, geom);
-                cache.run_decoded(&dtrace);
+                cache.run_decoded(dtrace);
                 cache.stats().misses()
             });
             (scheme.label(), d)
         })
         .collect();
     println!(
-        "# scheme_replay_decoded ({} accesses/iteration, best of {REPS})",
-        dtrace.len()
+        "# {title} ({} accesses/iteration, {}x{} geometry, best of {reps})",
+        dtrace.len(),
+        geom.sets(),
+        geom.ways()
     );
-    for (label, d) in &decoded {
+    for (label, d) in &results {
         println!("{}", throughput_line(label, dtrace.len() as u64, *d));
     }
-    let decoded_melems: Vec<f64> = decoded
+    let melems: Vec<f64> = results
         .iter()
         .map(|(_, d)| dtrace.len() as f64 / d.as_secs_f64().max(1e-12) / 1e6)
         .collect();
-    let dgm = geomean(&decoded_melems);
-    println!("geomean: {dgm:.2} Melem/s");
+    let gm = geomean(&melems);
+    println!("geomean: {gm:.2} Melem/s");
+    (results, gm)
+}
+
+fn main() {
+    const REPS: usize = 5;
+    let cfg = Config::from_env_or_panic();
+    let geom = CacheGeometry::micro2010_l2();
+    let wide = CacheGeometry::new(geom.sets(), 32, geom.line_bytes()).expect("valid geometry");
+    let accesses = cfg.bench_accesses.unwrap_or(100_000);
+    let dtrace = BenchmarkProfile::by_name("omnetpp")
+        .expect("suite benchmark")
+        .decoded(geom, accesses);
+
+    let (decoded, dgm) = replay_series("scheme_replay_decoded", REPS, geom, &dtrace);
+    println!();
+    let (decoded_wide, wgm) = replay_series("scheme_replay_decoded_wide", REPS, wide, &dtrace);
 
     let generated: Vec<(&str, Duration)> = spec2010_suite()
         .iter()
@@ -138,6 +157,12 @@ fn main() {
             Json::float_rounded(dgm, 4),
         ),
         ("decoded".into(), series(accesses, &decoded)),
+        ("decoded_wide_ways".into(), Json::Int(wide.ways() as i64)),
+        (
+            "decoded_wide_geomean_melem_per_s".into(),
+            Json::float_rounded(wgm, 4),
+        ),
+        ("decoded_wide".into(), series(accesses, &decoded_wide)),
         (
             "generate".into(),
             generate_section(accesses, &generated, ggm),

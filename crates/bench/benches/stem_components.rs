@@ -36,7 +36,7 @@ fn main() {
     println!("{}", throughput_line("shadow_insert_probe_256", 256, d));
 
     let d = best_of(20, || {
-        let mut m = SetMonitor::new(16, 4, 3, 10);
+        let mut m = SetMonitor::new(16, 4, 3);
         let mut rng = SplitMix64::new(9);
         for i in 0..1024u32 {
             if i % 3 == 0 {

@@ -17,6 +17,17 @@ fn nibble_mask(n: usize) -> u64 {
     }
 }
 
+/// A wide stack's recency stamp. Two bytes per way keep wide stacks small
+/// (a 2048-set V-Way store with 32 tag ways holds 136 KB of stamps); a
+/// clock that runs out renumbers the stamps instead of wrapping.
+type Stamp = u16;
+
+/// Stamp of the MRU way after `new` or a renumbering. The MRU clock counts
+/// up from just above it and the LRU clock down from just below the LRU
+/// way, so each has about 2¹⁵ operations of room before the next
+/// renumbering.
+const WIDE_ORIGIN: Stamp = 1 << 15;
+
 /// An explicit recency (or fill) ordering of the ways of one set.
 ///
 /// `rank(way) == 0` means most-recently-used (MRU); `rank == ways - 1` means
@@ -27,8 +38,18 @@ fn nibble_mask(n: usize) -> u64 {
 /// the permutation is packed into a single `u64` of 4-bit nibbles (nibble
 /// `p` holds the way at rank `p`), so `touch_mru`, `demote_lru`, and
 /// `lru_way` are a few shifts and masks with no memory traffic. Wider
-/// stacks (e.g. V-Way tag stores with `ratio × ways > 16`) fall back to the
-/// explicit rank vector.
+/// stacks (V-Way tag stores with `ratio × ways > 16`, every way-sweep point
+/// above 16 ways, serve's result cache) keep one recency stamp per way
+/// instead, drawn from two clocks: `touch_mru` stamps the way with the next
+/// value of a rising clock and `demote_lru` with the next value of a
+/// falling one, one store each. The stack order is the order of each way's
+/// last touch or demotion, which is exactly what the stamps record, so the
+/// MRU way is the largest stamp and the LRU way the smallest (one O(ways)
+/// scan each) and `way_at(p)` is the p-th largest (an O(ways) selection).
+/// When a clock reaches the end of the stamp range, the stamps are
+/// renumbered by rank (O(ways log ways), once per ~2¹⁵ operations at
+/// most). `rank` and `is_permutation` count and sort stamps; they serve
+/// tests and audits, not the replay loop.
 ///
 /// The same structure doubles as PeLIFO's *fill stack* when `touch_mru` is
 /// called only on fills.
@@ -43,19 +64,23 @@ fn nibble_mask(n: usize) -> u64 {
 /// assert_eq!(s.rank(2), 0);
 /// assert_eq!(s.mru_way(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RecencyStack {
     repr: Repr,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 enum Repr {
     /// Nibble `p` of `order` = the way at rank `p`; nibbles at and above
     /// `ways` are parked at `0xF` (never a valid way for `ways < 16`, and
     /// nonexistent for `ways == 16`).
     Packed { order: u64, ways: u8 },
-    /// `rank[way]` = recency position of `way` (0 = MRU).
-    Wide { rank: Vec<u8> },
+    /// `stamps[way]` for `way < ways` is the clock value of `way`'s last
+    /// touch or demotion (larger = more recent); all are distinct. The two
+    /// trailing words are the clocks: `stamps[ways]` is the next MRU stamp
+    /// (above every way's) and `stamps[ways + 1]` the next LRU stamp (below
+    /// every way's).
+    Wide { stamps: Box<[Stamp]> },
 }
 
 impl RecencyStack {
@@ -73,9 +98,9 @@ impl RecencyStack {
                 ways: ways as u8,
             }
         } else {
-            Repr::Wide {
-                rank: (0..ways as u8).collect(),
-            }
+            let mut stamps = vec![0; ways + 2].into_boxed_slice();
+            renumber(&mut stamps, 0..ways);
+            Repr::Wide { stamps }
         };
         RecencyStack { repr }
     }
@@ -85,7 +110,7 @@ impl RecencyStack {
     pub fn ways(&self) -> usize {
         match &self.repr {
             Repr::Packed { ways, .. } => *ways as usize,
-            Repr::Wide { rank } => rank.len(),
+            Repr::Wide { stamps } => stamps.len() - 2,
         }
     }
 
@@ -101,7 +126,11 @@ impl RecencyStack {
                 assert!(way < *ways as usize, "way out of range");
                 packed_rank(*order, way)
             }
-            Repr::Wide { rank } => rank[way],
+            Repr::Wide { stamps } => {
+                let stamps = way_stamps(stamps);
+                let mine = stamps[way];
+                stamps.iter().filter(|&&s| s > mine).count() as u8
+            }
         }
     }
 
@@ -116,14 +145,14 @@ impl RecencyStack {
                 let below = *order & nibble_mask(r);
                 *order = (*order & !nibble_mask(r + 1)) | (below << 4) | way as u64;
             }
-            Repr::Wide { rank } => {
-                let old = rank[way];
-                for r in rank.iter_mut() {
-                    if *r < old {
-                        *r += 1;
-                    }
+            Repr::Wide { stamps } => {
+                let hi = stamps.len() - 2;
+                assert!(way < hi, "way out of range"); // hi == ways
+                if stamps[hi] == Stamp::MAX {
+                    restamp(stamps);
                 }
-                rank[way] = 0;
+                stamps[way] = stamps[hi];
+                stamps[hi] += 1;
             }
         }
     }
@@ -143,71 +172,14 @@ impl RecencyStack {
                 *order =
                     (*order & !nibble_mask(last + 1)) | below | mid | ((way as u64) << (4 * last));
             }
-            Repr::Wide { rank } => {
-                let old = rank[way];
-                let last = (rank.len() - 1) as u8;
-                for r in rank.iter_mut() {
-                    if *r > old {
-                        *r -= 1;
-                    }
+            Repr::Wide { stamps } => {
+                let lo = stamps.len() - 1;
+                assert!(way < lo - 1, "way out of range"); // lo - 1 == ways
+                if stamps[lo] == 0 {
+                    restamp(stamps);
                 }
-                rank[way] = last;
-            }
-        }
-    }
-
-    /// Places `way` at an arbitrary recency position `pos` (0 = MRU).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos >= ways`.
-    pub fn place_at(&mut self, way: usize, pos: u8) {
-        assert!((pos as usize) < self.ways(), "position out of range");
-        match &mut self.repr {
-            Repr::Packed { order, ways } => {
-                assert!(way < *ways as usize, "way out of range");
-                let pos = pos as usize;
-                let r = packed_rank(*order, way) as usize;
-                if pos == r {
-                    return;
-                }
-                if pos < r {
-                    // Ranks pos..r-1 slide up into pos+1..=r.
-                    let keep = *order & nibble_mask(pos);
-                    let shifted = (*order << 4) & (nibble_mask(r + 1) & !nibble_mask(pos + 1));
-                    *order = (*order & !nibble_mask(r + 1))
-                        | shifted
-                        | keep
-                        | ((way as u64) << (4 * pos));
-                } else {
-                    // Ranks r+1..=pos slide down into r..=pos-1.
-                    let keep = *order & nibble_mask(r);
-                    let shifted = (*order >> 4) & (nibble_mask(pos) & !nibble_mask(r));
-                    *order = (*order & !nibble_mask(pos + 1))
-                        | shifted
-                        | keep
-                        | ((way as u64) << (4 * pos));
-                }
-            }
-            Repr::Wide { rank } => {
-                let old = rank[way];
-                if pos == old {
-                    return;
-                }
-                if pos < old {
-                    for r in rank.iter_mut() {
-                        if *r >= pos && *r < old {
-                            *r += 1;
-                        }
-                    }
-                } else {
-                    for r in rank.iter_mut() {
-                        if *r > old && *r <= pos {
-                            *r -= 1;
-                        }
-                    }
-                }
-                rank[way] = pos;
+                stamps[way] = stamps[lo];
+                stamps[lo] -= 1;
             }
         }
     }
@@ -217,7 +189,16 @@ impl RecencyStack {
     pub fn lru_way(&self) -> usize {
         match &self.repr {
             Repr::Packed { order, ways } => ((order >> (4 * (*ways as usize - 1))) & 0xF) as usize,
-            Repr::Wide { .. } => self.way_at((self.ways() - 1) as u8),
+            Repr::Wide { stamps } => {
+                let stamps = way_stamps(stamps);
+                let (mut way, mut least) = (0, stamps[0]);
+                for (w, &s) in stamps.iter().enumerate().skip(1) {
+                    if s < least {
+                        (way, least) = (w, s);
+                    }
+                }
+                way
+            }
         }
     }
 
@@ -226,7 +207,16 @@ impl RecencyStack {
     pub fn mru_way(&self) -> usize {
         match &self.repr {
             Repr::Packed { order, .. } => (order & 0xF) as usize,
-            Repr::Wide { .. } => self.way_at(0),
+            Repr::Wide { stamps } => {
+                let stamps = way_stamps(stamps);
+                let (mut way, mut most) = (0, stamps[0]);
+                for (w, &s) in stamps.iter().enumerate().skip(1) {
+                    if s > most {
+                        (way, most) = (w, s);
+                    }
+                }
+                way
+            }
         }
     }
 
@@ -242,32 +232,95 @@ impl RecencyStack {
                 assert!(pos < *ways, "position out of range");
                 ((order >> (4 * pos as usize)) & 0xF) as usize
             }
-            Repr::Wide { rank } => rank
-                .iter()
-                .position(|&r| r == pos)
-                .expect("recency stack invariant violated: rank not a permutation"),
+            Repr::Wide { stamps } => {
+                let stamps = way_stamps(stamps);
+                assert!((pos as usize) < stamps.len(), "position out of range");
+                // The stamp at position `pos` is the pos-th largest.
+                let mut buf = [0; 255];
+                let buf = &mut buf[..stamps.len()];
+                buf.copy_from_slice(stamps);
+                let (_, &mut nth, _) = buf.select_nth_unstable_by(pos as usize, |a, b| b.cmp(a));
+                stamps
+                    .iter()
+                    .position(|&s| s == nth)
+                    .expect("selected stamp belongs to a way")
+            }
         }
     }
 
-    /// Whether the ranks form a valid permutation of `0..ways` (test hook).
+    /// Whether the ranks form a valid permutation of `0..ways` (test and
+    /// audit hook). A wide stack is one when its stamps are distinct and lie
+    /// strictly between the two clocks.
     pub fn is_permutation(&self) -> bool {
-        let ways = self.ways();
-        let mut seen = vec![false; ways];
-        for pos in 0..ways {
-            let way = match &self.repr {
-                Repr::Packed { order, .. } => ((order >> (4 * pos)) & 0xF) as usize,
-                Repr::Wide { .. } => match (0..ways).find(|&w| self.rank(w) as usize == pos) {
-                    Some(w) => w,
-                    None => return false,
-                },
-            };
-            if way >= ways || seen[way] {
-                return false;
+        match &self.repr {
+            Repr::Packed { order, ways } => {
+                let ways = *ways as usize;
+                let mut seen = [false; 16];
+                (0..ways).all(|pos| {
+                    let way = ((order >> (4 * pos)) & 0xF) as usize;
+                    way < ways && !std::mem::replace(&mut seen[way], true)
+                })
             }
-            seen[way] = true;
+            Repr::Wide { stamps } => {
+                let ways = stamps.len() - 2;
+                let (hi, lo) = (stamps[ways], stamps[ways + 1]);
+                let mut sorted = way_stamps(stamps).to_vec();
+                sorted.sort_unstable();
+                sorted.windows(2).all(|w| w[0] < w[1]) && lo < sorted[0] && sorted[ways - 1] < hi
+            }
         }
-        true
     }
+}
+
+/// Two stacks are equal when they rank the same ways in the same order,
+/// whatever stamp values a wide stack's history left behind.
+impl PartialEq for RecencyStack {
+    fn eq(&self, other: &Self) -> bool {
+        match (&self.repr, &other.repr) {
+            (Repr::Packed { order: a, ways: x }, Repr::Packed { order: b, ways: y }) => {
+                a == b && x == y
+            }
+            (Repr::Wide { stamps: a }, Repr::Wide { stamps: b }) => wide_order(a) == wide_order(b),
+            _ => false,
+        }
+    }
+}
+
+impl Eq for RecencyStack {}
+
+/// The ways of a wide stack from MRU to LRU.
+fn wide_order(stamps: &[Stamp]) -> Vec<usize> {
+    let stamps = way_stamps(stamps);
+    let mut order: Vec<usize> = (0..stamps.len()).collect();
+    order.sort_unstable_by_key(|&w| std::cmp::Reverse(stamps[w]));
+    order
+}
+
+/// Restamps a wide stack whose ways, from MRU to LRU, are `order`: the MRU
+/// way gets [`WIDE_ORIGIN`], each later way one less, and both clocks
+/// restart just outside that run.
+fn renumber(stamps: &mut [Stamp], order: impl IntoIterator<Item = usize>) {
+    let ways = stamps.len() - 2;
+    for (rank, way) in order.into_iter().enumerate() {
+        stamps[way] = WIDE_ORIGIN - rank as Stamp;
+    }
+    stamps[ways] = WIDE_ORIGIN + 1;
+    stamps[ways + 1] = WIDE_ORIGIN - ways as Stamp;
+}
+
+/// Renumbers a wide stack whose clock ran out, keeping its order. Cold and
+/// out of line: it runs at most once per ~2¹⁵ operations on one set.
+#[cold]
+#[inline(never)]
+fn restamp(stamps: &mut [Stamp]) {
+    let order = wide_order(stamps);
+    renumber(stamps, order);
+}
+
+/// The per-way stamps of a wide stack, without its two trailing clocks.
+#[inline]
+fn way_stamps(stamps: &[Stamp]) -> &[Stamp] {
+    &stamps[..stamps.len() - 2]
 }
 
 /// The rank of `way` in a packed order word: the position of the unique
@@ -312,10 +365,16 @@ mod tests {
 
     #[test]
     fn touch_mru_of_mru_is_noop() {
-        let mut s = RecencyStack::new(4);
-        let before = s.clone();
-        s.touch_mru(0);
-        assert_eq!(s, before);
+        for ways in [4, 40] {
+            let mut s = RecencyStack::new(ways);
+            let before = s.clone();
+            s.touch_mru(0);
+            assert_eq!(s, before);
+            s.demote_lru(ways - 1);
+            assert_eq!(s, before);
+            s.touch_mru(1);
+            assert_ne!(s, before);
+        }
     }
 
     #[test]
@@ -324,17 +383,6 @@ mod tests {
         s.demote_lru(0);
         assert_eq!(s.rank(0), 3);
         assert_eq!(s.lru_way(), 0);
-        assert!(s.is_permutation());
-    }
-
-    #[test]
-    fn place_at_middle() {
-        let mut s = RecencyStack::new(4);
-        s.place_at(3, 1);
-        assert_eq!(s.rank(3), 1);
-        assert!(s.is_permutation());
-        s.place_at(3, 3);
-        assert_eq!(s.rank(3), 3);
         assert!(s.is_permutation());
     }
 
@@ -368,8 +416,9 @@ mod tests {
         assert_eq!(s.lru_way(), 14);
         s.demote_lru(15);
         assert_eq!(s.lru_way(), 15);
-        s.place_at(7, 15);
+        s.demote_lru(7);
         assert_eq!(s.way_at(15), 7);
+        assert_eq!(s.way_at(14), 15);
         assert!(s.is_permutation());
     }
 
@@ -382,14 +431,33 @@ mod tests {
             let mut s = RecencyStack::new(ways);
             for _ in 0..g.usize(0, 64) {
                 let way = g.usize(0, ways);
-                match g.u8(0, 3) {
-                    0 => s.touch_mru(way),
-                    1 => s.demote_lru(way),
-                    _ => s.place_at(way, g.u8(0, ways.min(255) as u8)),
+                if g.bool() {
+                    s.touch_mru(way);
+                } else {
+                    s.demote_lru(way);
                 }
                 assert!(s.is_permutation());
             }
         });
+    }
+
+    /// A wide stack whose stamps collide or escape the clocks fails the
+    /// audit hook.
+    #[test]
+    fn wide_audit_catches_corrupt_stamps() {
+        let fresh = RecencyStack::new(20);
+        assert!(fresh.is_permutation());
+        let corrupt = |f: fn(&mut [Stamp])| {
+            let mut s = fresh.clone();
+            let Repr::Wide { stamps } = &mut s.repr else {
+                unreachable!("20 ways is a wide stack")
+            };
+            f(stamps);
+            s.is_permutation()
+        };
+        assert!(!corrupt(|st| st[3] = st[4]));
+        assert!(!corrupt(|st| st[0] = st[20]));
+        assert!(!corrupt(|st| st[19] = st[21]));
     }
 
     /// After touch_mru(w), w is MRU and relative order of others is kept.
@@ -414,57 +482,34 @@ mod tests {
         });
     }
 
-    /// The packed path agrees with an explicit rank-vector model on every
-    /// operation and observer, at every packed width.
+    /// Both representations agree with an explicit rank-vector model on
+    /// every operation and observer, at every packed width and the first
+    /// wide ones.
     #[test]
-    fn packed_matches_rank_vector_model() {
+    fn matches_rank_vector_model() {
         prop::check(192, |g| {
-            let ways = g.usize(1, 17); // 1..=16: all packed widths
+            let ways = g.usize(1, 41);
             let mut s = RecencyStack::new(ways);
             let mut model: Vec<u8> = (0..ways as u8).collect();
             for _ in 0..g.usize(0, 96) {
                 let way = g.usize(0, ways);
-                match g.u8(0, 3) {
-                    0 => {
-                        s.touch_mru(way);
-                        let old = model[way];
-                        for r in model.iter_mut() {
-                            if *r < old {
-                                *r += 1;
-                            }
-                        }
-                        model[way] = 0;
-                    }
-                    1 => {
-                        s.demote_lru(way);
-                        let old = model[way];
-                        for r in model.iter_mut() {
-                            if *r > old {
-                                *r -= 1;
-                            }
-                        }
-                        model[way] = (ways - 1) as u8;
-                    }
-                    _ => {
-                        let pos = g.u8(0, ways as u8);
-                        s.place_at(way, pos);
-                        let old = model[way];
-                        if pos < old {
-                            for r in model.iter_mut() {
-                                if *r >= pos && *r < old {
-                                    *r += 1;
-                                }
-                            }
-                            model[way] = pos;
-                        } else if pos > old {
-                            for r in model.iter_mut() {
-                                if *r > old && *r <= pos {
-                                    *r -= 1;
-                                }
-                            }
-                            model[way] = pos;
+                let old = model[way];
+                if g.bool() {
+                    s.touch_mru(way);
+                    for r in model.iter_mut() {
+                        if *r < old {
+                            *r += 1;
                         }
                     }
+                    model[way] = 0;
+                } else {
+                    s.demote_lru(way);
+                    for r in model.iter_mut() {
+                        if *r > old {
+                            *r -= 1;
+                        }
+                    }
+                    model[way] = (ways - 1) as u8;
                 }
                 for (w, &rank) in model.iter().enumerate() {
                     assert_eq!(s.rank(w), rank, "rank of way {w} diverged");

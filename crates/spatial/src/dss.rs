@@ -6,6 +6,9 @@
 //! keeps track of a small number of uncoupled giver sets that are less
 //! saturated than others" (§4.5).
 
+/// Slot-index value of a set that holds no entry.
+const NO_SLOT: u32 = u32::MAX;
+
 /// A fixed-capacity selector of the least-saturated candidate sets.
 ///
 /// Mirrors the hardware structure: a handful of (set, saturation-level)
@@ -13,6 +16,15 @@
 /// current worst entry replaces that entry ("if there are no such invalid
 /// entries and if the set is less saturated than one of the sets already in
 /// the heap, replacement will take place", §4.5).
+///
+/// STEM posts or withdraws a set on every access and SBC on every hit, so
+/// the software model keeps two indexes beside the entry list, neither of
+/// which changes which entry any operation picks: a per-set slot index
+/// (grown on demand to the largest set posted) makes finding a set's entry
+/// O(1), and the worst entry — the *last* entry of maximal level, as a
+/// `max_by_key` scan picks it — is cached and rescanned only when a full
+/// `post` needs it after the entries changed. Most posts to a full
+/// selector come from sets outside it, so the cache is usually valid.
 ///
 /// # Examples
 ///
@@ -27,10 +39,14 @@
 /// assert_eq!(dss.pop_least(), Some(9));
 /// assert_eq!(dss.pop_least(), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct DestinationSetSelector {
     entries: Vec<(usize, u32)>,
     capacity: usize,
+    /// `slot[set]` = the index of `set`'s entry, or [`NO_SLOT`].
+    slot: Vec<u32>,
+    /// The index a full `post` would replace, or `None` after any change.
+    worst: Option<usize>,
 }
 
 impl DestinationSetSelector {
@@ -41,9 +57,15 @@ impl DestinationSetSelector {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "selector capacity must be positive");
+        assert!(
+            capacity < NO_SLOT as usize,
+            "selector capacity out of range"
+        );
         DestinationSetSelector {
             entries: Vec::with_capacity(capacity),
             capacity,
+            slot: Vec::new(),
+            worst: None,
         }
     }
 
@@ -64,39 +86,76 @@ impl DestinationSetSelector {
 
     /// Whether `set` is currently a candidate.
     pub fn contains(&self, set: usize) -> bool {
-        self.entries.iter().any(|&(s, _)| s == set)
+        self.slot_of(set).is_some()
+    }
+
+    /// The index of `set`'s entry, if it has one.
+    #[inline]
+    fn slot_of(&self, set: usize) -> Option<usize> {
+        match self.slot.get(set) {
+            Some(&i) if i != NO_SLOT => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// Points `set`'s slot at entry `idx` (or at nothing).
+    #[inline]
+    fn set_slot(&mut self, set: usize, idx: u32) {
+        if set >= self.slot.len() {
+            self.slot.resize(set + 1, NO_SLOT);
+        }
+        self.slot[set] = idx;
     }
 
     /// Offers `set` with saturation `level` as a candidate.
     ///
     /// Updates the level in place if the set is already tracked; fills an
     /// empty slot if one exists; otherwise replaces the *most* saturated
-    /// entry if `level` improves on it. Returns `true` if the set is
-    /// tracked afterwards.
+    /// entry (the last one, on a tie) if `level` improves on it. Returns
+    /// `true` if the set is tracked afterwards.
+    #[inline]
     pub fn post(&mut self, set: usize, level: u32) -> bool {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == set) {
-            e.1 = level;
+        if let Some(i) = self.slot_of(set) {
+            self.entries[i].1 = level;
+            self.worst = None;
             return true;
         }
         if self.entries.len() < self.capacity {
+            self.set_slot(set, self.entries.len() as u32);
             self.entries.push((set, level));
+            self.worst = None;
             return true;
         }
-        let (worst_idx, &(_, worst_level)) = self
-            .entries
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, &(_, l))| l)
-            .expect("selector is non-empty when full");
+        let w = self.worst_index();
+        let (worst_set, worst_level) = self.entries[w];
         if level < worst_level {
-            self.entries[worst_idx] = (set, level);
+            self.set_slot(worst_set, NO_SLOT);
+            self.entries[w] = (set, level);
+            self.set_slot(set, w as u32);
+            self.worst = None;
             true
         } else {
             false
         }
     }
 
-    /// Removes and returns the least-saturated candidate.
+    /// The index of the last entry of maximal level, rescanned if stale.
+    fn worst_index(&mut self) -> usize {
+        if let Some(w) = self.worst {
+            return w;
+        }
+        let (w, _) = self
+            .entries
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &(_, l))| l)
+            .expect("selector is non-empty when full");
+        self.worst = Some(w);
+        w
+    }
+
+    /// Removes and returns the least-saturated candidate (the first one, on
+    /// a tie).
     pub fn pop_least(&mut self) -> Option<usize> {
         let idx = self
             .entries
@@ -104,21 +163,43 @@ impl DestinationSetSelector {
             .enumerate()
             .min_by_key(|&(_, &(_, l))| l)?
             .0;
-        Some(self.entries.swap_remove(idx).0)
+        Some(self.take(idx))
     }
 
     /// Removes `set` from the candidates (e.g. when its role changes).
     /// Returns `true` if it was present.
+    #[inline]
     pub fn remove(&mut self, set: usize) -> bool {
-        match self.entries.iter().position(|&(s, _)| s == set) {
+        match self.slot_of(set) {
             Some(i) => {
-                self.entries.swap_remove(i);
+                self.take(i);
                 true
             }
             None => false,
         }
     }
+
+    /// Swap-removes entry `idx` and returns its set.
+    fn take(&mut self, idx: usize) -> usize {
+        let (set, _) = self.entries.swap_remove(idx);
+        self.set_slot(set, NO_SLOT);
+        if let Some(&(moved, _)) = self.entries.get(idx) {
+            self.set_slot(moved, idx as u32);
+        }
+        self.worst = None;
+        set
+    }
 }
+
+/// Two selectors are equal when they hold the same entries in the same
+/// order under the same capacity; the indexes are derived state.
+impl PartialEq for DestinationSetSelector {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries == other.entries && self.capacity == other.capacity
+    }
+}
+
+impl Eq for DestinationSetSelector {}
 
 #[cfg(test)]
 mod tests {
@@ -165,6 +246,25 @@ mod tests {
         dss.post(5, 1);
         assert!(dss.remove(5));
         assert!(!dss.remove(5));
+        assert!(dss.is_empty());
+    }
+
+    #[test]
+    fn full_post_replaces_last_of_tied_maxima() {
+        let mut dss = DestinationSetSelector::new(3);
+        dss.post(1, 7);
+        dss.post(2, 7);
+        dss.post(3, 2);
+        assert!(dss.post(4, 1)); // replaces (2, 7), the later tied maximum
+        assert!(dss.contains(1));
+        assert!(!dss.contains(2));
+        dss.post(1, 3); // entries (1, 3), (4, 1), (3, 2): worst is set 1
+        assert!(dss.post(5, 2));
+        assert!(!dss.contains(1));
+        assert!(dss.remove(4)); // (3, 2) moves into index 1
+        assert!(dss.contains(3));
+        assert_eq!(dss.pop_least(), Some(5)); // first of the tied minima
+        assert_eq!(dss.pop_least(), Some(3));
         assert!(dss.is_empty());
     }
 

@@ -85,14 +85,7 @@ impl StemCache {
             ranks: vec![RecencyStack::new(geom.ways()); geom.sets()],
             set_policy: vec![PolicyKind::Lru; geom.sets()],
             monitors: (0..geom.sets())
-                .map(|_| {
-                    SetMonitor::new(
-                        geom.ways(),
-                        cfg.counter_bits,
-                        cfg.spatial_ratio_log2,
-                        cfg.shadow_tag_bits,
-                    )
-                })
+                .map(|_| SetMonitor::new(geom.ways(), cfg.counter_bits, cfg.spatial_ratio_log2))
                 .collect(),
             assoc: AssociationTable::new(geom.sets()),
             is_taker: vec![false; geom.sets()],
@@ -190,9 +183,7 @@ impl StemCache {
                 self.monitors[home].acknowledge_swap();
             }
         } else {
-            let mut rng = std::mem::replace(&mut self.rng, SplitMix64::new(0));
-            self.monitors[home].on_shadow_miss(&mut rng);
-            self.rng = rng;
+            self.monitors[home].on_shadow_miss(&mut self.rng);
         }
         self.update_heap_status(home);
     }
@@ -249,19 +240,23 @@ impl StemCache {
                 }
             }
         } else {
-            // A native victim's hashed tag enters the shadow set, under the
-            // shadow's (opposite) policy (§4.3).
-            let sig = self.sig_of(LineAddr::new(old.tag));
-            let shadow_policy = self.set_policy[set].opposite();
-            let throttle = self.cfg.bip_throttle_log2;
-            // Split borrows: pull the rng out momentarily.
-            let mut rng = std::mem::replace(&mut self.rng, SplitMix64::new(0));
-            self.monitors[set]
-                .shadow_mut()
-                .insert(sig, shadow_policy, throttle, &mut rng);
-            self.rng = rng;
+            self.shadow_native_victim(set, LineAddr::new(old.tag));
         }
         Ok(())
+    }
+
+    /// Hashes native victim `line` of `set` into the set's shadow, under the
+    /// shadow's (opposite) policy (§4.3): the block has left the set's local
+    /// capacity, whether it went off-chip or was spilled to a giver.
+    fn shadow_native_victim(&mut self, set: usize, line: LineAddr) {
+        let sig = self.sig_of(line);
+        let shadow_policy = self.set_policy[set].opposite();
+        self.monitors[set].shadow_mut().insert(
+            sig,
+            shadow_policy,
+            self.cfg.bip_throttle_log2,
+            &mut self.rng,
+        );
     }
 
     /// Receives taker victim `line` into giver set `giver` as a CC block,
@@ -331,17 +326,7 @@ impl StemCache {
                 && self.can_receive(giver)
                 && self.receive(giver, victim_line, victim_dirty)?
             {
-                // Native victim's signature still enters the shadow set —
-                // it has left its *local* capacity.
-                let sig = self.sig_of(victim_line);
-                let shadow_policy = self.set_policy[home].opposite();
-                let throttle = self.cfg.bip_throttle_log2;
-                let mut rng = std::mem::replace(&mut self.rng, SplitMix64::new(0));
-                self.monitors[home]
-                    .shadow_mut()
-                    .insert(sig, shadow_policy, throttle, &mut rng);
-                self.rng = rng;
-
+                self.shadow_native_victim(home, victim_line);
                 self.frames.take(home, way);
                 self.stats.record_spill();
                 return Ok(());

@@ -12,6 +12,12 @@ use stem_sim_core::SplitMix64;
 
 /// An H3 hash from 64-bit tags to `m`-bit signatures.
 ///
+/// The matrix is applied a byte at a time: the hash is linear over GF(2),
+/// so the signature of a tag is the XOR of the signatures of its eight
+/// bytes in place, and each of those comes from a 256-entry table built
+/// from the rows once. One lookup per byte replaces one AND-and-popcount
+/// round per output bit, with the same result.
+///
 /// # Examples
 ///
 /// ```
@@ -24,8 +30,9 @@ use stem_sim_core::SplitMix64;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TagHasher {
-    /// One 64-bit row mask per output bit.
-    rows: Vec<u64>,
+    /// `tables[k][b]` = the signature of the tag `b << (8 * k)`.
+    tables: Box<[[u16; 256]; 8]>,
+    width: u32,
 }
 
 impl TagHasher {
@@ -38,8 +45,10 @@ impl TagHasher {
     pub fn new(m: u32, seed: u64) -> Self {
         assert!((1..=16).contains(&m), "shadow tag width must be in 1..=16");
         let mut rng = SplitMix64::new(seed);
-        // Reject zero rows: a zero row would pin that output bit to 0.
-        let rows = (0..m)
+        // One 64-bit row mask per output bit: output bit i is the parity of
+        // the tag ANDed with row i. Reject zero rows: a zero row would pin
+        // that output bit to 0.
+        let rows: Vec<u64> = (0..m)
             .map(|_| loop {
                 let r = rng.next_u64();
                 if r != 0 {
@@ -47,23 +56,32 @@ impl TagHasher {
                 }
             })
             .collect();
-        TagHasher { rows }
+        let by_rows = |tag: u64| {
+            rows.iter().enumerate().fold(0u16, |out, (i, &row)| {
+                out | ((((tag & row).count_ones() & 1) as u16) << i)
+            })
+        };
+        let mut tables = Box::new([[0u16; 256]; 8]);
+        for (k, table) in tables.iter_mut().enumerate() {
+            for (b, sig) in table.iter_mut().enumerate() {
+                *sig = by_rows((b as u64) << (8 * k));
+            }
+        }
+        TagHasher { tables, width: m }
     }
 
     /// Output width in bits.
     pub fn width(&self) -> u32 {
-        self.rows.len() as u32
+        self.width
     }
 
     /// Hashes a tag to an `m`-bit signature.
     #[inline]
     pub fn hash(&self, tag: u64) -> u16 {
-        let mut out = 0u16;
-        for (i, &row) in self.rows.iter().enumerate() {
-            let parity = ((tag & row).count_ones() & 1) as u16;
-            out |= parity << i;
-        }
-        out
+        self.tables
+            .iter()
+            .zip(tag.to_le_bytes())
+            .fold(0, |out, (table, byte)| out ^ table[byte as usize])
     }
 }
 

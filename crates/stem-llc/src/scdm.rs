@@ -31,7 +31,7 @@ pub struct MonitorEvent {
 /// use stem_sim_core::SplitMix64;
 ///
 /// let mut rng = SplitMix64::new(3);
-/// let mut m = SetMonitor::new(16, 4, 3, 10);
+/// let mut m = SetMonitor::new(16, 4, 3);
 /// assert!(m.is_giver()); // fresh sets have SC_S = 0
 /// assert!(!m.is_taker());
 /// ```
@@ -44,14 +44,9 @@ pub struct SetMonitor {
 }
 
 impl SetMonitor {
-    /// Creates a monitor for a set with `ways` ways, `k`-bit counters,
-    /// ratio `n`, and (unused here, kept for symmetry) shadow tag width.
-    pub fn new(
-        ways: usize,
-        counter_bits: u32,
-        spatial_ratio_log2: u32,
-        _shadow_tag_bits: u32,
-    ) -> Self {
+    /// Creates a monitor for a set with `ways` ways, `k`-bit counters and
+    /// ratio `n`.
+    pub fn new(ways: usize, counter_bits: u32, spatial_ratio_log2: u32) -> Self {
         SetMonitor {
             shadow: ShadowSet::new(ways),
             sc_s: SaturatingCounter::new(counter_bits),
@@ -169,7 +164,7 @@ mod tests {
     use super::*;
 
     fn monitor() -> SetMonitor {
-        SetMonitor::new(4, 4, 3, 10)
+        SetMonitor::new(4, 4, 3)
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!
 //! for all six paper schemes (LRU, DIP, PeLIFO, V-Way, SBC, STEM) plus the
 //! two auxiliary spatial baselines (static SBC, LRU+VC). The primitives the
-//! schemes share — the recency stack and the shadow set — additionally get
-//! direct random-op differentials, since a compensating pair of bugs at the
-//! scheme level could otherwise hide a primitive-level divergence.
+//! schemes share — the recency stack, the shadow set, the destination-set
+//! selector and the H3 tag hasher — additionally get direct random-op
+//! differentials, since a compensating pair of bugs at the scheme level
+//! could otherwise hide a primitive-level divergence. SBC and STEM replay
+//! against the reference selector (and STEM against the reference hasher),
+//! so their scheme-level differentials check those components too.
 //!
 //! Each paper-scheme run replays 1 000 000 accesses at the paper's 16-way
 //! associativity — the packed-recency boundary case — plus a high-pressure
@@ -26,8 +29,8 @@
 use stem::llc::{PolicyKind, SetMonitor, ShadowSet, StemCache, StemConfig, TagHasher};
 use stem::replacement::{Dip, Lru, PeLifo, RecencyStack, ReplacementPolicy, SetAssocCache};
 use stem::sim_core::{
-    Access, AccessKind, AccessResult, Address, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
-    LineAddr, SplitMix64, Trace,
+    prop, Access, AccessKind, AccessResult, Address, CacheGeometry, CacheModel, CacheStats,
+    DecodedTrace, LineAddr, SplitMix64, Trace,
 };
 use stem::spatial::{
     AssociationTable, DestinationSetSelector, SbcCache, SbcConfig, StaticSbcCache, VWayCache,
@@ -86,28 +89,6 @@ impl RefRecency {
         self.rank[way] = (self.ways() - 1) as u8;
     }
 
-    fn place_at(&mut self, way: usize, pos: u8) {
-        assert!((pos as usize) < self.ways(), "position out of range");
-        let old = self.rank[way];
-        if pos == old {
-            return;
-        }
-        if pos < old {
-            for r in &mut self.rank {
-                if *r >= pos && *r < old {
-                    *r += 1;
-                }
-            }
-        } else {
-            for r in &mut self.rank {
-                if *r > old && *r <= pos {
-                    *r -= 1;
-                }
-            }
-        }
-        self.rank[way] = pos;
-    }
-
     fn lru_way(&self) -> usize {
         self.way_at((self.ways() - 1) as u8)
     }
@@ -124,41 +105,74 @@ impl RefRecency {
     }
 }
 
+/// Minimum steps between full rank comparisons in the recency
+/// differential. The complete rank vector costs O(ways²) on the wide path,
+/// so it runs every `max(RANK_STRIDE, ways)` steps while the O(ways)
+/// observers run every step.
+const RANK_STRIDE: usize = 16;
+
 /// Direct differential: the packed/wide `RecencyStack` against the old rank
-/// vector under a long random op stream at every width that run_all can see
-/// (1..=16 packed, 17..=24 exercising the wide fallback).
+/// vector under a long random op stream at every width from 1 to 64 (1..=16
+/// packed, the rest wide: V-Way's 32-way sweep point has 64 tag ways and
+/// serve's result cache has 64 slots) plus 128 and the 255 maximum.
 #[test]
 fn recency_stack_matches_reference() {
     let mut rng = SplitMix64::new(0xD1FF_0001);
-    for ways in 1..=24usize {
+    for ways in (1..=64usize).chain([128, 255]) {
         let mut new = RecencyStack::new(ways);
         let mut old = RefRecency::new(ways);
-        for step in 0..40_000 {
+        let steps = if ways <= 24 { 40_000 } else { 12_000 };
+        for step in 0..steps {
             let way = rng.next_below(ways as u64) as usize;
-            match rng.next_below(3) {
-                0 => {
-                    new.touch_mru(way);
-                    old.touch_mru(way);
-                }
-                1 => {
-                    new.demote_lru(way);
-                    old.demote_lru(way);
-                }
-                _ => {
-                    let pos = rng.next_below(ways as u64) as u8;
-                    new.place_at(way, pos);
-                    old.place_at(way, pos);
-                }
+            if rng.chance(1, 2) {
+                new.touch_mru(way);
+                old.touch_mru(way);
+            } else {
+                new.demote_lru(way);
+                old.demote_lru(way);
             }
-            // Compare the complete observable surface every step.
             assert_eq!(new.lru_way(), old.lru_way(), "ways={ways} step={step}");
             assert_eq!(new.mru_way(), old.mru_way(), "ways={ways} step={step}");
-            for w in 0..ways {
-                assert_eq!(new.rank(w), old.rank(w), "ways={ways} step={step} way={w}");
-            }
             let pos = rng.next_below(ways as u64) as u8;
             assert_eq!(new.way_at(pos), old.way_at(pos), "ways={ways} step={step}");
-            assert!(new.is_permutation());
+            if step % RANK_STRIDE.max(ways) == 0 || step + 1 == steps {
+                for w in 0..ways {
+                    assert_eq!(new.rank(w), old.rank(w), "ways={ways} step={step} way={w}");
+                }
+                assert!(new.is_permutation(), "ways={ways} step={step}");
+            }
+        }
+    }
+}
+
+/// Long one-sided runs exhaust a wide stack's 16-bit clocks, so its
+/// renumbering runs under the same differential: 80k mostly-touch steps
+/// and then 80k mostly-demote steps run each clock out at least twice.
+#[test]
+fn recency_stack_clock_exhaustion_matches_reference() {
+    let mut rng = SplitMix64::new(0xD1FF_0004);
+    for ways in [17usize, 64] {
+        let mut new = RecencyStack::new(ways);
+        let mut old = RefRecency::new(ways);
+        for step in 0..160_000 {
+            let way = rng.next_below(ways as u64) as usize;
+            if rng.chance(15, 16) == (step < 80_000) {
+                new.touch_mru(way);
+                old.touch_mru(way);
+            } else {
+                new.demote_lru(way);
+                old.demote_lru(way);
+            }
+            assert_eq!(new.lru_way(), old.lru_way(), "ways={ways} step={step}");
+            assert_eq!(new.mru_way(), old.mru_way(), "ways={ways} step={step}");
+            let pos = rng.next_below(ways as u64) as u8;
+            assert_eq!(new.way_at(pos), old.way_at(pos), "ways={ways} step={step}");
+            if step % 4096 == 0 {
+                for w in 0..ways {
+                    assert_eq!(new.rank(w), old.rank(w), "ways={ways} step={step} way={w}");
+                }
+                assert!(new.is_permutation(), "ways={ways} step={step}");
+            }
         }
     }
 }
@@ -280,6 +294,197 @@ fn shadow_set_matches_reference() {
                 "ways={ways} step={step}"
             );
             new.audit().expect("flat shadow invariants hold");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Reference primitive: the linear-scan `DestinationSetSelector`.
+// ---------------------------------------------------------------------------
+
+/// The selector as first written: every operation scans the entry vector,
+/// and a full `post` takes the last maximum with `max_by_key`. Used directly
+/// (differential against the indexed selector) and as the giver heap / DSS
+/// inside the STEM and SBC reference models.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RefDss {
+    entries: Vec<(usize, u32)>,
+    capacity: usize,
+}
+
+impl RefDss {
+    fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "selector capacity must be positive");
+        RefDss {
+            entries: Vec::with_capacity(capacity),
+            capacity,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn contains(&self, set: usize) -> bool {
+        self.entries.iter().any(|&(s, _)| s == set)
+    }
+
+    fn post(&mut self, set: usize, level: u32) -> bool {
+        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == set) {
+            e.1 = level;
+            return true;
+        }
+        if self.entries.len() < self.capacity {
+            self.entries.push((set, level));
+            return true;
+        }
+        let (worst_idx, &(_, worst_level)) = self
+            .entries
+            .iter()
+            .enumerate()
+            .max_by_key(|&(_, &(_, l))| l)
+            .expect("selector is non-empty when full");
+        if level < worst_level {
+            self.entries[worst_idx] = (set, level);
+            true
+        } else {
+            false
+        }
+    }
+
+    fn pop_least(&mut self) -> Option<usize> {
+        let idx = self
+            .entries
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, &(_, l))| l)?
+            .0;
+        Some(self.entries.swap_remove(idx).0)
+    }
+
+    fn remove(&mut self, set: usize) -> bool {
+        match self.entries.iter().position(|&(s, _)| s == set) {
+            Some(i) => {
+                self.entries.swap_remove(i);
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+/// Direct differential: the indexed selector against the linear scan under
+/// fuzzed op streams. Few distinct levels force ties, so which maximum a
+/// full `post` replaces and which minimum `pop_least` takes both show.
+#[test]
+fn destination_set_selector_matches_reference() {
+    prop::check(64, |g| {
+        for capacity in [1usize, 4, 16] {
+            let mut new = DestinationSetSelector::new(capacity);
+            let mut old = RefDss::new(capacity);
+            let sets = g.usize(capacity + 1, 4 * capacity + 8);
+            let levels = g.u32(1, 5);
+            for step in 0..g.usize(0, 600) {
+                let set = g.usize(0, sets);
+                match g.u8(0, 10) {
+                    0..=5 => {
+                        let level = g.u32(0, levels);
+                        assert_eq!(
+                            new.post(set, level),
+                            old.post(set, level),
+                            "cap={capacity} step={step} post({set}, {level})"
+                        );
+                    }
+                    6 => assert_eq!(
+                        new.pop_least(),
+                        old.pop_least(),
+                        "cap={capacity} step={step}"
+                    ),
+                    7 | 8 => assert_eq!(
+                        new.remove(set),
+                        old.remove(set),
+                        "cap={capacity} step={step}"
+                    ),
+                    _ => assert_eq!(
+                        new.contains(set),
+                        old.contains(set),
+                        "cap={capacity} step={step}"
+                    ),
+                }
+                assert_eq!(new.len(), old.len(), "cap={capacity} step={step}");
+                assert_eq!(new.is_empty(), old.len() == 0, "cap={capacity} step={step}");
+            }
+            // Draining pins the complete final contents, order included.
+            while let Some(set) = old.pop_least() {
+                assert_eq!(new.pop_least(), Some(set), "cap={capacity} drain");
+            }
+            assert_eq!(new.pop_least(), None, "cap={capacity} drain");
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Reference primitive: the row-by-row `TagHasher`.
+// ---------------------------------------------------------------------------
+
+/// The H3 hasher as first written: one AND-and-popcount round per output
+/// bit. Used directly (differential against the table-driven hasher) and
+/// inside the STEM reference model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct RefHasher {
+    rows: Vec<u64>,
+}
+
+impl RefHasher {
+    fn new(m: u32, seed: u64) -> Self {
+        assert!((1..=16).contains(&m), "shadow tag width must be in 1..=16");
+        let mut rng = SplitMix64::new(seed);
+        let rows = (0..m)
+            .map(|_| loop {
+                let r = rng.next_u64();
+                if r != 0 {
+                    break r;
+                }
+            })
+            .collect();
+        RefHasher { rows }
+    }
+
+    fn width(&self) -> u32 {
+        self.rows.len() as u32
+    }
+
+    fn hash(&self, tag: u64) -> u16 {
+        let mut out = 0u16;
+        for (i, &row) in self.rows.iter().enumerate() {
+            let parity = ((tag & row).count_ones() & 1) as u16;
+            out |= parity << i;
+        }
+        out
+    }
+}
+
+/// Direct differential: the table-driven hasher against the row-by-row one
+/// at every width, over random 64-bit tags, single set bits and the
+/// all-zero and all-one tags, for several seeds.
+#[test]
+fn tag_hasher_matches_reference() {
+    let mut tags = SplitMix64::new(0xD1FF_0003);
+    for seed in [0u64, 1, 42, 0x4A5B_13D7, 0x4343, u64::MAX] {
+        for m in 1..=16u32 {
+            let new = TagHasher::new(m, seed);
+            let old = RefHasher::new(m, seed);
+            assert_eq!(new.width(), old.width(), "m={m} seed={seed:#x}");
+            let edges = [0u64, u64::MAX]
+                .into_iter()
+                .chain((0..64).map(|b| 1u64 << b));
+            for tag in edges.chain((0..4_000).map(|_| tags.next_u64())) {
+                assert_eq!(
+                    new.hash(tag),
+                    old.hash(tag),
+                    "m={m} seed={seed:#x} tag={tag:#x}"
+                );
+            }
         }
     }
 }
@@ -513,7 +718,7 @@ struct RefSbc {
     assoc: AssociationTable,
     is_source: Vec<bool>,
     foreign_count: Vec<u32>,
-    dss: DestinationSetSelector,
+    dss: RefDss,
     stats: CacheStats,
 }
 
@@ -530,7 +735,7 @@ impl RefSbc {
             assoc: AssociationTable::new(geom.sets()),
             is_source: vec![false; geom.sets()],
             foreign_count: vec![0; geom.sets()],
-            dss: DestinationSetSelector::new(cfg.dss_capacity),
+            dss: RefDss::new(cfg.dss_capacity),
             stats: CacheStats::default(),
         }
     }
@@ -1211,10 +1416,9 @@ struct RefStemLine {
     cc: bool,
 }
 
-/// The old `StemCache` data path. The monitors, association table, heap,
-/// hasher and config are the real (unchanged) public components; only the
-/// tag store and recency ranking — the parts the refactor touched — are the
-/// old nested layouts. The RNG is pulled in and out with `mem::replace`
+/// The old `StemCache` data path. The monitors, association table and
+/// config are the real public components; the tag store, recency ranking,
+/// giver heap and H3 hasher are the reference copies above. The RNG is pulled in and out with `mem::replace`
 /// exactly like the original, so the SplitMix64 stream consumption order is
 /// identical call for call.
 struct RefStem {
@@ -1227,8 +1431,8 @@ struct RefStem {
     assoc: AssociationTable,
     is_taker: Vec<bool>,
     cc_count: Vec<u32>,
-    heap: DestinationSetSelector,
-    hasher: TagHasher,
+    heap: RefDss,
+    hasher: RefHasher,
     rng: SplitMix64,
     stats: CacheStats,
 }
@@ -1242,20 +1446,13 @@ impl RefStem {
             ranks: vec![RefRecency::new(geom.ways()); geom.sets()],
             set_policy: vec![PolicyKind::Lru; geom.sets()],
             monitors: (0..geom.sets())
-                .map(|_| {
-                    SetMonitor::new(
-                        geom.ways(),
-                        cfg.counter_bits,
-                        cfg.spatial_ratio_log2,
-                        cfg.shadow_tag_bits,
-                    )
-                })
+                .map(|_| SetMonitor::new(geom.ways(), cfg.counter_bits, cfg.spatial_ratio_log2))
                 .collect(),
             assoc: AssociationTable::new(geom.sets()),
             is_taker: vec![false; geom.sets()],
             cc_count: vec![0; geom.sets()],
-            heap: DestinationSetSelector::new(cfg.heap_capacity),
-            hasher: TagHasher::new(cfg.shadow_tag_bits, cfg.seed ^ 0x4343),
+            heap: RefDss::new(cfg.heap_capacity),
+            hasher: RefHasher::new(cfg.shadow_tag_bits, cfg.seed ^ 0x4343),
             rng: SplitMix64::new(cfg.seed),
             stats: CacheStats::default(),
             cfg,

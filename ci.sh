@@ -8,6 +8,16 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> README names only STEM_* variables the code reads"
+# A knob deleted from the code must leave the docs too: every STEM_* name
+# README.md mentions has to appear as a string literal under crates/.
+for var in $(grep -o 'STEM_[A-Z0-9_]*[A-Z0-9]' README.md | sort -u); do
+    grep -rqF "\"$var\"" crates/ || {
+        echo "ERROR: README.md names $var, which nothing under crates/ reads" >&2
+        exit 1
+    }
+done
+
 echo "==> cargo clippy (workspace, all targets, warnings are errors)"
 # The clippy component ships with the baked-in toolchain; if a stripped
 # environment lacks it, skip the lint gate rather than failing offline
@@ -168,7 +178,7 @@ echo "==> sampled-fidelity smoke gate (pinned error bound, byte-identical stdout
 run_samp() { # <threads> <dir>
     mkdir -p "$2"
     STEM_BENCH_ACCESSES="${STEM_SAMPLING_ACCESSES:-60000}" \
-        STEM_SAMPLING_BENCHMARKS=omnetpp STEM_SAMPLE_SEED=0 \
+        STEM_SAMPLING_BENCHMARKS=omnetpp \
         STEM_SAMPLING_ERROR_BOUND="${STEM_SAMPLING_ERROR_BOUND:-0.10}" \
         STEM_THREADS="$1" STEM_CSV_DIR="$2" \
         cargo bench -q -p stem-bench --bench sampling_bench \

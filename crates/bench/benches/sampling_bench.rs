@@ -15,9 +15,9 @@
 //! speedups go to stderr and the JSON artifact only.
 //!
 //! Knobs: `STEM_BENCH_ACCESSES` scales the per-benchmark trace length
-//! (default 400 000), `STEM_SAMPLE_SEED` the selection seed,
-//! `STEM_SAMPLING_BENCHMARKS` a comma-separated benchmark subset (default
-//! `omnetpp,ammp,mcf`), and `STEM_SAMPLING_ERROR_BOUND` (a float) makes
+//! (default 400 000), `STEM_SAMPLING_BENCHMARKS` a comma-separated
+//! benchmark subset (default `omnetpp,ammp,mcf`), and
+//! `STEM_SAMPLING_ERROR_BOUND` (a float) makes
 //! the run *gate*: exit nonzero if any cell's MPKI relative error exceeds
 //! the bound, or if no cell was measured. An unknown benchmark name or a
 //! malformed bound exits 2 before anything runs. When `STEM_CSV_DIR` is
@@ -36,6 +36,8 @@ use stem_workloads::BenchmarkProfile;
 /// The sampling rates the trajectory tracks (EXPERIMENTS.md table schema).
 const RATES: [u32; 3] = [8, 16, 32];
 const REPS: usize = 3;
+/// The sampled-set selection seed (serve's default seed too).
+const SEED: u64 = 0;
 
 /// One (benchmark, scheme, rate) measurement.
 struct Cell {
@@ -112,7 +114,7 @@ fn error_bound() -> Option<f64> {
     }
 }
 
-fn maybe_json(cfg: &Config, accesses: usize, seed: u64, cells: &[Cell], schemes_sharing: usize) {
+fn maybe_json(cfg: &Config, accesses: usize, cells: &[Cell], schemes_sharing: usize) {
     let Some(dir) = cfg.csv_dir.as_deref() else {
         return;
     };
@@ -151,7 +153,7 @@ fn maybe_json(cfg: &Config, accesses: usize, seed: u64, cells: &[Cell], schemes_
         .fold(0.0f64, f64::max);
     let doc = Json::Obj(vec![
         ("accesses_per_benchmark".into(), Json::Int(accesses as i64)),
-        ("seed".into(), Json::Int(seed as i64)),
+        ("seed".into(), Json::Int(SEED as i64)),
         ("best_of".into(), Json::Int(REPS as i64)),
         ("max_rel_error".into(), Json::float_rounded(max_err, 6)),
         (
@@ -170,7 +172,6 @@ fn main() {
     let cfg = Config::from_env_or_panic();
     let geom = CacheGeometry::micro2010_l2();
     let accesses = cfg.bench_accesses.unwrap_or(400_000);
-    let seed = cfg.sample_seed();
     let bound = error_bound();
     let benchmarks = benchmarks_under_test();
 
@@ -181,7 +182,7 @@ fn main() {
         .collect();
 
     println!(
-        "# sampling_bench ({accesses} accesses/benchmark, seed {seed}, rates {:?}, best of {REPS})",
+        "# sampling_bench ({accesses} accesses/benchmark, seed {SEED}, rates {:?}, best of {REPS})",
         RATES
     );
     println!("# benchmark scheme rate exact_mpki sampled_mpki rel_error");
@@ -198,7 +199,7 @@ fn main() {
             let mut sample = None;
             for _ in 0..REPS {
                 let t = std::time::Instant::now();
-                let s = SampledTrace::select(source, rate, seed);
+                let s = SampledTrace::select(source, rate, SEED);
                 select_secs = select_secs.min(t.elapsed().as_secs_f64());
                 sample = Some(s);
             }
@@ -268,7 +269,7 @@ fn main() {
     if let Some(bench) = benchmarks.first() {
         let prepared = prepare_trace(bench, geom, accesses);
         let d = best_of(REPS, || {
-            SampledTrace::select(&prepared.trace, 16, seed).len()
+            SampledTrace::select(&prepared.trace, 16, SEED).len()
         });
         eprintln!(
             "select(rate 16) over {} accesses: {:.3}s best-of-{REPS}",
@@ -279,7 +280,7 @@ fn main() {
 
     let max_err = cells.iter().map(Cell::rel_error).fold(0.0f64, f64::max);
     println!("max_rel_error {max_err:.6}");
-    maybe_json(&cfg, accesses, seed, &cells, eligible.len());
+    maybe_json(&cfg, accesses, &cells, eligible.len());
 
     if let Some(bound) = bound {
         if cells.is_empty() {

@@ -7,17 +7,18 @@
 //! `STEM_ACCESSES` scales the per-benchmark trace length,
 //! `STEM_SWEEP_ACCESSES` the associativity sweeps, `STEM_PERIODS` the
 //! Fig. 1 sampling periods, and `STEM_CSV_DIR` (optional) a directory to
-//! also write each table as a CSV file for plotting (plus a
-//! `BENCH_run_all.json` wall-clock summary).
+//! also write each table as a CSV file for plotting (plus the full Fig. 1
+//! band distributions, `fig1_<benchmark>.csv`, which stdout summarises in
+//! one line each, and a `BENCH_run_all.json` wall-clock summary).
 //!
 //! The suite fans out over `STEM_THREADS` workers (default: all cores).
 //! Every experiment cell — each (benchmark, scheme) pair of the matrix,
-//! each sweep point — runs isolated under `catch_unwind` with a
-//! wall-clock budget (`STEM_EXPERIMENT_BUDGET_SECS`): a panicking or
-//! hanging cell is reported and skipped, the remaining tables still
-//! print, and the process exits nonzero. Results are collected in input
-//! order, so stdout and every CSV are **byte-identical at any thread
-//! count**; progress and timing go to stderr.
+//! each sweep point — runs isolated under `catch_unwind` with a four-hour
+//! wall-clock budget: a panicking or hanging cell is reported and
+//! skipped, the remaining tables still print, and the process exits
+//! nonzero. Results are collected in input order, so stdout and every
+//! CSV are **byte-identical at any thread count**; progress and timing
+//! go to stderr.
 //! `STEM_INJECT_PANIC=<experiment>` deliberately crashes one cell to
 //! exercise that path.
 
@@ -313,6 +314,7 @@ fn main() -> ExitCode {
                         agg.fraction_at_most(4),
                         agg.fraction_at_most(16),
                         agg.fraction_at_most(0),
+                        agg.banded(),
                     ),
                     prepared.prep,
                 )
@@ -320,13 +322,22 @@ fn main() -> ExitCode {
         })
         .collect();
     for (name, outcome) in fig1_names.iter().zip(runner.run_batch(threads, fig1_jobs)) {
-        if let Some(((le4, le16, zero), cell_prep)) = outcome {
+        if let Some(((le4, le16, zero, banded), cell_prep)) = outcome {
             prep.absorb(cell_prep);
             fig1_prep_secs += (cell_prep.generate + cell_prep.decode).as_secs_f64();
             println!(
                 "## Fig. 1 ({name}): demand <= 4 ways: {le4:.2}, <= 16 ways: {le16:.2}, \
                  zero-demand: {zero:.2}",
             );
+            // The full distribution (band 0, then 1-2 … 31-32 ways) goes
+            // to the CSV only; stdout keeps the one-line summary.
+            let mut bands = Table::new(vec!["band (ways)".into(), "fraction".into()]);
+            let labels = std::iter::once("0".to_owned())
+                .chain((0..16).map(|i| format!("{}-{}", 2 * i + 1, 2 * i + 2)));
+            for (label, frac) in labels.zip(&banded) {
+                bands.row(vec![label, format!("{frac:.3}")]);
+            }
+            maybe_csv(csv_dir, &format!("fig1_{name}"), &bands);
         }
     }
 

@@ -28,9 +28,9 @@ use crate::pool::panic_message;
 /// (`STEM_INJECT_PANIC=<experiment name>`).
 pub use crate::config::INJECT_PANIC_ENV;
 
-/// Environment variable overriding the per-experiment wall-clock budget in
-/// seconds (`STEM_EXPERIMENT_BUDGET_SECS`).
-pub use crate::config::BUDGET_ENV;
+/// The per-experiment wall-clock budget of [`ExperimentRunner::new`]:
+/// four hours, far above any archive-scale cell, so only a hang trips it.
+const DEFAULT_BUDGET: Duration = Duration::from_secs(4 * 60 * 60);
 
 /// How often the collector checks running experiments against the budget.
 const BUDGET_POLL: Duration = Duration::from_millis(25);
@@ -98,15 +98,9 @@ pub struct ExperimentRunner {
 }
 
 impl ExperimentRunner {
-    /// Creates a runner with the default (or `STEM_EXPERIMENT_BUDGET_SECS`
-    /// overridden) per-experiment budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`ConfigError`](crate::config::ConfigError) message
-    /// when the budget variable is set but malformed.
+    /// Creates a runner with the default four-hour per-experiment budget.
     pub fn new() -> Self {
-        ExperimentRunner::with_budget(crate::config::Config::cached().experiment_budget())
+        ExperimentRunner::with_budget(DEFAULT_BUDGET)
     }
 
     /// Creates a runner with an explicit per-experiment budget.
@@ -212,10 +206,10 @@ impl ExperimentRunner {
                     elapsed[i] = dt;
                     match outcome {
                         // The budget is a hard deadline even for a cell
-                        // that finishes before the poll notices: with e.g.
-                        // STEM_EXPERIMENT_BUDGET_SECS=0 every cell must
-                        // time out deterministically, not race the 25ms
-                        // collector poll.
+                        // that finishes before the poll notices: with a
+                        // zero budget every cell must time out
+                        // deterministically, not race the 25ms collector
+                        // poll.
                         Ok(_) if dt >= self.budget => {
                             failures[i] = Some(ExperimentFailure::TimedOut(self.budget));
                         }

@@ -23,7 +23,6 @@ fn scratch(tag: &str) -> PathBuf {
 fn run_all(threads: &str, csv_dir: &PathBuf, extra: &[(&str, &str)]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_run_all"));
     cmd.env_remove("STEM_INJECT_PANIC")
-        .env_remove("STEM_EXPERIMENT_BUDGET_SECS")
         .env("STEM_THREADS", threads)
         .env("STEM_ACCESSES", "3000")
         .env("STEM_SWEEP_ACCESSES", "600")

@@ -1,5 +1,4 @@
-//! Bimodal (BIP) and LRU-insertion (LIP) policies of Qureshi et al.
-//! (ISCA'07).
+//! The bimodal insertion policy (BIP) of Qureshi et al. (ISCA'07).
 
 use stem_sim_core::{CacheGeometry, SplitMix64};
 
@@ -93,78 +92,12 @@ impl ReplacementPolicy for Bip {
     }
 }
 
-/// LRU-Insertion Policy: BIP with a zero MRU probability.
-///
-/// Every incoming block is inserted at LRU; it only survives if it is
-/// reused before the next miss. Included as the limiting case of BIP.
-#[derive(Debug, Clone)]
-pub struct Lip {
-    sets: Vec<RecencyStack>,
-}
-
-impl Lip {
-    /// Creates LIP state for every set of `geom`.
-    pub fn new(geom: CacheGeometry) -> Self {
-        Lip {
-            sets: vec![RecencyStack::new(geom.ways()); geom.sets()],
-        }
-    }
-}
-
-impl ReplacementPolicy for Lip {
-    fn on_hit(&mut self, set: usize, way: usize) {
-        self.sets[set].touch_mru(way);
-    }
-
-    fn victim(&mut self, set: usize) -> usize {
-        self.sets[set].lru_way()
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize) {
-        self.sets[set].demote_lru(way);
-    }
-
-    fn name(&self) -> &str {
-        "LIP"
-    }
-
-    // Unlike BIP, LIP has no RNG — per-set stacks only, so sampling-safe.
-    fn supports_set_sampling(&self) -> bool {
-        true
-    }
-
-    fn audit_set(&self, set: usize) -> Result<(), String> {
-        if self.sets[set].is_permutation() {
-            Ok(())
-        } else {
-            Err(format!(
-                "LIP recency stack of set {set} is not a permutation"
-            ))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(2, 4, 64).unwrap()
-    }
-
-    #[test]
-    fn lip_inserts_at_lru() {
-        let mut p = Lip::new(geom());
-        p.on_fill(0, 2);
-        assert_eq!(p.victim(0), 2);
-    }
-
-    #[test]
-    fn lip_hit_promotes() {
-        let mut p = Lip::new(geom());
-        p.on_fill(0, 2);
-        p.on_hit(0, 2);
-        assert_ne!(p.victim(0), 2);
     }
 
     #[test]
@@ -192,6 +125,5 @@ mod tests {
     #[test]
     fn names() {
         assert_eq!(Bip::new(geom()).name(), "BIP");
-        assert_eq!(Lip::new(geom()).name(), "LIP");
     }
 }

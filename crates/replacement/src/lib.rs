@@ -6,9 +6,9 @@
 //! re-partition capacity across sets — V-Way, SBC, in the `stem-spatial`
 //! crate). This crate implements the temporal side:
 //!
-//! * [`Lru`], [`Fifo`], [`Random`] — classic baselines;
-//! * [`Bip`] / [`Lip`] — the thrash-resistant insertion policies of
-//!   Qureshi et al. (ISCA'07) that STEM duels against LRU at the set level;
+//! * [`Lru`] — the classic baseline;
+//! * [`Bip`] — the thrash-resistant insertion policy of Qureshi et al.
+//!   (ISCA'07) that STEM duels against LRU at the set level;
 //! * [`Dip`] — dynamic insertion policy with complement-select set dueling
 //!   and a 10-bit PSEL, exactly the application-level duel the paper argues
 //!   cannot adapt per set (§5.2, the `astar` pathology);
@@ -44,27 +44,23 @@ mod bip;
 mod cache;
 mod dip;
 mod drrip;
-mod fifo;
 mod lru;
 mod nru;
 mod pelifo;
 mod plru;
 mod policy;
-mod random;
 mod recency;
 mod srrip;
 
 pub use belady::OptCache;
-pub use bip::{Bip, Lip, BIP_DEFAULT_THROTTLE_LOG2};
+pub use bip::{Bip, BIP_DEFAULT_THROTTLE_LOG2};
 pub use cache::SetAssocCache;
 pub use dip::{Dip, DuelAssignment, Duelists};
 pub use drrip::Drrip;
-pub use fifo::Fifo;
 pub use lru::Lru;
 pub use nru::Nru;
 pub use pelifo::PeLifo;
 pub use plru::Plru;
 pub use policy::{PolicyClone, ReplacementPolicy};
-pub use random::Random;
 pub use recency::RecencyStack;
 pub use srrip::Srrip;

@@ -60,13 +60,13 @@ pub trait ReplacementPolicy: PolicyClone {
     /// policy is a valid estimator of serial replay (the policy-level half
     /// of
     /// [`CacheModel::supports_set_sampling`](stem_sim_core::CacheModel::supports_set_sampling);
-    /// `SetAssocCache` delegates here). Purely per-set policies (LRU, FIFO,
-    /// LIP, SRRIP, PLRU) opt in: when every piece of mutable state is local
+    /// `SetAssocCache` delegates here). Purely per-set policies (LRU,
+    /// SRRIP, PLRU) opt in: when every piece of mutable state is local
     /// to one set, dropped sets are invisible to kept ones, so sampling
     /// introduces no per-set distortion. Policies with *any* cross-set
     /// state — DRRIP's global PSEL, PeLIFO's election counters, a global
-    /// RNG consumed on a data-dependent subset of accesses (BIP, NRU,
-    /// Random), Belady's precomputed global future — keep the default
+    /// RNG consumed on a data-dependent subset of accesses (BIP, NRU),
+    /// Belady's precomputed global future — keep the default
     /// `false`. The one exception is DIP, which opts into a *documented
     /// approximation* (set dueling is itself a sampling estimator).
     fn supports_set_sampling(&self) -> bool {

@@ -11,30 +11,21 @@
 //!
 //! * `STEM_SERVE_ADDR` — bind address (default `127.0.0.1:0`);
 //! * `STEM_SERVE_ADDR_FILE` — file to write the bound address into;
-//! * `STEM_SERVE_QUEUE` — bounded queue slots (default 8);
-//! * `STEM_SERVE_CACHE` — result-cache entries (default 64, max 255);
-//! * `STEM_SERVE_SNAPSHOT_SLOTS` — warm-state snapshot-cache entries
-//!   (default 8, max 255; 0 disables warm-prefix reuse — results are
-//!   byte-identical either way, only warm-replay work changes);
-//! * `STEM_THREADS` — executor worker threads (shared workspace knob);
-//! * `STEM_SERVE_BUDGET_SECS` — per-experiment budget (default 600);
-//! * `STEM_SERVE_IO_DEADLINE_MS` — per-connection read/write deadline
-//!   (default 10000);
-//! * `STEM_SERVE_CHAOS_SEED` — when set, every inbound connection runs
-//!   through the deterministic fault injector seeded with this value
-//!   (self-sabotage for resilience drills; chaotic accepts show up in
-//!   `stem_serve_chaos_*` metrics).
+//! * `STEM_THREADS` — executor worker threads (shared workspace knob).
+//!
+//! Everything else is [`ServeConfig::default`]: 8 queue slots, 64
+//! result-cache entries, 8 warm-state snapshot slots, a 600 s
+//! per-experiment budget and a 10 s per-connection I/O deadline. Chaos
+//! drills run through the `chaos_smoke` binary, which wraps the same
+//! service in the fault-injecting transport.
 //!
 //! Run with `cargo run --release -p stem-serve --bin serve`.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
 use stem_bench::config::Config;
-use stem_serve::chaos::ChaosTransport;
-use stem_serve::metrics::Metrics;
 use stem_serve::service::{self, ServeConfig};
-use stem_serve::transport::{TcpTransport, Transport};
+use stem_serve::transport::TcpTransport;
 
 fn main() -> ExitCode {
     let cfg = match Config::from_env() {
@@ -44,22 +35,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let cache_capacity = cfg.serve_cache();
-    if !(1..=255).contains(&cache_capacity) {
-        eprintln!(
-            "configuration error: STEM_SERVE_CACHE={cache_capacity} exceeds the 255-entry bound"
-        );
-        return ExitCode::from(2);
-    }
-    let snapshot_slots = cfg.serve_snapshot_slots();
-    if snapshot_slots > 255 {
-        eprintln!(
-            "configuration error: STEM_SERVE_SNAPSHOT_SLOTS={snapshot_slots} exceeds the \
-             255-entry bound"
-        );
-        return ExitCode::from(2);
-    }
-
     let addr = cfg.serve_addr();
     let tcp = match TcpTransport::bind(&addr) {
         Ok(t) => t,
@@ -77,27 +52,7 @@ fn main() -> ExitCode {
         }
     }
 
-    // Metrics are built here (not inside the service) so a chaos wrapper
-    // can count its injections into the same /metrics page.
-    let metrics = Arc::new(Metrics::new());
-    let transport: Box<dyn Transport> = match cfg.serve_chaos_seed {
-        Some(seed) => {
-            println!("chaos enabled (seed {seed:#x})");
-            Box::new(ChaosTransport::new(tcp, seed).with_metrics(Arc::clone(&metrics)))
-        }
-        None => Box::new(tcp),
-    };
-
-    let config = ServeConfig {
-        queue_capacity: cfg.serve_queue(),
-        cache_capacity,
-        snapshot_slots,
-        budget: cfg.serve_budget(),
-        io_deadline: cfg.serve_io_deadline(),
-        metrics: Some(metrics),
-        ..ServeConfig::default()
-    };
-    let handle = service::start(transport, config);
+    let handle = service::start(Box::new(tcp), ServeConfig::default());
     handle.join();
     println!("drained; goodbye");
     ExitCode::SUCCESS

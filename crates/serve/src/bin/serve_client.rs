@@ -17,12 +17,11 @@
 //! # Retries
 //!
 //! A failed connect, a 429 (queue full), or a 503 (shed/draining) is
-//! retried up to `STEM_SERVE_RETRIES` times (default 4) under the capped
-//! exponential backoff with deterministic jitter from
-//! [`stem_serve::backoff`]; `STEM_SERVE_BACKOFF_MS` (default 50) sets the
-//! base delay. A server-sent `Retry-After` stretches the wait. Protocol
-//! errors and other statuses are not retried — they mean the request
-//! itself is wrong.
+//! retried up to 4 times under the capped exponential backoff with
+//! deterministic jitter from [`stem_serve::backoff`], starting from a
+//! 50 ms base delay ([`BackoffPolicy::default`]). A server-sent
+//! `Retry-After` stretches the wait. Protocol errors and other statuses
+//! are not retried — they mean the request itself is wrong.
 //!
 //! # Bench mode
 //!
@@ -42,7 +41,6 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use stem_bench::config::Config;
 use stem_serve::backoff::BackoffPolicy;
 use stem_serve::http::{self, HttpResponse};
 use stem_sim_core::{Json, SplitMix64};
@@ -251,17 +249,7 @@ fn bench(
 }
 
 fn main() -> ExitCode {
-    let cfg = match Config::from_env() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("configuration error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let policy = BackoffPolicy {
-        base_ms: cfg.serve_backoff_ms(),
-        retries: cfg.serve_retries(),
-    };
+    let policy = BackoffPolicy::default();
     let mut rng = SplitMix64::new(JITTER_SEED);
 
     let args: Vec<String> = std::env::args().skip(1).collect();

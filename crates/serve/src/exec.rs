@@ -18,6 +18,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 
 use stem_analysis::{
@@ -246,12 +247,21 @@ fn run_simulation_inner(
 }
 
 /// Environment variable naming the directory mix `trace` references
-/// resolve against. Unset means trace-file components are refused (the
-/// benchmark-analog components need nothing).
+/// resolve against. Unset or empty means trace-file components are
+/// refused (the benchmark-analog components need nothing).
 pub const TRACE_DIR_ENV: &str = "STEM_SERVE_TRACE_DIR";
 
+/// Read on every mix request (not cached), so a process can point it at
+/// a directory after startup.
 fn trace_dir() -> Option<PathBuf> {
-    std::env::var_os(TRACE_DIR_ENV).map(PathBuf::from)
+    dir_of(std::env::var_os(TRACE_DIR_ENV))
+}
+
+/// An empty value counts as unset, as it does for every `STEM_*` knob:
+/// an empty path would otherwise resolve trace files against the
+/// working directory.
+fn dir_of(value: Option<OsString>) -> Option<PathBuf> {
+    value.filter(|v| !v.is_empty()).map(PathBuf::from)
 }
 
 /// The multi-programmed mix tier: one core per component, benchmark
@@ -674,6 +684,16 @@ mod tests {
             .and_then(|m| m.get("mpki"))
             .and_then(Json::as_f64)
             .is_some());
+    }
+
+    #[test]
+    fn an_empty_trace_dir_counts_as_unset() {
+        assert_eq!(dir_of(None), None);
+        assert_eq!(dir_of(Some(OsString::new())), None);
+        assert_eq!(
+            dir_of(Some("fixtures".into())),
+            Some(PathBuf::from("fixtures"))
+        );
     }
 
     #[test]

@@ -27,6 +27,15 @@ pub const MAX_ACCESSES: usize = 20_000_000;
 /// larger is a typo, not a request).
 pub const MAX_SAMPLE_RATE: u64 = 65_536;
 
+/// Hard ceiling on `ways`: the widest associativity sweep point.
+pub const MAX_WAYS: usize = 64;
+
+/// Hard ceiling on `sets × ways`: 2^18 lines, 8× the paper's 2 MB L2.
+/// Every scheme allocates its tag store up front, and an allocation
+/// failure aborts the whole process, so the bound is checked before any
+/// cache is built.
+pub const MAX_LINES: usize = 1 << 18;
+
 /// Default trace length when the request does not override it.
 pub const DEFAULT_ACCESSES: usize = 200_000;
 
@@ -254,8 +263,8 @@ impl RunRequest {
     /// table in EXPERIMENTS.md.
     pub const DEFAULT_SAMPLE_RATE: u32 = 16;
 
-    /// Default sampling seed when a `sampled` request omits it (matches
-    /// [`stem_bench::config::Config::sample_seed`]).
+    /// Default sampling seed when a `sampled` request omits it (the seed
+    /// `sampling_bench` measures with).
     pub const DEFAULT_SAMPLE_SEED: u64 = 0;
 
     /// Decodes and validates a request body.
@@ -351,8 +360,16 @@ impl RunRequest {
         let line_bytes = field_u64(json, "line_bytes")?.unwrap_or(64);
         // Geometry validation is delegated to the simulator's own rules
         // (power-of-two sets/lines, nonzero ways) so the service cannot
-        // accept a geometry the backend would reject.
+        // accept a geometry the backend would reject; the size bound on
+        // top keeps a worker from allocating a tag store the process
+        // cannot hold.
         CacheGeometry::new(sets, ways, line_bytes)?;
+        if ways > MAX_WAYS || sets.checked_mul(ways).is_none_or(|lines| lines > MAX_LINES) {
+            return Err(invalid(format!(
+                "geometry {sets} sets x {ways} ways is too large: \"ways\" must be at most \
+                 {MAX_WAYS} and \"sets\" x \"ways\" at most {MAX_LINES} lines"
+            )));
+        }
 
         let accesses = field_u64(json, "accesses")?.unwrap_or(DEFAULT_ACCESSES as u64) as usize;
         if accesses == 0 || accesses > MAX_ACCESSES {
@@ -751,6 +768,14 @@ mod tests {
             (
                 r#"{"benchmark": "mcf", "scheme": "lru", "sets": 1000}"#,
                 "power of two",
+            ),
+            (
+                r#"{"benchmark": "mcf", "scheme": "lru", "sets": 268435456}"#,
+                "at most 262144 lines",
+            ),
+            (
+                r#"{"benchmark": "mcf", "scheme": "lru", "sets": 64, "ways": 65}"#,
+                "at most 64",
             ),
             (
                 r#"{"benchmark": "mcf", "scheme": "lru", "accesses": 0}"#,

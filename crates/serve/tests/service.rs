@@ -318,6 +318,48 @@ fn exact_and_mix_requests_at_a_foreign_line_size_are_400s_not_panics() {
     handle.join();
 }
 
+#[test]
+fn oversized_geometries_are_400s_before_any_cache_is_built() {
+    let (listener, connector) = duplex_transport();
+    let handle = service::start(Box::new(listener), small_config());
+    let panics = || {
+        let page = exchange(&connector, "GET", "/metrics", b"").body_text();
+        metric(&page, "stem_serve_panics_total")
+    };
+    let panics_before = panics();
+    // Each would allocate gigabytes of tags (or overflow `sets * ways`)
+    // if it reached a worker; the sampled one would even build its cache
+    // during request validation.
+    for body in [
+        &br#"{"benchmark": "mcf", "scheme": "lru", "sets": 268435456, "ways": 16}"#[..],
+        br#"{"benchmark": "mcf", "scheme": "lru", "sets": 4611686018427387904, "ways": 64}"#,
+        br#"{"benchmark": "mcf", "scheme": "lru", "sets": 64, "ways": 100000000}"#,
+        br#"{"benchmark": "mcf", "scheme": "lru", "sets": 268435456, "fidelity": "sampled"}"#,
+        br#"{"mix": [{"benchmark": "mcf"}], "scheme": "lru", "sets": 268435456}"#,
+    ] {
+        let resp = exchange(&connector, "POST", "/run", body);
+        assert_eq!(resp.status, 400, "{}", resp.body_text());
+        assert!(
+            resp.body_text().contains("too large"),
+            "{}",
+            resp.body_text()
+        );
+    }
+    assert_eq!(handle.metrics().sim_executions(), 0);
+    // The largest geometry any client sends today still runs.
+    let paper = exchange(
+        &connector,
+        "POST",
+        "/run",
+        br#"{"benchmark": "mcf", "scheme": "lru", "sets": 2048, "ways": 16, "accesses": 2000}"#,
+    );
+    assert_eq!(paper.status, 200, "{}", paper.body_text());
+    assert_eq!(handle.metrics().sim_executions(), 1);
+    assert_eq!(panics(), panics_before, "no request may panic a handler");
+    handle.shutdown();
+    handle.join();
+}
+
 /// An injectable executor that signals when a cell starts and then blocks
 /// until released, making queue-saturation timing deterministic.
 fn blocking_executor() -> (Executor, mpsc::Receiver<()>, mpsc::Sender<()>) {

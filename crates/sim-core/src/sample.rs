@@ -60,7 +60,6 @@ pub struct SampledTrace {
     rate: u32,
     stride: u32,
     seed: u64,
-    source_len: usize,
 }
 
 /// The pair-domain count of `geom`: `max(sets / 2, 1)`.
@@ -152,7 +151,6 @@ impl SampledTrace {
             rate,
             stride,
             seed,
-            source_len: n,
         }
     }
 
@@ -212,12 +210,6 @@ impl SampledTrace {
     #[inline]
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Length of the source trace this sample was drawn from.
-    #[inline]
-    pub fn source_len(&self) -> usize {
-        self.source_len
     }
 
     /// Number of accesses in the sample.

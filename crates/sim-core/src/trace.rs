@@ -91,13 +91,6 @@ impl Trace {
         self.accesses
     }
 
-    /// Concatenates another trace onto this one.
-    pub fn append(&mut self, mut other: Trace) {
-        self.instructions += other.instructions;
-        self.accesses.append(&mut other.accesses);
-        other.instructions = 0;
-    }
-
     /// Computes summary statistics relative to a cache geometry (which
     /// determines the set-index mapping). Single pass over the trace.
     pub fn stats(&self, geom: CacheGeometry) -> TraceStats {
@@ -229,16 +222,8 @@ mod tests {
         assert!(!s.to_string().is_empty());
     }
 
-    #[test]
-    fn append_and_extend() {
-        let mut a = trace_of(&[0]);
-        a.append(trace_of(&[64]));
-        a.extend(trace_of(&[128]));
-        assert_eq!(a.len(), 3);
-    }
-
     /// The memoized instruction count agrees with a full re-scan after any
-    /// mix of construction paths (push/append/extend/collect/From<Vec>).
+    /// mix of construction paths (push/extend/collect/From<Vec>).
     #[test]
     fn memoized_instructions_match_rescan() {
         let gap = |t: &Trace| -> u64 { t.iter().map(|a| u64::from(a.inst_gap)).sum() };
@@ -251,7 +236,7 @@ mod tests {
             .collect();
         assert_eq!(other.instructions(), gap(&other));
 
-        t.append(other);
+        t.extend(other);
         assert_eq!(t.instructions(), gap(&t));
 
         t.extend((0..3u64).map(|i| Access::write(Address::new(i)).with_inst_gap(2)));

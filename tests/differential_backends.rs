@@ -24,7 +24,9 @@
 //! Each paper-scheme run replays 1 000 000 accesses at the paper's 16-way
 //! associativity — the packed-recency boundary case — plus a high-pressure
 //! pass on a tiny geometry where every eviction/spill/couple/decouple path
-//! fires constantly.
+//! fires constantly. SBC and STEM add a round-robin pass over four times
+//! more sets than their selector holds, where saturation levels tie and
+//! which tied entry a full selector replaces changes later couplings.
 
 use stem::llc::{PolicyKind, SetMonitor, ShadowSet, StemCache, StemConfig, TagHasher};
 use stem::replacement::{Dip, Lru, PeLifo, RecencyStack, ReplacementPolicy, SetAssocCache};
@@ -530,19 +532,61 @@ fn synth_access(rng: &mut SplitMix64, geom: CacheGeometry, i: usize) -> (Address
     (geom.address_of(tag, set as usize), kind)
 }
 
+/// Round-robin accesses: access `i` goes to set `i % sets`, so every set
+/// sees the same rate and many saturation counters tie. Each set draws from
+/// its own working set of 1..=2·ways+2 lines, redrawn every 5003 accesses,
+/// so sets keep crossing between giver and taker while more candidates
+/// than the selector holds compete for it. A full selector must then pick
+/// which of several tied maxima a better candidate replaces.
+fn round_robin_stream(
+    geom: CacheGeometry,
+    seed: u64,
+) -> impl FnMut(usize) -> (Address, AccessKind) {
+    let mut rng = SplitMix64::new(seed);
+    let mut span = vec![1u64; geom.sets()];
+    move |i| {
+        const DRIFT: usize = 5003;
+        if i % DRIFT == 0 {
+            for s in &mut span {
+                *s = 1 + rng.next_below(2 * geom.ways() as u64 + 2);
+            }
+        }
+        let set = i % geom.sets();
+        let tag = (i / DRIFT) as u64 * 64 + rng.next_below(span[set]);
+        let kind = if rng.chance(1, 4) {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        (geom.address_of(tag, set), kind)
+    }
+}
+
 /// Replays `accesses` synthetic accesses through both generations and
 /// asserts stream and stats equality.
 fn assert_equivalent<R: RefModel>(
     name: &str,
-    mut reference: R,
+    reference: R,
     cache: &mut dyn CacheModel,
     geom: CacheGeometry,
     seed: u64,
     accesses: usize,
 ) {
     let mut rng = SplitMix64::new(seed);
+    let stream = |i| synth_access(&mut rng, geom, i);
+    assert_equivalent_on(name, reference, cache, accesses, stream);
+}
+
+/// [`assert_equivalent`] over any access stream.
+fn assert_equivalent_on<R: RefModel>(
+    name: &str,
+    mut reference: R,
+    cache: &mut dyn CacheModel,
+    accesses: usize,
+    mut stream: impl FnMut(usize) -> (Address, AccessKind),
+) {
     for i in 0..accesses {
-        let (addr, kind) = synth_access(&mut rng, geom, i);
+        let (addr, kind) = stream(i);
         let new = cache.access(addr, kind);
         let old = reference.access(addr, kind);
         assert_eq!(
@@ -567,6 +611,12 @@ fn paper_geom() -> CacheGeometry {
 /// eviction, spill, couple and decouple paths.
 fn pressure_geom() -> CacheGeometry {
     CacheGeometry::new(16, 4, 64).unwrap()
+}
+
+/// Four times more sets than the 16-entry giver heap / DSS holds, for the
+/// [`round_robin_stream`] tie runs.
+fn tie_geom() -> CacheGeometry {
+    CacheGeometry::new(64, 4, 64).unwrap()
 }
 
 // ---------------------------------------------------------------------------
@@ -723,8 +773,7 @@ struct RefSbc {
 }
 
 impl RefSbc {
-    fn new(geom: CacheGeometry) -> Self {
-        let cfg = SbcConfig::default();
+    fn new(geom: CacheGeometry, cfg: SbcConfig) -> Self {
         let sat_max = cfg.sat_max_factor * geom.ways() as u32;
         RefSbc {
             geom,
@@ -924,7 +973,7 @@ fn sbc_matches_reference() {
     let mut new = SbcCache::new(geom);
     assert_equivalent(
         "SBC",
-        RefSbc::new(geom),
+        RefSbc::new(geom, SbcConfig::default()),
         &mut new,
         geom,
         0xD1FF_2001,
@@ -934,11 +983,21 @@ fn sbc_matches_reference() {
     let mut new = SbcCache::new(geom);
     assert_equivalent(
         "SBC",
-        RefSbc::new(geom),
+        RefSbc::new(geom, SbcConfig::default()),
         &mut new,
         geom,
         0xD1FF_2002,
         DIFF_ACCESSES / 10,
+    );
+    // Which of tied maxima a full DSS replaces decides later couplings.
+    let geom = tie_geom();
+    let mut new = SbcCache::new(geom);
+    assert_equivalent_on(
+        "SBC-ties",
+        RefSbc::new(geom, SbcConfig::default()),
+        &mut new,
+        DIFF_ACCESSES / 10,
+        round_robin_stream(geom, 0xD1FF_2003),
     );
 }
 
@@ -1717,6 +1776,17 @@ fn stem_matches_reference() {
         geom,
         0xD1FF_6002,
         DIFF_ACCESSES / 10,
+    );
+    // Which of tied maxima a full giver heap replaces decides later
+    // couplings.
+    let geom = tie_geom();
+    let mut new = StemCache::with_config(geom, StemConfig::micro2010());
+    assert_equivalent_on(
+        "STEM-ties",
+        RefStem::new(geom, StemConfig::micro2010()),
+        &mut new,
+        DIFF_ACCESSES / 10,
+        round_robin_stream(geom, 0xD1FF_6003),
     );
     // The ablations ride the same data path with different branches taken;
     // a shorter pass each keeps the whole config surface covered.

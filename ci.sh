@@ -368,6 +368,18 @@ echo "==> chaos smoke (fixed seed, in-memory transport, no-panic/no-hang gate)"
 # and /healthz still answers through the server's own front door.
 cargo run --release -q -p stem-serve --bin chaos_smoke
 
+echo "==> every generated BENCH_*.json records the host's core count"
+# A timing read without the parallelism it ran on cannot be compared
+# across hosts, so each artifact carries "available_parallelism".
+for f in "$CSV_DIR/BENCH_throughput.json" "$CSV_DIR/BENCH_sampling.json" \
+    "$CSV_DIR/BENCH_serve.json" "$DET_BASE/BENCH_run_all.json" "$DET_BASE/BENCH_mix.json"; do
+    grep -q '"available_parallelism": [1-9]' "$f" || {
+        echo "ERROR: $f does not record available_parallelism" >&2
+        exit 1
+    }
+done
+echo "    all five artifacts record available_parallelism"
+
 echo "==> benchmark artifact drift check (warn-only)"
 # The repo root carries the committed BENCH_*.json trajectory artifacts
 # (regenerated by scripts/refresh_bench_artifacts.sh at full scale). CI's

@@ -56,9 +56,9 @@ pub fn classify_workload(geom: CacheGeometry, trace: &DecodedTrace) -> Classific
     let (need, slack) = need_and_slack(&agg, geom.ways());
 
     // Temporal probe: does BIP fix a meaningful share of LRU's misses?
-    let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+    let mut lru = SetAssocCache::new(geom, Lru::new(geom));
     lru.run_decoded(trace);
-    let mut bip = SetAssocCache::new(geom, Box::new(Bip::new(geom)));
+    let mut bip = SetAssocCache::new(geom, Bip::new(geom));
     bip.run_decoded(trace);
     let lru_misses = lru.stats().misses().max(1);
     let bip_ratio = bip.stats().misses() as f64 / lru_misses as f64;

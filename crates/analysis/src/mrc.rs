@@ -161,7 +161,7 @@ mod tests {
         let mrc = MissRateCurve::profile(geom, 16, &t);
         for ways in [1usize, 2, 4, 8] {
             let g = CacheGeometry::new(8, ways, 64).unwrap();
-            let mut lru = SetAssocCache::new(g, Box::new(Lru::new(g)));
+            let mut lru = SetAssocCache::new(g, Lru::new(g));
             lru.run_decoded(&t);
             assert_eq!(
                 lru.stats().misses(),

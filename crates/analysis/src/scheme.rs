@@ -137,17 +137,17 @@ pub fn build_cache(scheme: Scheme, geom: CacheGeometry) -> Box<dyn CacheModel> {
 /// [`Scheme::ALL`] is covered.
 pub fn build_audited_cache(scheme: Scheme, geom: CacheGeometry) -> Box<dyn AuditedCacheModel> {
     match scheme {
-        Scheme::Lru => Box::new(SetAssocCache::new(geom, Box::new(Lru::new(geom)))),
-        Scheme::Dip => Box::new(SetAssocCache::new(geom, Box::new(Dip::new(geom)))),
-        Scheme::PeLifo => Box::new(SetAssocCache::new(geom, Box::new(PeLifo::new(geom)))),
+        Scheme::Lru => Box::new(SetAssocCache::new(geom, Lru::new(geom))),
+        Scheme::Dip => Box::new(SetAssocCache::new(geom, Dip::new(geom))),
+        Scheme::PeLifo => Box::new(SetAssocCache::new(geom, PeLifo::new(geom))),
         Scheme::VWay => Box::new(VWayCache::new(geom)),
         Scheme::Sbc => Box::new(SbcCache::new(geom)),
         Scheme::Stem => Box::new(StemCache::with_config(geom, StemConfig::micro2010())),
-        Scheme::Bip => Box::new(SetAssocCache::new(geom, Box::new(Bip::new(geom)))),
-        Scheme::Srrip => Box::new(SetAssocCache::new(geom, Box::new(Srrip::new(geom)))),
-        Scheme::Drrip => Box::new(SetAssocCache::new(geom, Box::new(Drrip::new(geom)))),
-        Scheme::Plru => Box::new(SetAssocCache::new(geom, Box::new(Plru::new(geom)))),
-        Scheme::Nru => Box::new(SetAssocCache::new(geom, Box::new(Nru::new(geom)))),
+        Scheme::Bip => Box::new(SetAssocCache::new(geom, Bip::new(geom))),
+        Scheme::Srrip => Box::new(SetAssocCache::new(geom, Srrip::new(geom))),
+        Scheme::Drrip => Box::new(SetAssocCache::new(geom, Drrip::new(geom))),
+        Scheme::Plru => Box::new(SetAssocCache::new(geom, Plru::new(geom))),
+        Scheme::Nru => Box::new(SetAssocCache::new(geom, Nru::new(geom))),
         Scheme::SbcStatic => Box::new(StaticSbcCache::new(geom)),
         Scheme::VictimCache => Box::new(VictimCache::new(geom, 16)),
     }

@@ -29,7 +29,7 @@ use stem_analysis::{build_cache, Scheme};
 use stem_bench::config::Config;
 use stem_bench::engine::{Exec, RunPlan};
 use stem_bench::harness::{prepare_trace, WARMUP_FRACTION};
-use stem_bench::timing::{best_of, best_of_paired};
+use stem_bench::timing::{best_of, best_of_paired, cores_entry};
 use stem_sim_core::{CacheGeometry, Json, SampledTrace};
 use stem_workloads::BenchmarkProfile;
 
@@ -152,6 +152,7 @@ fn maybe_json(cfg: &Config, accesses: usize, cells: &[Cell], schemes_sharing: us
         .map(Cell::replay_speedup)
         .fold(0.0f64, f64::max);
     let doc = Json::Obj(vec![
+        cores_entry(),
         ("accesses_per_benchmark".into(), Json::Int(accesses as i64)),
         ("seed".into(), Json::Int(SEED as i64)),
         ("best_of".into(), Json::Int(REPS as i64)),

@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use stem_analysis::{build_cache, geomean, Scheme};
 use stem_bench::config::Config;
-use stem_bench::timing::{best_of, throughput_line};
+use stem_bench::timing::{best_of, cores_entry, throughput_line};
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
@@ -150,6 +150,7 @@ fn main() {
 
     let accesses = accesses as u64;
     let doc = Json::Obj(vec![
+        cores_entry(),
         ("accesses_per_iteration".into(), Json::Int(accesses as i64)),
         ("best_of".into(), Json::Int(REPS as i64)),
         (

@@ -46,17 +46,9 @@ fn main() {
         let trace = DecodedTrace::decode(&synthetic::fig2_example(ex, rounds), geom);
         let expect = synthetic::fig2_expectation(ex);
 
-        let lru = miss_rate(
-            &mut SetAssocCache::new(geom, Box::new(Lru::new(geom))),
-            &warm,
-            &trace,
-        );
+        let lru = miss_rate(&mut SetAssocCache::new(geom, Lru::new(geom)), &warm, &trace);
         // Oracle DIP: the better of pure LRU and pure BIP.
-        let bip = miss_rate(
-            &mut SetAssocCache::new(geom, Box::new(Bip::new(geom))),
-            &warm,
-            &trace,
-        );
+        let bip = miss_rate(&mut SetAssocCache::new(geom, Bip::new(geom)), &warm, &trace);
         let dip = lru.min(bip);
         let sbc = miss_rate(&mut SbcCache::new(geom), &warm, &trace);
         let stem = miss_rate(

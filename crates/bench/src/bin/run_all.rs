@@ -34,6 +34,7 @@ use stem_bench::harness::{
     sensitivity_benchmarks, sweep_ways, PrepTimings, WARMUP_FRACTION,
 };
 use stem_bench::resilience::{ExperimentOutcome, ExperimentRunner};
+use stem_bench::timing::cores_entry;
 use stem_hierarchy::SystemConfig;
 use stem_llc::{overhead, StemConfig};
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
@@ -161,6 +162,7 @@ fn emit_timing_summary(
             .collect();
         let doc = Json::Obj(vec![
             ("threads".into(), Json::Int(threads as i64)),
+            cores_entry(),
             ("total_cell_seconds".into(), secs3(total)),
             (
                 "stages".into(),
@@ -245,6 +247,7 @@ fn emit_mix_artifact(
         })
         .collect();
     let doc = Json::Obj(vec![
+        cores_entry(),
         ("accesses_per_mix".into(), Json::Int(accesses as i64)),
         ("seed".into(), Json::Int(MIX_SEED as i64)),
         (

@@ -198,8 +198,7 @@ impl Config {
     /// [`std::thread::available_parallelism`] (1 if even that is
     /// unavailable).
     pub fn threads(&self) -> usize {
-        self.threads
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        self.threads.unwrap_or_else(crate::pool::available_cores)
     }
 
     /// Per-benchmark trace length, defaulting to the matrix drivers' 2M.

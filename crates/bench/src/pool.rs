@@ -44,6 +44,14 @@ pub fn configured_threads() -> usize {
     crate::config::Config::cached().threads()
 }
 
+/// The host's core count: [`std::thread::available_parallelism`], 1 if
+/// even that is unavailable. The default worker count, and the figure
+/// every `BENCH_*.json` artifact records beside its timings
+/// ([`cores_entry`](crate::timing::cores_entry)).
+pub fn available_cores() -> usize {
+    thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Extracts the human-readable message from a panic payload.
 pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {

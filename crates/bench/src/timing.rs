@@ -7,6 +7,19 @@
 
 use std::time::{Duration, Instant};
 
+use stem_sim_core::Json;
+
+/// The `"available_parallelism"` entry every `BENCH_*.json` artifact
+/// carries: the host's core count
+/// ([`available_cores`](crate::pool::available_cores)), so no timing is
+/// read without the parallelism it ran on.
+pub fn cores_entry() -> (String, Json) {
+    (
+        "available_parallelism".into(),
+        Json::Int(crate::pool::available_cores() as i64),
+    )
+}
+
 /// Runs `f` once for warm-up, then `reps` measured times, returning the
 /// minimum duration. The warm-up result is discarded; every measured
 /// result is passed through `std::hint::black_box` so the work is not

@@ -95,9 +95,19 @@ fn run_all_is_byte_identical_across_thread_counts() {
             .collect();
         assert_eq!(
             keys,
-            ["threads", "total_cell_seconds", "stages", "experiments"]
+            [
+                "threads",
+                "available_parallelism",
+                "total_cell_seconds",
+                "stages",
+                "experiments"
+            ]
         );
         assert!(doc.get("threads").and_then(Json::as_f64).is_some());
+        assert!(doc
+            .get("available_parallelism")
+            .and_then(Json::as_f64)
+            .is_some_and(|n| n >= 1.0));
         assert!(doc
             .get("total_cell_seconds")
             .and_then(Json::as_f64)

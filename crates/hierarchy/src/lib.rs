@@ -18,7 +18,7 @@
 //! # fn main() -> Result<(), stem_sim_core::GeometryError> {
 //! let cfg = SystemConfig::micro2010();
 //! let l2 = CacheGeometry::micro2010_l2();
-//! let mut system = System::new(cfg, Box::new(SetAssocCache::new(l2, Box::new(Lru::new(l2)))));
+//! let mut system = System::new(cfg, Box::new(SetAssocCache::new(l2, Lru::new(l2))));
 //! let trace: Trace = (0..1000u64).map(|i| Access::read(Address::new(i * 64))).collect();
 //! let metrics = system.warm_then_run_decoded(&DecodedTrace::decode(&trace, l2), 200);
 //! assert!(metrics.cpi > 0.0);

@@ -117,7 +117,7 @@ pub struct MixMetrics {
 ///     })
 ///     .collect();
 /// let schedule = interleave_schedule(&[1000, 1000], &[1.0, 1.0], 7);
-/// let l2 = Box::new(SetAssocCache::new(geom, Box::new(Lru::new(geom))));
+/// let l2 = Box::new(SetAssocCache::new(geom, Lru::new(geom)));
 /// let mut mix = MixSystem::new(SystemConfig::micro2010(), l2, 2);
 /// let m = mix.run_mix(&streams, &schedule, 400);
 /// assert_eq!(m.per_core.len(), 2);
@@ -125,7 +125,7 @@ pub struct MixMetrics {
 /// ```
 pub struct MixSystem {
     cfg: SystemConfig,
-    l1s: Vec<SetAssocCache>,
+    l1s: Vec<SetAssocCache<Lru>>,
     l2: Box<dyn CacheModel>,
 }
 
@@ -140,7 +140,7 @@ impl MixSystem {
         let l1s = (0..cores)
             .map(|_| {
                 let geom = cfg.l1_geometry();
-                SetAssocCache::new(geom, Box::new(Lru::new(geom)))
+                SetAssocCache::new(geom, Lru::new(geom))
             })
             .collect();
         MixSystem { cfg, l1s, l2 }
@@ -301,7 +301,7 @@ mod tests {
     use stem_sim_core::{Access, Address, CacheGeometry, Trace};
 
     fn lru_l2(geom: CacheGeometry) -> Box<dyn CacheModel> {
-        Box::new(SetAssocCache::new(geom, Box::new(Lru::new(geom))))
+        Box::new(SetAssocCache::new(geom, Lru::new(geom)))
     }
 
     fn stream(core: u64, len: u64, stride: u64, geom: CacheGeometry) -> DecodedTrace {

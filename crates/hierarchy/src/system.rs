@@ -80,14 +80,14 @@ pub const FILTER_CHUNK: usize = 4096;
 #[derive(Clone)]
 pub struct System {
     cfg: SystemConfig,
-    l1: SetAssocCache,
+    l1: SetAssocCache<Lru>,
     l2: Box<dyn CacheModel>,
 }
 
 impl System {
     /// Creates a system around an LLC.
     pub fn new(cfg: SystemConfig, l2: Box<dyn CacheModel>) -> Self {
-        let l1 = SetAssocCache::new(cfg.l1_geometry, Box::new(Lru::new(cfg.l1_geometry)));
+        let l1 = SetAssocCache::new(cfg.l1_geometry, Lru::new(cfg.l1_geometry));
         System { cfg, l1, l2 }
     }
 
@@ -188,7 +188,7 @@ impl System {
 /// missed.
 #[inline]
 pub(crate) fn filter(
-    l1: &mut SetAssocCache,
+    l1: &mut SetAssocCache<Lru>,
     misses: &mut DecodedTrace,
     line: u64,
     write: bool,
@@ -259,7 +259,7 @@ mod tests {
 
     fn lru_l2() -> Box<dyn CacheModel> {
         let geom = l2_geom();
-        Box::new(SetAssocCache::new(geom, Box::new(Lru::new(geom))))
+        Box::new(SetAssocCache::new(geom, Lru::new(geom)))
     }
 
     fn system() -> System {

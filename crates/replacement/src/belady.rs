@@ -187,7 +187,7 @@ mod tests {
         let tags: Vec<u64> = (0..60).map(|i| i % 3).collect();
         let trace = trace_of(geom, &tags);
         let opt_misses = OptCache::min_misses(geom, &trace);
-        let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+        let mut lru = SetAssocCache::new(geom, Lru::new(geom));
         lru.run_decoded(&trace);
         assert_eq!(lru.stats().misses(), 60);
         assert!(opt_misses < 40, "OPT should do far better: {opt_misses}");
@@ -225,7 +225,7 @@ mod tests {
                 .collect();
             let trace = DecodedTrace::decode(&trace, geom);
             let opt = OptCache::min_misses(geom, &trace);
-            let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+            let mut lru = SetAssocCache::new(geom, Lru::new(geom));
             lru.run_decoded(&trace);
             assert!(
                 opt <= lru.stats().misses(),

@@ -4,9 +4,12 @@ use stem_sim_core::{CacheGeometry, SplitMix64};
 
 use crate::{RecencyStack, ReplacementPolicy};
 
-/// log2 of BIP's default bimodal throttle: incoming blocks are inserted at
-/// MRU with probability 1/32 and at LRU otherwise.
-pub const BIP_DEFAULT_THROTTLE_LOG2: u32 = 5;
+/// log2 of BIP's bimodal throttle: incoming blocks are inserted at MRU
+/// with probability 1/32 and at LRU otherwise.
+pub const BIP_THROTTLE_LOG2: u32 = 5;
+
+/// Seed of BIP's insertion-coin RNG.
+const BIP_SEED: u64 = 0xB1B0_5EED;
 
 /// Binomial/Bimodal Insertion Policy.
 ///
@@ -31,23 +34,15 @@ pub const BIP_DEFAULT_THROTTLE_LOG2: u32 = 5;
 #[derive(Debug, Clone)]
 pub struct Bip {
     sets: Vec<RecencyStack>,
-    throttle_log2: u32,
     rng: SplitMix64,
 }
 
 impl Bip {
     /// Creates BIP state with the standard 1/32 throttle.
     pub fn new(geom: CacheGeometry) -> Self {
-        Bip::with_throttle(geom, BIP_DEFAULT_THROTTLE_LOG2, 0xB1B0_5EED)
-    }
-
-    /// Creates BIP with an explicit throttle (`1/2^throttle_log2` MRU
-    /// probability) and RNG seed.
-    pub fn with_throttle(geom: CacheGeometry, throttle_log2: u32, seed: u64) -> Self {
         Bip {
             sets: vec![RecencyStack::new(geom.ways()); geom.sets()],
-            throttle_log2,
-            rng: SplitMix64::new(seed),
+            rng: SplitMix64::new(BIP_SEED),
         }
     }
 }
@@ -62,7 +57,7 @@ impl ReplacementPolicy for Bip {
     }
 
     fn on_fill(&mut self, set: usize, way: usize) {
-        if self.rng.one_in_pow2(self.throttle_log2) {
+        if self.rng.one_in_pow2(BIP_THROTTLE_LOG2) {
             self.sets[set].touch_mru(way);
         } else {
             self.sets[set].demote_lru(way);
@@ -113,13 +108,6 @@ mod tests {
         // Expect ~ 1000 * 31/32 ≈ 969.
         assert!(lru_insertions > 900, "only {lru_insertions} LRU insertions");
         assert!(lru_insertions < 1000, "BIP never inserted at MRU");
-    }
-
-    #[test]
-    fn bip_throttle_zero_behaves_like_lru_insertion() {
-        let mut p = Bip::with_throttle(geom(), 0, 1);
-        p.on_fill(0, 2);
-        assert_ne!(p.victim(0), 2); // always MRU-inserted
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::ops::Range;
 
 use stem_sim_core::{
-    AccessResult, Address, AuditError, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
+    AccessResult, AuditError, CacheGeometry, CacheModel, CacheStats, DecodedTrace,
     InvariantAuditor, LineAddr, SetFrames,
 };
 
@@ -14,7 +14,10 @@ use crate::ReplacementPolicy;
 ///
 /// This is the vehicle for the paper's temporal schemes: construct it with
 /// [`Lru`](crate::Lru), [`Bip`](crate::Bip), [`Dip`](crate::Dip),
-/// [`PeLifo`](crate::PeLifo), etc.
+/// [`PeLifo`](crate::PeLifo), etc. The policy is held by value, so every
+/// policy compiles into one statically dispatched lookup/replacement
+/// kernel shared by [`access_line`](Self::access_line) and
+/// [`replay_decoded`](CacheModel::replay_decoded).
 ///
 /// # Examples
 ///
@@ -24,7 +27,7 @@ use crate::ReplacementPolicy;
 ///
 /// # fn main() -> Result<(), stem_sim_core::GeometryError> {
 /// let geom = CacheGeometry::new(256, 8, 64)?;
-/// let mut cache = SetAssocCache::new(geom, Box::new(Dip::new(geom)));
+/// let mut cache = SetAssocCache::new(geom, Dip::new(geom));
 /// let trace: Trace = (0..100u64).map(|i| Access::read(Address::new(i * 64))).collect();
 /// cache.run_decoded(&DecodedTrace::decode(&trace, geom));
 /// assert_eq!(cache.stats().accesses(), 100);
@@ -32,87 +35,24 @@ use crate::ReplacementPolicy;
 /// # }
 /// ```
 #[derive(Clone)]
-pub struct SetAssocCache {
+pub struct SetAssocCache<P> {
     geom: CacheGeometry,
     /// Flat tag store; the tag word is [`CacheGeometry::tag_of_line`].
     frames: SetFrames,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: P,
     stats: CacheStats,
-    name: String,
 }
 
-impl SetAssocCache {
+impl<P: ReplacementPolicy> SetAssocCache<P> {
     /// Creates an empty cache using `policy` for replacement. The cache's
-    /// [`name`](CacheModel::name) is taken from the policy.
-    pub fn new(geom: CacheGeometry, policy: Box<dyn ReplacementPolicy>) -> Self {
-        let name = policy.name().to_owned();
+    /// [`name`](CacheModel::name) is the policy's.
+    pub fn new(geom: CacheGeometry, policy: P) -> Self {
         SetAssocCache {
             geom,
             frames: SetFrames::new(geom.sets(), geom.ways()),
             policy,
             stats: CacheStats::default(),
-            name,
         }
-    }
-
-    /// Whether the line containing `addr` is currently resident.
-    pub fn contains(&self, addr: Address) -> bool {
-        let line = addr.line(self.geom.line_bytes());
-        let set = self.geom.set_index_of_line(line);
-        let tag = self.geom.tag_of_line(line);
-        self.find_way(set, tag).is_some()
-    }
-
-    /// The number of valid lines in `set` (analysis hook).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is out of range.
-    pub fn valid_lines(&self, set: usize) -> usize {
-        self.frames.valid_count(set)
-    }
-
-    /// Immutable access to the policy, for policy-specific inspection.
-    pub fn policy(&self) -> &dyn ReplacementPolicy {
-        self.policy.as_ref()
-    }
-
-    #[inline]
-    fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
-        self.frames.find(set, tag)
-    }
-
-    /// Invalidates a line (test/extension hook). Returns `true` if the line
-    /// was present.
-    pub fn invalidate(&mut self, addr: Address) -> bool {
-        let line = addr.line(self.geom.line_bytes());
-        let set = self.geom.set_index_of_line(line);
-        let tag = self.geom.tag_of_line(line);
-        if let Some(way) = self.find_way(set, tag) {
-            let frame = self.frames.take(set, way).expect("found way must be valid");
-            if frame.dirty {
-                self.stats.record_writeback();
-            }
-            self.policy.on_invalidate(set, way);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The lookup/replacement path behind [`access_line`](Self::access_line):
-    /// set index and tag word are already extracted.
-    #[inline]
-    fn access_at(&mut self, set: usize, tag: u64, write: bool) -> AccessResult {
-        access_kernel(
-            &self.geom,
-            &mut self.frames,
-            &mut self.stats,
-            &mut *self.policy,
-            set,
-            tag,
-            write,
-        )
     }
 
     /// Processes one line-granular access, deriving set and tag from this
@@ -126,105 +66,60 @@ impl SetAssocCache {
             write,
         )
     }
-}
 
-/// The lookup/replacement kernel shared by the decoded replay loop and
-/// [`SetAssocCache::access_line`], generic over the policy so the replay
-/// loop can monomorphize it (`P = Lru`, `Dip`, `PeLifo`) while the
-/// per-line L1 path keeps dynamic dispatch (`P = dyn ReplacementPolicy`). Takes the cache fields
-/// individually to keep the borrows split from the boxed policy.
-#[inline]
-fn access_kernel<P: ReplacementPolicy + ?Sized>(
-    geom: &CacheGeometry,
-    frames: &mut SetFrames,
-    stats: &mut CacheStats,
-    policy: &mut P,
-    set: usize,
-    tag: u64,
-    write: bool,
-) -> AccessResult {
-    if let Some(way) = frames.find(set, tag) {
-        stats.record_local_hit();
-        policy.on_hit(set, way);
-        if write {
-            frames.mark_dirty(set, way);
-        }
-        return AccessResult::HitLocal;
-    }
-
-    stats.record_local_miss();
-    policy.on_miss(set);
-
-    let way = match frames.first_free(set) {
-        Some(w) => w,
-        None => {
-            let victim = policy.victim(set);
-            debug_assert!(victim < geom.ways());
-            let old = frames.take(set, victim).expect("victim way must be valid");
-            stats.record_eviction();
-            if old.dirty {
-                stats.record_writeback();
+    /// The lookup/replacement kernel behind both
+    /// [`access_line`](Self::access_line) and the decoded replay loop: set
+    /// index and tag word are already extracted.
+    #[inline]
+    fn access_at(&mut self, set: usize, tag: u64, write: bool) -> AccessResult {
+        if let Some(way) = self.frames.find(set, tag) {
+            self.stats.record_local_hit();
+            self.policy.on_hit(set, way);
+            if write {
+                self.frames.mark_dirty(set, way);
             }
-            victim
+            return AccessResult::HitLocal;
         }
-    };
-    frames.fill(set, way, tag, write, false);
-    policy.on_fill(set, way);
-    AccessResult::MissLocal
-}
 
-/// Replays a decoded range through [`access_kernel`], monomorphized per
-/// policy type (see [`SetAssocCache::replay_decoded`]).
-#[inline]
-fn replay_kernel<P: ReplacementPolicy + ?Sized>(
-    geom: &CacheGeometry,
-    frames: &mut SetFrames,
-    stats: &mut CacheStats,
-    policy: &mut P,
-    trace: &DecodedTrace,
-    range: Range<usize>,
-) {
-    let lines = &trace.lines_for(*geom)[range.clone()];
-    for (i, &line) in range.zip(lines) {
-        let line = LineAddr::new(line);
-        access_kernel(
-            geom,
-            frames,
-            stats,
-            policy,
-            geom.set_index_of_line(line),
-            geom.tag_of_line(line),
-            trace.is_write(i),
-        );
+        self.stats.record_local_miss();
+        self.policy.on_miss(set);
+
+        let way = match self.frames.first_free(set) {
+            Some(w) => w,
+            None => {
+                let victim = self.policy.victim(set);
+                debug_assert!(victim < self.geom.ways());
+                let old = self
+                    .frames
+                    .take(set, victim)
+                    .expect("victim way must be valid");
+                self.stats.record_eviction();
+                if old.dirty {
+                    self.stats.record_writeback();
+                }
+                victim
+            }
+        };
+        self.frames.fill(set, way, tag, write, false);
+        self.policy.on_fill(set, way);
+        AccessResult::MissLocal
     }
 }
 
-impl CacheModel for SetAssocCache {
-    /// Monomorphic replay loop: streams the line column straight into the
-    /// lookup/replacement kernel with static dispatch. Policies that expose [`ReplacementPolicy::as_any_mut`] are downcast
-    /// so the whole per-access protocol (hit promotion, victim choice,
-    /// fill ranking) compiles as one inlined loop; any other policy runs
-    /// the same kernel through the boxed vtable, identically.
+impl<P: ReplacementPolicy + Clone + 'static> CacheModel for SetAssocCache<P> {
+    /// Streams the line column straight into the lookup/replacement
+    /// kernel, monomorphized for `P`.
     fn replay_decoded(&mut self, trace: &DecodedTrace, range: Range<usize>) {
-        let SetAssocCache {
-            geom,
-            frames,
-            policy,
-            stats,
-            ..
-        } = self;
-        if let Some(any) = policy.as_any_mut() {
-            if let Some(p) = any.downcast_mut::<crate::Lru>() {
-                return replay_kernel(geom, frames, stats, p, trace, range);
-            }
-            if let Some(p) = any.downcast_mut::<crate::Dip>() {
-                return replay_kernel(geom, frames, stats, p, trace, range);
-            }
-            if let Some(p) = any.downcast_mut::<crate::PeLifo>() {
-                return replay_kernel(geom, frames, stats, p, trace, range);
-            }
+        let geom = self.geom;
+        let lines = &trace.lines_for(geom)[range.clone()];
+        for (i, &line) in range.zip(lines) {
+            let line = LineAddr::new(line);
+            self.access_at(
+                geom.set_index_of_line(line),
+                geom.tag_of_line(line),
+                trace.is_write(i),
+            );
         }
-        replay_kernel(geom, frames, stats, &mut **policy, trace, range)
     }
 
     fn stats(&self) -> &CacheStats {
@@ -240,7 +135,7 @@ impl CacheModel for SetAssocCache {
     }
 
     fn name(&self) -> &str {
-        &self.name
+        self.policy.name()
     }
 
     /// The frames and stats are per-set by construction, so the cache
@@ -252,25 +147,26 @@ impl CacheModel for SetAssocCache {
     }
 }
 
-impl InvariantAuditor for SetAssocCache {
+impl<P: ReplacementPolicy> InvariantAuditor for SetAssocCache<P> {
     /// Checks, for every set: no duplicate valid tags, occupancy within the
     /// associativity, and the policy's own per-set bookkeeping (recency
     /// stacks stay permutations).
     fn audit(&self) -> Result<(), AuditError> {
+        let name = self.policy.name();
         for set in 0..self.geom.sets() {
             let mut seen = std::collections::HashSet::new();
             for way in self.frames.valid_ways(set) {
                 let tag = self.frames.tag(set, way).expect("valid way has a tag");
                 if !seen.insert(tag) {
                     return Err(AuditError::new(
-                        self.name.as_str(),
+                        name,
                         format!("duplicate tag {tag:#x} in set {set}"),
                     ));
                 }
             }
             if self.frames.valid_count(set) > self.geom.ways() {
                 return Err(AuditError::new(
-                    self.name.as_str(),
+                    name,
                     format!(
                         "set {set} holds {} valid lines, geometry says {}",
                         self.frames.valid_count(set),
@@ -280,17 +176,17 @@ impl InvariantAuditor for SetAssocCache {
             }
             self.policy
                 .audit_set(set)
-                .map_err(|detail| AuditError::new(self.name.as_str(), detail))?;
+                .map_err(|detail| AuditError::new(name, detail))?;
         }
         Ok(())
     }
 }
 
-impl std::fmt::Debug for SetAssocCache {
+impl<P: ReplacementPolicy> std::fmt::Debug for SetAssocCache<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SetAssocCache")
             .field("geom", &self.geom)
-            .field("policy", &self.name)
+            .field("policy", &self.policy.name())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -300,14 +196,23 @@ impl std::fmt::Debug for SetAssocCache {
 mod tests {
     use super::*;
     use crate::{Bip, Lru};
-    use stem_sim_core::{prop, Access, AccessKind, Trace};
+    use stem_sim_core::{prop, Access, AccessKind, Address, Trace};
 
     fn small() -> CacheGeometry {
         CacheGeometry::new(2, 2, 64).unwrap()
     }
 
-    fn lru_cache(geom: CacheGeometry) -> SetAssocCache {
-        SetAssocCache::new(geom, Box::new(Lru::new(geom)))
+    fn lru_cache(geom: CacheGeometry) -> SetAssocCache<Lru> {
+        SetAssocCache::new(geom, Lru::new(geom))
+    }
+
+    /// Whether the line containing `addr` is resident, read off the frames
+    /// without touching the policy.
+    fn resident(c: &SetAssocCache<Lru>, addr: Address) -> bool {
+        let line = addr.line(c.geom.line_bytes());
+        c.frames
+            .find(c.geom.set_index_of_line(line), c.geom.tag_of_line(line))
+            .is_some()
     }
 
     #[test]
@@ -331,9 +236,9 @@ mod tests {
         c.access(a, AccessKind::Read);
         c.access(b, AccessKind::Read);
         c.access(d, AccessKind::Read); // evicts a
-        assert!(!c.contains(a));
-        assert!(c.contains(b));
-        assert!(c.contains(d));
+        assert!(!resident(&c, a));
+        assert!(resident(&c, b));
+        assert!(resident(&c, d));
         assert_eq!(c.stats().evictions(), 1);
     }
 
@@ -359,18 +264,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_removes_line() {
-        let geom = small();
-        let mut c = lru_cache(geom);
-        let a = geom.address_of(1, 0);
-        c.access(a, AccessKind::Write);
-        assert!(c.invalidate(a));
-        assert!(!c.contains(a));
-        assert!(!c.invalidate(a));
-        assert_eq!(c.stats().writebacks(), 1); // dirty invalidation wrote back
-    }
-
-    #[test]
     fn fills_use_free_ways_before_evicting() {
         let geom = CacheGeometry::new(1, 4, 64).unwrap();
         let mut c = lru_cache(geom);
@@ -378,7 +271,7 @@ mod tests {
             c.access(geom.address_of(t, 0), AccessKind::Read);
         }
         assert_eq!(c.stats().evictions(), 0);
-        assert_eq!(c.valid_lines(0), 4);
+        assert_eq!(c.frames.valid_count(0), 4);
         c.access(geom.address_of(9, 0), AccessKind::Read);
         assert_eq!(c.stats().evictions(), 1);
     }
@@ -409,7 +302,7 @@ mod tests {
         let trace = DecodedTrace::decode(&trace, geom);
         let mut lru = lru_cache(geom);
         lru.run_decoded(&trace);
-        let mut bip = SetAssocCache::new(geom, Box::new(Bip::new(geom)));
+        let mut bip = SetAssocCache::new(geom, Bip::new(geom));
         bip.run_decoded(&trace);
         assert_eq!(
             lru.stats().hits(),
@@ -444,12 +337,12 @@ mod tests {
                 assert_eq!(c.stats().accesses(), (i + 1) as u64);
             }
             for s in 0..geom.sets() {
-                assert!(c.valid_lines(s) <= geom.ways());
+                assert!(c.frames.valid_count(s) <= geom.ways());
             }
             c.audit().expect("LRU cache invariants hold");
             // Re-accessing anything just accessed is a hit.
             let last = Address::new(addrs[addrs.len() - 1] * 64);
-            assert!(c.contains(last));
+            assert!(resident(&c, last));
         });
     }
 
@@ -504,7 +397,7 @@ mod tests {
         src.access(Address::new(0), AccessKind::Read);
         let snap = src.snapshot().expect("LRU snapshots");
 
-        let mut wrong_scheme = SetAssocCache::new(geom, Box::new(Bip::new(geom)));
+        let mut wrong_scheme = SetAssocCache::new(geom, Bip::new(geom));
         assert!(wrong_scheme.restore(&snap).is_err());
         assert_eq!(wrong_scheme.stats().accesses(), 0, "untouched on error");
 
@@ -516,7 +409,7 @@ mod tests {
         let mut right = lru_cache(geom);
         right.restore(&snap).expect("matching target restores");
         assert_eq!(right.stats().accesses(), 0, "snapshots carry zeroed stats");
-        assert!(right.contains(Address::new(0)));
+        assert!(resident(&right, Address::new(0)));
     }
 
     /// An infinite-capacity-equivalent cache (more ways than distinct

@@ -3,7 +3,7 @@
 
 use stem_sim_core::{CacheGeometry, SaturatingCounter, SplitMix64};
 
-use crate::{RecencyStack, ReplacementPolicy, BIP_DEFAULT_THROTTLE_LOG2};
+use crate::{RecencyStack, ReplacementPolicy, BIP_THROTTLE_LOG2};
 
 /// Which dueling constituency a set belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,7 +81,7 @@ impl Duelists {
 ///
 /// # fn main() -> Result<(), stem_sim_core::GeometryError> {
 /// let geom = CacheGeometry::new(1024, 16, 64)?;
-/// let cache = SetAssocCache::new(geom, Box::new(Dip::new(geom)));
+/// let cache = SetAssocCache::new(geom, Dip::new(geom));
 /// assert_eq!(cache.name(), "DIP");
 /// # Ok(())
 /// # }
@@ -91,7 +91,6 @@ pub struct Dip {
     sets: Vec<RecencyStack>,
     duelists: Duelists,
     psel: SaturatingCounter,
-    throttle_log2: u32,
     rng: SplitMix64,
 }
 
@@ -102,11 +101,6 @@ impl Dip {
     /// Creates DIP state with the standard 10-bit PSEL (initialised to the
     /// midpoint) and 1/32 BIP throttle.
     pub fn new(geom: CacheGeometry) -> Self {
-        Dip::with_seed(geom, 0xD1D5_EED5)
-    }
-
-    /// Creates DIP with an explicit RNG seed (for the BIP throttle).
-    pub fn with_seed(geom: CacheGeometry, seed: u64) -> Self {
         let mut psel = SaturatingCounter::new(PSEL_BITS);
         // Start just below the midpoint so a fresh cache behaves as LRU
         // until the duel produces evidence.
@@ -115,8 +109,7 @@ impl Dip {
             sets: vec![RecencyStack::new(geom.ways()); geom.sets()],
             duelists: Duelists::new(geom.sets()),
             psel,
-            throttle_log2: BIP_DEFAULT_THROTTLE_LOG2,
-            rng: SplitMix64::new(seed),
+            rng: SplitMix64::new(0xD1D5_EED5),
         }
     }
 
@@ -155,7 +148,7 @@ impl ReplacementPolicy for Dip {
     }
 
     fn on_fill(&mut self, set: usize, way: usize) {
-        if self.uses_bip_insertion(set) && !self.rng.one_in_pow2(self.throttle_log2) {
+        if self.uses_bip_insertion(set) && !self.rng.one_in_pow2(BIP_THROTTLE_LOG2) {
             self.sets[set].demote_lru(way);
         } else {
             self.sets[set].touch_mru(way);
@@ -192,10 +185,6 @@ impl ReplacementPolicy for Dip {
     // bit-identical to serial.
     fn supports_set_sampling(&self) -> bool {
         true
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 
     fn audit_set(&self, set: usize) -> Result<(), String> {

@@ -10,7 +10,8 @@
 use stem_sim_core::{CacheGeometry, SaturatingCounter, SplitMix64};
 
 use crate::dip::{DuelAssignment, Duelists};
-use crate::ReplacementPolicy;
+use crate::srrip::MAX_RRPV;
+use crate::{ReplacementPolicy, BIP_THROTTLE_LOG2};
 
 /// DRRIP: leader sets run SRRIP and BRRIP; followers take the PSEL winner.
 ///
@@ -22,7 +23,7 @@ use crate::ReplacementPolicy;
 ///
 /// # fn main() -> Result<(), stem_sim_core::GeometryError> {
 /// let geom = CacheGeometry::new(1024, 16, 64)?;
-/// let cache = SetAssocCache::new(geom, Box::new(Drrip::new(geom)));
+/// let cache = SetAssocCache::new(geom, Drrip::new(geom));
 /// assert_eq!(cache.name(), "DRRIP");
 /// # Ok(())
 /// # }
@@ -31,12 +32,8 @@ use crate::ReplacementPolicy;
 pub struct Drrip {
     /// `rrpv[set][way]`.
     rrpv: Vec<Vec<u8>>,
-    max_rrpv: u8,
     duelists: Duelists,
     psel: SaturatingCounter,
-    /// BRRIP inserts with "long" instead of "distant" RRPV once in
-    /// 2^throttle fills.
-    throttle_log2: u32,
     rng: SplitMix64,
 }
 
@@ -44,20 +41,13 @@ impl Drrip {
     /// Creates DRRIP with 2-bit RRPVs, a 10-bit PSEL and the standard
     /// 1/32 BRRIP throttle.
     pub fn new(geom: CacheGeometry) -> Self {
-        Drrip::with_seed(geom, 0xD441_4950)
-    }
-
-    /// Creates DRRIP with an explicit RNG seed.
-    pub fn with_seed(geom: CacheGeometry, seed: u64) -> Self {
         let mut psel = SaturatingCounter::new(10);
         psel.set(psel.midpoint() - 1);
         Drrip {
-            rrpv: vec![vec![3; geom.ways()]; geom.sets()],
-            max_rrpv: 3,
+            rrpv: vec![vec![MAX_RRPV; geom.ways()]; geom.sets()],
             duelists: Duelists::new(geom.sets()),
             psel,
-            throttle_log2: 5,
-            rng: SplitMix64::new(seed),
+            rng: SplitMix64::new(0xD441_4950),
         }
     }
 
@@ -82,7 +72,7 @@ impl ReplacementPolicy for Drrip {
 
     fn victim(&mut self, set: usize) -> usize {
         loop {
-            if let Some(way) = self.rrpv[set].iter().position(|&r| r == self.max_rrpv) {
+            if let Some(way) = self.rrpv[set].iter().position(|&r| r == MAX_RRPV) {
                 return way;
             }
             for r in &mut self.rrpv[set] {
@@ -93,15 +83,16 @@ impl ReplacementPolicy for Drrip {
 
     fn on_fill(&mut self, set: usize, way: usize) {
         self.rrpv[set][way] = if self.uses_brrip(set) {
-            // BRRIP: distant, with a rare long insertion.
-            if self.rng.one_in_pow2(self.throttle_log2) {
-                self.max_rrpv - 1
+            // BRRIP: distant, with a long insertion once in 32 fills
+            // (BIP's throttle).
+            if self.rng.one_in_pow2(BIP_THROTTLE_LOG2) {
+                MAX_RRPV - 1
             } else {
-                self.max_rrpv
+                MAX_RRPV
             }
         } else {
             // SRRIP: long.
-            self.max_rrpv - 1
+            MAX_RRPV - 1
         };
     }
 
@@ -115,10 +106,6 @@ impl ReplacementPolicy for Drrip {
             }
             DuelAssignment::Follower => {}
         }
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.rrpv[set][way] = self.max_rrpv;
     }
 
     fn name(&self) -> &str {
@@ -175,9 +162,9 @@ mod tests {
             }
         }
         let trace = DecodedTrace::decode(&trace, g);
-        let mut lru = SetAssocCache::new(g, Box::new(Lru::new(g)));
+        let mut lru = SetAssocCache::new(g, Lru::new(g));
         lru.run_decoded(&trace);
-        let mut drrip = SetAssocCache::new(g, Box::new(Drrip::new(g)));
+        let mut drrip = SetAssocCache::new(g, Drrip::new(g));
         drrip.run_decoded(&trace);
         assert!(
             drrip.stats().misses() < lru.stats().misses() * 9 / 10,

@@ -19,8 +19,9 @@
 //!   baseline beyond the paper;
 //! * [`OptCache`] — offline Belady-optimal replacement, used as an oracle
 //!   bound in tests and by the capacity-demand analysis;
-//! * [`SetAssocCache`] — a conventional set-associative LLC parameterized
-//!   by any [`ReplacementPolicy`], implementing
+//! * [`SetAssocCache`] — a conventional set-associative LLC generic over
+//!   any [`ReplacementPolicy`], held by value so each policy compiles into
+//!   one statically dispatched kernel, implementing
 //!   [`CacheModel`](stem_sim_core::CacheModel).
 //!
 //! # Examples
@@ -31,7 +32,7 @@
 //!
 //! # fn main() -> Result<(), stem_sim_core::GeometryError> {
 //! let geom = CacheGeometry::new(64, 4, 64)?;
-//! let mut cache = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+//! let mut cache = SetAssocCache::new(geom, Lru::new(geom));
 //! let trace: Trace = (0..8u64).map(|i| Access::read(Address::new(i * 64))).collect();
 //! cache.run_decoded(&DecodedTrace::decode(&trace, geom));
 //! assert_eq!(cache.stats().misses(), 8); // cold misses
@@ -53,7 +54,7 @@ mod recency;
 mod srrip;
 
 pub use belady::OptCache;
-pub use bip::{Bip, BIP_DEFAULT_THROTTLE_LOG2};
+pub use bip::{Bip, BIP_THROTTLE_LOG2};
 pub use cache::SetAssocCache;
 pub use dip::{Dip, DuelAssignment, Duelists};
 pub use drrip::Drrip;
@@ -61,6 +62,6 @@ pub use lru::Lru;
 pub use nru::Nru;
 pub use pelifo::PeLifo;
 pub use plru::Plru;
-pub use policy::{PolicyClone, ReplacementPolicy};
+pub use policy::ReplacementPolicy;
 pub use recency::RecencyStack;
 pub use srrip::Srrip;

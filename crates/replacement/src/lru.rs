@@ -67,10 +67,6 @@ impl ReplacementPolicy for Lru {
         true
     }
 
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
-    }
-
     fn audit_set(&self, set: usize) -> Result<(), String> {
         if self.sets[set].is_permutation() {
             Ok(())

@@ -17,7 +17,7 @@ use crate::ReplacementPolicy;
 ///
 /// # fn main() -> Result<(), stem_sim_core::GeometryError> {
 /// let geom = CacheGeometry::new(64, 8, 64)?;
-/// let cache = SetAssocCache::new(geom, Box::new(Nru::new(geom)));
+/// let cache = SetAssocCache::new(geom, Nru::new(geom));
 /// assert_eq!(cache.name(), "NRU");
 /// # Ok(())
 /// # }
@@ -80,10 +80,6 @@ impl ReplacementPolicy for Nru {
         self.on_hit(set, way);
     }
 
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.referenced[set] &= !(1 << way);
-    }
-
     fn name(&self) -> &str {
         "NRU"
     }
@@ -124,15 +120,6 @@ mod tests {
         // victims again.
         let v = p.victim(0);
         assert!(v < 3, "victim {v} should be an aged way");
-    }
-
-    #[test]
-    fn invalidate_clears_bit() {
-        let mut p = Nru::new(geom());
-        p.on_fill(0, 1);
-        p.on_invalidate(0, 1);
-        // Way 0 (unreferenced, lowest index) wins, but 1 is also clear.
-        assert_eq!(p.victim(0), 0);
     }
 
     #[test]

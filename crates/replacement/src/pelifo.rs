@@ -39,7 +39,7 @@ enum Candidate {
 ///
 /// # fn main() -> Result<(), stem_sim_core::GeometryError> {
 /// let geom = CacheGeometry::new(1024, 16, 64)?;
-/// let cache = SetAssocCache::new(geom, Box::new(PeLifo::new(geom)));
+/// let cache = SetAssocCache::new(geom, PeLifo::new(geom));
 /// assert_eq!(cache.name(), "PeLIFO");
 /// # Ok(())
 /// # }
@@ -180,10 +180,6 @@ impl ReplacementPolicy for PeLifo {
     // construction. Explicit refusal.
     fn supports_set_sampling(&self) -> bool {
         false
-    }
-
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        Some(self)
     }
 
     fn audit_set(&self, set: usize) -> Result<(), String> {

@@ -22,7 +22,7 @@ use crate::ReplacementPolicy;
 ///
 /// # fn main() -> Result<(), stem_sim_core::GeometryError> {
 /// let geom = CacheGeometry::new(256, 8, 64)?;
-/// let cache = SetAssocCache::new(geom, Box::new(Plru::new(geom)));
+/// let cache = SetAssocCache::new(geom, Plru::new(geom));
 /// assert_eq!(cache.name(), "PLRU");
 /// # Ok(())
 /// # }

@@ -11,16 +11,17 @@
 /// 2. on a miss to `set`: [`on_miss`](ReplacementPolicy::on_miss), then if
 ///    the set is full [`victim`](ReplacementPolicy::victim) to choose the
 ///    way to evict, then [`on_fill`](ReplacementPolicy::on_fill) for the
-///    way that receives the incoming block;
-/// 3. on an external invalidation:
-///    [`on_invalidate`](ReplacementPolicy::on_invalidate).
+///    way that receives the incoming block.
 ///
-/// The trait is object-safe ([C-OBJECT]) so caches can be assembled at run
-/// time from scheme names. Every policy is `Clone` through [`PolicyClone`].
+/// `SetAssocCache<P>` holds its policy by value, so the protocol compiles
+/// into one statically dispatched kernel per policy type. The trait stays
+/// object-safe ([C-OBJECT]) so a boxed policy can still drive a reference
+/// model. A policy inside a [`CacheModel`](stem_sim_core::CacheModel) must
+/// also be `Clone + 'static`: that is what makes the cache snapshottable.
 ///
 /// [`SetAssocCache`]: crate::SetAssocCache
 /// [C-OBJECT]: https://rust-lang.github.io/api-guidelines/flexibility.html
-pub trait ReplacementPolicy: PolicyClone {
+pub trait ReplacementPolicy: Send + Sync {
     /// Records a hit on `way` of `set` (lifetime promotion).
     fn on_hit(&mut self, set: usize, way: usize);
 
@@ -37,24 +38,8 @@ pub trait ReplacementPolicy: PolicyClone {
     /// nothing.
     fn on_miss(&mut self, _set: usize) {}
 
-    /// Records that `way` of `set` was invalidated externally. The default
-    /// does nothing (stack-based policies tolerate stale ranks on invalid
-    /// ways because fills re-rank).
-    fn on_invalidate(&mut self, _set: usize, _way: usize) {}
-
     /// A short human-readable policy name (e.g. `"LRU"`).
     fn name(&self) -> &str;
-
-    /// Downcast hook for the decoded replay loop: policies that want their
-    /// per-access protocol monomorphized (virtual dispatch hoisted out of
-    /// the hot loop, [`RecencyStack`](crate::RecencyStack) operations
-    /// inlined) return `Some(self)` so
-    /// [`SetAssocCache::replay_decoded`](crate::SetAssocCache) can
-    /// specialize on the concrete type. The default `None` keeps the
-    /// object-safe dynamic path; behaviour is identical either way.
-    fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
-        None
-    }
 
     /// Whether sampled (strided-subset) replay of a cache driven by this
     /// policy is a valid estimator of serial replay (the policy-level half
@@ -82,28 +67,5 @@ pub trait ReplacementPolicy: PolicyClone {
     /// Returns a description of the violated invariant.
     fn audit_set(&self, _set: usize) -> Result<(), String> {
         Ok(())
-    }
-}
-
-/// The clone-behind-`dyn` half of [`ReplacementPolicy`].
-///
-/// Blanket-implemented for every `Clone + Send + Sync + 'static` policy,
-/// so a policy writes no clone code of its own. It makes
-/// `Box<dyn ReplacementPolicy>` `Clone`, and with it
-/// [`SetAssocCache`](crate::SetAssocCache).
-pub trait PolicyClone: Send + Sync {
-    /// Clones the policy behind the trait object.
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy>;
-}
-
-impl<T: ReplacementPolicy + Clone + Send + Sync + 'static> PolicyClone for T {
-    fn clone_box(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn ReplacementPolicy> {
-    fn clone(&self) -> Self {
-        (**self).clone_box()
     }
 }

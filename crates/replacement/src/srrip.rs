@@ -8,35 +8,26 @@ use stem_sim_core::CacheGeometry;
 
 use crate::ReplacementPolicy;
 
-/// SRRIP-HP with M-bit re-reference prediction values (RRPV).
+/// The *distant* re-reference prediction of a 2-bit RRPV (shared with
+/// DRRIP).
+pub(crate) const MAX_RRPV: u8 = 3;
+
+/// SRRIP-HP with 2-bit re-reference prediction values (RRPV).
 ///
-/// Blocks are inserted with a *long* re-reference prediction (RRPV =
-/// 2^M − 2), promoted to 0 on hit, and the victim is any block with the
-/// *distant* prediction (RRPV = 2^M − 1), aging everyone when none exists.
+/// Blocks are inserted with a *long* re-reference prediction (RRPV = 2),
+/// promoted to 0 on hit, and the victim is any block with the *distant*
+/// prediction (RRPV = 3), aging everyone when none exists.
 #[derive(Debug, Clone)]
 pub struct Srrip {
     /// `rrpv[set][way]`.
     rrpv: Vec<Vec<u8>>,
-    max_rrpv: u8,
 }
 
 impl Srrip {
-    /// Creates SRRIP with the standard 2-bit RRPVs.
+    /// Creates SRRIP with every way at the distant prediction.
     pub fn new(geom: CacheGeometry) -> Self {
-        Srrip::with_bits(geom, 2)
-    }
-
-    /// Creates SRRIP with `bits`-bit RRPVs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is 0 or greater than 7.
-    pub fn with_bits(geom: CacheGeometry, bits: u32) -> Self {
-        assert!((1..=7).contains(&bits), "RRPV width must be in 1..=7");
-        let max_rrpv = ((1u32 << bits) - 1) as u8;
         Srrip {
-            rrpv: vec![vec![max_rrpv; geom.ways()]; geom.sets()],
-            max_rrpv,
+            rrpv: vec![vec![MAX_RRPV; geom.ways()]; geom.sets()],
         }
     }
 }
@@ -48,7 +39,7 @@ impl ReplacementPolicy for Srrip {
 
     fn victim(&mut self, set: usize) -> usize {
         loop {
-            if let Some(way) = self.rrpv[set].iter().position(|&r| r == self.max_rrpv) {
+            if let Some(way) = self.rrpv[set].iter().position(|&r| r == MAX_RRPV) {
                 return way;
             }
             for r in &mut self.rrpv[set] {
@@ -59,11 +50,7 @@ impl ReplacementPolicy for Srrip {
 
     fn on_fill(&mut self, set: usize, way: usize) {
         // "Long" re-reference interval: max - 1.
-        self.rrpv[set][way] = self.max_rrpv - 1;
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.rrpv[set][way] = self.max_rrpv;
+        self.rrpv[set][way] = MAX_RRPV - 1;
     }
 
     fn name(&self) -> &str {
@@ -110,11 +97,5 @@ mod tests {
         }
         let v = p.victim(0); // must age everyone up to max and pick one
         assert!(v < 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "RRPV width")]
-    fn zero_bits_panics() {
-        let _ = Srrip::with_bits(geom(), 0);
     }
 }

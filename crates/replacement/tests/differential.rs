@@ -48,7 +48,7 @@ fn lru_matches_reference_model() {
         let ways = g.usize(1, 9);
         let addrs = g.vec_u64(1, 500, 0, 4096);
         let geom = CacheGeometry::new(1 << sets_pow, ways, 64).expect("valid geometry");
-        let mut sim = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+        let mut sim = SetAssocCache::new(geom, Lru::new(geom));
         let mut reference = RefLru::new(geom);
         for (i, &a) in addrs.iter().enumerate() {
             let addr = Address::new(a * 64);

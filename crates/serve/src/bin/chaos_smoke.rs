@@ -77,7 +77,7 @@ fn run() -> Result<(), String> {
         })
         .collect();
     let outcome = campaign::drive(
-        &connector,
+        || connector.connect(),
         SMOKE_SEED,
         CONNECTIONS,
         &run_bodies,

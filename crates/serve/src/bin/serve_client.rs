@@ -41,6 +41,7 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use stem_bench::timing::cores_entry;
 use stem_serve::backoff::BackoffPolicy;
 use stem_serve::http::{self, HttpResponse};
 use stem_sim_core::{Json, SplitMix64};
@@ -219,10 +220,7 @@ fn bench(
         ("bench".to_owned(), Json::str("stem-serve")),
         ("path".to_owned(), Json::str(path)),
         ("requests".to_owned(), Json::Int(count as i64)),
-        (
-            "nproc".to_owned(),
-            Json::Int(std::thread::available_parallelism().map_or(1, |n| n.get() as i64)),
-        ),
+        cores_entry(),
     ];
     if let Some(exact_body) = exact_twin(body) {
         let exact = measure(addr, path, &exact_body, count, "exact", policy, rng)?;

@@ -366,17 +366,18 @@ impl<T: Transport> Transport for ChaosTransport<T> {
 }
 
 /// The shared campaign driver: drives a scripted mix of healthy and
-/// chaotic connections against a service listening on an in-memory
-/// duplex transport. Used by both the `tests/chaos.rs` campaign and the
-/// `chaos_smoke` CI binary, so the smoke stage exercises exactly the
-/// traffic shape the test suite pins down.
+/// chaotic connections against a service on any transport a connect
+/// closure reaches (the in-memory duplex or a loopback TCP socket). Used
+/// by both the `tests/chaos.rs` campaign and the `chaos_smoke` CI binary,
+/// so the smoke stage exercises exactly the traffic shape the test suite
+/// pins down.
 pub mod campaign {
     use std::collections::BTreeMap;
+    use std::io::{self, Read, Write};
     use std::time::Duration;
 
     use super::ConnPlan;
     use crate::http::{read_response_deadline, write_request, Deadline};
-    use crate::transport::DuplexConnector;
 
     /// What one campaign run observed.
     #[derive(Debug)]
@@ -412,15 +413,15 @@ pub mod campaign {
         }
     }
 
-    /// Drives `connections` serial connections through `connector`
+    /// Drives `connections` serial connections, each opened by `connect`
     /// (serial, so connect order equals accept order and `plan_seed`
     /// bookkeeping matches the server-side [`super::ChaosTransport`]).
     /// Healthy connections must answer 200 within `healthy_deadline`;
     /// chaotic connections get `chaotic_deadline` of patience and any
     /// outcome is accepted — the invariants they probe (no panic, no
     /// hang) are asserted on the server's metrics afterwards.
-    pub fn drive(
-        connector: &DuplexConnector,
+    pub fn drive<C: Read + Write>(
+        connect: impl Fn() -> io::Result<C>,
         plan_seed: u64,
         connections: u64,
         run_bodies: &[String],
@@ -444,7 +445,7 @@ pub mod campaign {
                 outcome.chaotic += 1;
             }
             let (method, path, body) = scripted_request(index, run_bodies);
-            let mut conn = match connector.connect() {
+            let mut conn = match connect() {
                 Ok(c) => c,
                 Err(e) => {
                     if healthy {

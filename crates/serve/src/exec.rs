@@ -109,7 +109,8 @@ pub fn simulation_executor() -> Executor {
 /// # Panics
 ///
 /// Panics if `snapshot_slots` exceeds 255 ([`SnapshotCache::new`]'s
-/// bound; the daemon validates the knob before calling this).
+/// bound). The `serve` binary always passes
+/// [`SnapshotCache::DEFAULT_CAPACITY`], through `ServeConfig::default()`.
 pub fn simulation_executor_with(snapshot_slots: usize, metrics: Arc<Metrics>) -> Executor {
     if snapshot_slots == 0 {
         return simulation_executor();

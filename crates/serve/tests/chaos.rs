@@ -9,7 +9,8 @@
 //!
 //! * `stem_serve_panics_total` is 0 after every storm;
 //! * every plan-healthy connection gets its 200, byte-identical across
-//!   chaos seeds *and* with chaos disabled entirely;
+//!   chaos seeds, with chaos disabled entirely, *and* over a loopback TCP
+//!   socket instead of the in-memory duplex;
 //! * `/healthz` answers 200 throughout and after the storm;
 //! * the cache stays pure: each distinct request simulates exactly once
 //!   per service no matter how many chaotic copies of it arrive;
@@ -20,6 +21,8 @@
 //!   the executor watchdog refuses to start the expired job.
 
 use std::collections::BTreeMap;
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -29,7 +32,7 @@ use stem_serve::exec::Executor;
 use stem_serve::http::{self, HttpResponse};
 use stem_serve::metrics::Metrics;
 use stem_serve::service::{self, ServeConfig};
-use stem_serve::transport::{duplex_transport, DuplexConnector, Transport};
+use stem_serve::transport::{duplex_transport, DuplexConnector, TcpTransport, Transport};
 use stem_sim_core::Json;
 
 const CONNECTIONS: u64 = 120;
@@ -63,11 +66,12 @@ fn campaign_config(metrics: Arc<Metrics>) -> ServeConfig {
 }
 
 /// Runs one full campaign: boots a service on `transport`, drives the
-/// scripted connections, asserts the storm invariants, and returns the
-/// healthy response bodies keyed by connection index.
-fn storm(
+/// scripted connections opened by `connect`, asserts the storm
+/// invariants, and returns the healthy response bodies keyed by
+/// connection index.
+fn storm<C: Read + Write>(
     transport: Box<dyn Transport>,
-    connector: &DuplexConnector,
+    connect: impl Fn() -> io::Result<C>,
     metrics: &Arc<Metrics>,
     plan_seed: u64,
 ) -> BTreeMap<u64, Vec<u8>> {
@@ -75,7 +79,7 @@ fn storm(
     let bodies = run_bodies();
     let t0 = Instant::now();
     let outcome = campaign::drive(
-        connector,
+        &connect,
         plan_seed,
         CONNECTIONS,
         &bodies,
@@ -133,9 +137,25 @@ fn storm(
     assert_eq!(metrics.snapshot_hits(), 0);
 
     handle.shutdown();
-    drop(connector.connect()); // nudge the accept poll
+    drop(connect()); // nudge the accept poll
     handle.join();
     outcome.bodies
+}
+
+/// A chaos storm over the in-memory duplex transport.
+fn duplex_storm(seed: u64, metrics: &Arc<Metrics>) -> BTreeMap<u64, Vec<u8>> {
+    let (listener, connector) = duplex_transport();
+    let transport = Box::new(ChaosTransport::new(listener, seed).with_metrics(Arc::clone(metrics)));
+    storm(transport, || connector.connect(), metrics, seed)
+}
+
+/// Connects to `addr` with the duplex pipe's 10 s per-read bound, so a
+/// wedged server fails the read instead of hanging the campaign.
+fn tcp_connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+    stream.set_write_timeout(Some(Duration::from_secs(10)))?;
+    Ok(stream)
 }
 
 #[test]
@@ -161,11 +181,8 @@ fn chaos_storms_never_panic_and_healthy_bytes_are_seed_invariant() {
     };
 
     for seed in SEEDS {
-        let (listener, connector) = duplex_transport();
         let metrics = Arc::new(Metrics::new());
-        let transport =
-            Box::new(ChaosTransport::new(listener, seed).with_metrics(Arc::clone(&metrics)));
-        let observed = storm(transport, &connector, &metrics, seed);
+        let observed = duplex_storm(seed, &metrics);
         assert!(
             metrics.chaos_connections() > 20,
             "seed {seed:#x}: chaos was supposed to be on ({} chaotic accepts)",
@@ -179,7 +196,12 @@ fn chaos_storms_never_panic_and_healthy_bytes_are_seed_invariant() {
     // that seed's campaign exactly.
     let (listener, connector) = duplex_transport();
     let metrics = Arc::new(Metrics::new());
-    let observed = storm(Box::new(listener), &connector, &metrics, SEEDS[0]);
+    let observed = storm(
+        Box::new(listener),
+        || connector.connect(),
+        &metrics,
+        SEEDS[0],
+    );
     assert_eq!(metrics.chaos_connections(), 0);
     merge("chaos-off control".to_owned(), observed);
 
@@ -191,6 +213,41 @@ fn chaos_storms_never_panic_and_healthy_bytes_are_seed_invariant() {
         bodies.len(),
         by_request.keys().collect::<Vec<_>>()
     );
+}
+
+/// The same storm over a real loopback socket: the faults now split,
+/// stall, truncate and reset `TcpTransport`'s kernel streams (with their
+/// read and write timeouts set), the storm invariants still hold, and
+/// every healthy body is byte-identical to the in-memory storm of the
+/// same seed.
+#[test]
+fn a_tcp_chaos_storm_matches_the_in_memory_storm() {
+    let seed = SEEDS[0];
+    let listener = TcpTransport::bind("127.0.0.1:0").expect("bind a loopback port");
+    let addr = listener.local_addr();
+    let metrics = Arc::new(Metrics::new());
+    let transport =
+        Box::new(ChaosTransport::new(listener, seed).with_metrics(Arc::clone(&metrics)));
+    let over_tcp = storm(transport, || tcp_connect(addr), &metrics, seed);
+    assert!(
+        metrics.chaos_connections() > 20,
+        "chaos was supposed to be on ({} chaotic accepts)",
+        metrics.chaos_connections()
+    );
+
+    let in_memory = duplex_storm(seed, &Arc::new(Metrics::new()));
+    assert_eq!(
+        over_tcp.keys().collect::<Vec<_>>(),
+        in_memory.keys().collect::<Vec<_>>(),
+        "the same connections must come back healthy"
+    );
+    for (index, body) in &over_tcp {
+        assert_eq!(
+            Some(body),
+            in_memory.get(index),
+            "conn {index}: TCP body differs from the in-memory body"
+        );
+    }
 }
 
 /// A controllable executor: counts executions, signals starts, blocks

@@ -500,7 +500,7 @@ mod tests {
         let trace = example1_trace(geom, 200);
         let mut sbc = SbcCache::new(geom);
         sbc.run_decoded(&trace);
-        let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+        let mut lru = SetAssocCache::new(geom, Lru::new(geom));
         lru.run_decoded(&trace);
         assert!(
             sbc.stats().misses() < lru.stats().misses(),

@@ -311,7 +311,7 @@ mod tests {
         }
         let mut sbc = StaticSbcCache::new(geom);
         sbc.run_decoded(&trace);
-        let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+        let mut lru = SetAssocCache::new(geom, Lru::new(geom));
         lru.run_decoded(&trace);
         assert!(sbc.stats().spills() > 0);
         assert!(

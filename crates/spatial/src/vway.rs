@@ -545,7 +545,7 @@ mod tests {
         }
         let mut v = VWayCache::new(geom);
         v.run_decoded(&trace);
-        let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+        let mut lru = SetAssocCache::new(geom, Lru::new(geom));
         lru.run_decoded(&trace);
         assert!(
             v.stats().misses() < lru.stats().misses() / 2,

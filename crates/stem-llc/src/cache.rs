@@ -584,7 +584,7 @@ mod tests {
         let trace = complementary_trace(geom, 300);
         let mut stem = StemCache::new(geom);
         stem.run_decoded(&trace);
-        let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+        let mut lru = SetAssocCache::new(geom, Lru::new(geom));
         lru.run_decoded(&trace);
         assert!(
             stem.stats().misses() < lru.stats().misses(),
@@ -609,7 +609,7 @@ mod tests {
         }
         let mut stem = StemCache::new(geom);
         stem.run_decoded(&trace);
-        let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+        let mut lru = SetAssocCache::new(geom, Lru::new(geom));
         lru.run_decoded(&trace);
         assert_eq!(lru.stats().hits(), 0, "LRU must fully thrash");
         assert!(stem.stats().policy_swaps() > 0, "no policy swap happened");

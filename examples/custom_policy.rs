@@ -1,6 +1,7 @@
 //! Plug a user-defined replacement policy into the simulator: implement
-//! [`ReplacementPolicy`] and hand it to [`SetAssocCache`], then race it
-//! against the built-in policies.
+//! [`ReplacementPolicy`] and hand it to [`SetAssocCache`], which compiles
+//! it into the same static replay kernel as the built-in policies, then
+//! race it against them.
 //!
 //! The toy policy here is "MRU eviction" (evict the most recently used
 //! block) — terrible on recency-friendly workloads, surprisingly decent on
@@ -65,8 +66,8 @@ fn main() {
         }
     }
 
-    let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
-    let mut custom = SetAssocCache::new(geom, Box::new(MruEvict::new(geom)));
+    let mut lru = SetAssocCache::new(geom, Lru::new(geom));
+    let mut custom = SetAssocCache::new(geom, MruEvict::new(geom));
 
     println!(
         "cyclic (ways + 1) thrash pattern, {} accesses:",

@@ -33,14 +33,8 @@ fn main() {
             ws0.len(),
             ws1.len()
         );
-        let lru = steady_state_miss_rate(
-            &mut SetAssocCache::new(geom, Box::new(Lru::new(geom))),
-            example,
-        );
-        let bip = steady_state_miss_rate(
-            &mut SetAssocCache::new(geom, Box::new(Bip::new(geom))),
-            example,
-        );
+        let lru = steady_state_miss_rate(&mut SetAssocCache::new(geom, Lru::new(geom)), example);
+        let bip = steady_state_miss_rate(&mut SetAssocCache::new(geom, Bip::new(geom)), example);
         let sbc = steady_state_miss_rate(&mut SbcCache::new(geom), example);
         let stem = steady_state_miss_rate(&mut StemCache::new(geom), example);
         println!("  LRU  measured {lru:.3}  (paper {:.3})", expect.lru);

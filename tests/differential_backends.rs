@@ -12,7 +12,8 @@
 //! * the per-access [`AccessResult`] stream is identical, and
 //! * the final [`CacheStats`] are identical,
 //!
-//! for all six paper schemes (LRU, DIP, PeLIFO, V-Way, SBC, STEM) plus the
+//! for all six paper schemes (LRU, DIP, PeLIFO, V-Way, SBC, STEM), the five
+//! other `SetAssocCache` policies (BIP, SRRIP, DRRIP, PLRU, NRU) and the
 //! two auxiliary spatial baselines (static SBC, LRU+VC). The primitives the
 //! schemes share — the recency stack, the shadow set, the destination-set
 //! selector and the H3 tag hasher — additionally get direct random-op
@@ -29,7 +30,9 @@
 //! which tied entry a full selector replaces changes later couplings.
 
 use stem::llc::{PolicyKind, SetMonitor, ShadowSet, StemCache, StemConfig, TagHasher};
-use stem::replacement::{Dip, Lru, PeLifo, RecencyStack, ReplacementPolicy, SetAssocCache};
+use stem::replacement::{
+    Bip, Dip, Drrip, Lru, Nru, PeLifo, Plru, RecencyStack, ReplacementPolicy, SetAssocCache, Srrip,
+};
 use stem::sim_core::{
     prop, Access, AccessKind, AccessResult, Address, CacheGeometry, CacheModel, CacheStats,
     DecodedTrace, LineAddr, SplitMix64, Trace,
@@ -620,7 +623,7 @@ fn tie_geom() -> CacheGeometry {
 }
 
 // ---------------------------------------------------------------------------
-// Reference scheme: SetAssocCache (LRU / DIP / PeLIFO).
+// Reference scheme: SetAssocCache (every ReplacementPolicy).
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -706,16 +709,16 @@ impl RefModel for RefSetAssoc {
     }
 }
 
-fn run_setassoc_diff(
+fn run_setassoc_diff<P: ReplacementPolicy + Clone + 'static>(
     name: &str,
-    make_policy: impl Fn(CacheGeometry) -> Box<dyn ReplacementPolicy>,
+    make_policy: impl Fn(CacheGeometry) -> P,
     seed: u64,
 ) {
     let geom = paper_geom();
     let mut new = SetAssocCache::new(geom, make_policy(geom));
     assert_equivalent(
         name,
-        RefSetAssoc::new(geom, make_policy(geom)),
+        RefSetAssoc::new(geom, Box::new(make_policy(geom))),
         &mut new,
         geom,
         seed,
@@ -725,7 +728,7 @@ fn run_setassoc_diff(
     let mut new = SetAssocCache::new(geom, make_policy(geom));
     assert_equivalent(
         name,
-        RefSetAssoc::new(geom, make_policy(geom)),
+        RefSetAssoc::new(geom, Box::new(make_policy(geom))),
         &mut new,
         geom,
         seed ^ 0xFF,
@@ -735,17 +738,42 @@ fn run_setassoc_diff(
 
 #[test]
 fn lru_matches_reference() {
-    run_setassoc_diff("LRU", |g| Box::new(Lru::new(g)), 0xD1FF_1001);
+    run_setassoc_diff("LRU", Lru::new, 0xD1FF_1001);
 }
 
 #[test]
 fn dip_matches_reference() {
-    run_setassoc_diff("DIP", |g| Box::new(Dip::new(g)), 0xD1FF_1002);
+    run_setassoc_diff("DIP", Dip::new, 0xD1FF_1002);
 }
 
 #[test]
 fn pelifo_matches_reference() {
-    run_setassoc_diff("PeLIFO", |g| Box::new(PeLifo::new(g)), 0xD1FF_1003);
+    run_setassoc_diff("PeLIFO", PeLifo::new, 0xD1FF_1003);
+}
+
+#[test]
+fn bip_matches_reference() {
+    run_setassoc_diff("BIP", Bip::new, 0xD1FF_1004);
+}
+
+#[test]
+fn srrip_matches_reference() {
+    run_setassoc_diff("SRRIP", Srrip::new, 0xD1FF_1005);
+}
+
+#[test]
+fn drrip_matches_reference() {
+    run_setassoc_diff("DRRIP", Drrip::new, 0xD1FF_1006);
+}
+
+#[test]
+fn plru_matches_reference() {
+    run_setassoc_diff("PLRU", Plru::new, 0xD1FF_1007);
+}
+
+#[test]
+fn nru_matches_reference() {
+    run_setassoc_diff("NRU", Nru::new, 0xD1FF_1008);
 }
 
 // ---------------------------------------------------------------------------
@@ -1830,7 +1858,7 @@ fn ablated_stem_equals_lru_access_for_access() {
                 .expect("suite benchmark")
                 .decoded(geom, accesses);
             let mut stem = StemCache::with_config(geom, cfg);
-            let mut lru = SetAssocCache::new(geom, Box::new(Lru::new(geom)));
+            let mut lru = SetAssocCache::new(geom, Lru::new(geom));
             for i in 0..decoded.len() {
                 assert_eq!(
                     replay_one(&mut stem, &decoded, i),
@@ -1951,7 +1979,7 @@ fn lru_decoded_matches_access_path() {
     let geom = paper_geom();
     assert_decoded_equivalent(
         "LRU/decoded",
-        || SetAssocCache::new(geom, Box::new(Lru::new(geom))),
+        || SetAssocCache::new(geom, Lru::new(geom)),
         geom,
         0xDEC0_1001,
         DIFF_ACCESSES,
@@ -1963,7 +1991,7 @@ fn dip_decoded_matches_access_path() {
     let geom = paper_geom();
     assert_decoded_equivalent(
         "DIP/decoded",
-        || SetAssocCache::new(geom, Box::new(Dip::new(geom))),
+        || SetAssocCache::new(geom, Dip::new(geom)),
         geom,
         0xDEC0_2001,
         DIFF_ACCESSES,
@@ -1975,7 +2003,7 @@ fn pelifo_decoded_matches_access_path() {
     let geom = paper_geom();
     assert_decoded_equivalent(
         "PeLIFO/decoded",
-        || SetAssocCache::new(geom, Box::new(PeLifo::new(geom))),
+        || SetAssocCache::new(geom, PeLifo::new(geom)),
         geom,
         0xDEC0_3001,
         DIFF_ACCESSES,

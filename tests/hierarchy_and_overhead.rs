@@ -33,10 +33,7 @@ fn amat_orders_hit_classes() {
     let stream: Trace = (0..5000u64)
         .map(|i| Access::read(Address::new(i * 64)))
         .collect();
-    let mut sys = System::new(
-        cfg,
-        Box::new(SetAssocCache::new(geom, Box::new(Lru::new(geom)))),
-    );
+    let mut sys = System::new(cfg, Box::new(SetAssocCache::new(geom, Lru::new(geom))));
     let stream = DecodedTrace::decode(&stream, geom);
     let miss_amat = sys.warm_then_run_decoded(&stream, 0).amat;
 
@@ -53,7 +50,7 @@ fn amat_orders_hit_classes() {
         .collect();
     let mut sys2 = System::new(
         cfg,
-        Box::new(SetAssocCache::new(geom_big, Box::new(Lru::new(geom_big)))),
+        Box::new(SetAssocCache::new(geom_big, Lru::new(geom_big))),
     );
     let hit_trace = DecodedTrace::decode(&hit_trace, geom_big);
     let hit_amat = sys2.warm_then_run_decoded(&hit_trace, lines.len()).amat;

@@ -52,13 +52,13 @@ mod reference {
         }
     }
 
-    fn l1(cfg: &Config) -> SetAssocCache {
-        SetAssocCache::new(cfg.l1_geometry, Box::new(Lru::new(cfg.l1_geometry)))
+    fn l1(cfg: &Config) -> SetAssocCache<Lru> {
+        SetAssocCache::new(cfg.l1_geometry, Lru::new(cfg.l1_geometry))
     }
 
     fn step(
         cfg: &Config,
-        l1: &mut SetAssocCache,
+        l1: &mut SetAssocCache<Lru>,
         l2: &mut dyn CacheModel,
         line: u64,
         write: bool,
@@ -114,7 +114,7 @@ mod reference {
 
     pub struct System {
         cfg: Config,
-        l1: SetAssocCache,
+        l1: SetAssocCache<Lru>,
         l2: Box<dyn CacheModel>,
     }
 
@@ -180,7 +180,7 @@ mod reference {
 
     pub struct MixSystem {
         cfg: Config,
-        l1s: Vec<SetAssocCache>,
+        l1s: Vec<SetAssocCache<Lru>>,
         l2: Box<dyn CacheModel>,
     }
 

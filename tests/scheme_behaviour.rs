@@ -39,11 +39,7 @@ fn fig2_example1_spatial_schemes_win() {
     let warm = fig2_stream(1, 100);
     let trace = fig2_stream(1, 1000);
 
-    let lru = steady_miss_rate(
-        &mut SetAssocCache::new(geom, Box::new(Lru::new(geom))),
-        &warm,
-        &trace,
-    );
+    let lru = steady_miss_rate(&mut SetAssocCache::new(geom, Lru::new(geom)), &warm, &trace);
     assert!((lru - 0.5).abs() < 0.02, "LRU should miss 1/2: {lru}");
 
     let sbc = steady_miss_rate(&mut SbcCache::new(geom), &warm, &trace);
@@ -61,21 +57,13 @@ fn fig2_example3_only_temporal_helps() {
     let warm = fig2_stream(3, 100);
     let trace = fig2_stream(3, 1000);
 
-    let lru = steady_miss_rate(
-        &mut SetAssocCache::new(geom, Box::new(Lru::new(geom))),
-        &warm,
-        &trace,
-    );
+    let lru = steady_miss_rate(&mut SetAssocCache::new(geom, Lru::new(geom)), &warm, &trace);
     assert!(lru > 0.98, "both working sets must thrash LRU: {lru}");
 
     let sbc = steady_miss_rate(&mut SbcCache::new(geom), &warm, &trace);
     assert!(sbc > 0.9, "SBC has no underutilized sets to exploit: {sbc}");
 
-    let bip = steady_miss_rate(
-        &mut SetAssocCache::new(geom, Box::new(Bip::new(geom))),
-        &warm,
-        &trace,
-    );
+    let bip = steady_miss_rate(&mut SetAssocCache::new(geom, Bip::new(geom)), &warm, &trace);
     assert!(bip < 0.6, "BIP retains part of both cycles: {bip}");
 
     let stem = steady_miss_rate(&mut StemCache::new(geom), &warm, &trace);

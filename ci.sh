@@ -140,10 +140,14 @@ if [ "$status" -eq 0 ]; then
 fi
 echo "    run_all contained the injected cell panic and exited $status (expected nonzero)"
 
-echo "==> thread determinism gate (stdout + CSVs byte-identical across STEM_THREADS)"
+echo "==> thread determinism gate (stdout + CSVs byte-identical across STEM_THREADS and to the pinned fixture)"
 # The worker pool is an execution strategy, never a result change:
 # run_all's stdout and every CSV must be byte-identical at any thread
-# count. Timing telemetry (stderr, the JSON) is exempt by design.
+# count. Timing telemetry (stderr, the JSON) is exempt by design. The
+# single-thread run must also match fixtures/run_all_small/ byte for
+# byte: stdout alone misses the mix results, which only mix.csv and
+# BENCH_mix.json carry. To re-pin after an intended result change, copy
+# det-t1's stdout.txt and *.csv over the fixture directory.
 RUN_ALL_BIN=target/release/run_all
 run_det() { # <threads> <dir>
     mkdir -p "$2"
@@ -165,7 +169,20 @@ for csv in "$DET_BASE"/*.csv; do
         exit 1
     }
 done
-echo "    byte-identical stdout and CSVs at threads in {1,5}"
+PINNED=fixtures/run_all_small
+for f in "$PINNED"/*; do
+    cmp "$f" "$DET_BASE/$(basename "$f")" || {
+        echo "ERROR: $(basename "$f") differs from the pinned $PINNED copy" >&2
+        exit 1
+    }
+done
+for csv in "$DET_BASE"/*.csv; do
+    [ -e "$PINNED/$(basename "$csv")" ] || {
+        echo "ERROR: run_all wrote $(basename "$csv"), which $PINNED does not pin" >&2
+        exit 1
+    }
+done
+echo "    byte-identical stdout and CSVs at threads in {1,5}, equal to $PINNED"
 
 echo "==> sampled-fidelity smoke gate (pinned error bound, byte-identical stdout across threads)"
 # The sampled tier must be (a) accurate within the pinned MPKI

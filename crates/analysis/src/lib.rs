@@ -8,8 +8,10 @@
 //!   experiment binary;
 //! * [`run_system`], [`run_mix_decoded`] — whole-system drivers (core +
 //!   L1 + LLC, solo or a shared-LLC mix) returning [`SystemMetrics`] /
-//!   [`MixOutcome`]; [`warm_split`] is the warm-up boundary every run
-//!   shares (bare-LLC replay itself is `stem_bench::engine::RunPlan`);
+//!   [`MixOutcome`]; [`MixStreams`] builds a mix's scheme-independent LLC
+//!   streams once for many schemes; [`warm_split`] is the warm-up
+//!   boundary every run shares (bare-LLC replay itself is
+//!   `stem_bench::engine::RunPlan`);
 //! * [`geomean`], [`Table`] — reporting helpers that render the paper's
 //!   tables as text.
 //!
@@ -37,7 +39,7 @@ mod stack_distance;
 
 pub use capacity::{CapacityDemandProfiler, DemandHistogram};
 pub use classify::{classify_workload, ClassificationReport};
-pub use mix::{run_mix_decoded, MixOutcome};
+pub use mix::{run_mix_decoded, MixOutcome, MixStreams};
 pub use mrc::MissRateCurve;
 pub use report::{geomean, Table};
 pub use scheme::{build_audited_cache, build_cache, run_system, warm_split, Scheme};

@@ -8,11 +8,10 @@
 //! combined IPC while starving one core shows up in fairness, not in any
 //! aggregate.
 
-use stem_hierarchy::{interleave_schedule, MixMetrics, MixSystem, System, SystemMetrics};
+use stem_hierarchy::{interleave_schedule, LlcStream, MixMetrics, SystemConfig, SystemMetrics};
 use stem_sim_core::{CacheGeometry, DecodedTrace};
 
 use crate::scheme::{build_cache, warm_split, Scheme};
-use stem_hierarchy::SystemConfig;
 
 /// The outcome of one shared-LLC mix experiment: the shared run, the solo
 /// baselines, and the derived co-scheduling metrics.
@@ -34,14 +33,85 @@ pub struct MixOutcome {
     pub fairness: f64,
 }
 
-/// Runs `streams` (one decoded stream per core) through a shared-LLC
-/// [`MixSystem`] under `scheme`, and each stream through an identical
-/// solo [`System`], deriving speedups, weighted speedup, and fairness.
-///
-/// The interleaving is [`interleave_schedule`]`(lens, weights, seed)` —
-/// fully deterministic — and the warm boundary is the workspace-standard
-/// [`warm_split`] of the schedule length (solo baselines warm at the same
-/// fraction of their own streams).
+/// The scheme-independent half of a mix experiment: the shared run's LLC
+/// stream and each core's solo LLC stream, each built by one L1 pass.
+/// Every scheme's outcome is a replay of them ([`run`](MixStreams::run)).
+#[derive(Debug, Clone)]
+pub struct MixStreams {
+    shared: LlcStream,
+    solo: Vec<LlcStream>,
+}
+
+impl MixStreams {
+    /// Interleaves `streams` (one decoded stream per core) by
+    /// [`interleave_schedule`]`(lens, weights, seed)` — fully
+    /// deterministic — and filters the schedule, and each stream alone,
+    /// through the L1s. The shared run's warm boundary is the
+    /// workspace-standard [`warm_split`] of the schedule length; solo
+    /// baselines warm at the same fraction of their own streams.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `streams` is empty, `weights` has a different length, or
+    /// any weight is not positive (via [`interleave_schedule`]).
+    pub fn new(
+        cfg: SystemConfig,
+        streams: &[DecodedTrace],
+        weights: &[f64],
+        seed: u64,
+        warmup_fraction: f64,
+    ) -> Self {
+        let lens: Vec<usize> = streams.iter().map(DecodedTrace::len).collect();
+        let schedule = interleave_schedule(&lens, weights, seed);
+        let warm_steps = warm_split(schedule.len(), warmup_fraction);
+        MixStreams {
+            shared: LlcStream::mix(cfg, streams, &schedule, warm_steps),
+            solo: streams
+                .iter()
+                .map(|s| LlcStream::solo(cfg, s, warm_split(s.len(), warmup_fraction)))
+                .collect(),
+        }
+    }
+
+    /// Replays the shared run and every solo baseline into fresh LLCs of
+    /// `scheme` at `geom`, deriving speedups, weighted speedup, and
+    /// fairness.
+    pub fn run(&self, scheme: Scheme, geom: CacheGeometry) -> MixOutcome {
+        let mix = self.shared.replay_mix(build_cache(scheme, geom).as_mut());
+        let solo: Vec<SystemMetrics> = self
+            .solo
+            .iter()
+            .map(|s| s.replay(build_cache(scheme, geom).as_mut()))
+            .collect();
+
+        let speedups: Vec<f64> = solo
+            .iter()
+            .zip(&mix.per_core)
+            .map(|(alone, shared)| alone.cpi / shared.cpi)
+            .collect();
+        let weighted_speedup: f64 = speedups.iter().sum();
+        let fairness = match (
+            speedups.iter().cloned().reduce(f64::min),
+            speedups.iter().cloned().reduce(f64::max),
+        ) {
+            (Some(min), Some(max)) if max > 0.0 => min / max,
+            _ => 1.0,
+        };
+
+        MixOutcome {
+            mix,
+            solo,
+            speedups,
+            weighted_speedup,
+            fairness,
+        }
+    }
+}
+
+/// Runs `streams` (one decoded stream per core) through a shared LLC
+/// under `scheme`, and each stream through an identical solo system,
+/// deriving speedups, weighted speedup, and fairness: one
+/// [`MixStreams::new`] and one [`MixStreams::run`].
 ///
 /// # Panics
 ///
@@ -56,42 +126,7 @@ pub fn run_mix_decoded(
     seed: u64,
     warmup_fraction: f64,
 ) -> MixOutcome {
-    let lens: Vec<usize> = streams.iter().map(DecodedTrace::len).collect();
-    let schedule = interleave_schedule(&lens, weights, seed);
-    let warm_steps = warm_split(schedule.len(), warmup_fraction);
-
-    let mut shared = MixSystem::new(cfg, build_cache(scheme, geom), streams.len());
-    let mix = shared.run_mix(streams, &schedule, warm_steps);
-
-    let solo: Vec<SystemMetrics> = streams
-        .iter()
-        .map(|s| {
-            let mut sys = System::new(cfg, build_cache(scheme, geom));
-            sys.warm_then_run_decoded(s, warm_split(s.len(), warmup_fraction))
-        })
-        .collect();
-
-    let speedups: Vec<f64> = solo
-        .iter()
-        .zip(&mix.per_core)
-        .map(|(alone, shared)| alone.cpi / shared.cpi)
-        .collect();
-    let weighted_speedup: f64 = speedups.iter().sum();
-    let fairness = match (
-        speedups.iter().cloned().reduce(f64::min),
-        speedups.iter().cloned().reduce(f64::max),
-    ) {
-        (Some(min), Some(max)) if max > 0.0 => min / max,
-        _ => 1.0,
-    };
-
-    MixOutcome {
-        mix,
-        solo,
-        speedups,
-        weighted_speedup,
-        fairness,
-    }
+    MixStreams::new(cfg, streams, weights, seed, warmup_fraction).run(scheme, geom)
 }
 
 #[cfg(test)]

@@ -25,8 +25,9 @@
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
-use stem_analysis::{geomean, run_mix_decoded, CapacityDemandProfiler, MixOutcome, Scheme, Table};
+use stem_analysis::{geomean, CapacityDemandProfiler, MixOutcome, MixStreams, Scheme, Table};
 use stem_bench::config::Config;
 use stem_bench::engine::RunPlan;
 use stem_bench::harness::{
@@ -56,14 +57,16 @@ fn maybe_csv(csv_dir: Option<&Path>, name: &str, table: &Table) {
 /// per-experiment timings: wall clock spent synthesizing accesses,
 /// decoding raw traces into shared [`DecodedTrace`]s (the mix streams;
 /// the matrix, Fig. 1 and sweep traces are generated straight into
-/// decoded columns, so their decode time is inside generate), replaying
-/// decoded streams
-/// through the scheme models (matrix cells and sweep points), and running
-/// the remaining analyses (Fig. 1 profiling net of its trace preparation,
-/// plus Table 3).
+/// decoded columns, so their decode time is inside generate), filtering
+/// the matrix traces and the mixes through the L1s into their shared
+/// LLC streams (a mix's interleave schedule included), replaying
+/// streams through the scheme models (matrix cells, sweep points and mix
+/// cells), and running the remaining analyses (Fig. 1 profiling net of
+/// its trace preparation, plus Table 3).
 struct StageBreakdown {
     generate_secs: f64,
     decode_secs: f64,
+    l1_filter_secs: f64,
     replay_secs: f64,
     analysis_secs: f64,
 }
@@ -94,6 +97,7 @@ impl StageBreakdown {
         StageBreakdown {
             generate_secs: prep.generate.as_secs_f64(),
             decode_secs: prep.decode.as_secs_f64(),
+            l1_filter_secs: prep.l1_filter.as_secs_f64(),
             replay_secs,
             analysis_secs: (analysis_cells - fig1_prep_secs).max(0.0),
         }
@@ -140,8 +144,13 @@ fn emit_timing_summary(
         );
     }
     eprintln!(
-        "stage breakdown: generate {:.2}s, decode {:.2}s, replay {:.2}s, analysis {:.2}s",
-        stages.generate_secs, stages.decode_secs, stages.replay_secs, stages.analysis_secs
+        "stage breakdown: generate {:.2}s, decode {:.2}s, l1_filter {:.2}s, replay {:.2}s, \
+         analysis {:.2}s",
+        stages.generate_secs,
+        stages.decode_secs,
+        stages.l1_filter_secs,
+        stages.replay_secs,
+        stages.analysis_secs
     );
 
     if let Some(dir) = csv_dir {
@@ -169,6 +178,7 @@ fn emit_timing_summary(
                 Json::Obj(vec![
                     ("generate_secs".into(), secs3(stages.generate_secs)),
                     ("decode_secs".into(), secs3(stages.decode_secs)),
+                    ("l1_filter_secs".into(), secs3(stages.l1_filter_secs)),
                     ("replay_secs".into(), secs3(stages.replay_secs)),
                     ("analysis_secs".into(), secs3(stages.analysis_secs)),
                 ]),
@@ -557,14 +567,14 @@ fn main() -> ExitCode {
     // ---- Mix stage (stderr + CSV + JSON only) -----------------------
     // Two-core shared-LLC mixes through the mix subsystem: per-core
     // streams interleaved by a seeded schedule, solo baselines, weighted
-    // speedup + fairness per scheme. stdout is never touched — the
+    // speedup + fairness per scheme. Each `mix_trace_*` cell filters the
+    // mix and both solo streams through the L1s once; each scheme cell
+    // only replays those LLC streams. stdout is never touched — the
     // archived run_all_output.txt stays valid — and the results land in
     // mix.csv + BENCH_mix.json (schema in EXPERIMENTS.md), both
     // byte-identical at any thread count.
     eprintln!("\nrunning the 2-core shared-LLC mix stage...");
-    let sys_cfg = SystemConfig::micro2010();
-    type MixStreams = Arc<Vec<DecodedTrace>>;
-    type MixTraceJob = Box<dyn FnOnce() -> (MixStreams, PrepTimings) + Send>;
+    type MixTraceJob = Box<dyn FnOnce() -> (Arc<MixStreams>, PrepTimings) + Send>;
     let mix_trace_jobs: Vec<(String, MixTraceJob)> = MIX_DEFS
         .iter()
         .map(|&(a, b)| {
@@ -579,19 +589,36 @@ fn main() -> ExitCode {
                         1.0,
                     ),
                 ]);
-                let t0 = std::time::Instant::now();
+                let t0 = Instant::now();
                 let raw = mix.core_traces(geom, accesses);
                 let generate = t0.elapsed();
-                let t0 = std::time::Instant::now();
+                let t0 = Instant::now();
                 let streams: Vec<DecodedTrace> =
                     raw.iter().map(|t| DecodedTrace::decode(t, geom)).collect();
+                drop(raw);
                 let decode = t0.elapsed();
-                (Arc::new(streams), PrepTimings { generate, decode })
+                let t0 = Instant::now();
+                let shared = MixStreams::new(
+                    SystemConfig::micro2010(),
+                    &streams,
+                    &mix.weights(),
+                    MIX_SEED,
+                    WARMUP_FRACTION,
+                );
+                let l1_filter = t0.elapsed();
+                (
+                    Arc::new(shared),
+                    PrepTimings {
+                        generate,
+                        decode,
+                        l1_filter,
+                    },
+                )
             });
             (format!("mix_trace_{a}+{b}"), job)
         })
         .collect();
-    let mix_streams: Vec<Option<MixStreams>> = runner
+    let mix_streams: Vec<Option<Arc<MixStreams>>> = runner
         .run_batch(threads, mix_trace_jobs)
         .into_iter()
         .map(|o| {
@@ -610,16 +637,8 @@ fn main() -> ExitCode {
         for (si, &scheme) in Scheme::PAPER.iter().enumerate() {
             let streams = Arc::clone(streams);
             let job: MixJob = Box::new(move || {
-                let t0 = std::time::Instant::now();
-                let o = run_mix_decoded(
-                    scheme,
-                    geom,
-                    sys_cfg,
-                    &streams,
-                    &[1.0, 1.0],
-                    MIX_SEED,
-                    WARMUP_FRACTION,
-                );
+                let t0 = Instant::now();
+                let o = streams.run(scheme, geom);
                 (o, t0.elapsed().as_secs_f64())
             });
             mix_jobs.push((

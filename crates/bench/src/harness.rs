@@ -3,8 +3,8 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stem_analysis::{geomean, run_system, Scheme, SystemMetrics, Table};
-use stem_hierarchy::SystemConfig;
+use stem_analysis::{build_cache, geomean, warm_split, Scheme, SystemMetrics, Table};
+use stem_hierarchy::{LlcStream, LlcStreamBuilder, SystemConfig, FILTER_CHUNK};
 use stem_sim_core::{CacheGeometry, DecodedTrace};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
@@ -29,18 +29,23 @@ pub fn accesses_per_benchmark() -> usize {
 pub const WARMUP_FRACTION: f64 = 0.2;
 
 /// Wall-clock split of one trace-preparation cell: synthesizing the
-/// access stream, and decoding a raw [`Trace`](stem_sim_core::Trace)
-/// into the shared [`DecodedTrace`] representation. [`prepare_trace`]
-/// generates straight into decoded columns, so its decode work is inside
-/// `generate` and its `decode` is zero; only paths that ingest a raw
-/// trace (run_all's mix streams) record a separate decode. Drivers
-/// accumulate these into the `BENCH_run_all.json` stage breakdown.
+/// access stream, decoding a raw [`Trace`](stem_sim_core::Trace) into the
+/// shared [`DecodedTrace`] representation, and filtering the stream
+/// through the L1s into an [`LlcStream`]. [`prepare_trace`] and
+/// [`prepare_llc_stream`] generate straight into decoded columns, so
+/// their decode work is inside `generate` and their `decode` is zero;
+/// only paths that ingest a raw trace (run_all's mix streams) record a
+/// separate decode. Drivers accumulate these into the
+/// `BENCH_run_all.json` stage breakdown.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrepTimings {
     /// Time spent synthesizing accesses (decoding included when fused).
     pub generate: Duration,
     /// Time spent decoding a raw trace into the structure-of-arrays stream.
     pub decode: Duration,
+    /// Time spent filtering streams through the L1s (for a mix, building
+    /// its interleave schedule too).
+    pub l1_filter: Duration,
 }
 
 impl PrepTimings {
@@ -48,6 +53,7 @@ impl PrepTimings {
     pub fn absorb(&mut self, other: PrepTimings) {
         self.generate += other.generate;
         self.decode += other.decode;
+        self.l1_filter += other.l1_filter;
     }
 }
 
@@ -75,7 +81,47 @@ pub fn prepare_trace(
         trace,
         prep: PrepTimings {
             generate: t0.elapsed(),
+            ..PrepTimings::default()
+        },
+    }
+}
+
+/// A trace's L1-miss stream, built once and replayed by every scheme
+/// cell, with the preparation timing split.
+#[derive(Debug, Clone)]
+pub struct PreparedStream {
+    /// The shared LLC stream.
+    pub stream: Arc<LlcStream>,
+    /// How long generation and the L1 pass took.
+    pub prep: PrepTimings,
+}
+
+/// Generates `bench`'s trace at `geom` straight through the Table 1
+/// system's L1 into its [`LlcStream`], warmed on the first
+/// [`WARMUP_FRACTION`] of the trace: the generator hands the trace over a
+/// [`FILTER_CHUNK`] at a time, so it is never held whole. The stream is
+/// bit-identical to [`LlcStream::solo`] over [`BenchmarkProfile::decoded`].
+pub fn prepare_llc_stream(
+    bench: &BenchmarkProfile,
+    geom: CacheGeometry,
+    accesses: usize,
+) -> PreparedStream {
+    let t0 = Instant::now();
+    let warm = warm_split(accesses, WARMUP_FRACTION);
+    let mut builder = LlcStreamBuilder::new(SystemConfig::micro2010(), warm, accesses);
+    let mut l1_filter = Duration::ZERO;
+    bench.decoded_chunks(geom, accesses, FILTER_CHUNK, |chunk| {
+        let t = Instant::now();
+        builder.push_stream(chunk);
+        l1_filter += t.elapsed();
+    });
+    let stream = Arc::new(builder.finish());
+    PreparedStream {
+        stream,
+        prep: PrepTimings {
+            generate: t0.elapsed().saturating_sub(l1_filter),
             decode: Duration::ZERO,
+            l1_filter,
         },
     }
 }
@@ -99,17 +145,18 @@ impl BenchmarkRow {
 }
 
 /// Runs the whole 15-benchmark × 6-scheme matrix at the paper's L2
-/// configuration. Every trace generation and every (benchmark, scheme)
+/// configuration. Every trace preparation and every (benchmark, scheme)
 /// cell runs as its own named experiment on `runner`'s budgeted worker
 /// pool (`trace/<bench>` and `matrix/<bench>/<scheme>`). A failing cell
 /// is recorded on the runner under that name and drops only its own
 /// benchmark's row — the other rows still come back, in suite order,
 /// byte-identical to a serial run at any thread count.
 ///
-/// Each `trace/<bench>` cell generates **and decodes** its trace exactly
-/// once; the six scheme cells of the row share the decoded stream through
-/// an `Arc`. The generation/decoding wall-clock split of every trace cell
-/// is accumulated into `prep` for the stage breakdown.
+/// Each `trace/<bench>` cell generates its trace straight through the L1
+/// exactly once ([`prepare_llc_stream`]); the six scheme cells of the row
+/// share the resulting [`LlcStream`] through an `Arc` and only replay it.
+/// The generation/L1-filter wall-clock split of every trace cell is
+/// accumulated into `prep` for the stage breakdown.
 pub fn run_benchmark_matrix_isolated(
     runner: &mut ExperimentRunner,
     geom: CacheGeometry,
@@ -117,27 +164,26 @@ pub fn run_benchmark_matrix_isolated(
     threads: usize,
     prep: &mut PrepTimings,
 ) -> Vec<BenchmarkRow> {
-    let cfg = SystemConfig::micro2010();
     let suite = spec2010_suite();
 
-    // Stage 1: generate and decode each benchmark's trace once; all six
-    // scheme cells of the row share the decoded stream.
+    // Stage 1: generate each benchmark's trace through the L1 once; all
+    // six scheme cells of the row share its LLC stream.
     let trace_jobs: Vec<(String, _)> = suite
         .iter()
         .map(|bench| {
             let bench = bench.clone();
             (format!("trace/{}", bench.name()), move || {
-                prepare_trace(&bench, geom, accesses)
+                prepare_llc_stream(&bench, geom, accesses)
             })
         })
         .collect();
-    let traces: Vec<Option<Arc<DecodedTrace>>> = runner
+    let traces: Vec<Option<Arc<LlcStream>>> = runner
         .run_batch(threads, trace_jobs)
         .into_iter()
         .map(|p| {
             p.map(|p| {
                 prep.absorb(p.prep);
-                p.trace
+                p.stream
             })
         })
         .collect();
@@ -146,13 +192,13 @@ pub fn run_benchmark_matrix_isolated(
     // the pool stays full across benchmark boundaries.
     let mut cell_jobs: Vec<(String, Box<dyn FnOnce() -> SystemMetrics + Send>)> = Vec::new();
     let mut cell_keys: Vec<(usize, usize)> = Vec::new();
-    for (bi, trace) in traces.iter().enumerate() {
-        let Some(trace) = trace else { continue };
+    for (bi, stream) in traces.iter().enumerate() {
+        let Some(stream) = stream else { continue };
         for (si, &scheme) in Scheme::PAPER.iter().enumerate() {
-            let trace = Arc::clone(trace);
+            let stream = Arc::clone(stream);
             cell_jobs.push((
                 format!("matrix/{}/{}", suite[bi].name(), scheme.label()),
-                Box::new(move || run_system(scheme, geom, cfg, &trace, WARMUP_FRACTION)),
+                Box::new(move || stream.replay(build_cache(scheme, geom).as_mut())),
             ));
             cell_keys.push((bi, si));
         }

@@ -8,6 +8,12 @@
 //! (modelling the OOO core's latency hiding). All paper figures are
 //! *normalized to LRU*, which cancels the model's constant factors.
 //!
+//! Nothing the LLC does reaches the L1, so the L1-miss stream depends only
+//! on the trace: [`LlcStream`] runs the L1 pass once per trace (or once
+//! per multi-core mix) and every LLC scheme compared on it replays the
+//! same stream. [`System`] keeps a live L1 for runs that checkpoint a
+//! warmed hierarchy.
+//!
 //! # Examples
 //!
 //! ```
@@ -28,8 +34,10 @@
 
 mod metrics;
 mod mix;
+mod stream;
 mod system;
 
 pub use metrics::SystemMetrics;
-pub use mix::{interleave_schedule, MixMetrics, MixSystem};
+pub use mix::{interleave_schedule, MixMetrics};
+pub use stream::{LlcStream, LlcStreamBuilder};
 pub use system::{System, SystemConfig, FILTER_CHUNK};

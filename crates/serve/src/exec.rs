@@ -269,9 +269,8 @@ fn dir_of(value: Option<OsString>) -> Option<PathBuf> {
 /// analogs receiving their pro-rata share of `accesses` and trace-file
 /// components replaying their ingested file whole, each folded into its
 /// private address region, interleaved by the deterministic weighted
-/// lottery seeded with `mix_seed`, and replayed through a shared-LLC
-/// [`MixSystem`](stem_hierarchy::MixSystem) plus per-core solo baselines
-/// (see [`run_mix_decoded`]).
+/// lottery seeded with `mix_seed`, and replayed through a shared LLC
+/// plus per-core solo baselines (see [`run_mix_decoded`]).
 ///
 /// Determinism: generation, ingestion, scheduling, and replay are all
 /// serial pure functions of the canonical request plus the referenced

@@ -163,9 +163,38 @@ impl BenchmarkProfile {
         decoded
     }
 
+    /// Generates the same stream as [`decoded`](Self::decoded), handed to
+    /// `each` in consecutive chunks of `chunk` accesses (the last may be
+    /// shorter): a consumer that processes the stream in order holds one
+    /// chunk, never the whole stream.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is zero.
+    pub fn decoded_chunks(
+        &self,
+        geom: CacheGeometry,
+        accesses: usize,
+        chunk: usize,
+        mut each: impl FnMut(&DecodedTrace),
+    ) {
+        assert!(chunk > 0, "chunks hold at least one access");
+        let mut buf = DecodedTrace::with_capacity(geom, chunk.min(accesses));
+        self.generate(geom, accesses, &mut |a| {
+            buf.push(a);
+            if buf.len() == chunk {
+                each(&buf);
+                buf.clear();
+            }
+        });
+        if !buf.is_empty() {
+            each(&buf);
+        }
+    }
+
     /// Hands all `accesses` references, phase by phase, to `push` — the one
-    /// generator behind both [`trace`](Self::trace) and
-    /// [`decoded`](Self::decoded).
+    /// generator behind [`trace`](Self::trace), [`decoded`](Self::decoded)
+    /// and [`decoded_chunks`](Self::decoded_chunks).
     ///
     /// Each phase gets `accesses / phases` references (at least one). When
     /// that does not divide evenly, the remainder is emitted as one more,
@@ -782,6 +811,33 @@ mod tests {
         let a = p.trace(geom, 5_000);
         let b = p.trace(geom, 5_000);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn decoded_chunks_concatenate_to_the_decoded_stream() {
+        let geom = CacheGeometry::micro2010_l2();
+        let p = BenchmarkProfile::by_name("omnetpp").unwrap();
+        for (n, chunk) in [(0, 7), (1, 7), (5_000, 64), (5_000, 4_999), (5_000, 9_000)] {
+            let mut joined = DecodedTrace::with_capacity(geom, n);
+            let mut lens = Vec::new();
+            p.decoded_chunks(geom, n, chunk, |c| {
+                lens.push(c.len());
+                for a in c.iter() {
+                    joined.push(Access {
+                        addr: a.line.to_address(geom.line_bytes()),
+                        kind: a.kind(),
+                        inst_gap: a.inst_gap,
+                    });
+                }
+            });
+            assert_eq!(
+                joined,
+                p.decoded(geom, n),
+                "{n} accesses in chunks of {chunk}"
+            );
+            assert!(lens.iter().all(|&l| l > 0 && l <= chunk));
+            assert!(lens.iter().rev().skip(1).all(|&l| l == chunk));
+        }
     }
 
     #[test]

@@ -12,8 +12,12 @@
 #                            speedup and fairness per (mix, scheme)
 #
 # Also byte-checks the full-scale run_all stdout against the archived
-# run_all_output.txt: the numbers in the committed artifacts must come
-# from a run whose scientific output is the committed one.
+# run_all_output.txt, and the refreshed BENCH_mix.json against the
+# committed copy apart from its timing fields (`elapsed_secs`,
+# `available_parallelism`): the numbers in the committed artifacts must
+# come from a run whose scientific output is the committed one. Mix
+# results never reach stdout, so the second check is their only pin
+# at full scale.
 #
 # Timings are machine-dependent; re-run this script and commit the result
 # whenever the artifact *shape* changes (new sections, schemes, stages).
@@ -44,6 +48,14 @@ if ! cmp -s "$OUT/run_all_stdout.txt" run_all_output.txt; then
     exit 1
 fi
 echo "    stdout matches the archived run_all_output.txt"
+# Blank the two timing values and compare everything else byte for byte.
+untimed() { sed -E 's/"(elapsed_secs|available_parallelism)": [^,]*/"\1": _/' "$1"; }
+if [ -s BENCH_mix.json ] && ! cmp -s <(untimed "$OUT/BENCH_mix.json") <(untimed BENCH_mix.json); then
+    echo "ERROR: BENCH_mix.json differs from the committed copy beyond its timing fields" >&2
+    echo "       (diff <(sed ... $OUT/BENCH_mix.json) <(sed ... BENCH_mix.json); re-commit only if the change is intended)" >&2
+    exit 1
+fi
+echo "    BENCH_mix.json matches the committed copy apart from timings"
 
 echo "==> serve bench (live server)"
 ADDR_FILE="$OUT/serve-addr.txt"

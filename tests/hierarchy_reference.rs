@@ -1,22 +1,24 @@
 //! Differential test of the hierarchy against a reference model.
 //!
-//! `reference` below is `System` and `MixSystem` as they stood when every
-//! access went through one per-access step: the L1 probe, then, on an L1
-//! miss, a byte-address `CacheModel::access` on the LLC, with the access's
-//! cycles priced from its own `AccessResult` and, in a mix, that result
-//! credited to the issuing core. The tests require `System` and
-//! `MixSystem` to produce bit-equal metrics — every `f64` compared by its
-//! bits, every `CacheStats` equal — for all 13 schemes, on suite traces at
+//! `reference` below is `System` and the mix system as they stood when
+//! every access went through one per-access step: the L1 probe, then, on
+//! an L1 miss, a byte-address `CacheModel::access` on the LLC, with the
+//! access's cycles priced from its own `AccessResult` and, in a mix, that
+//! result credited to the issuing core. The tests require `System` and a
+//! shared `LlcStream` — one L1 pass, replayed into every scheme — to
+//! produce bit-equal metrics, solo and mixed: every `f64` compared by its
+//! bits, every `CacheStats` equal, for all 13 schemes, on suite traces at
 //! three geometries and on fuzzed streams, schedules and warm boundaries.
 //! Every archived AMAT, CPI and mix result depends on it.
 
-use stem::analysis::{build_cache, Scheme};
+use stem::analysis::{build_cache, warm_split, Scheme};
 use stem::hierarchy::{
-    interleave_schedule, MixMetrics, MixSystem, System, SystemConfig, SystemMetrics, FILTER_CHUNK,
+    interleave_schedule, LlcStream, MixMetrics, System, SystemConfig, SystemMetrics, FILTER_CHUNK,
 };
 use stem::sim_core::prop;
 use stem::sim_core::{Access, Address, CacheGeometry, DecodedTrace, Trace};
 use stem::workloads::{BenchmarkProfile, WorkloadMix};
+use stem_bench::harness::{prepare_llc_stream, WARMUP_FRACTION};
 
 /// The reference hierarchy, kept verbatim apart from reading the Table-1
 /// system constants from [`reference::Config`] (`SystemConfig`'s fields
@@ -305,17 +307,23 @@ fn assert_mix_bit_equal(got: &MixMetrics, want: &MixMetrics, what: &str) {
     assert_bit_equal(&got.combined, &want.combined, &format!("{what}: combined"));
 }
 
+/// Checks `System` and a replay of `stream` (the L1 pass of `trace` with
+/// warm boundary `warm`) against the reference, for one scheme.
 fn check_system(
     scheme: Scheme,
     geom: CacheGeometry,
     trace: &DecodedTrace,
     warm: usize,
+    stream: &LlcStream,
     what: &str,
 ) {
+    let what = format!("{what} {scheme} warm {warm}");
     let want = reference::System::new(build_cache(scheme, geom)).warm_then_run_decoded(trace, warm);
     let got = System::new(SystemConfig::micro2010(), build_cache(scheme, geom))
         .warm_then_run_decoded(trace, warm);
-    assert_bit_equal(&got, &want, &format!("{what} {scheme} warm {warm}"));
+    assert_bit_equal(&got, &want, &format!("{what} System"));
+    let shared = stream.replay(build_cache(scheme, geom).as_mut());
+    assert_bit_equal(&shared, &want, &format!("{what} shared stream"));
 }
 
 fn check_mix(
@@ -324,13 +332,13 @@ fn check_mix(
     streams: &[DecodedTrace],
     schedule: &[u32],
     warm_steps: usize,
+    stream: &LlcStream,
     what: &str,
 ) {
     let cores = streams.len();
     let want = reference::MixSystem::new(build_cache(scheme, geom), cores)
         .run_mix(streams, schedule, warm_steps);
-    let got = MixSystem::new(SystemConfig::micro2010(), build_cache(scheme, geom), cores)
-        .run_mix(streams, schedule, warm_steps);
+    let got = stream.replay_mix(build_cache(scheme, geom).as_mut());
     assert_mix_bit_equal(&got, &want, &format!("{what} {scheme} warm {warm_steps}"));
 }
 
@@ -345,12 +353,16 @@ fn suite_systems_match_the_reference() {
             let trace = BenchmarkProfile::by_name(bench)
                 .expect("suite benchmark")
                 .decoded(geom, accesses);
+            // One L1 pass, shared by all 13 schemes as in run_all's matrix.
+            let warm = accesses / 5;
+            let stream = LlcStream::solo(SystemConfig::micro2010(), &trace, warm);
             for scheme in Scheme::ALL {
                 check_system(
                     scheme,
                     geom,
                     &trace,
-                    accesses / 5,
+                    warm,
+                    &stream,
                     &format!("{bench} {sets}x{ways}"),
                 );
             }
@@ -374,13 +386,16 @@ fn suite_mixes_match_the_reference() {
             .collect();
         let lens: Vec<usize> = streams.iter().map(DecodedTrace::len).collect();
         let schedule = interleave_schedule(&lens, &mix.weights(), 7);
+        let warm = schedule.len() / 5;
+        let stream = LlcStream::mix(SystemConfig::micro2010(), &streams, &schedule, warm);
         for scheme in Scheme::ALL {
             check_mix(
                 scheme,
                 geom,
                 &streams,
                 &schedule,
-                schedule.len() / 5,
+                warm,
+                &stream,
                 &format!("mcf+gromacs {sets}x{ways}"),
             );
         }
@@ -445,7 +460,8 @@ fn random_systems_match_the_reference() {
         let len = random_len(g);
         let trace = random_stream(g, len, 0, geom);
         let warm = random_warm(g, len);
-        check_system(scheme, geom, &trace, warm, &format!("len {len}"));
+        let stream = LlcStream::solo(SystemConfig::micro2010(), &trace, warm);
+        check_system(scheme, geom, &trace, warm, &stream, &format!("len {len}"));
     });
 }
 
@@ -465,13 +481,86 @@ fn random_mixes_match_the_reference() {
         let lens: Vec<usize> = streams.iter().map(DecodedTrace::len).collect();
         let schedule = interleave_schedule(&lens, &weights, g.u64(0, u64::MAX));
         let warm = random_warm(g, schedule.len());
+        let stream = LlcStream::mix(SystemConfig::micro2010(), &streams, &schedule, warm);
         check_mix(
             scheme,
             geom,
             &streams,
             &schedule,
             warm,
+            &stream,
             &format!("{cores} cores, {total} steps"),
         );
     });
+}
+
+/// One line, touched over and over: after its first access the L1 hits
+/// every time, so once that access is warmed the measured LLC stream is
+/// empty, solo and in a mix.
+#[test]
+fn an_l1_absorbed_stream_matches_the_reference() {
+    let geom = CacheGeometry::new(64, 4, 64).expect("valid geometry");
+    let cfg = SystemConfig::micro2010();
+    let one_line = |core: u64, len: usize| {
+        let trace: Trace = (0..len as u64)
+            .map(|i| Access::read(Address::new((core << 41) | (i % 64))).with_inst_gap(3))
+            .collect();
+        DecodedTrace::decode(&trace, geom)
+    };
+    let len = FILTER_CHUNK + 7;
+    let trace = one_line(0, len);
+    for warm in [0, 1, FILTER_CHUNK, len] {
+        let stream = LlcStream::solo(cfg, &trace, warm);
+        assert_eq!(stream.len(), 1, "only the first access reaches the LLC");
+        assert_eq!(stream.warm_len(), usize::from(warm > 0));
+        for scheme in Scheme::ALL {
+            check_system(scheme, geom, &trace, warm, &stream, "one line");
+        }
+    }
+
+    let streams = [one_line(0, len), one_line(1, len / 2)];
+    let schedule = interleave_schedule(&[len, len / 2], &[1.0, 1.0], 3);
+    // Both cores have issued their first access well before step 64.
+    for warm in [64, schedule.len()] {
+        let stream = LlcStream::mix(cfg, &streams, &schedule, warm);
+        assert_eq!((stream.len(), stream.warm_len()), (2, 2));
+        for scheme in Scheme::ALL {
+            check_mix(
+                scheme,
+                geom,
+                &streams,
+                &schedule,
+                warm,
+                &stream,
+                "one line each",
+            );
+        }
+    }
+}
+
+/// run_all's matrix generates each trace straight through the L1, never
+/// holding it whole: that must give the very stream an L1 pass over the
+/// generated trace gives, at lengths either side of the chunk size.
+#[test]
+fn generating_through_the_l1_matches_filtering_the_decoded_trace() {
+    let geom = CacheGeometry::micro2010_l2();
+    for bench in ["omnetpp", "mcf", "ammp", "art"] {
+        let profile = BenchmarkProfile::by_name(bench).expect("suite benchmark");
+        for n in [
+            0,
+            1,
+            FILTER_CHUNK - 1,
+            FILTER_CHUNK,
+            2 * FILTER_CHUNK + 1,
+            30_000,
+        ] {
+            let want = LlcStream::solo(
+                SystemConfig::micro2010(),
+                &profile.decoded(geom, n),
+                warm_split(n, WARMUP_FRACTION),
+            );
+            let got = prepare_llc_stream(&profile, geom, n).stream;
+            assert!(*got == want, "{bench} at {n} accesses: streams differ");
+        }
+    }
 }

@@ -5,7 +5,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use stem_hierarchy::{LlcStream, SystemConfig, SystemMetrics};
+use stem_hierarchy::{System, SystemConfig, SystemMetrics};
 use stem_llc::{StemCache, StemConfig};
 use stem_replacement::{Bip, Dip, Drrip, Lru, Nru, PeLifo, Plru, SetAssocCache, Srrip};
 use stem_sim_core::{AuditedCacheModel, CacheGeometry, CacheModel, DecodedTrace};
@@ -166,9 +166,10 @@ pub fn warm_split(len: usize, warmup_fraction: f64) -> usize {
 /// front) is replayed unmeasured first, mirroring the paper's
 /// fast-forward + cache-warming protocol (§5.1).
 ///
-/// This is one L1 pass ([`LlcStream::solo`]) and one replay of its miss
-/// stream; drivers comparing several schemes on one trace build the
-/// stream once and [`replay`](LlcStream::replay) it per scheme.
+/// One scheme's run filters and replays a chunk at a time ([`System`]);
+/// drivers comparing several schemes on one trace build its L1-miss
+/// stream once ([`stem_hierarchy::LlcStream::solo`]) and replay that per
+/// scheme.
 pub fn run_system(
     scheme: Scheme,
     geom: CacheGeometry,
@@ -176,8 +177,9 @@ pub fn run_system(
     trace: &DecodedTrace,
     warmup_fraction: f64,
 ) -> SystemMetrics {
+    let mut system = System::new(cfg, build_cache(scheme, geom));
     let warm_len = warm_split(trace.len(), warmup_fraction);
-    LlcStream::solo(cfg, trace, warm_len).replay(build_cache(scheme, geom).as_mut())
+    system.warm_then_run_decoded(trace, warm_len)
 }
 
 #[cfg(test)]

@@ -10,10 +10,12 @@
 //! compared on one trace replays the same stream, so the L1 is filtered
 //! once per trace instead of once per scheme.
 
+use std::ops::Range;
+
 use stem_replacement::{Lru, SetAssocCache};
 use stem_sim_core::{CacheModel, CacheStats, DecodedTrace};
 
-use crate::system::{filter, metrics};
+use crate::system::{filter, metrics, FILTER_CHUNK};
 use crate::{MixMetrics, SystemConfig, SystemMetrics};
 
 /// One core's share of an [`LlcStream`]'s measured phase.
@@ -98,28 +100,45 @@ impl LlcStream {
         schedule: &[u32],
         warm_steps: usize,
     ) -> Self {
-        assert!(
-            warm_steps <= schedule.len(),
-            "warm boundary past the schedule"
+        issue_mix(cfg, streams, schedule, warm_steps, usize::MAX, |_, _| {})
+    }
+
+    /// What `LlcStream::mix(cfg, streams, schedule, warm_steps)` replayed
+    /// into `l2` by [`replay_mix`](LlcStream::replay_mix) returns, for a
+    /// caller with one LLC: the misses are replayed a [`FILTER_CHUNK`] of
+    /// the schedule at a time as they are filtered, so the stream is never
+    /// held whole.
+    ///
+    /// # Panics
+    ///
+    /// As [`mix`](LlcStream::mix), or if `l2`'s line size differs from
+    /// the L1's.
+    pub fn run_mix(
+        cfg: SystemConfig,
+        streams: &[DecodedTrace],
+        schedule: &[u32],
+        warm_steps: usize,
+        l2: &mut dyn CacheModel,
+    ) -> MixMetrics {
+        let mut feed = Feed::new(l2, streams.len());
+        let tallies = issue_mix(
+            cfg,
+            streams,
+            schedule,
+            warm_steps,
+            FILTER_CHUNK,
+            |chunk, measured| {
+                let all = 0..chunk.misses.len();
+                if measured {
+                    feed.measured(&chunk.misses, all, &chunk.owners);
+                } else {
+                    feed.warm(&chunk.misses, all);
+                }
+                chunk.misses.clear();
+                chunk.owners.clear();
+            },
         );
-        let geom = cfg.l1_geometry();
-        let lines: Vec<&[u64]> = streams.iter().map(|s| s.lines_for(geom)).collect();
-        let mut cursors = vec![0usize; streams.len()];
-        let mut builder =
-            LlcStreamBuilder::with_cores(cfg, streams.len(), warm_steps, schedule.len());
-        for &entry in schedule {
-            let core = entry as usize;
-            let i = cursors[core];
-            cursors[core] += 1;
-            let stream = &streams[core];
-            builder.push(
-                core,
-                lines[core][i],
-                stream.is_write(i),
-                stream.inst_gaps()[i],
-            );
-        }
-        builder.finish()
+        feed.finish(&tallies)
     }
 
     /// The number of LLC accesses, warm and measured.
@@ -159,33 +178,110 @@ impl LlcStream {
     ///
     /// Panics if `l2`'s line size differs from the L1's.
     pub fn replay_mix(&self, l2: &mut dyn CacheModel) -> MixMetrics {
-        l2.replay_decoded(&self.misses, 0..self.warm);
-        l2.reset_stats();
-        let mut core_l2 = vec![CacheStats::new(); self.cores.len()];
-        let mut before = CacheStats::new();
-        let mut start = self.warm;
-        let mut credit = |l2: &mut dyn CacheModel, core: usize, len: usize| {
-            l2.replay_decoded(&self.misses, start..start + len);
-            let after = *l2.stats();
-            core_l2[core] += after.outcomes_since(&before);
-            before = after;
+        let mut feed = Feed::new(l2, self.cores.len());
+        feed.warm(&self.misses, 0..self.warm);
+        feed.measured(&self.misses, self.warm..self.misses.len(), &self.owners);
+        feed.finish(self)
+    }
+}
+
+/// Filters `schedule` through one L1 per core (see [`LlcStream::mix`]),
+/// handing the stream built so far to `drain` after every `chunk`
+/// schedule entries, with whether they were measured; `drain` may replay
+/// and clear it. Returns the stream with whatever `drain` left in it.
+fn issue_mix(
+    cfg: SystemConfig,
+    streams: &[DecodedTrace],
+    schedule: &[u32],
+    warm_steps: usize,
+    chunk: usize,
+    mut drain: impl FnMut(&mut LlcStream, bool),
+) -> LlcStream {
+    let (warm, measured) = schedule.split_at(warm_steps);
+    let capacity = schedule.len().min(chunk);
+    let mut builder = LlcStreamBuilder::with_cores(cfg, streams.len(), warm_steps, capacity);
+    let mut cursors = vec![0usize; streams.len()];
+    for part in warm.chunks(chunk) {
+        builder.issue_schedule::<false>(streams, part, &mut cursors);
+        drain(&mut builder.stream, false);
+    }
+    builder.end_warm_phase();
+    let warm_cursors = cursors.clone();
+    for part in measured.chunks(chunk) {
+        builder.issue_schedule::<true>(streams, part, &mut cursors);
+        drain(&mut builder.stream, true);
+    }
+    for (core, tally) in builder.stream.cores.iter_mut().enumerate() {
+        tally.instructions = streams[core].instructions_in(warm_cursors[core]..cursors[core]);
+    }
+    builder.finish()
+}
+
+/// An LLC being replayed an L1-miss stream in order: the warm part, a
+/// statistics reset before the first measured access, then the measured
+/// part, each maximal run of one core's misses in one call with that core
+/// credited the outcome counts the run added.
+struct Feed<'a> {
+    l2: &'a mut dyn CacheModel,
+    measuring: bool,
+    core_l2: Vec<CacheStats>,
+    before: CacheStats,
+}
+
+impl<'a> Feed<'a> {
+    fn new(l2: &'a mut dyn CacheModel, cores: usize) -> Self {
+        Feed {
+            l2,
+            measuring: false,
+            core_l2: vec![CacheStats::new(); cores],
+            before: CacheStats::new(),
+        }
+    }
+
+    fn warm(&mut self, misses: &DecodedTrace, range: Range<usize>) {
+        self.l2.replay_decoded(misses, range);
+    }
+
+    fn start_measuring(&mut self) {
+        if !self.measuring {
+            self.measuring = true;
+            self.l2.reset_stats();
+        }
+    }
+
+    /// Replays measured `misses[range]`, whose issuing cores are `owners`
+    /// (empty for one core).
+    fn measured(&mut self, misses: &DecodedTrace, range: Range<usize>, owners: &[u32]) {
+        self.start_measuring();
+        let mut start = range.start;
+        let mut credit = |core: usize, len: usize| {
+            self.l2.replay_decoded(misses, start..start + len);
+            let after = *self.l2.stats();
+            self.core_l2[core] += after.outcomes_since(&self.before);
+            self.before = after;
             start += len;
         };
-        if self.owners.is_empty() {
-            credit(l2, 0, self.misses.len() - self.warm);
+        if owners.is_empty() {
+            credit(0, range.len());
         } else {
-            for run in self.owners.chunk_by(|a, b| a == b) {
-                credit(l2, run[0] as usize, run.len());
+            for run in owners.chunk_by(|a, b| a == b) {
+                credit(run[0] as usize, run.len());
             }
         }
+    }
 
-        let per_core: Vec<SystemMetrics> = self
+    /// The measured phase's metrics, per core and combined, with the
+    /// scheme-independent tallies of `stream`.
+    fn finish(mut self, stream: &LlcStream) -> MixMetrics {
+        self.start_measuring();
+        let cfg = &stream.cfg;
+        let per_core: Vec<SystemMetrics> = stream
             .cores
             .iter()
-            .zip(&core_l2)
+            .zip(&self.core_l2)
             .map(|(tally, &outcomes)| {
                 metrics(
-                    &self.cfg,
+                    cfg,
                     tally.l1.accesses(),
                     tally.instructions,
                     outcomes,
@@ -194,15 +290,15 @@ impl LlcStream {
                 )
             })
             .collect();
-        let l1 = self
+        let l1 = stream
             .cores
             .iter()
             .fold(CacheStats::new(), |sum, tally| sum + tally.l1);
-        let l2 = *l2.stats();
+        let l2 = *self.l2.stats();
         let combined = metrics(
-            &self.cfg,
+            cfg,
             l1.accesses(),
-            self.cores.iter().map(|t| t.instructions).sum(),
+            stream.cores.iter().map(|t| t.instructions).sum(),
             l2,
             l1.miss_rate(),
             l2,
@@ -223,6 +319,7 @@ pub struct LlcStreamBuilder {
     l1s: Vec<SetAssocCache<Lru>>,
     issued: usize,
     warm_steps: usize,
+    measuring: bool,
     stream: LlcStream,
 }
 
@@ -248,6 +345,7 @@ impl LlcStreamBuilder {
                 .collect(),
             issued: 0,
             warm_steps,
+            measuring: false,
             stream: LlcStream {
                 cfg,
                 misses: DecodedTrace::with_capacity(geom, capacity),
@@ -258,23 +356,28 @@ impl LlcStreamBuilder {
         }
     }
 
-    /// Issues one access of `core` — its line address at the L1's line
-    /// size, whether it writes, and the instructions since that core's
-    /// previous access.
-    #[inline]
-    fn push(&mut self, core: usize, line: u64, write: bool, inst_gap: u32) {
-        if self.issued == self.warm_steps {
-            self.end_warm_phase();
-        }
-        self.issued += 1;
-        let stream = &mut self.stream;
-        let missed = filter(&mut self.l1s[core], &mut stream.misses, line, write);
-        if self.issued > self.warm_steps {
-            stream.cores[core].instructions += u64::from(inst_gap);
-            if missed && self.l1s.len() > 1 {
-                stream.owners.push(core as u32);
+    /// Issues `schedule` from the per-core `cursors`; a measured pass
+    /// records each miss's core.
+    fn issue_schedule<const MEASURED: bool>(
+        &mut self,
+        streams: &[DecodedTrace],
+        schedule: &[u32],
+        cursors: &mut [usize],
+    ) {
+        let geom = self.stream.cfg.l1_geometry();
+        let lines: Vec<&[u64]> = streams.iter().map(|s| s.lines_for(geom)).collect();
+        let misses = &mut self.stream.misses;
+        let owners = &mut self.stream.owners;
+        for &entry in schedule {
+            let core = entry as usize;
+            let i = cursors[core];
+            cursors[core] += 1;
+            let write = streams[core].is_write(i);
+            if filter(&mut self.l1s[core], misses, lines[core][i], write) && MEASURED {
+                owners.push(entry);
             }
         }
+        self.issued += schedule.len();
     }
 
     /// Issues every access of `stream`, in order.
@@ -283,15 +386,34 @@ impl LlcStreamBuilder {
     ///
     /// Panics if the stream's line size differs from the L1's.
     pub fn push_stream(&mut self, stream: &DecodedTrace) {
-        let lines = stream.lines_for(self.stream.cfg.l1_geometry());
-        for ((i, &line), &gap) in lines.iter().enumerate().zip(stream.inst_gaps()) {
-            self.push(0, line, stream.is_write(i), gap);
+        let split = self
+            .warm_steps
+            .saturating_sub(self.issued)
+            .min(stream.len());
+        self.issue_solo(stream, 0..split);
+        if split < stream.len() {
+            if !self.measuring {
+                self.end_warm_phase();
+            }
+            self.issue_solo(stream, split..stream.len());
+            self.stream.cores[0].instructions += stream.instructions_in(split..stream.len());
         }
+    }
+
+    /// Issues `range` of `stream` through the one core's L1.
+    fn issue_solo(&mut self, stream: &DecodedTrace, range: Range<usize>) {
+        let lines = &stream.lines_for(self.stream.cfg.l1_geometry())[range.clone()];
+        let l1 = &mut self.l1s[0];
+        for (i, &line) in range.zip(lines) {
+            filter(l1, &mut self.stream.misses, line, stream.is_write(i));
+        }
+        self.issued += lines.len();
     }
 
     /// The warm/measured boundary: the LLC accesses so far are the warm
     /// prefix, and the L1 counters restart.
     fn end_warm_phase(&mut self) {
+        self.measuring = true;
         self.stream.warm = self.stream.misses.len();
         for l1 in &mut self.l1s {
             l1.reset_stats();
@@ -310,7 +432,7 @@ impl LlcStreamBuilder {
             self.warm_steps,
             self.issued
         );
-        if self.issued == self.warm_steps {
+        if !self.measuring {
             self.end_warm_phase();
         }
         for (tally, l1) in self.stream.cores.iter_mut().zip(&self.l1s) {

@@ -4,9 +4,10 @@
 //! every access went through one per-access step: the L1 probe, then, on
 //! an L1 miss, a byte-address `CacheModel::access` on the LLC, with the
 //! access's cycles priced from its own `AccessResult` and, in a mix, that
-//! result credited to the issuing core. The tests require `System` and a
-//! shared `LlcStream` — one L1 pass, replayed into every scheme — to
-//! produce bit-equal metrics, solo and mixed: every `f64` compared by its
+//! result credited to the issuing core. The tests require `System`, a
+//! shared `LlcStream` — one L1 pass, replayed into every scheme — and
+//! `LlcStream::run_mix`, which replays a mix's misses as it filters them,
+//! to produce bit-equal metrics, solo and mixed: every `f64` compared by its
 //! bits, every `CacheStats` equal, for all 13 schemes, on suite traces at
 //! three geometries and on fuzzed streams, schedules and warm boundaries.
 //! Every archived AMAT, CPI and mix result depends on it.
@@ -338,8 +339,17 @@ fn check_mix(
     let cores = streams.len();
     let want = reference::MixSystem::new(build_cache(scheme, geom), cores)
         .run_mix(streams, schedule, warm_steps);
-    let got = stream.replay_mix(build_cache(scheme, geom).as_mut());
-    assert_mix_bit_equal(&got, &want, &format!("{what} {scheme} warm {warm_steps}"));
+    let what = format!("{what} {scheme} warm {warm_steps}");
+    let shared = stream.replay_mix(build_cache(scheme, geom).as_mut());
+    assert_mix_bit_equal(&shared, &want, &format!("{what} shared stream"));
+    let fused = LlcStream::run_mix(
+        SystemConfig::micro2010(),
+        streams,
+        schedule,
+        warm_steps,
+        build_cache(scheme, geom).as_mut(),
+    );
+    assert_mix_bit_equal(&fused, &want, &format!("{what} run_mix"));
 }
 
 const GEOMETRIES: [(usize, usize); 3] = [(2048, 16), (256, 8), (64, 4)];
@@ -540,7 +550,9 @@ fn an_l1_absorbed_stream_matches_the_reference() {
 
 /// run_all's matrix generates each trace straight through the L1, never
 /// holding it whole: that must give the very stream an L1 pass over the
-/// generated trace gives, at lengths either side of the chunk size.
+/// generated trace gives, at lengths either side of the chunk size and
+/// with the warm boundary inside a chunk or on a chunk edge (at
+/// `5 * FILTER_CHUNK` accesses the 20 % boundary is `FILTER_CHUNK`).
 #[test]
 fn generating_through_the_l1_matches_filtering_the_decoded_trace() {
     let geom = CacheGeometry::micro2010_l2();
@@ -552,6 +564,7 @@ fn generating_through_the_l1_matches_filtering_the_decoded_trace() {
             FILTER_CHUNK - 1,
             FILTER_CHUNK,
             2 * FILTER_CHUNK + 1,
+            5 * FILTER_CHUNK,
             30_000,
         ] {
             let want = LlcStream::solo(

@@ -11,7 +11,7 @@
 use stem_hierarchy::{interleave_schedule, LlcStream, MixMetrics, SystemConfig, SystemMetrics};
 use stem_sim_core::{CacheGeometry, DecodedTrace};
 
-use crate::scheme::{build_cache, run_system, warm_split, Scheme};
+use crate::scheme::{build_cache, warm_split, Scheme};
 
 /// The outcome of one shared-LLC mix experiment: the shared run, the solo
 /// baselines, and the derived co-scheduling metrics.
@@ -116,12 +116,8 @@ impl MixOutcome {
 
 /// Runs `streams` (one decoded stream per core) through a shared LLC
 /// under `scheme`, and each stream through an identical solo system,
-/// deriving speedups, weighted speedup, and fairness: the outcome
-/// [`MixStreams::run`] gives, for one scheme. With one LLC to feed, the
-/// shared run replays its misses as the L1s filter them
-/// ([`LlcStream::run_mix`]) and each solo baseline is a
-/// [`System`](stem_hierarchy::System) run,
-/// so no LLC stream is held whole.
+/// deriving speedups, weighted speedup, and fairness: the one-scheme
+/// [`MixStreams::run`].
 ///
 /// # Panics
 ///
@@ -136,21 +132,7 @@ pub fn run_mix_decoded(
     seed: u64,
     warmup_fraction: f64,
 ) -> MixOutcome {
-    let lens: Vec<usize> = streams.iter().map(DecodedTrace::len).collect();
-    let schedule = interleave_schedule(&lens, weights, seed);
-    let warm_steps = warm_split(schedule.len(), warmup_fraction);
-    let mix = LlcStream::run_mix(
-        cfg,
-        streams,
-        &schedule,
-        warm_steps,
-        build_cache(scheme, geom).as_mut(),
-    );
-    let solo = streams
-        .iter()
-        .map(|s| run_system(scheme, geom, cfg, s, warmup_fraction))
-        .collect();
-    MixOutcome::new(mix, solo)
+    MixStreams::new(cfg, streams, weights, seed, warmup_fraction).run(scheme, geom)
 }
 
 #[cfg(test)]

@@ -257,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "a schedule entry names a core past the 1 streams")]
     fn a_schedule_naming_a_missing_core_panics() {
         let geom = CacheGeometry::new(64, 4, 64).unwrap();
         let s = stream(0, 100, 64, geom);

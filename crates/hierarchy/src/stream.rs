@@ -15,7 +15,7 @@ use std::ops::Range;
 use stem_replacement::{Lru, SetAssocCache};
 use stem_sim_core::{CacheModel, CacheStats, DecodedTrace};
 
-use crate::system::{filter, metrics, FILTER_CHUNK};
+use crate::system::{filter, filter_range, metrics};
 use crate::{MixMetrics, SystemConfig, SystemMetrics};
 
 /// One core's share of an [`LlcStream`]'s measured phase.
@@ -100,45 +100,23 @@ impl LlcStream {
         schedule: &[u32],
         warm_steps: usize,
     ) -> Self {
-        issue_mix(cfg, streams, schedule, warm_steps, usize::MAX, |_, _| {})
-    }
-
-    /// What `LlcStream::mix(cfg, streams, schedule, warm_steps)` replayed
-    /// into `l2` by [`replay_mix`](LlcStream::replay_mix) returns, for a
-    /// caller with one LLC: the misses are replayed a [`FILTER_CHUNK`] of
-    /// the schedule at a time as they are filtered, so the stream is never
-    /// held whole.
-    ///
-    /// # Panics
-    ///
-    /// As [`mix`](LlcStream::mix), or if `l2`'s line size differs from
-    /// the L1's.
-    pub fn run_mix(
-        cfg: SystemConfig,
-        streams: &[DecodedTrace],
-        schedule: &[u32],
-        warm_steps: usize,
-        l2: &mut dyn CacheModel,
-    ) -> MixMetrics {
-        let mut feed = Feed::new(l2, streams.len());
-        let tallies = issue_mix(
-            cfg,
-            streams,
-            schedule,
-            warm_steps,
-            FILTER_CHUNK,
-            |chunk, measured| {
-                let all = 0..chunk.misses.len();
-                if measured {
-                    feed.measured(&chunk.misses, all, &chunk.owners);
-                } else {
-                    feed.warm(&chunk.misses, all);
-                }
-                chunk.misses.clear();
-                chunk.owners.clear();
-            },
+        assert!(
+            schedule.iter().all(|&core| (core as usize) < streams.len()),
+            "a schedule entry names a core past the {} streams",
+            streams.len()
         );
-        feed.finish(&tallies)
+        let (warm, measured) = schedule.split_at(warm_steps);
+        let mut builder =
+            LlcStreamBuilder::with_cores(cfg, streams.len(), warm_steps, schedule.len());
+        let mut cursors = vec![0usize; streams.len()];
+        builder.issue_schedule::<false>(streams, warm, &mut cursors);
+        builder.end_warm_phase();
+        let warm_cursors = cursors.clone();
+        builder.issue_schedule::<true>(streams, measured, &mut cursors);
+        for (core, tally) in builder.stream.cores.iter_mut().enumerate() {
+            tally.instructions = streams[core].instructions_in(warm_cursors[core]..cursors[core]);
+        }
+        builder.finish()
     }
 
     /// The number of LLC accesses, warm and measured.
@@ -178,107 +156,31 @@ impl LlcStream {
     ///
     /// Panics if `l2`'s line size differs from the L1's.
     pub fn replay_mix(&self, l2: &mut dyn CacheModel) -> MixMetrics {
-        let mut feed = Feed::new(l2, self.cores.len());
-        feed.warm(&self.misses, 0..self.warm);
-        feed.measured(&self.misses, self.warm..self.misses.len(), &self.owners);
-        feed.finish(self)
-    }
-}
-
-/// Filters `schedule` through one L1 per core (see [`LlcStream::mix`]),
-/// handing the stream built so far to `drain` after every `chunk`
-/// schedule entries, with whether they were measured; `drain` may replay
-/// and clear it. Returns the stream with whatever `drain` left in it.
-fn issue_mix(
-    cfg: SystemConfig,
-    streams: &[DecodedTrace],
-    schedule: &[u32],
-    warm_steps: usize,
-    chunk: usize,
-    mut drain: impl FnMut(&mut LlcStream, bool),
-) -> LlcStream {
-    let (warm, measured) = schedule.split_at(warm_steps);
-    let capacity = schedule.len().min(chunk);
-    let mut builder = LlcStreamBuilder::with_cores(cfg, streams.len(), warm_steps, capacity);
-    let mut cursors = vec![0usize; streams.len()];
-    for part in warm.chunks(chunk) {
-        builder.issue_schedule::<false>(streams, part, &mut cursors);
-        drain(&mut builder.stream, false);
-    }
-    builder.end_warm_phase();
-    let warm_cursors = cursors.clone();
-    for part in measured.chunks(chunk) {
-        builder.issue_schedule::<true>(streams, part, &mut cursors);
-        drain(&mut builder.stream, true);
-    }
-    for (core, tally) in builder.stream.cores.iter_mut().enumerate() {
-        tally.instructions = streams[core].instructions_in(warm_cursors[core]..cursors[core]);
-    }
-    builder.finish()
-}
-
-/// An LLC being replayed an L1-miss stream in order: the warm part, a
-/// statistics reset before the first measured access, then the measured
-/// part, each maximal run of one core's misses in one call with that core
-/// credited the outcome counts the run added.
-struct Feed<'a> {
-    l2: &'a mut dyn CacheModel,
-    measuring: bool,
-    core_l2: Vec<CacheStats>,
-    before: CacheStats,
-}
-
-impl<'a> Feed<'a> {
-    fn new(l2: &'a mut dyn CacheModel, cores: usize) -> Self {
-        Feed {
-            l2,
-            measuring: false,
-            core_l2: vec![CacheStats::new(); cores],
-            before: CacheStats::new(),
-        }
-    }
-
-    fn warm(&mut self, misses: &DecodedTrace, range: Range<usize>) {
-        self.l2.replay_decoded(misses, range);
-    }
-
-    fn start_measuring(&mut self) {
-        if !self.measuring {
-            self.measuring = true;
-            self.l2.reset_stats();
-        }
-    }
-
-    /// Replays measured `misses[range]`, whose issuing cores are `owners`
-    /// (empty for one core).
-    fn measured(&mut self, misses: &DecodedTrace, range: Range<usize>, owners: &[u32]) {
-        self.start_measuring();
-        let mut start = range.start;
+        l2.replay_decoded(&self.misses, 0..self.warm);
+        l2.reset_stats();
+        let mut core_l2 = vec![CacheStats::new(); self.cores.len()];
+        let mut before = CacheStats::new();
+        let mut start = self.warm;
         let mut credit = |core: usize, len: usize| {
-            self.l2.replay_decoded(misses, start..start + len);
-            let after = *self.l2.stats();
-            self.core_l2[core] += after.outcomes_since(&self.before);
-            self.before = after;
+            l2.replay_decoded(&self.misses, start..start + len);
+            let after = *l2.stats();
+            core_l2[core] += after.outcomes_since(&before);
+            before = after;
             start += len;
         };
-        if owners.is_empty() {
-            credit(0, range.len());
+        if self.owners.is_empty() {
+            credit(0, self.misses.len() - self.warm);
         } else {
-            for run in owners.chunk_by(|a, b| a == b) {
+            for run in self.owners.chunk_by(|a, b| a == b) {
                 credit(run[0] as usize, run.len());
             }
         }
-    }
 
-    /// The measured phase's metrics, per core and combined, with the
-    /// scheme-independent tallies of `stream`.
-    fn finish(mut self, stream: &LlcStream) -> MixMetrics {
-        self.start_measuring();
-        let cfg = &stream.cfg;
-        let per_core: Vec<SystemMetrics> = stream
+        let cfg = &self.cfg;
+        let per_core: Vec<SystemMetrics> = self
             .cores
             .iter()
-            .zip(&self.core_l2)
+            .zip(&core_l2)
             .map(|(tally, &outcomes)| {
                 metrics(
                     cfg,
@@ -290,15 +192,15 @@ impl<'a> Feed<'a> {
                 )
             })
             .collect();
-        let l1 = stream
+        let l1 = self
             .cores
             .iter()
             .fold(CacheStats::new(), |sum, tally| sum + tally.l1);
-        let l2 = *self.l2.stats();
+        let l2 = *l2.stats();
         let combined = metrics(
             cfg,
             l1.accesses(),
-            stream.cores.iter().map(|t| t.instructions).sum(),
+            self.cores.iter().map(|t| t.instructions).sum(),
             l2,
             l1.miss_rate(),
             l2,
@@ -402,12 +304,8 @@ impl LlcStreamBuilder {
 
     /// Issues `range` of `stream` through the one core's L1.
     fn issue_solo(&mut self, stream: &DecodedTrace, range: Range<usize>) {
-        let lines = &stream.lines_for(self.stream.cfg.l1_geometry())[range.clone()];
-        let l1 = &mut self.l1s[0];
-        for (i, &line) in range.zip(lines) {
-            filter(l1, &mut self.stream.misses, line, stream.is_write(i));
-        }
-        self.issued += lines.len();
+        self.issued += range.len();
+        filter_range(&mut self.l1s[0], &mut self.stream.misses, stream, range);
     }
 
     /// The warm/measured boundary: the LLC accesses so far are the warm

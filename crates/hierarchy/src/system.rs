@@ -167,19 +167,34 @@ impl System {
     /// Filters `range` through the L1 a [`FILTER_CHUNK`] at a time and
     /// replays each chunk's L1 misses through the LLC.
     fn drive(&mut self, trace: &DecodedTrace, range: Range<usize>) {
-        let lines = &trace.lines_for(self.cfg.l1_geometry)[range.clone()];
         let mut misses =
-            DecodedTrace::with_capacity(self.cfg.l1_geometry, lines.len().min(FILTER_CHUNK));
-        for (start, chunk) in (range.start..)
-            .step_by(FILTER_CHUNK)
-            .zip(lines.chunks(FILTER_CHUNK))
-        {
+            DecodedTrace::with_capacity(self.cfg.l1_geometry, range.len().min(FILTER_CHUNK));
+        for start in range.clone().step_by(FILTER_CHUNK) {
             misses.clear();
-            for (i, &line) in (start..).zip(chunk) {
-                filter(&mut self.l1, &mut misses, line, trace.is_write(i));
-            }
+            let chunk = start..(start + FILTER_CHUNK).min(range.end);
+            filter_range(&mut self.l1, &mut misses, trace, chunk);
             self.l2.run_decoded(&misses);
         }
+    }
+}
+
+/// Issues `range` of `trace` through a core's L1, appending each L1 miss
+/// to `misses`, the LLC stream being built.
+///
+/// # Panics
+///
+/// Panics if `range` is out of bounds or the trace's line size differs
+/// from the L1's.
+#[inline]
+pub(crate) fn filter_range(
+    l1: &mut SetAssocCache<Lru>,
+    misses: &mut DecodedTrace,
+    trace: &DecodedTrace,
+    range: Range<usize>,
+) {
+    let lines = &trace.lines_for(misses.geometry())[range.clone()];
+    for (i, &line) in range.zip(lines) {
+        filter(l1, misses, line, trace.is_write(i));
     }
 }
 

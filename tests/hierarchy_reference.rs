@@ -4,10 +4,9 @@
 //! every access went through one per-access step: the L1 probe, then, on
 //! an L1 miss, a byte-address `CacheModel::access` on the LLC, with the
 //! access's cycles priced from its own `AccessResult` and, in a mix, that
-//! result credited to the issuing core. The tests require `System`, a
-//! shared `LlcStream` — one L1 pass, replayed into every scheme — and
-//! `LlcStream::run_mix`, which replays a mix's misses as it filters them,
-//! to produce bit-equal metrics, solo and mixed: every `f64` compared by its
+//! result credited to the issuing core. The tests require `System` and a
+//! shared `LlcStream` — one L1 pass, replayed into every scheme — to
+//! produce bit-equal metrics, solo and mixed: every `f64` compared by its
 //! bits, every `CacheStats` equal, for all 13 schemes, on suite traces at
 //! three geometries and on fuzzed streams, schedules and warm boundaries.
 //! Every archived AMAT, CPI and mix result depends on it.
@@ -342,14 +341,6 @@ fn check_mix(
     let what = format!("{what} {scheme} warm {warm_steps}");
     let shared = stream.replay_mix(build_cache(scheme, geom).as_mut());
     assert_mix_bit_equal(&shared, &want, &format!("{what} shared stream"));
-    let fused = LlcStream::run_mix(
-        SystemConfig::micro2010(),
-        streams,
-        schedule,
-        warm_steps,
-        build_cache(scheme, geom).as_mut(),
-    );
-    assert_mix_bit_equal(&fused, &want, &format!("{what} run_mix"));
 }
 
 const GEOMETRIES: [(usize, usize); 3] = [(2048, 16), (256, 8), (64, 4)];

@@ -169,6 +169,13 @@ for csv in "$DET_BASE"/*.csv; do
         exit 1
     }
 done
+# The cell list is part of the determinism contract too: the same names
+# in the same order at any thread count.
+cell_names() { grep -o '"name": "[^"]*"' "$1/BENCH_run_all.json"; }
+cmp <(cell_names "$DET_BASE") <(cell_names "$DET_DIR") || {
+    echo "ERROR: BENCH_run_all.json lists other cells at STEM_THREADS=5" >&2
+    exit 1
+}
 PINNED=fixtures/run_all_small
 for f in "$PINNED"/*; do
     cmp "$f" "$DET_BASE/$(basename "$f")" || {
@@ -182,7 +189,7 @@ for csv in "$DET_BASE"/*.csv; do
         exit 1
     }
 done
-echo "    byte-identical stdout and CSVs at threads in {1,5}, equal to $PINNED"
+echo "    byte-identical stdout, CSVs and cell lists at threads in {1,5}, equal to $PINNED"
 
 echo "==> sampled-fidelity smoke gate (pinned error bound, byte-identical stdout across threads)"
 # The sampled tier must be (a) accurate within the pinned MPKI

@@ -11,7 +11,7 @@
 use stem_hierarchy::{interleave_schedule, LlcStream, MixMetrics, SystemConfig, SystemMetrics};
 use stem_sim_core::{CacheGeometry, DecodedTrace};
 
-use crate::scheme::{build_cache, warm_split, Scheme};
+use crate::scheme::{build_cache, run_system, warm_split, Scheme};
 
 /// The outcome of one shared-LLC mix experiment: the shared run, the solo
 /// baselines, and the derived co-scheduling metrics.
@@ -48,7 +48,9 @@ impl MixStreams {
     /// deterministic — and filters the schedule, and each stream alone,
     /// through the L1s. The shared run's warm boundary is the
     /// workspace-standard [`warm_split`] of the schedule length; solo
-    /// baselines warm at the same fraction of their own streams.
+    /// baselines warm at the same fraction of their own streams. Build
+    /// them once when several schemes replay one mix; one scheme's run is
+    /// [`run_mix_decoded`].
     ///
     /// # Panics
     ///
@@ -61,11 +63,8 @@ impl MixStreams {
         seed: u64,
         warmup_fraction: f64,
     ) -> Self {
-        let lens: Vec<usize> = streams.iter().map(DecodedTrace::len).collect();
-        let schedule = interleave_schedule(&lens, weights, seed);
-        let warm_steps = warm_split(schedule.len(), warmup_fraction);
         MixStreams {
-            shared: LlcStream::mix(cfg, streams, &schedule, warm_steps),
+            shared: shared_stream(cfg, streams, weights, seed, warmup_fraction),
             solo: streams
                 .iter()
                 .map(|s| LlcStream::solo(cfg, s, warm_split(s.len(), warmup_fraction)))
@@ -85,6 +84,22 @@ impl MixStreams {
             .collect();
         MixOutcome::new(mix, solo)
     }
+}
+
+/// The shared run's LLC stream: `streams` interleaved by
+/// [`interleave_schedule`]`(lens, weights, seed)` and filtered through the
+/// L1s, warmed on the [`warm_split`] of the schedule length.
+fn shared_stream(
+    cfg: SystemConfig,
+    streams: &[DecodedTrace],
+    weights: &[f64],
+    seed: u64,
+    warmup_fraction: f64,
+) -> LlcStream {
+    let lens: Vec<usize> = streams.iter().map(DecodedTrace::len).collect();
+    let schedule = interleave_schedule(&lens, weights, seed);
+    let warm_steps = warm_split(schedule.len(), warmup_fraction);
+    LlcStream::mix(cfg, streams, &schedule, warm_steps)
 }
 
 impl MixOutcome {
@@ -116,8 +131,10 @@ impl MixOutcome {
 
 /// Runs `streams` (one decoded stream per core) through a shared LLC
 /// under `scheme`, and each stream through an identical solo system,
-/// deriving speedups, weighted speedup, and fairness: the one-scheme
-/// [`MixStreams::run`].
+/// deriving speedups, weighted speedup, and fairness: the outcome of
+/// [`MixStreams::run`], for one scheme. Only the shared stream is built
+/// whole; each solo baseline is a chunked [`run_system`], which filters
+/// and replays without holding the solo stream.
 ///
 /// # Panics
 ///
@@ -132,7 +149,13 @@ pub fn run_mix_decoded(
     seed: u64,
     warmup_fraction: f64,
 ) -> MixOutcome {
-    MixStreams::new(cfg, streams, weights, seed, warmup_fraction).run(scheme, geom)
+    let mix = shared_stream(cfg, streams, weights, seed, warmup_fraction)
+        .replay_mix(build_cache(scheme, geom).as_mut());
+    let solo = streams
+        .iter()
+        .map(|s| run_system(scheme, geom, cfg, s, warmup_fraction))
+        .collect();
+    MixOutcome::new(mix, solo)
 }
 
 #[cfg(test)]
@@ -177,12 +200,15 @@ mod tests {
     }
 
     #[test]
-    fn every_scheme_produces_a_finite_outcome() {
+    fn every_scheme_equals_its_shared_streams_run_and_is_finite() {
         let geom = CacheGeometry::new(64, 8, 64).unwrap();
         let cfg = SystemConfig::micro2010();
         let streams = two_core_streams(geom, 8_000);
+        let weights = [1.0, 2.0];
+        let shared = MixStreams::new(cfg, &streams, &weights, 7, 0.2);
         for scheme in Scheme::ALL {
-            let o = run_mix_decoded(scheme, geom, cfg, &streams, &[1.0, 1.0], 7, 0.2);
+            let o = run_mix_decoded(scheme, geom, cfg, &streams, &weights, 7, 0.2);
+            assert_eq!(o, shared.run(scheme, geom), "{scheme:?}");
             assert!(
                 o.weighted_speedup.is_finite() && o.fairness.is_finite(),
                 "{scheme:?}"

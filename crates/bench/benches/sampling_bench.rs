@@ -28,7 +28,7 @@ use std::time::Duration;
 use stem_analysis::{build_cache, Scheme};
 use stem_bench::config::Config;
 use stem_bench::engine::{Exec, RunPlan};
-use stem_bench::harness::{prepare_trace, WARMUP_FRACTION};
+use stem_bench::harness::WARMUP_FRACTION;
 use stem_bench::timing::{best_of, best_of_paired, cores_entry};
 use stem_sim_core::{CacheGeometry, Json, SampledTrace};
 use stem_workloads::BenchmarkProfile;
@@ -191,8 +191,7 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     for bench in &benchmarks {
         let name = bench.name();
-        let prepared = prepare_trace(bench, geom, accesses);
-        let source = &*prepared.trace;
+        let source = &bench.decoded(geom, accesses);
         for &rate in &RATES {
             // Selection is timed separately: one sample serves every
             // eligible scheme at this rate.
@@ -268,13 +267,11 @@ fn main() {
 
     // Timing smoke for trace selection alone (stderr only).
     if let Some(bench) = benchmarks.first() {
-        let prepared = prepare_trace(bench, geom, accesses);
-        let d = best_of(REPS, || {
-            SampledTrace::select(&prepared.trace, 16, SEED).len()
-        });
+        let trace = bench.decoded(geom, accesses);
+        let d = best_of(REPS, || SampledTrace::select(&trace, 16, SEED).len());
         eprintln!(
             "select(rate 16) over {} accesses: {:.3}s best-of-{REPS}",
-            prepared.trace.len(),
+            trace.len(),
             d.as_secs_f64()
         );
     }

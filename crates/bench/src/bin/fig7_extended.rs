@@ -25,7 +25,7 @@ fn main() {
     let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); schemes.len()];
 
     for bench in spec2010_suite() {
-        let stream = prepare_llc_stream(&bench, geom, accesses).stream;
+        let (stream, _) = prepare_llc_stream(&bench, geom, accesses);
         let run = |scheme| stream.replay(build_cache(scheme, geom).as_mut());
         let lru = run(Scheme::Lru);
         let mut values = Vec::new();

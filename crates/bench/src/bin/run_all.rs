@@ -25,20 +25,23 @@
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use stem_analysis::{geomean, CapacityDemandProfiler, MixOutcome, MixStreams, Scheme, Table};
+use stem_analysis::{
+    build_cache, geomean, CapacityDemandProfiler, MixOutcome, MixStreams, Scheme, Table,
+};
 use stem_bench::config::Config;
 use stem_bench::engine::RunPlan;
 use stem_bench::harness::{
-    capacity_sweep_sets, normalized_table, prepare_trace, run_benchmark_matrix_isolated,
-    sensitivity_benchmarks, sweep_ways, PrepTimings, WARMUP_FRACTION,
+    capacity_sweep_sets, normalized_table, prepare_llc_stream, run_stage, sensitivity_benchmarks,
+    sweep_ways, BenchmarkRow, PrepTimings, StageCell, WARMUP_FRACTION,
 };
 use stem_bench::resilience::{ExperimentOutcome, ExperimentRunner};
 use stem_bench::timing::cores_entry;
 use stem_hierarchy::SystemConfig;
 use stem_llc::{overhead, StemConfig};
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
+use stem_workloads::{spec2010_suite, BenchmarkProfile, WorkloadMix};
 
 /// Writes `table` to `<dir>/<name>.csv` when an artifact directory is
 /// configured.
@@ -54,62 +57,59 @@ fn maybe_csv(csv_dir: Option<&Path>, name: &str, table: &Table) {
 }
 
 /// The end-to-end pipeline stage breakdown recorded alongside the
-/// per-experiment timings: wall clock spent synthesizing accesses,
-/// decoding raw traces into shared [`DecodedTrace`]s (the mix streams;
-/// the matrix, Fig. 1 and sweep traces are generated straight into
-/// decoded columns, so their decode time is inside generate), filtering
-/// the matrix traces and the mixes through the L1s into their shared
-/// LLC streams (a mix's interleave schedule included), replaying
-/// streams through the scheme models (matrix cells, sweep points and mix
-/// cells), and running the remaining analyses (Fig. 1 profiling net of
-/// its trace preparation, plus Table 3).
+/// per-experiment timings, each total added by the stage that spends it:
+/// `prep` holds the wall clock spent synthesizing accesses, decoding raw
+/// traces (the mix streams; every other trace is generated straight into
+/// decoded columns, so its decode time is inside generate) and filtering
+/// streams through the L1s (a mix's interleave schedule included);
+/// `replay` the summed wall clock of the cells that replay a stream
+/// through a scheme (matrix cells, sweep points and mix cells); and
+/// `analysis` the Fig. 1 profiling and Table 3.
+#[derive(Default)]
 struct StageBreakdown {
-    generate_secs: f64,
-    decode_secs: f64,
-    l1_filter_secs: f64,
-    replay_secs: f64,
-    analysis_secs: f64,
+    prep: PrepTimings,
+    replay: Duration,
+    analysis: Duration,
 }
 
-impl StageBreakdown {
-    /// Derives the breakdown from the prep accumulator and the recorded
-    /// outcomes. `fig1_prep_secs` is the generate+decode share of the
-    /// `fig1_*` cells (already inside `prep`), subtracted from their cell
-    /// time so it is not double-counted as analysis.
-    fn from_outcomes(
-        prep: PrepTimings,
-        fig1_prep_secs: f64,
-        outcomes: &[ExperimentOutcome],
-    ) -> Self {
-        let sum_where = |f: &dyn Fn(&str) -> bool| -> f64 {
-            outcomes
-                .iter()
-                .filter(|o| f(&o.name))
-                .map(|o| o.elapsed.as_secs_f64())
-                .sum()
-        };
-        let replay_secs = sum_where(&|n: &str| {
-            n.starts_with("matrix/")
-                || (n.starts_with("sweep_") && !n.starts_with("sweep_trace_"))
-                || (n.starts_with("mix_") && !n.starts_with("mix_trace_"))
-        });
-        let analysis_cells = sum_where(&|n: &str| n.starts_with("fig1_") || n == "table3_overhead");
-        StageBreakdown {
-            generate_secs: prep.generate.as_secs_f64(),
-            decode_secs: prep.decode.as_secs_f64(),
-            l1_filter_secs: prep.l1_filter.as_secs_f64(),
-            replay_secs,
-            analysis_secs: (analysis_cells - fig1_prep_secs).max(0.0),
-        }
+/// Names one stage cell.
+fn cell<T>(name: String, f: impl FnOnce() -> T + Send + 'static) -> StageCell<T> {
+    (name, Box::new(f))
+}
+
+/// One sweep point: the MPKI of a warmed serial replay of `trace` at
+/// `geom`.
+fn sweep_cell(
+    name: String,
+    scheme: Scheme,
+    geom: CacheGeometry,
+    trace: &Arc<DecodedTrace>,
+) -> StageCell<f64> {
+    let trace = Arc::clone(trace);
+    cell(name, move || {
+        RunPlan::serial(scheme, geom, WARMUP_FRACTION)
+            .run(&trace)
+            .unwrap_or_else(|e| panic!("{scheme} sweep point: {e}"))
+            .mpki()
+    })
+}
+
+/// Renders one sweep table: a row per `(label, index)` point, and a
+/// column per paper scheme holding the MPKI at `index` of that scheme's
+/// run of cells; `None` when any of its points failed.
+fn sweep_table(
+    axis: &str,
+    points: &[(String, usize)],
+    columns: &[&[Option<f64>]],
+) -> Option<Table> {
+    let mut headers = vec![axis.to_owned()];
+    headers.extend(Scheme::PAPER.iter().map(|s| s.label().to_owned()));
+    let mut table = Table::new(headers);
+    for (label, i) in points {
+        let values: Vec<f64> = columns.iter().map(|c| c[*i]).collect::<Option<_>>()?;
+        table.row_f64(label, &values);
     }
-}
-
-/// The MPKI of one sweep point: a warmed serial replay of `trace`.
-fn sweep_point(scheme: Scheme, geom: CacheGeometry, trace: &DecodedTrace) -> f64 {
-    RunPlan::serial(scheme, geom, WARMUP_FRACTION)
-        .run(trace)
-        .unwrap_or_else(|e| panic!("{scheme} sweep point: {e}"))
-        .mpki()
+    Some(table)
 }
 
 /// Emits the per-experiment wall-clock summary: always to stderr (stdout
@@ -146,15 +146,16 @@ fn emit_timing_summary(
     eprintln!(
         "stage breakdown: generate {:.2}s, decode {:.2}s, l1_filter {:.2}s, replay {:.2}s, \
          analysis {:.2}s",
-        stages.generate_secs,
-        stages.decode_secs,
-        stages.l1_filter_secs,
-        stages.replay_secs,
-        stages.analysis_secs
+        stages.prep.generate.as_secs_f64(),
+        stages.prep.decode.as_secs_f64(),
+        stages.prep.l1_filter.as_secs_f64(),
+        stages.replay.as_secs_f64(),
+        stages.analysis.as_secs_f64()
     );
 
     if let Some(dir) = csv_dir {
         let secs3 = |s: f64| Json::float_rounded(s, 3);
+        let stage = |d: Duration| secs3(d.as_secs_f64());
         let experiments: Vec<Json> = outcomes
             .iter()
             .map(|o| {
@@ -176,11 +177,11 @@ fn emit_timing_summary(
             (
                 "stages".into(),
                 Json::Obj(vec![
-                    ("generate_secs".into(), secs3(stages.generate_secs)),
-                    ("decode_secs".into(), secs3(stages.decode_secs)),
-                    ("l1_filter_secs".into(), secs3(stages.l1_filter_secs)),
-                    ("replay_secs".into(), secs3(stages.replay_secs)),
-                    ("analysis_secs".into(), secs3(stages.analysis_secs)),
+                    ("generate_secs".into(), stage(stages.prep.generate)),
+                    ("decode_secs".into(), stage(stages.prep.decode)),
+                    ("l1_filter_secs".into(), stage(stages.prep.l1_filter)),
+                    ("replay_secs".into(), stage(stages.replay)),
+                    ("analysis_secs".into(), stage(stages.analysis)),
                 ]),
             ),
             ("experiments".into(), Json::Arr(experiments)),
@@ -202,6 +203,9 @@ const MIX_SEED: u64 = 42;
 /// III pairing (capacity-hungry vs streaming) and one Class II + Class I.
 const MIX_DEFS: [(&str, &str); 2] = [("omnetpp", "gromacs"), ("mcf", "ammp")];
 
+/// One mix scheme cell's result: the outcome and its replay seconds.
+type MixCell = (MixOutcome, f64);
+
 /// Writes `<csv_dir>/BENCH_mix.json`: the shared-LLC mix stage's full
 /// record — per (mix, scheme) the weighted speedup, fairness, and
 /// per-core solo-vs-shared metrics, plus replay wall clock. Schema
@@ -209,7 +213,7 @@ const MIX_DEFS: [(&str, &str); 2] = [("omnetpp", "gromacs"), ("mcf", "ammp")];
 fn emit_mix_artifact(
     csv_dir: Option<&Path>,
     accesses: usize,
-    results: &[Vec<Option<(MixOutcome, f64)>>],
+    results: &[Option<Vec<Option<MixCell>>>],
 ) {
     let Some(dir) = csv_dir else { return };
     let f6 = |v: f64| Json::float_rounded(v, 6);
@@ -219,7 +223,7 @@ fn emit_mix_artifact(
         .map(|(&(a, b), per_scheme)| {
             let schemes: Vec<Json> = Scheme::PAPER
                 .iter()
-                .zip(per_scheme)
+                .zip(per_scheme.as_deref().unwrap_or_default())
                 .filter_map(|(scheme, cell)| {
                     let (o, secs) = cell.as_ref()?;
                     let cores: Vec<Json> = [a, b]
@@ -295,10 +299,7 @@ fn main() -> ExitCode {
     let csv_dir = cfg.csv_dir.as_deref();
 
     let mut runner = ExperimentRunner::new();
-    // Accumulated generate/decode wall clock across every trace-preparing
-    // cell, and the share of it that happened inside `fig1_*` cells.
-    let mut prep = PrepTimings::default();
-    let mut fig1_prep_secs = 0.0f64;
+    let mut stages = StageBreakdown::default();
 
     println!("# STEM reproduction — full experiment run");
     println!(
@@ -316,28 +317,26 @@ fn main() -> ExitCode {
         .iter()
         .map(|&name| {
             (format!("fig1_{name}"), move || {
-                let bench =
-                    stem_workloads::BenchmarkProfile::by_name(name).expect("suite benchmark");
-                let prepared = prepare_trace(&bench, geom, periods * 50_000);
-                let hists =
-                    CapacityDemandProfiler::micro2010(geom).profile_decoded(&prepared.trace);
+                let t0 = Instant::now();
+                let bench = BenchmarkProfile::by_name(name).expect("suite benchmark");
+                let trace = bench.decoded(geom, periods * 50_000);
+                let generate = t0.elapsed();
+                let hists = CapacityDemandProfiler::micro2010(geom).profile_decoded(&trace);
                 let agg = CapacityDemandProfiler::aggregate(&hists);
-                (
-                    (
-                        agg.fraction_at_most(4),
-                        agg.fraction_at_most(16),
-                        agg.fraction_at_most(0),
-                        agg.banded(),
-                    ),
-                    prepared.prep,
-                )
+                let summary = (
+                    agg.fraction_at_most(4),
+                    agg.fraction_at_most(16),
+                    agg.fraction_at_most(0),
+                    agg.banded(),
+                );
+                (summary, generate, t0.elapsed() - generate)
             })
         })
         .collect();
     for (name, outcome) in fig1_names.iter().zip(runner.run_batch(threads, fig1_jobs)) {
-        if let Some(((le4, le16, zero, banded), cell_prep)) = outcome {
-            prep.absorb(cell_prep);
-            fig1_prep_secs += (cell_prep.generate + cell_prep.decode).as_secs_f64();
+        if let Some(((le4, le16, zero, banded), generate, analysis)) = outcome {
+            stages.prep.generate += generate;
+            stages.analysis += analysis;
             println!(
                 "## Fig. 1 ({name}): demand <= 4 ways: {le4:.2}, <= 16 ways: {le16:.2}, \
                  zero-demand: {zero:.2}",
@@ -355,8 +354,55 @@ fn main() -> ExitCode {
     }
 
     // ---- Fig. 7/8/9 + Table 2 --------------------------------------
+    // Each `trace/<bench>` cell generates its trace straight through the
+    // L1 once; the six `matrix/<bench>/<scheme>` cells of the row only
+    // replay the shared LLC stream.
     eprintln!("running the 15-benchmark x 6-scheme matrix...");
-    let rows = run_benchmark_matrix_isolated(&mut runner, geom, accesses, threads, &mut prep);
+    let suite = spec2010_suite();
+    let trace_jobs: Vec<(String, _)> = suite
+        .iter()
+        .map(|bench| {
+            let bench = bench.clone();
+            (format!("trace/{}", bench.name()), move || {
+                prepare_llc_stream(&bench, geom, accesses)
+            })
+        })
+        .collect();
+    let matrix = run_stage(
+        &mut runner,
+        threads,
+        trace_jobs,
+        |bi, stream| {
+            Scheme::PAPER
+                .iter()
+                .map(|&scheme| {
+                    let stream = Arc::clone(stream);
+                    cell(
+                        format!("matrix/{}/{}", suite[bi].name(), scheme.label()),
+                        move || stream.replay(build_cache(scheme, geom).as_mut()),
+                    )
+                })
+                .collect()
+        },
+        &mut stages.prep,
+        &mut stages.replay,
+    );
+    // A row needs all of its scheme cells: normalization is relative to
+    // its own LRU column.
+    let mut rows = Vec::new();
+    for (bench, cells) in suite.iter().zip(matrix) {
+        let name = bench.name();
+        match cells.map(|cells| cells.into_iter().collect::<Option<Vec<_>>>()) {
+            None => eprintln!("  {name:<10} SKIPPED (trace generation failed)"),
+            Some(None) => {
+                eprintln!("  {name:<10} SKIPPED (a scheme cell failed; see final report)")
+            }
+            Some(Some(metrics)) => {
+                eprintln!("  {:<10} done (LRU MPKI {:.2})", name, metrics[0].mpki);
+                rows.push(BenchmarkRow { name, metrics });
+            }
+        }
+    }
 
     if !rows.is_empty() {
         let mut t2 = Table::new(vec!["benchmark".into(), "LRU MPKI".into()]);
@@ -393,174 +439,133 @@ fn main() -> ExitCode {
         eprintln!("skipping Table 2 / Fig. 7-9 / headline: the benchmark matrix failed");
     }
 
-    // ---- Fig. 3 / Fig. 10 -------------------------------------------
-    let ways = sweep_ways();
-    let sens = sensitivity_benchmarks();
-
+    // ---- Fig. 3 / Fig. 10 + capacity sweep --------------------------
     // The two sensitivity traces, generated once each straight into a
     // line-granular stream. Every associativity point and every
     // capacity-sweep set count replays the same shared stream — each
     // cache derives its own set index from the line — so the capacity
-    // comparison is never confounded with trace differences.
+    // comparison is never confounded with trace differences. Each scheme
+    // gets a run of cells: the associativity points, then the capacity
+    // points other than the base set count, whose point is the
+    // associativity sweep's point at the base ways.
+    let ways = sweep_ways();
+    let sens = sensitivity_benchmarks();
+    let cap_sets = capacity_sweep_sets();
+    let extra_sets: Vec<usize> = cap_sets
+        .iter()
+        .copied()
+        .filter(|&sets| sets != geom.sets())
+        .collect();
     let sweep_trace_jobs: Vec<(String, _)> = sens
         .iter()
         .map(|bench| {
             let bench = bench.clone();
             (format!("sweep_trace_{}", bench.name()), move || {
-                prepare_trace(&bench, geom, sweep_accesses)
+                let t0 = Instant::now();
+                let trace = bench.decoded(geom, sweep_accesses);
+                let prep = PrepTimings {
+                    generate: t0.elapsed(),
+                    ..PrepTimings::default()
+                };
+                (trace, prep)
             })
         })
         .collect();
-    let sweep_traces: Vec<Option<Arc<DecodedTrace>>> = runner
-        .run_batch(threads, sweep_trace_jobs)
-        .into_iter()
-        .map(|p| {
-            p.map(|p| {
-                prep.absorb(p.prep);
-                p.trace
-            })
-        })
-        .collect();
-    let cap_sets = capacity_sweep_sets();
-
-    // Every (benchmark, scheme, ways) associativity point and every
-    // non-base (benchmark, scheme, sets) capacity point is one cell.
-    enum PointKey {
-        Assoc(usize, usize, usize),
-        Cap(usize, usize, usize),
-    }
-    let mut point_jobs: Vec<(String, Box<dyn FnOnce() -> f64 + Send>)> = Vec::new();
-    let mut point_keys: Vec<PointKey> = Vec::new();
-    for (bi, trace) in sweep_traces.iter().enumerate() {
-        let Some(trace) = trace else { continue };
-        eprintln!(
-            "sweeping {} (Fig. 3 / Fig. 10 + capacity)...",
-            sens[bi].name()
-        );
-        for (si, &scheme) in Scheme::PAPER.iter().enumerate() {
-            for (wi, &w) in ways.iter().enumerate() {
-                let trace = Arc::clone(trace);
-                point_jobs.push((
-                    format!("sweep_{}/{}/{}w", sens[bi].name(), scheme.label(), w),
-                    Box::new(move || {
-                        let point = CacheGeometry::new(geom.sets(), w, geom.line_bytes())
-                            .expect("sweep geometry is valid");
-                        sweep_point(scheme, point, &trace)
-                    }),
-                ));
-                point_keys.push(PointKey::Assoc(bi, si, wi));
-            }
-            for (ci, &sets) in cap_sets.iter().enumerate() {
-                // The base set count gets no cell: its point is the
-                // associativity sweep's point at the base ways.
-                if sets == geom.sets() {
-                    continue;
+    let sweeps = run_stage(
+        &mut runner,
+        threads,
+        sweep_trace_jobs,
+        |bi, trace| {
+            let name = sens[bi].name();
+            eprintln!("sweeping {name} (Fig. 3 / Fig. 10 + capacity)...");
+            let mut cells = Vec::new();
+            for &scheme in &Scheme::PAPER {
+                let label = scheme.label();
+                for &w in &ways {
+                    let point = CacheGeometry::new(geom.sets(), w, geom.line_bytes())
+                        .expect("sweep geometry is valid");
+                    let name = format!("sweep_{name}/{label}/{w}w");
+                    cells.push(sweep_cell(name, scheme, point, trace));
                 }
-                let trace = Arc::clone(trace);
-                let cap_geom = CacheGeometry::new(sets, geom.ways(), geom.line_bytes())
-                    .expect("capacity geometry is valid");
-                point_jobs.push((
-                    format!("sweep_cap_{}/{}/{}s", sens[bi].name(), scheme.label(), sets),
-                    Box::new(move || sweep_point(scheme, cap_geom, &trace)),
-                ));
-                point_keys.push(PointKey::Cap(bi, si, ci));
+                for &sets in &extra_sets {
+                    let point = CacheGeometry::new(sets, geom.ways(), geom.line_bytes())
+                        .expect("capacity geometry is valid");
+                    let name = format!("sweep_cap_{name}/{label}/{sets}s");
+                    cells.push(sweep_cell(name, scheme, point, trace));
+                }
             }
-        }
-    }
-    let point_results = runner.run_batch(threads, point_jobs);
-    let mut series: Vec<Vec<Vec<Option<f64>>>> =
-        vec![vec![vec![None; ways.len()]; Scheme::PAPER.len()]; sens.len()];
-    let mut cap_series: Vec<Vec<Vec<Option<f64>>>> =
-        vec![vec![vec![None; cap_sets.len()]; Scheme::PAPER.len()]; sens.len()];
-    for (key, v) in point_keys.into_iter().zip(point_results) {
-        match key {
-            PointKey::Assoc(bi, si, wi) => series[bi][si][wi] = v,
-            PointKey::Cap(bi, si, ci) => cap_series[bi][si][ci] = v,
-        }
-    }
-    // The base operating point is one geometry replaying one decoded
-    // trace in both sweeps, so the capacity table takes the associativity
-    // sweep's value.
-    let base_wi = ways
+            cells
+        },
+        &mut stages.prep,
+        &mut stages.replay,
+    );
+
+    // Each table row is an axis label and its index in a scheme's run of
+    // cells. The base operating point is one geometry replaying one
+    // trace in both sweeps, so the capacity table reads the associativity
+    // sweep's value there.
+    let assoc_points: Vec<(String, usize)> = ways
+        .iter()
+        .enumerate()
+        .map(|(i, w)| (w.to_string(), i))
+        .collect();
+    let base_way = ways
         .iter()
         .position(|&w| w == geom.ways())
         .expect("the associativity sweep covers the base ways");
-    let base_ci = cap_sets
+    let cap_points: Vec<(String, usize)> = cap_sets
         .iter()
-        .position(|&s| s == geom.sets())
-        .expect("the capacity sweep covers the base sets");
-    for (bench_series, bench_cap) in series.iter().zip(&mut cap_series) {
-        for (per_scheme, cap) in bench_series.iter().zip(bench_cap) {
-            cap[base_ci] = per_scheme[base_wi];
-        }
-    }
-    for (bi, bench_series) in series.into_iter().enumerate() {
-        let name = sens[bi].name();
-        if sweep_traces[bi].is_none() {
-            eprintln!("skipping Fig. 3/10 ({name}): trace generation failed");
-            continue;
-        }
-        let complete: Option<Vec<Vec<f64>>> = bench_series
-            .into_iter()
-            .map(|per_scheme| per_scheme.into_iter().collect())
-            .collect();
-        let Some(bench_series) = complete else {
-            eprintln!("skipping Fig. 3/10 ({name}): a sweep point failed; see final report");
-            continue;
-        };
-        let mut headers = vec!["assoc".to_owned()];
-        headers.extend(Scheme::PAPER.iter().map(|s| s.label().to_owned()));
-        let mut t = Table::new(headers);
-        for (wi, &w) in ways.iter().enumerate() {
-            let values: Vec<f64> = bench_series
-                .iter()
-                .map(|per_scheme| per_scheme[wi])
-                .collect();
-            t.row_f64(&w.to_string(), &values);
-        }
-        println!("## Fig. 3/10 ({name}) — MPKI vs associativity\n\n{t}");
-        maybe_csv(csv_dir, &format!("fig10_{name}"), &t);
-    }
-
-    // ---- Capacity sweep ---------------------------------------------
-    // Same traces, set count swept at the paper associativity; the base
-    // operating point (2048 sets, 16 ways) appears in both tables.
-    for (bi, bench_series) in cap_series.into_iter().enumerate() {
-        let name = sens[bi].name();
-        if sweep_traces[bi].is_none() {
-            eprintln!("skipping capacity sweep ({name}): trace generation failed");
-            continue;
-        }
-        let complete: Option<Vec<Vec<f64>>> = bench_series
-            .into_iter()
-            .map(|per_scheme| per_scheme.into_iter().collect())
-            .collect();
-        let Some(bench_series) = complete else {
-            eprintln!("skipping capacity sweep ({name}): a point failed; see final report");
-            continue;
-        };
-        let mut headers = vec!["capacity".to_owned()];
-        headers.extend(Scheme::PAPER.iter().map(|s| s.label().to_owned()));
-        let mut t = Table::new(headers);
-        for (ci, &sets) in cap_sets.iter().enumerate() {
+        .map(|&sets| {
             let cap_geom = CacheGeometry::new(sets, geom.ways(), geom.line_bytes())
                 .expect("capacity geometry is valid");
-            let values: Vec<f64> = bench_series
-                .iter()
-                .map(|per_scheme| per_scheme[ci])
-                .collect();
-            t.row_f64(&format!("{}KB", cap_geom.capacity_bytes() / 1024), &values);
+            let i = match extra_sets.iter().position(|&s| s == sets) {
+                Some(k) => ways.len() + k,
+                None => base_way,
+            };
+            (format!("{}KB", cap_geom.capacity_bytes() / 1024), i)
+        })
+        .collect();
+    let per_scheme = ways.len() + extra_sets.len();
+    let sweep_tables = [
+        (
+            "assoc",
+            &assoc_points,
+            "Fig. 3/10",
+            "MPKI vs associativity",
+            "fig10",
+        ),
+        (
+            "capacity",
+            &cap_points,
+            "Capacity",
+            "MPKI at 16 ways",
+            "capacity",
+        ),
+    ];
+    for (axis, points, title, what, csv) in sweep_tables {
+        for (bench, sweep) in sens.iter().zip(&sweeps) {
+            let name = bench.name();
+            let columns: Option<Vec<&[Option<f64>]>> = sweep
+                .as_ref()
+                .map(|cells| cells.chunks(per_scheme).collect());
+            match columns.and_then(|columns| sweep_table(axis, points, &columns)) {
+                Some(t) => {
+                    println!("## {title} ({name}) — {what}\n\n{t}");
+                    maybe_csv(csv_dir, &format!("{csv}_{name}"), &t);
+                }
+                None => eprintln!("skipping {title} ({name}): its trace or a point failed"),
+            }
         }
-        println!("## Capacity ({name}) — MPKI at 16 ways\n\n{t}");
-        maybe_csv(csv_dir, &format!("capacity_{name}"), &t);
     }
 
     // ---- Table 3 -----------------------------------------------------
-    if let Some(overhead_pct) = runner.run_value("table3_overhead", move || {
+    if let Some((overhead_pct, spent)) = runner.run_value("table3_overhead", move || {
+        let t0 = Instant::now();
         let base = overhead::lru_baseline(geom);
         let stem = overhead::stem(geom, &StemConfig::micro2010());
-        stem.overhead_vs(&base) * 100.0
+        (stem.overhead_vs(&base) * 100.0, t0.elapsed())
     }) {
+        stages.analysis += spent;
         println!("## Table 3 — STEM storage overhead vs LRU: {overhead_pct:+.2}% (paper: +3.1%)");
     }
 
@@ -574,21 +579,17 @@ fn main() -> ExitCode {
     // mix.csv + BENCH_mix.json (schema in EXPERIMENTS.md), both
     // byte-identical at any thread count.
     eprintln!("\nrunning the 2-core shared-LLC mix stage...");
-    type MixTraceJob = Box<dyn FnOnce() -> (Arc<MixStreams>, PrepTimings) + Send>;
-    let mix_trace_jobs: Vec<(String, MixTraceJob)> = MIX_DEFS
+    let mix_trace_jobs: Vec<(String, _)> = MIX_DEFS
         .iter()
         .map(|&(a, b)| {
-            let job: MixTraceJob = Box::new(move || {
-                let mix = stem_workloads::WorkloadMix::new(vec![
+            (format!("mix_trace_{a}+{b}"), move || {
+                let core = |name| {
                     (
-                        stem_workloads::BenchmarkProfile::by_name(a).expect("suite benchmark"),
+                        BenchmarkProfile::by_name(name).expect("suite benchmark"),
                         1.0,
-                    ),
-                    (
-                        stem_workloads::BenchmarkProfile::by_name(b).expect("suite benchmark"),
-                        1.0,
-                    ),
-                ]);
+                    )
+                };
+                let mix = WorkloadMix::new(vec![core(a), core(b)]);
                 let t0 = Instant::now();
                 let raw = mix.core_traces(geom, accesses);
                 let generate = t0.elapsed();
@@ -605,62 +606,36 @@ fn main() -> ExitCode {
                     MIX_SEED,
                     WARMUP_FRACTION,
                 );
-                let l1_filter = t0.elapsed();
-                (
-                    Arc::new(shared),
-                    PrepTimings {
-                        generate,
-                        decode,
-                        l1_filter,
-                    },
-                )
-            });
-            (format!("mix_trace_{a}+{b}"), job)
-        })
-        .collect();
-    let mix_streams: Vec<Option<Arc<MixStreams>>> = runner
-        .run_batch(threads, mix_trace_jobs)
-        .into_iter()
-        .map(|o| {
-            o.map(|(s, p)| {
-                prep.absorb(p);
-                s
+                let prep = PrepTimings {
+                    generate,
+                    decode,
+                    l1_filter: t0.elapsed(),
+                };
+                (shared, prep)
             })
         })
         .collect();
-
-    type MixJob = Box<dyn FnOnce() -> (MixOutcome, f64) + Send>;
-    let mut mix_jobs: Vec<(String, MixJob)> = Vec::new();
-    let mut mix_keys: Vec<(usize, usize)> = Vec::new();
-    for (mi, streams) in mix_streams.iter().enumerate() {
-        let Some(streams) = streams else { continue };
-        for (si, &scheme) in Scheme::PAPER.iter().enumerate() {
-            let streams = Arc::clone(streams);
-            let job: MixJob = Box::new(move || {
-                let t0 = Instant::now();
-                let o = streams.run(scheme, geom);
-                (o, t0.elapsed().as_secs_f64())
-            });
-            mix_jobs.push((
-                format!(
-                    "mix_{}+{}/{}",
-                    MIX_DEFS[mi].0,
-                    MIX_DEFS[mi].1,
-                    scheme.label()
-                ),
-                job,
-            ));
-            mix_keys.push((mi, si));
-        }
-    }
-    let mut mix_results: Vec<Vec<Option<(MixOutcome, f64)>>> =
-        vec![vec![None; Scheme::PAPER.len()]; MIX_DEFS.len()];
-    for ((mi, si), r) in mix_keys
-        .into_iter()
-        .zip(runner.run_batch(threads, mix_jobs))
-    {
-        mix_results[mi][si] = r;
-    }
+    let mix_results = run_stage(
+        &mut runner,
+        threads,
+        mix_trace_jobs,
+        |mi, streams: &Arc<MixStreams>| {
+            let (a, b) = MIX_DEFS[mi];
+            Scheme::PAPER
+                .iter()
+                .map(|&scheme| {
+                    let streams = Arc::clone(streams);
+                    cell(format!("mix_{a}+{b}/{}", scheme.label()), move || {
+                        let t0 = Instant::now();
+                        let o = streams.run(scheme, geom);
+                        (o, t0.elapsed().as_secs_f64())
+                    })
+                })
+                .collect()
+        },
+        &mut stages.prep,
+        &mut stages.replay,
+    );
 
     let mut mix_table = Table::new(vec![
         "mix".into(),
@@ -672,9 +647,11 @@ fn main() -> ExitCode {
         "core0_speedup".into(),
         "core1_speedup".into(),
     ]);
-    for (mi, per_scheme) in mix_results.iter().enumerate() {
-        let (a, b) = MIX_DEFS[mi];
-        for (scheme, cell) in Scheme::PAPER.iter().zip(per_scheme) {
+    for (&(a, b), per_scheme) in MIX_DEFS.iter().zip(&mix_results) {
+        for (scheme, cell) in Scheme::PAPER
+            .iter()
+            .zip(per_scheme.as_deref().unwrap_or_default())
+        {
             let Some((o, _)) = cell else { continue };
             eprintln!(
                 "  {a}+{b} {:<8} WS {:.3}, fairness {:.3}, MPKI {:.3}/{:.3}",
@@ -700,7 +677,6 @@ fn main() -> ExitCode {
     emit_mix_artifact(csv_dir, accesses, &mix_results);
 
     // ---- Outcome ----------------------------------------------------
-    let stages = StageBreakdown::from_outcomes(prep, fig1_prep_secs, runner.outcomes());
     emit_timing_summary(csv_dir, threads, runner.outcomes(), &stages);
     match runner.failure_report() {
         None => {

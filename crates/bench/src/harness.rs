@@ -3,10 +3,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use stem_analysis::{build_cache, geomean, warm_split, Scheme, SystemMetrics, Table};
+use stem_analysis::{geomean, warm_split, Scheme, SystemMetrics, Table};
 use stem_hierarchy::{LlcStream, LlcStreamBuilder, SystemConfig, FILTER_CHUNK};
-use stem_sim_core::{CacheGeometry, DecodedTrace};
-use stem_workloads::{spec2010_suite, BenchmarkProfile};
+use stem_sim_core::CacheGeometry;
+use stem_workloads::BenchmarkProfile;
 
 use crate::resilience::ExperimentRunner;
 
@@ -28,15 +28,15 @@ pub fn accesses_per_benchmark() -> usize {
 /// the paper's cache-warming protocol.
 pub const WARMUP_FRACTION: f64 = 0.2;
 
-/// Wall-clock split of one trace-preparation cell: synthesizing the
-/// access stream, decoding a raw [`Trace`](stem_sim_core::Trace) into the
-/// shared [`DecodedTrace`] representation, and filtering the stream
-/// through the L1s into an [`LlcStream`]. [`prepare_trace`] and
-/// [`prepare_llc_stream`] generate straight into decoded columns, so
-/// their decode work is inside `generate` and their `decode` is zero;
-/// only paths that ingest a raw trace (run_all's mix streams) record a
-/// separate decode. Drivers accumulate these into the
-/// `BENCH_run_all.json` stage breakdown.
+/// Wall-clock split of one preparation cell: synthesizing the access
+/// stream, decoding a raw [`Trace`](stem_sim_core::Trace) into the shared
+/// [`DecodedTrace`](stem_sim_core::DecodedTrace) representation, and
+/// filtering the stream through the L1s into an [`LlcStream`].
+/// [`prepare_llc_stream`] and [`BenchmarkProfile::decoded`] generate
+/// straight into decoded columns, so their decode work is inside
+/// `generate`; only paths that ingest a raw trace (run_all's mix streams)
+/// record a separate decode. [`run_stage`] adds each preparation's split
+/// to its caller's totals.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrepTimings {
     /// Time spent synthesizing accesses (decoding included when fused).
@@ -57,45 +57,6 @@ impl PrepTimings {
     }
 }
 
-/// A trace generated and decoded once, ready to fan out across scheme
-/// cells, with the preparation timing split.
-#[derive(Debug, Clone)]
-pub struct PreparedTrace {
-    /// The shared decoded stream.
-    pub trace: Arc<DecodedTrace>,
-    /// How long generation (decoding included) took.
-    pub prep: PrepTimings,
-}
-
-/// Generates `bench`'s trace at `geom` straight into a [`DecodedTrace`]
-/// ([`BenchmarkProfile::decoded`]): no raw trace is ever built, and the
-/// stream is bit-identical to decoding [`BenchmarkProfile::trace`].
-pub fn prepare_trace(
-    bench: &BenchmarkProfile,
-    geom: CacheGeometry,
-    accesses: usize,
-) -> PreparedTrace {
-    let t0 = Instant::now();
-    let trace = Arc::new(bench.decoded(geom, accesses));
-    PreparedTrace {
-        trace,
-        prep: PrepTimings {
-            generate: t0.elapsed(),
-            ..PrepTimings::default()
-        },
-    }
-}
-
-/// A trace's L1-miss stream, built once and replayed by every scheme
-/// cell, with the preparation timing split.
-#[derive(Debug, Clone)]
-pub struct PreparedStream {
-    /// The shared LLC stream.
-    pub stream: Arc<LlcStream>,
-    /// How long generation and the L1 pass took.
-    pub prep: PrepTimings,
-}
-
 /// Generates `bench`'s trace at `geom` straight through the Table 1
 /// system's L1 into its [`LlcStream`], warmed on the first
 /// [`WARMUP_FRACTION`] of the trace: the generator hands the trace over a
@@ -105,7 +66,7 @@ pub fn prepare_llc_stream(
     bench: &BenchmarkProfile,
     geom: CacheGeometry,
     accesses: usize,
-) -> PreparedStream {
+) -> (LlcStream, PrepTimings) {
     let t0 = Instant::now();
     let warm = warm_split(accesses, WARMUP_FRACTION);
     let mut builder = LlcStreamBuilder::new(SystemConfig::micro2010(), warm, accesses);
@@ -115,15 +76,78 @@ pub fn prepare_llc_stream(
         builder.push_stream(chunk);
         l1_filter += t.elapsed();
     });
-    let stream = Arc::new(builder.finish());
-    PreparedStream {
-        stream,
-        prep: PrepTimings {
-            generate: t0.elapsed().saturating_sub(l1_filter),
-            decode: Duration::ZERO,
-            l1_filter,
-        },
+    let stream = builder.finish();
+    let prep = PrepTimings {
+        generate: t0.elapsed().saturating_sub(l1_filter),
+        decode: Duration::ZERO,
+        l1_filter,
+    };
+    (stream, prep)
+}
+
+/// One named experiment cell of a [`run_stage`] row: its name and its work.
+pub type StageCell<T> = (String, Box<dyn FnOnce() -> T + Send>);
+
+/// Runs one stage of an experiment binary on `runner`'s budgeted pool: first
+/// one batch of named preparation cells, one per row, each returning the
+/// row's shared input and its [`PrepTimings`]; then, as a single batch so
+/// the pool stays full across row boundaries, every prepared row's cells,
+/// built by `cells(row, &input)`.
+///
+/// Returns one entry per row in input order: `None` when the row's
+/// preparation failed, else one `Option<T>` per cell (`None` for a cell
+/// that failed). Failures are recorded on the runner under the cell's
+/// name, so one broken cell drops only what depends on it. Each
+/// preparation's split is added to `prep` and the cells' summed wall
+/// clock to `replay`.
+pub fn run_stage<R, T, P>(
+    runner: &mut ExperimentRunner,
+    threads: usize,
+    preps: Vec<(String, P)>,
+    mut cells: impl FnMut(usize, &Arc<R>) -> Vec<StageCell<T>>,
+    prep: &mut PrepTimings,
+    replay: &mut Duration,
+) -> Vec<Option<Vec<Option<T>>>>
+where
+    R: Send + Sync + 'static,
+    T: Send + 'static,
+    P: FnOnce() -> (R, PrepTimings) + Send + 'static,
+{
+    let inputs: Vec<Option<Arc<R>>> = runner
+        .run_batch(threads, preps)
+        .into_iter()
+        .map(|p| {
+            p.map(|(input, timings)| {
+                prep.absorb(timings);
+                Arc::new(input)
+            })
+        })
+        .collect();
+
+    let mut jobs = Vec::new();
+    let mut counts = Vec::with_capacity(inputs.len());
+    for (row, input) in inputs.iter().enumerate() {
+        let Some(input) = input else { continue };
+        let row_cells = cells(row, input);
+        counts.push(row_cells.len());
+        jobs.extend(row_cells);
     }
+    let first = runner.outcomes().len();
+    let mut results = runner.run_batch(threads, jobs).into_iter();
+    *replay += runner.outcomes()[first..]
+        .iter()
+        .map(|o| o.elapsed)
+        .sum::<Duration>();
+
+    let mut counts = counts.into_iter();
+    inputs
+        .iter()
+        .map(|input| {
+            input.as_ref()?;
+            let n = counts.next().expect("one count per prepared row");
+            Some(results.by_ref().take(n).collect())
+        })
+        .collect()
 }
 
 /// One benchmark row of the Fig. 7/8/9 matrix: metrics for every paper
@@ -142,93 +166,6 @@ impl BenchmarkRow {
     pub fn normalized(&self, i: usize) -> (f64, f64, f64) {
         self.metrics[i].normalized_to(&self.metrics[0])
     }
-}
-
-/// Runs the whole 15-benchmark × 6-scheme matrix at the paper's L2
-/// configuration. Every trace preparation and every (benchmark, scheme)
-/// cell runs as its own named experiment on `runner`'s budgeted worker
-/// pool (`trace/<bench>` and `matrix/<bench>/<scheme>`). A failing cell
-/// is recorded on the runner under that name and drops only its own
-/// benchmark's row — the other rows still come back, in suite order,
-/// byte-identical to a serial run at any thread count.
-///
-/// Each `trace/<bench>` cell generates its trace straight through the L1
-/// exactly once ([`prepare_llc_stream`]); the six scheme cells of the row
-/// share the resulting [`LlcStream`] through an `Arc` and only replay it.
-/// The generation/L1-filter wall-clock split of every trace cell is
-/// accumulated into `prep` for the stage breakdown.
-pub fn run_benchmark_matrix_isolated(
-    runner: &mut ExperimentRunner,
-    geom: CacheGeometry,
-    accesses: usize,
-    threads: usize,
-    prep: &mut PrepTimings,
-) -> Vec<BenchmarkRow> {
-    let suite = spec2010_suite();
-
-    // Stage 1: generate each benchmark's trace through the L1 once; all
-    // six scheme cells of the row share its LLC stream.
-    let trace_jobs: Vec<(String, _)> = suite
-        .iter()
-        .map(|bench| {
-            let bench = bench.clone();
-            (format!("trace/{}", bench.name()), move || {
-                prepare_llc_stream(&bench, geom, accesses)
-            })
-        })
-        .collect();
-    let traces: Vec<Option<Arc<LlcStream>>> = runner
-        .run_batch(threads, trace_jobs)
-        .into_iter()
-        .map(|p| {
-            p.map(|p| {
-                prep.absorb(p.prep);
-                p.stream
-            })
-        })
-        .collect();
-
-    // Stage 2: one cell per (benchmark, scheme) pair, all in one batch so
-    // the pool stays full across benchmark boundaries.
-    let mut cell_jobs: Vec<(String, Box<dyn FnOnce() -> SystemMetrics + Send>)> = Vec::new();
-    let mut cell_keys: Vec<(usize, usize)> = Vec::new();
-    for (bi, stream) in traces.iter().enumerate() {
-        let Some(stream) = stream else { continue };
-        for (si, &scheme) in Scheme::PAPER.iter().enumerate() {
-            let stream = Arc::clone(stream);
-            cell_jobs.push((
-                format!("matrix/{}/{}", suite[bi].name(), scheme.label()),
-                Box::new(move || stream.replay(build_cache(scheme, geom).as_mut())),
-            ));
-            cell_keys.push((bi, si));
-        }
-    }
-    let cell_results = runner.run_batch(threads, cell_jobs);
-
-    // Assemble rows in suite order; a benchmark needs all of its scheme
-    // cells (normalization is relative to its own LRU column).
-    let mut per_bench: Vec<Vec<Option<SystemMetrics>>> =
-        vec![vec![None; Scheme::PAPER.len()]; suite.len()];
-    for ((bi, si), result) in cell_keys.into_iter().zip(cell_results) {
-        per_bench[bi][si] = result;
-    }
-    let mut rows = Vec::new();
-    for (bi, cells) in per_bench.into_iter().enumerate() {
-        let name = suite[bi].name();
-        if traces[bi].is_none() {
-            eprintln!("  {name:<10} SKIPPED (trace generation failed)");
-            continue;
-        }
-        let complete: Option<Vec<SystemMetrics>> = cells.into_iter().collect();
-        match complete {
-            Some(metrics) => {
-                eprintln!("  {:<10} done (LRU MPKI {:.2})", name, metrics[0].mpki);
-                rows.push(BenchmarkRow { name, metrics });
-            }
-            None => eprintln!("  {name:<10} SKIPPED (a scheme cell failed; see final report)"),
-        }
-    }
-    rows
 }
 
 /// Renders one normalized-metric table (the shape of Fig. 7, 8 and 9):

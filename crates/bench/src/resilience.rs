@@ -132,15 +132,6 @@ impl ExperimentRunner {
             .flatten()
     }
 
-    /// Like [`run_value`](Self::run_value) for unit experiments; returns
-    /// whether it succeeded.
-    pub fn run<F>(&mut self, name: &str, f: F) -> bool
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.run_value(name, f).is_some()
-    }
-
     /// Runs a batch of named experiment cells on up to `threads` detached
     /// workers sharing one work queue, and returns one `Option<T>` per
     /// cell **in input order** (so any output rendered from the results is

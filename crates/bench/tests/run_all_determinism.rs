@@ -2,6 +2,8 @@
 //! the `run_all` driver must produce byte-identical stdout and CSVs at
 //! any `STEM_THREADS`, and an injected panic in one (benchmark, scheme)
 //! cell must fail only that cell while every other table still prints.
+//! The recorded cell list must equal the pinned `fixtures/run_all_cells.txt`,
+//! and the replay stage total must be the sum of the replaying cells.
 //!
 //! These drive the real binary (debug profile) with tiny trace lengths.
 
@@ -9,6 +11,11 @@ use std::path::PathBuf;
 use std::process::{Command, Output};
 
 use stem_sim_core::Json;
+
+/// The pinned cell list, one name a line, in the order run_all records
+/// them.
+const PINNED_CELLS_PATH: &str = "fixtures/run_all_cells.txt";
+const PINNED_CELLS: &str = include_str!("../../../fixtures/run_all_cells.txt");
 
 /// A scratch directory unique to this test process.
 fn scratch(tag: &str) -> PathBuf {
@@ -122,9 +129,48 @@ fn run_all_is_byte_identical_across_thread_counts() {
             assert_eq!(cell.get("status").and_then(Json::as_str), Some("ok"));
             assert!(cell.get("elapsed_secs").and_then(Json::as_f64).is_some());
         }
-        assert!(cells
+        // The cell list is a contract: the repo benchmark's latency
+        // percentiles are taken over these cells and STEM_INJECT_PANIC
+        // targets them by name. Names do not depend on the scale.
+        let names: Vec<&str> = cells
             .iter()
-            .any(|c| c.get("name").and_then(Json::as_str) == Some("matrix/omnetpp/STEM")));
+            .map(|c| c.get("name").and_then(Json::as_str).expect("a cell name"))
+            .collect();
+        let pinned: Vec<&str> = PINNED_CELLS.lines().collect();
+        assert_eq!(
+            names, pinned,
+            "run_all's cells drifted from {PINNED_CELLS_PATH}"
+        );
+
+        // The replay total is the summed wall clock of the cells that
+        // replay a stream: the matrix cells, the sweep points and the mix
+        // scheme cells. Each recorded value is rounded to the millisecond.
+        let replay_cells: Vec<f64> = cells
+            .iter()
+            .filter(|c| {
+                let name = c.get("name").and_then(Json::as_str).expect("a cell name");
+                name.starts_with("matrix/")
+                    || (name.starts_with("sweep_") && !name.starts_with("sweep_trace_"))
+                    || (name.starts_with("mix_") && !name.starts_with("mix_trace_"))
+            })
+            .map(|c| {
+                c.get("elapsed_secs")
+                    .and_then(Json::as_f64)
+                    .expect("a time")
+            })
+            .collect();
+        let summed: f64 = replay_cells.iter().sum();
+        let replay = doc
+            .get("stages")
+            .and_then(|s| s.get("replay_secs"))
+            .and_then(Json::as_f64)
+            .expect("stages.replay_secs");
+        let tolerance = 0.0005 * (replay_cells.len() + 1) as f64;
+        assert!(
+            (replay - summed).abs() <= tolerance,
+            "replay_secs {replay} is not the summed replay cells' {summed} ({} cells)",
+            replay_cells.len()
+        );
     }
 
     let _ = std::fs::remove_dir_all(&dir_serial);
@@ -170,6 +216,28 @@ fn injected_cell_panic_fails_only_that_cell() {
         "sweeps unaffected"
     );
     assert!(stdout.contains("## Table 3"), "overhead table unaffected");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn injected_preparation_panic_drops_only_its_row() {
+    let dir = scratch("inject-prep");
+    let out = run_all("3", &dir, &[("STEM_INJECT_PANIC", "sweep_trace_ammp")]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+
+    assert!(!out.status.success(), "a failed preparation exits nonzero");
+    assert!(
+        !stdout.contains("(ammp) — MPKI"),
+        "both of ammp's sweep tables are dropped:\n{stdout}"
+    );
+    for kept in [
+        "## Fig. 3/10 (omnetpp)",
+        "## Capacity (omnetpp)",
+        "## Table 2",
+    ] {
+        assert!(stdout.contains(kept), "{kept} still prints:\n{stdout}");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

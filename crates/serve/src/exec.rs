@@ -5,7 +5,8 @@
 //! `Fn(&RunRequest) -> Result<Json, SimError>` — so tests can substitute
 //! a blocking or instant executor to exercise backpressure and caching
 //! without running simulations. [`simulation_executor`] is the real one:
-//! decode-once trace preparation ([`prepare_trace`]), the full system
+//! one trace generated straight into decoded columns
+//! ([`BenchmarkProfile::decoded`]), the full system
 //! model ([`run_system`] at the paper's Table 1 configuration),
 //! and optionally the §3.1 capacity-demand profile.
 //!
@@ -26,7 +27,6 @@ use stem_analysis::{
 };
 use stem_bench::config::Fidelity;
 use stem_bench::engine::{Exec, RunPlan};
-use stem_bench::harness::prepare_trace;
 use stem_hierarchy::{System, SystemConfig, SystemMetrics};
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json, SampledTrace, SimError};
 use stem_workloads::{offset_trace_into_region, pro_rata_shares, BenchmarkProfile};
@@ -202,17 +202,17 @@ fn run_simulation_inner(
         SimError::config("serve", format!("unknown benchmark {:?}", req.benchmark))
     })?;
     let geom = req.geometry();
-    let prepared = prepare_trace(&bench, geom, req.accesses);
+    let trace = bench.decoded(geom, req.accesses);
     if req.fidelity == Fidelity::Sampled {
-        return run_sampled(req, geom, &prepared.trace);
+        return run_sampled(req, geom, &trace);
     }
     let metrics = match snapshots {
-        Some((store, m)) => exact_metrics_snapshotting(req, geom, &prepared.trace, store, m),
+        Some((store, m)) => exact_metrics_snapshotting(req, geom, &trace, store, m),
         None => run_system(
             req.scheme,
             geom,
             SystemConfig::micro2010(),
-            &prepared.trace,
+            &trace,
             req.warmup_fraction,
         ),
     };
@@ -220,7 +220,7 @@ fn run_simulation_inner(
     let mut fields = vec![("metrics".to_owned(), metrics_json(&metrics))];
     if req.profile {
         let profiler = CapacityDemandProfiler::micro2010(geom);
-        let agg = CapacityDemandProfiler::aggregate(&profiler.profile_decoded(&prepared.trace));
+        let agg = CapacityDemandProfiler::aggregate(&profiler.profile_decoded(&trace));
         fields.push((
             "capacity_profile".to_owned(),
             Json::Obj(vec![

@@ -17,7 +17,8 @@
 # `available_parallelism`): the numbers in the committed artifacts must
 # come from a run whose scientific output is the committed one. Mix
 # results never reach stdout, so the second check is their only pin
-# at full scale.
+# at full scale. The refreshed BENCH_run_all.json must also list the
+# committed experiment cells, the same names in the same order.
 #
 # Timings are machine-dependent; re-run this script and commit the result
 # whenever the artifact *shape* changes (new sections, schemes, stages).
@@ -56,6 +57,17 @@ if [ -s BENCH_mix.json ] && ! cmp -s <(untimed "$OUT/BENCH_mix.json") <(untimed 
     exit 1
 fi
 echo "    BENCH_mix.json matches the committed copy apart from timings"
+# The cells are a contract: the repo benchmark's reproduce latencies are
+# taken over them and STEM_INJECT_PANIC names them. The refreshed list
+# must equal the committed one, name for name and in order.
+cell_names() { grep -o '"name": "[^"]*"' "$1"; }
+if [ -s BENCH_run_all.json ] && ! cmp -s <(cell_names "$OUT/BENCH_run_all.json") <(cell_names BENCH_run_all.json); then
+    echo "ERROR: BENCH_run_all.json lists other experiment cells than the committed copy" >&2
+    echo "       (compare the \"name\" entries of $OUT/BENCH_run_all.json and BENCH_run_all.json;" >&2
+    echo "       a renamed, added or reordered cell changes what the repo benchmark measures)" >&2
+    exit 1
+fi
+echo "    BENCH_run_all.json lists the committed experiment cells in order"
 
 echo "==> serve bench (live server)"
 ADDR_FILE="$OUT/serve-addr.txt"

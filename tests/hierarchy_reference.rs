@@ -563,8 +563,8 @@ fn generating_through_the_l1_matches_filtering_the_decoded_trace() {
                 &profile.decoded(geom, n),
                 warm_split(n, WARMUP_FRACTION),
             );
-            let got = prepare_llc_stream(&profile, geom, n).stream;
-            assert!(*got == want, "{bench} at {n} accesses: streams differ");
+            let (got, _) = prepare_llc_stream(&profile, geom, n);
+            assert!(got == want, "{bench} at {n} accesses: streams differ");
         }
     }
 }

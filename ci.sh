@@ -91,6 +91,10 @@ grep -q '"generate"' "$CSV_DIR/BENCH_throughput.json" || {
     echo "ERROR: BENCH_throughput.json is missing the generate (synthesis throughput) section" >&2
     exit 1
 }
+grep -q '"l1_filter"' "$CSV_DIR/BENCH_throughput.json" || {
+    echo "ERROR: BENCH_throughput.json is missing the l1_filter (L1 pass throughput) section" >&2
+    exit 1
+}
 echo "    archived $CSV_DIR/BENCH_throughput.json"
 
 echo "==> trace ingestion round-trip gate (convert -> ingest -> replay, byte-compare)"
@@ -174,6 +178,11 @@ done
 cell_names() { grep -o '"name": "[^"]*"' "$1/BENCH_run_all.json"; }
 cmp <(cell_names "$DET_BASE") <(cell_names "$DET_DIR") || {
     echo "ERROR: BENCH_run_all.json lists other cells at STEM_THREADS=5" >&2
+    exit 1
+}
+# run_all records its own peak RSS (VmHWM at exit), a positive number.
+grep -q '"peak_rss_mb": [1-9]' "$DET_BASE/BENCH_run_all.json" || {
+    echo "ERROR: BENCH_run_all.json is missing a positive peak_rss_mb" >&2
     exit 1
 }
 PINNED=fixtures/run_all_small

@@ -175,9 +175,6 @@ mod tests {
             ),
         ]);
         mix.core_traces(geom, accesses)
-            .iter()
-            .map(|t| DecodedTrace::decode(t, geom))
-            .collect()
     }
 
     #[test]

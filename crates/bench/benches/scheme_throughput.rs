@@ -10,21 +10,27 @@
 //! workspace builds offline with no benchmarking dependency. Run with
 //! `cargo bench -p stem-bench --bench scheme_throughput`.
 //!
-//! A last series times trace synthesis: every suite profile generated
-//! straight into a `DecodedTrace` (`BenchmarkProfile::decoded`, the path
-//! run_all and serve use).
+//! Two per-profile series follow. `generate` times trace synthesis: every
+//! suite profile generated straight into a `DecodedTrace`
+//! (`BenchmarkProfile::decoded`, the path run_all and serve use).
+//! `l1_filter` times the L1 pass over those same streams
+//! (`LlcStream::solo` through the Table 1 L1, warmed on the first fifth):
+//! the scheme-independent half of every hierarchy run.
 //!
 //! `STEM_BENCH_ACCESSES` scales the trace length (default 100 000; CI's
 //! smoke mode uses a fraction of that), and when `STEM_CSV_DIR` is set the
-//! per-scheme Melem/s and the per-profile synthesis Maccess/s land in
+//! per-scheme Melem/s, the per-profile synthesis Maccess/s and the
+//! per-profile L1-pass Melem/s land in
 //! `$STEM_CSV_DIR/BENCH_throughput.json` next to the correctness
 //! artifacts, so every PR records its accesses/second.
 
 use std::time::Duration;
 
-use stem_analysis::{build_cache, geomean, Scheme};
+use stem_analysis::{build_cache, geomean, warm_split, Scheme};
 use stem_bench::config::Config;
+use stem_bench::harness::WARMUP_FRACTION;
 use stem_bench::timing::{best_of, cores_entry, throughput_line};
+use stem_hierarchy::{LlcStream, SystemConfig};
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
 use stem_workloads::{spec2010_suite, BenchmarkProfile};
 
@@ -45,25 +51,45 @@ fn series(accesses: u64, results: &[(&str, Duration)]) -> Json {
     )
 }
 
-/// The `"generate"` section: synthesis Maccess/s per suite profile and
-/// their geomean.
-fn generate_section(accesses: u64, results: &[(&str, Duration)], geomean_maccess: f64) -> Json {
-    let profiles = results
+/// Best-of-`reps` time of `run` on each suite profile's input, printed
+/// under `title` with the geomean rate, and returned as a JSON section:
+/// the rate per profile under `rate_key` (`"maccess_per_s"`,
+/// `"melem_per_s"`) and their geomean under `geomean_<rate_key>`.
+fn profile_series<T>(
+    title: &str,
+    reps: usize,
+    accesses: usize,
+    rate_key: &str,
+    inputs: &[(&str, T)],
+    mut run: impl FnMut(&T) -> usize,
+) -> Json {
+    let results: Vec<(&str, Duration)> = inputs
+        .iter()
+        .map(|(name, input)| (*name, best_of(reps, || run(input))))
+        .collect();
+    println!("\n# {title} ({accesses} accesses/iteration, best of {reps})");
+    let rates: Vec<f64> = results
         .iter()
         .map(|(name, d)| {
-            let maccess = accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6;
+            println!("{}", throughput_line(name, accesses as u64, *d));
+            accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6
+        })
+        .collect();
+    let gm = geomean(&rates);
+    println!("geomean {rate_key}: {gm:.2}");
+    let profiles = results
+        .iter()
+        .zip(&rates)
+        .map(|((name, d), &rate)| {
             Json::Obj(vec![
                 ("benchmark".into(), Json::str(*name)),
                 ("best_secs".into(), Json::float_rounded(d.as_secs_f64(), 6)),
-                ("maccess_per_s".into(), Json::float_rounded(maccess, 4)),
+                (rate_key.into(), Json::float_rounded(rate, 4)),
             ])
         })
         .collect();
     Json::Obj(vec![
-        (
-            "geomean_maccess_per_s".into(),
-            Json::float_rounded(geomean_maccess, 4),
-        ),
+        (format!("geomean_{rate_key}"), Json::float_rounded(gm, 4)),
         ("profiles".into(), Json::Arr(profiles)),
     ])
 }
@@ -133,20 +159,30 @@ fn main() {
     println!();
     let (decoded_wide, wgm) = replay_series("scheme_replay_decoded_wide", REPS, wide, &dtrace);
 
-    let generated: Vec<(&str, Duration)> = spec2010_suite()
+    let suite = spec2010_suite();
+    let profiles: Vec<(&str, &BenchmarkProfile)> = suite.iter().map(|p| (p.name(), p)).collect();
+    let generate = profile_series(
+        "generate_decoded",
+        REPS,
+        accesses,
+        "maccess_per_s",
+        &profiles,
+        |p| p.decoded(geom, accesses).len(),
+    );
+    let traces: Vec<(&str, DecodedTrace)> = suite
         .iter()
-        .map(|p| (p.name(), best_of(REPS, || p.decoded(geom, accesses).len())))
+        .map(|p| (p.name(), p.decoded(geom, accesses)))
         .collect();
-    println!("\n# generate_decoded ({accesses} accesses/iteration, best of {REPS})");
-    for (name, d) in &generated {
-        println!("{}", throughput_line(name, accesses as u64, *d));
-    }
-    let generate_maccess: Vec<f64> = generated
-        .iter()
-        .map(|(_, d)| accesses as f64 / d.as_secs_f64().max(1e-12) / 1e6)
-        .collect();
-    let ggm = geomean(&generate_maccess);
-    println!("geomean: {ggm:.2} Maccess/s");
+    let system = SystemConfig::micro2010();
+    let warm = warm_split(accesses, WARMUP_FRACTION);
+    let l1_filter = profile_series(
+        "l1_filter",
+        REPS,
+        accesses,
+        "melem_per_s",
+        &traces,
+        |trace| LlcStream::solo(system, trace, warm).len(),
+    );
 
     let accesses = accesses as u64;
     let doc = Json::Obj(vec![
@@ -164,10 +200,8 @@ fn main() {
             Json::float_rounded(wgm, 4),
         ),
         ("decoded_wide".into(), series(accesses, &decoded_wide)),
-        (
-            "generate".into(),
-            generate_section(accesses, &generated, ggm),
-        ),
+        ("generate".into(), generate),
+        ("l1_filter".into(), l1_filter),
     ]);
     maybe_json(cfg.csv_dir.as_deref(), &doc);
 }

@@ -37,7 +37,7 @@ use stem_bench::harness::{
     sweep_ways, BenchmarkRow, PrepTimings, StageCell, WARMUP_FRACTION,
 };
 use stem_bench::resilience::{ExperimentOutcome, ExperimentRunner};
-use stem_bench::timing::cores_entry;
+use stem_bench::timing::{cores_entry, peak_rss_mb};
 use stem_hierarchy::SystemConfig;
 use stem_llc::{overhead, StemConfig};
 use stem_sim_core::{CacheGeometry, DecodedTrace, Json};
@@ -112,7 +112,8 @@ fn sweep_table(
     Some(table)
 }
 
-/// Emits the per-experiment wall-clock summary: always to stderr (stdout
+/// Emits the per-experiment wall-clock summary and the process's peak RSS
+/// (read here, at the end of the run): always to stderr (stdout
 /// stays byte-stable across thread counts), and as
 /// `<csv_dir>/BENCH_run_all.json` when the artifact directory is set —
 /// the seed of the performance trajectory across PRs. The document is
@@ -144,14 +145,17 @@ fn emit_timing_summary(
         );
     }
     eprintln!(
-        "stage breakdown: generate {:.2}s, decode {:.2}s, l1_filter {:.2}s, replay {:.2}s, \
-         analysis {:.2}s",
+        "stage breakdown: generate {:.2}s, l1_filter {:.2}s, replay {:.2}s, analysis {:.2}s",
         stages.prep.generate.as_secs_f64(),
-        stages.prep.decode.as_secs_f64(),
         stages.prep.l1_filter.as_secs_f64(),
         stages.replay.as_secs_f64(),
         stages.analysis.as_secs_f64()
     );
+
+    let peak_rss = peak_rss_mb();
+    if let Some(mb) = peak_rss {
+        eprintln!("peak RSS: {mb:.1} MB");
+    }
 
     if let Some(dir) = csv_dir {
         let secs3 = |s: f64| Json::float_rounded(s, 3);
@@ -175,10 +179,13 @@ fn emit_timing_summary(
             cores_entry(),
             ("total_cell_seconds".into(), secs3(total)),
             (
+                "peak_rss_mb".into(),
+                peak_rss.map_or(Json::Null, |mb| Json::float_rounded(mb, 1)),
+            ),
+            (
                 "stages".into(),
                 Json::Obj(vec![
                     ("generate_secs".into(), stage(stages.prep.generate)),
-                    ("decode_secs".into(), stage(stages.prep.decode)),
                     ("l1_filter_secs".into(), stage(stages.prep.l1_filter)),
                     ("replay_secs".into(), stage(stages.replay)),
                     ("analysis_secs".into(), stage(stages.analysis)),
@@ -591,13 +598,8 @@ fn main() -> ExitCode {
                 };
                 let mix = WorkloadMix::new(vec![core(a), core(b)]);
                 let t0 = Instant::now();
-                let raw = mix.core_traces(geom, accesses);
+                let streams = mix.core_traces(geom, accesses);
                 let generate = t0.elapsed();
-                let t0 = Instant::now();
-                let streams: Vec<DecodedTrace> =
-                    raw.iter().map(|t| DecodedTrace::decode(t, geom)).collect();
-                drop(raw);
-                let decode = t0.elapsed();
                 let t0 = Instant::now();
                 let shared = MixStreams::new(
                     SystemConfig::micro2010(),
@@ -608,7 +610,6 @@ fn main() -> ExitCode {
                 );
                 let prep = PrepTimings {
                     generate,
-                    decode,
                     l1_filter: t0.elapsed(),
                 };
                 (shared, prep)

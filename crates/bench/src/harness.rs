@@ -29,20 +29,14 @@ pub fn accesses_per_benchmark() -> usize {
 pub const WARMUP_FRACTION: f64 = 0.2;
 
 /// Wall-clock split of one preparation cell: synthesizing the access
-/// stream, decoding a raw [`Trace`](stem_sim_core::Trace) into the shared
-/// [`DecodedTrace`](stem_sim_core::DecodedTrace) representation, and
-/// filtering the stream through the L1s into an [`LlcStream`].
-/// [`prepare_llc_stream`] and [`BenchmarkProfile::decoded`] generate
-/// straight into decoded columns, so their decode work is inside
-/// `generate`; only paths that ingest a raw trace (run_all's mix streams)
-/// record a separate decode. [`run_stage`] adds each preparation's split
-/// to its caller's totals.
+/// stream and filtering it through the L1s into an [`LlcStream`]. Every
+/// run_all stream is generated straight into decoded columns, so decoding
+/// is inside `generate`. [`run_stage`] adds each preparation's split to
+/// its caller's totals.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PrepTimings {
-    /// Time spent synthesizing accesses (decoding included when fused).
+    /// Time spent synthesizing accesses, decoding included.
     pub generate: Duration,
-    /// Time spent decoding a raw trace into the structure-of-arrays stream.
-    pub decode: Duration,
     /// Time spent filtering streams through the L1s (for a mix, building
     /// its interleave schedule too).
     pub l1_filter: Duration,
@@ -52,7 +46,6 @@ impl PrepTimings {
     /// Accumulates another cell's split into this one.
     pub fn absorb(&mut self, other: PrepTimings) {
         self.generate += other.generate;
-        self.decode += other.decode;
         self.l1_filter += other.l1_filter;
     }
 }
@@ -79,7 +72,6 @@ pub fn prepare_llc_stream(
     let stream = builder.finish();
     let prep = PrepTimings {
         generate: t0.elapsed().saturating_sub(l1_filter),
-        decode: Duration::ZERO,
         l1_filter,
     };
     (stream, prep)

@@ -20,6 +20,22 @@ pub fn cores_entry() -> (String, Json) {
     )
 }
 
+/// This process's peak resident set size so far, in MB (MiB): the
+/// `VmHWM` line of `/proc/self/status`, in the unit the repo benchmark
+/// reports a child's peak in. `None` where that file is not available.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .strip_suffix("kB")?
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb as f64 / 1024.0)
+}
+
 /// Runs `f` once for warm-up, then `reps` measured times, returning the
 /// minimum duration. The warm-up result is discarded; every measured
 /// result is passed through `std::hint::black_box` so the work is not

@@ -106,6 +106,7 @@ fn run_all_is_byte_identical_across_thread_counts() {
                 "threads",
                 "available_parallelism",
                 "total_cell_seconds",
+                "peak_rss_mb",
                 "stages",
                 "experiments"
             ]
@@ -119,6 +120,10 @@ fn run_all_is_byte_identical_across_thread_counts() {
             .get("total_cell_seconds")
             .and_then(Json::as_f64)
             .is_some());
+        assert!(doc
+            .get("peak_rss_mb")
+            .and_then(Json::as_f64)
+            .is_some_and(|mb| mb > 0.0));
         let stages = doc.get("stages").and_then(Json::as_obj).expect("stages");
         assert!(stages.iter().all(|(_, v)| v.as_f64().is_some()));
         let cells = doc

@@ -6,13 +6,15 @@
 //! stream and the §5.1 latency algebra are exact, and CPI adds a
 //! fixed base CPI plus memory stalls discounted by an overlap factor
 //! (modelling the OOO core's latency hiding). All paper figures are
-//! *normalized to LRU*, which cancels the model's constant factors.
+//! *normalized to LRU*; a normalized MPKI or AMAT does not depend on the
+//! model's two constants, but a normalized CPI does (`DESIGN.md` §1).
 //!
 //! Nothing the LLC does reaches the L1, so the L1-miss stream depends only
 //! on the trace: [`LlcStream`] runs the L1 pass once per trace (or once
 //! per multi-core mix) and every LLC scheme compared on it replays the
 //! same stream. [`System`] keeps a live L1 for runs that checkpoint a
-//! warmed hierarchy.
+//! warmed hierarchy. Both run the Table 1 L1 through one 2-way kernel,
+//! [`L1Cache`].
 //!
 //! # Examples
 //!
@@ -32,11 +34,13 @@
 //! # }
 //! ```
 
+mod l1;
 mod metrics;
 mod mix;
 mod stream;
 mod system;
 
+pub use l1::L1Cache;
 pub use metrics::SystemMetrics;
 pub use mix::{interleave_schedule, MixMetrics};
 pub use stream::{LlcStream, LlcStreamBuilder};

@@ -12,11 +12,10 @@
 
 use std::ops::Range;
 
-use stem_replacement::{Lru, SetAssocCache};
 use stem_sim_core::{CacheModel, CacheStats, DecodedTrace};
 
 use crate::system::{filter, filter_range, metrics};
-use crate::{MixMetrics, SystemConfig, SystemMetrics};
+use crate::{L1Cache, MixMetrics, SystemConfig, SystemMetrics};
 
 /// One core's share of an [`LlcStream`]'s measured phase.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -59,7 +58,8 @@ struct CoreTally {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LlcStream {
     cfg: SystemConfig,
-    /// Every L1 miss, warm and measured, in issue order.
+    /// Every L1 miss, warm and measured, in issue order: a gap-free
+    /// stream (the run's instructions are tallied per core).
     misses: DecodedTrace,
     /// The number of leading `misses` issued in the warm phase.
     warm: usize,
@@ -132,6 +132,13 @@ impl LlcStream {
     /// The number of leading LLC accesses issued in the warm phase.
     pub fn warm_len(&self) -> usize {
         self.warm
+    }
+
+    /// The LLC accesses, warm and measured, in issue order: a
+    /// [`gap_free`](DecodedTrace::gap_free) stream of lines and write
+    /// flags.
+    pub fn misses(&self) -> &DecodedTrace {
+        &self.misses
     }
 
     /// Replays the stream into `l2` and returns the whole-system metrics
@@ -218,7 +225,7 @@ impl LlcStream {
 /// [`LlcStream::mix`] drives the same builder with one L1 per core.
 #[derive(Debug)]
 pub struct LlcStreamBuilder {
-    l1s: Vec<SetAssocCache<Lru>>,
+    l1s: Vec<L1Cache>,
     issued: usize,
     warm_steps: usize,
     measuring: bool,
@@ -242,15 +249,13 @@ impl LlcStreamBuilder {
         assert!(cores > 0, "a hierarchy needs at least one core");
         let geom = cfg.l1_geometry();
         LlcStreamBuilder {
-            l1s: (0..cores)
-                .map(|_| SetAssocCache::new(geom, Lru::new(geom)))
-                .collect(),
+            l1s: vec![L1Cache::new(geom); cores],
             issued: 0,
             warm_steps,
             measuring: false,
             stream: LlcStream {
                 cfg,
-                misses: DecodedTrace::with_capacity(geom, capacity),
+                misses: DecodedTrace::gap_free(geom, capacity),
                 warm: 0,
                 owners: Vec::new(),
                 cores: vec![CoreTally::default(); cores],

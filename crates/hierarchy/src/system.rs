@@ -2,12 +2,9 @@
 
 use std::ops::Range;
 
-use stem_replacement::{Lru, SetAssocCache};
-use stem_sim_core::{
-    Access, AccessKind, CacheGeometry, CacheModel, CacheStats, DecodedTrace, LineAddr, TimingParams,
-};
+use stem_sim_core::{CacheGeometry, CacheModel, CacheStats, DecodedTrace, TimingParams};
 
-use crate::SystemMetrics;
+use crate::{L1Cache, SystemMetrics};
 
 /// System-level configuration: the paper's Table 1 system, the one
 /// configuration the evaluation uses and this crate validates.
@@ -66,7 +63,7 @@ pub const FILTER_CHUNK: usize = 4096;
 /// A core + L1D + L2 + memory system driving any
 /// [`CacheModel`](stem_sim_core::CacheModel) as its LLC.
 ///
-/// The L1 is a conventional LRU cache (Table 1); accesses that miss it are
+/// The L1 is the Table 1 2-way LRU ([`L1Cache`]); accesses that miss it are
 /// forwarded to the L2 (see [`FILTER_CHUNK`]), and the L2's outcome counts
 /// are priced by the §5.1 latency algebra
 /// ([`TimingParams::l2_cycles`](stem_sim_core::TimingParams::l2_cycles)).
@@ -80,14 +77,14 @@ pub const FILTER_CHUNK: usize = 4096;
 #[derive(Clone)]
 pub struct System {
     cfg: SystemConfig,
-    l1: SetAssocCache<Lru>,
+    l1: L1Cache,
     l2: Box<dyn CacheModel>,
 }
 
 impl System {
     /// Creates a system around an LLC.
     pub fn new(cfg: SystemConfig, l2: Box<dyn CacheModel>) -> Self {
-        let l1 = SetAssocCache::new(cfg.l1_geometry, Lru::new(cfg.l1_geometry));
+        let l1 = L1Cache::new(cfg.l1_geometry);
         System { cfg, l1, l2 }
     }
 
@@ -168,7 +165,7 @@ impl System {
     /// replays each chunk's L1 misses through the LLC.
     fn drive(&mut self, trace: &DecodedTrace, range: Range<usize>) {
         let mut misses =
-            DecodedTrace::with_capacity(self.cfg.l1_geometry, range.len().min(FILTER_CHUNK));
+            DecodedTrace::gap_free(self.cfg.l1_geometry, range.len().min(FILTER_CHUNK));
         for start in range.clone().step_by(FILTER_CHUNK) {
             misses.clear();
             let chunk = start..(start + FILTER_CHUNK).min(range.end);
@@ -187,7 +184,7 @@ impl System {
 /// from the L1's.
 #[inline]
 pub(crate) fn filter_range(
-    l1: &mut SetAssocCache<Lru>,
+    l1: &mut L1Cache,
     misses: &mut DecodedTrace,
     trace: &DecodedTrace,
     range: Range<usize>,
@@ -198,24 +195,14 @@ pub(crate) fn filter_range(
     }
 }
 
-/// Probes a core's L1 with one demand access and, on a miss, appends the
-/// access to `misses`, the LLC stream being built. Returns whether it
-/// missed.
+/// Probes a core's L1 with one demand access and, on a miss, appends its
+/// line and write flag to `misses`, the LLC stream being built. Returns
+/// whether it missed.
 #[inline]
-pub(crate) fn filter(
-    l1: &mut SetAssocCache<Lru>,
-    misses: &mut DecodedTrace,
-    line: u64,
-    write: bool,
-) -> bool {
-    let line = LineAddr::new(line);
-    let missed = l1.access_line(line, write).is_miss();
+pub(crate) fn filter(l1: &mut L1Cache, misses: &mut DecodedTrace, line: u64, write: bool) -> bool {
+    let missed = !l1.access_line(line, write);
     if missed {
-        misses.push(Access {
-            addr: line.to_address(misses.geometry().line_bytes()),
-            kind: AccessKind::from_write(write),
-            inst_gap: 0,
-        });
+        misses.push_line(line, write);
     }
     missed
 }
@@ -266,6 +253,7 @@ impl std::fmt::Debug for System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stem_replacement::{Lru, SetAssocCache};
     use stem_sim_core::{Access, Address, Trace};
 
     fn l2_geom() -> CacheGeometry {

@@ -287,12 +287,12 @@ fn run_mix_request(
     let mut streams = Vec::with_capacity(mix.len());
     let mut labels = Vec::with_capacity(mix.len());
     for (i, (comp, share)) in mix.iter().zip(&shares).enumerate() {
-        let (label, trace) = match &comp.source {
+        let (label, stream) = match &comp.source {
             MixSource::Benchmark(name) => {
                 let bench = BenchmarkProfile::by_name(name).ok_or_else(|| {
                     SimError::config("serve", format!("unknown benchmark {name:?}"))
                 })?;
-                (name.clone(), bench.trace(geom, *share))
+                (name.clone(), bench.decoded_in_region(geom, *share, i))
             }
             MixSource::Trace(name) => {
                 let dir = trace_dir.ok_or_else(|| {
@@ -315,13 +315,13 @@ fn run_mix_request(
                         ),
                     ));
                 }
-                (format!("trace:{name}"), trace)
+                (
+                    format!("trace:{name}"),
+                    DecodedTrace::decode(&offset_trace_into_region(trace, i), geom),
+                )
             }
         };
-        streams.push(DecodedTrace::decode(
-            &offset_trace_into_region(trace, i),
-            geom,
-        ));
+        streams.push(stream);
         labels.push(label);
     }
     let outcome = run_mix_decoded(

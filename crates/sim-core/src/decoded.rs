@@ -8,6 +8,14 @@
 //! gaps) that every scheme replays directly, shared across worker threads
 //! via `Arc`.
 //!
+//! A stream built by the hierarchy's L1 pass (the LLC stream every scheme
+//! replays) carries no instruction counts: its accesses are L1 misses, and
+//! the run's instructions are tallied from the trace itself. Such a
+//! [`gap_free`](DecodedTrace::gap_free) stream stores lines and write
+//! flags only (8.125 bytes per access against 12.125) and its gaps read
+//! as zero everywhere; replay never reads gaps, so it replays exactly like
+//! the same stream decoded with zero gaps.
+//!
 //! The stream carries no set index: every scheme picks a set from the low
 //! bits of the line address under its *own* geometry
 //! ([`CacheGeometry::set_index_of_line`], one AND), so one stream replays
@@ -69,17 +77,23 @@ impl DecodedAccess {
 ///   cache derives its narrower tag with a single shift, and every scheme
 ///   derives its set index with a single AND;
 /// * bit-packed write flags (one bit per access, 64 per word);
-/// * `inst_gaps[i]` — the instruction gap, for MPKI/CPI accounting.
+/// * `inst_gaps[i]` — the instruction gap, for MPKI/CPI accounting;
+///   absent in a [`gap_free`](DecodedTrace::gap_free) stream, whose gaps
+///   all read as zero.
 ///
 /// A stream replays into any cache with its line size
 /// ([`lines_for`](DecodedTrace::lines_for)); the set count and
 /// associativity of the decode geometry play no part in replay.
+///
+/// Equality compares representations: a gap-free stream never equals a
+/// stream with a gap column, whatever its gaps.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedTrace {
     geom: CacheGeometry,
     lines: Vec<u64>,
     write_words: Vec<u64>,
-    inst_gaps: Vec<u32>,
+    /// `None` in a gap-free stream.
+    inst_gaps: Option<Vec<u32>>,
     instructions: u64,
 }
 
@@ -98,28 +112,63 @@ impl DecodedTrace {
     /// synthesized stream never exists as a [`Trace`] first.
     pub fn with_capacity(geom: CacheGeometry, capacity: usize) -> Self {
         DecodedTrace {
+            inst_gaps: Some(Vec::with_capacity(capacity)),
+            ..DecodedTrace::gap_free(geom, capacity)
+        }
+    }
+
+    /// An empty gap-free stream decoded against `geom`, with room for
+    /// `capacity` accesses: lines and write flags only, every instruction
+    /// gap zero. The hierarchy's L1 pass appends its misses to one with
+    /// [`push_line`](Self::push_line).
+    pub fn gap_free(geom: CacheGeometry, capacity: usize) -> Self {
+        DecodedTrace {
             geom,
             lines: Vec::with_capacity(capacity),
             write_words: Vec::with_capacity(capacity.div_ceil(64)),
-            inst_gaps: Vec::with_capacity(capacity),
+            inst_gaps: None,
             instructions: 0,
         }
     }
 
     /// Decodes one access and appends it: exactly the record
     /// [`decode`](Self::decode) would produce for it at this position.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the stream is gap-free and the access has a non-zero
+    /// instruction gap.
     #[inline]
     pub fn push(&mut self, a: Access) {
+        if let Some(gaps) = &mut self.inst_gaps {
+            gaps.push(a.inst_gap);
+            self.instructions += u64::from(a.inst_gap);
+        } else if a.inst_gap != 0 {
+            gap_in_a_gap_free_stream();
+        }
+        self.push_columns(a.addr.line(self.geom.line_bytes()).raw(), a.kind.is_write());
+    }
+
+    /// Appends an access by its line address (at the decode line size) and
+    /// write flag, with a zero instruction gap.
+    #[inline]
+    pub fn push_line(&mut self, line: u64, write: bool) {
+        self.push_columns(line, write);
+        if let Some(gaps) = &mut self.inst_gaps {
+            gaps.push(0);
+        }
+    }
+
+    #[inline]
+    fn push_columns(&mut self, line: u64, write: bool) {
         let i = self.lines.len();
-        self.lines.push(a.addr.line(self.geom.line_bytes()).raw());
+        self.lines.push(line);
         if i & 63 == 0 {
             self.write_words.push(0);
         }
-        if a.kind.is_write() {
+        if write {
             self.write_words[i >> 6] |= 1u64 << (i & 63);
         }
-        self.inst_gaps.push(a.inst_gap);
-        self.instructions += u64::from(a.inst_gap);
     }
 
     /// Removes every access, keeping the column allocations, so one buffer
@@ -127,25 +176,27 @@ impl DecodedTrace {
     pub fn clear(&mut self) {
         self.lines.clear();
         self.write_words.clear();
-        self.inst_gaps.clear();
+        if let Some(gaps) = &mut self.inst_gaps {
+            gaps.clear();
+        }
         self.instructions = 0;
     }
 
     /// Assembles a `DecodedTrace` directly from pre-decoded columns, used by
     /// the set sampler to materialize its compacted stream without
     /// round-tripping through byte addresses. The columns must be parallel
-    /// (`lines` and `inst_gaps` of equal length; `write_words` packed 64
-    /// flags per word).
+    /// (`lines` and any `inst_gaps` of equal length; `write_words` packed
+    /// 64 flags per word); `None` gaps make a gap-free stream.
     pub(crate) fn from_parts(
         geom: CacheGeometry,
         lines: Vec<u64>,
         write_words: Vec<u64>,
-        inst_gaps: Vec<u32>,
+        inst_gaps: Option<Vec<u32>>,
     ) -> Self {
         let n = lines.len();
-        debug_assert_eq!(inst_gaps.len(), n);
+        debug_assert!(inst_gaps.as_ref().is_none_or(|g| g.len() == n));
         debug_assert_eq!(write_words.len(), n.div_ceil(64));
-        let instructions = sum_gaps(&inst_gaps);
+        let instructions = inst_gaps.as_deref().map_or(0, sum_gaps);
         DecodedTrace {
             geom,
             lines,
@@ -198,7 +249,9 @@ impl DecodedTrace {
             range.end,
             self.len()
         );
-        sum_gaps(&self.inst_gaps[range])
+        self.inst_gaps
+            .as_ref()
+            .map_or(0, |gaps| sum_gaps(&gaps[range]))
     }
 
     /// The line-address column, for a consumer of geometry `geom`: the
@@ -231,7 +284,7 @@ impl DecodedTrace {
         DecodedAccess {
             line: LineAddr::new(self.lines[i]),
             write: self.is_write(i),
-            inst_gap: self.inst_gaps[i],
+            inst_gap: self.inst_gaps.as_ref().map_or(0, |gaps| gaps[i]),
         }
     }
 
@@ -246,16 +299,24 @@ impl DecodedTrace {
         (self.write_words[i >> 6] >> (i & 63)) & 1 != 0
     }
 
-    /// The raw instruction-gap column.
+    /// The raw instruction-gap column, or `None` for a
+    /// [`gap_free`](Self::gap_free) stream, whose gaps all read as zero.
     #[inline]
-    pub fn inst_gaps(&self) -> &[u32] {
-        &self.inst_gaps
+    pub fn inst_gaps(&self) -> Option<&[u32]> {
+        self.inst_gaps.as_deref()
     }
 
     /// Iterates over all decoded accesses in order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = DecodedAccess> + '_ {
         (0..self.len()).map(move |i| self.get(i))
     }
+}
+
+/// Kept out of line, so the panic machinery stays off `push`'s hot path.
+#[cold]
+#[inline(never)]
+fn gap_in_a_gap_free_stream() -> ! {
+    panic!("a gap-free stream has no instruction gaps")
 }
 
 fn sum_gaps(gaps: &[u32]) -> u64 {
@@ -265,7 +326,7 @@ fn sum_gaps(gaps: &[u32]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Address, SplitMix64};
+    use crate::{Address, SampledTrace, SplitMix64};
 
     fn geom() -> CacheGeometry {
         CacheGeometry::new(8, 4, 64).unwrap()
@@ -379,6 +440,95 @@ mod tests {
     fn instructions_in_out_of_bounds_panics() {
         let d = DecodedTrace::decode(&mixed_trace(4), geom());
         let _ = d.instructions_in(2..9);
+    }
+
+    /// `mixed_trace` with every instruction gap zero.
+    fn zero_gap_trace(n: usize) -> Trace {
+        mixed_trace(n)
+            .iter()
+            .map(|&a| Access { inst_gap: 0, ..a })
+            .collect()
+    }
+
+    /// The gap-free stream of `trace`'s lines and write flags.
+    fn gap_free_of(trace: &Trace, g: CacheGeometry) -> DecodedTrace {
+        let mut d = DecodedTrace::gap_free(g, 0);
+        for a in trace.iter() {
+            d.push_line(a.addr.line(g.line_bytes()).raw(), a.kind.is_write());
+        }
+        d
+    }
+
+    /// Two streams that every accessor reads alike.
+    fn assert_reads_alike(a: &DecodedTrace, b: &DecodedTrace) {
+        let n = a.len();
+        assert_eq!(n, b.len());
+        assert_eq!(a.lines_for(a.geometry()), b.lines_for(a.geometry()));
+        assert_eq!(a.instructions(), b.instructions());
+        for i in 0..n {
+            assert_eq!(a.is_write(i), b.is_write(i), "write flag {i}");
+            assert_eq!(a.get(i), b.get(i), "access {i}");
+        }
+        for (start, end) in [(0, n), (0, 0), (n / 3, n / 2), (n.min(63), n.min(65))] {
+            assert_eq!(a.instructions_in(start..end), b.instructions_in(start..end));
+        }
+    }
+
+    #[test]
+    fn gap_free_stream_reads_like_a_zero_gap_decode() {
+        let g = geom();
+        for n in [0, 1, 63, 64, 65, 257] {
+            let t = zero_gap_trace(n);
+            let decoded = DecodedTrace::decode(&t, g);
+            let lean = gap_free_of(&t, g);
+            assert_reads_alike(&lean, &decoded);
+            assert_eq!(lean.instructions(), 0);
+            assert_eq!(lean.inst_gaps(), None);
+            assert_eq!(decoded.inst_gaps().map(<[u32]>::len), Some(n));
+        }
+    }
+
+    #[test]
+    fn gap_free_stream_takes_zero_gap_accesses_and_stays_gap_free() {
+        let g = geom();
+        let t = zero_gap_trace(130);
+        let mut d = DecodedTrace::gap_free(g, 0);
+        for &a in t.iter() {
+            d.push(a);
+        }
+        assert_eq!(d, gap_free_of(&t, g));
+        d.clear();
+        assert!(d.is_empty());
+        assert_eq!(d.inst_gaps(), None);
+        // A gapped stream takes lines too, with zero gaps.
+        let mut gapped = DecodedTrace::with_capacity(g, 0);
+        for &a in t.iter() {
+            gapped.push_line(a.addr.line(g.line_bytes()).raw(), a.kind.is_write());
+        }
+        assert_eq!(gapped, DecodedTrace::decode(&t, g));
+    }
+
+    #[test]
+    #[should_panic(expected = "gap-free stream has no instruction gaps")]
+    fn gap_free_stream_refuses_a_gap() {
+        let mut d = DecodedTrace::gap_free(geom(), 1);
+        d.push(Access::read(Address::new(0)).with_inst_gap(1));
+    }
+
+    #[test]
+    fn sampling_a_gap_free_stream_equals_sampling_its_decode() {
+        let g = CacheGeometry::new(64, 4, 64).unwrap();
+        let t = zero_gap_trace(1000);
+        let (decoded, lean) = (DecodedTrace::decode(&t, g), gap_free_of(&t, g));
+        for (rate, seed) in [(1, 0), (2, 7), (4, 3), (32, 11), (99, 5)] {
+            let want = SampledTrace::select(&decoded, rate, seed);
+            let got = SampledTrace::select(&lean, rate, seed);
+            assert_reads_alike(got.trace(), want.trace());
+            assert_eq!(got.trace().inst_gaps(), None);
+            assert_eq!(got.orig_indices(), want.orig_indices());
+            assert_eq!(got.selected_domains(), want.selected_domains());
+            assert_eq!(got.scale_factor().to_bits(), want.scale_factor().to_bits());
+        }
     }
 
     #[test]

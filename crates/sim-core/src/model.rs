@@ -6,7 +6,7 @@ use std::fmt;
 use std::ops::Range;
 
 use crate::{
-    Access, AccessKind, Address, CacheGeometry, CacheStats, DecodedTrace, Snapshot, SnapshotError,
+    AccessKind, Address, CacheGeometry, CacheStats, DecodedTrace, Snapshot, SnapshotError,
 };
 
 /// The outcome of one cache access, at the granularity the paper's timing
@@ -112,12 +112,9 @@ pub trait CacheModel: CacheModelClone {
     /// allocates that stream on every call, so runs over many accesses
     /// replay a [`DecodedTrace`] instead.
     fn access(&mut self, addr: Address, kind: AccessKind) -> AccessResult {
-        let mut one = DecodedTrace::with_capacity(self.geometry(), 1);
-        one.push(Access {
-            addr,
-            kind,
-            inst_gap: 0,
-        });
+        let geom = self.geometry();
+        let mut one = DecodedTrace::gap_free(geom, 1);
+        one.push_line(addr.line(geom.line_bytes()).raw(), kind.is_write());
         let before = *self.stats();
         self.replay_decoded(&one, 0..1);
         let moved = self.stats().outcomes_since(&before);
@@ -270,6 +267,7 @@ impl Clone for Box<dyn CacheModel> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Access;
 
     #[test]
     fn result_predicates() {

@@ -129,7 +129,7 @@ impl SampledTrace {
             .count();
         let mut b_lines = Vec::with_capacity(count);
         let mut b_write_words = vec![0u64; count.div_ceil(64)];
-        let mut b_gaps = Vec::with_capacity(count);
+        let mut b_gaps = gaps.map(|_| Vec::with_capacity(count));
         let mut orig = Vec::with_capacity(count);
         for i in 0..n {
             if !selected_mask[domain_of(lines[i], domains)] {
@@ -140,7 +140,9 @@ impl SampledTrace {
                 b_write_words[local >> 6] |= 1u64 << (local & 63);
             }
             b_lines.push(lines[i]);
-            b_gaps.push(gaps[i]);
+            if let (Some(b_gaps), Some(gaps)) = (&mut b_gaps, gaps) {
+                b_gaps.push(gaps[i]);
+            }
             orig.push(i as u32);
         }
         SampledTrace {

@@ -8,7 +8,7 @@
 //! address space disjoint (a per-program offset in the upper tag bits, the
 //! way physical allocation separates processes).
 
-use stem_sim_core::{CacheGeometry, Trace};
+use stem_sim_core::{Address, CacheGeometry, DecodedTrace, Trace};
 
 use crate::BenchmarkProfile;
 
@@ -99,11 +99,13 @@ impl WorkloadMix {
         self.components.iter().map(|&(_, w)| w).collect()
     }
 
-    /// Generates one trace per component (core), for the shared-LLC mix
-    /// subsystem: component `i` receives its pro-rata share of `accesses`
-    /// (see [`pro_rata_shares`]; the shares sum exactly to `accesses`) and
-    /// its addresses are shifted into private region `i` of the 44-bit
-    /// physical space, so programs never alias in the shared cache.
+    /// Generates one decoded stream per component (core), for the
+    /// shared-LLC mix subsystem: component `i` receives its pro-rata share
+    /// of `accesses` (see [`pro_rata_shares`]; the shares sum exactly to
+    /// `accesses`) and its addresses are shifted into private region `i`
+    /// of the 44-bit physical space, so programs never alias in the shared
+    /// cache. Each stream is generated straight into its decoded columns
+    /// ([`BenchmarkProfile::decoded_in_region`]); no [`Trace`] is built.
     ///
     /// The streams are *not* interleaved here — interleaving is the mix
     /// system's job (see `stem_hierarchy::interleave_schedule`), which
@@ -113,7 +115,7 @@ impl WorkloadMix {
     ///
     /// Panics if the mix has more than [`MAX_MIX_PROGRAMS`] components
     /// (the private-region encoding runs out of bits).
-    pub fn core_traces(&self, geom: CacheGeometry, accesses: usize) -> Vec<Trace> {
+    pub fn core_traces(&self, geom: CacheGeometry, accesses: usize) -> Vec<DecodedTrace> {
         assert!(
             self.components.len() <= MAX_MIX_PROGRAMS,
             "at most {MAX_MIX_PROGRAMS} programs fit in private regions"
@@ -123,7 +125,7 @@ impl WorkloadMix {
             .iter()
             .zip(shares)
             .enumerate()
-            .map(|(i, ((profile, _), share))| offset_into_region(profile.trace(geom, share), i))
+            .map(|(i, ((profile, _), share))| profile.decoded_in_region(geom, share, i))
             .collect()
     }
 }
@@ -132,36 +134,41 @@ impl WorkloadMix {
 /// for callers assembling per-core streams from sources other than a
 /// [`WorkloadMix`] (e.g. ingested trace files mixed with profile
 /// analogs). Same folding semantics as [`WorkloadMix::core_traces`] — see
-/// `offset_into_region`.
+/// `region_fold`.
 ///
 /// # Panics
 ///
 /// Panics if `program` is not below [`MAX_MIX_PROGRAMS`].
 pub fn offset_trace_into_region(trace: Trace, program: usize) -> Trace {
+    let fold = region_fold(program);
+    trace
+        .into_iter()
+        .map(|mut a| {
+            a.addr = fold(a.addr);
+            a
+        })
+        .collect()
+}
+
+/// The shift of an address into the private region of `program` (bits
+/// 41..43 of the 44-bit physical space). Addresses are folded into the
+/// region (low 41 bits kept, region bits replaced) rather than OR-ed: a
+/// generator that wanders above bit 41 must not leak into another
+/// program's region, or "private" streams would alias in a shared cache.
+/// The fold preserves the set-index and line-offset bits, so per-set
+/// behavior is unchanged.
+///
+/// # Panics
+///
+/// Panics if `program` is not below [`MAX_MIX_PROGRAMS`].
+pub(crate) fn region_fold(program: usize) -> impl Fn(Address) -> Address {
     assert!(
         program < MAX_MIX_PROGRAMS,
         "at most {MAX_MIX_PROGRAMS} programs fit in private regions"
     );
-    offset_into_region(trace, program)
-}
-
-/// Shifts every address of `trace` into the private region of `program`
-/// (bits 41..43 of the 44-bit physical space). Addresses are folded into
-/// the region (low 41 bits kept, region bits replaced) rather than OR-ed:
-/// a generator that wanders above bit 41 must not leak into another
-/// program's region, or "private" streams would alias in a shared cache.
-/// The fold preserves the set-index and line-offset bits, so per-set
-/// behavior is unchanged.
-fn offset_into_region(trace: Trace, program: usize) -> Trace {
-    let offset = (program as u64 & 0x7) << 41;
+    let offset = (program as u64) << 41;
     let low_bits = (1u64 << 41) - 1;
-    trace
-        .into_iter()
-        .map(|mut a| {
-            a.addr = stem_sim_core::Address::new((a.addr.raw() & low_bits) | offset);
-            a
-        })
-        .collect()
+    move |addr| Address::new((addr.raw() & low_bits) | offset)
 }
 
 #[cfg(test)]
@@ -206,7 +213,8 @@ mod tests {
         assert_eq!(streams[0].len(), 6_000, "2:1 weighting");
         for (i, s) in streams.iter().enumerate() {
             assert!(
-                s.iter().all(|a| a.addr.raw() >> 41 == i as u64),
+                s.iter()
+                    .all(|a| a.line.to_address(64).raw() >> 41 == i as u64),
                 "core {i} must stay in its private region"
             );
         }

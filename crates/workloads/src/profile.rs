@@ -10,6 +10,7 @@
 
 use stem_sim_core::{Access, CacheGeometry, DecodedTrace, SplitMix64, Trace};
 
+use crate::mix::region_fold;
 use crate::{PatternState, SetPattern, WorkloadClass};
 
 /// Number of reference sets the profiles are written against (the paper's
@@ -160,6 +161,31 @@ impl BenchmarkProfile {
     pub fn decoded(&self, geom: CacheGeometry, accesses: usize) -> DecodedTrace {
         let mut decoded = DecodedTrace::with_capacity(geom, accesses);
         self.generate(geom, accesses, &mut |a| decoded.push(a));
+        decoded
+    }
+
+    /// Generates the same stream as [`decoded`](Self::decoded) with every
+    /// address folded into private region `program` of a mix (see
+    /// [`offset_trace_into_region`](crate::offset_trace_into_region)):
+    /// equal to decoding `offset_trace_into_region(self.trace(geom,
+    /// accesses), program)`, without ever materializing the [`Trace`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` is not below
+    /// [`MAX_MIX_PROGRAMS`](crate::MAX_MIX_PROGRAMS).
+    pub fn decoded_in_region(
+        &self,
+        geom: CacheGeometry,
+        accesses: usize,
+        program: usize,
+    ) -> DecodedTrace {
+        let fold = region_fold(program);
+        let mut decoded = DecodedTrace::with_capacity(geom, accesses);
+        self.generate(geom, accesses, &mut |mut a| {
+            a.addr = fold(a.addr);
+            decoded.push(a)
+        });
         decoded
     }
 

@@ -12,7 +12,7 @@
 
 use stem::analysis::{run_mix_decoded, Scheme};
 use stem::hierarchy::SystemConfig;
-use stem::sim_core::{CacheGeometry, DecodedTrace};
+use stem::sim_core::CacheGeometry;
 use stem::workloads::{BenchmarkProfile, WorkloadMix};
 
 fn main() {
@@ -22,11 +22,7 @@ fn main() {
         (BenchmarkProfile::by_name("gromacs").expect("suite"), 1.0),
     ]);
     let names = ["omnetpp", "gromacs"];
-    let streams: Vec<DecodedTrace> = mix
-        .core_traces(geom, 600_000)
-        .iter()
-        .map(|t| DecodedTrace::decode(t, geom))
-        .collect();
+    let streams = mix.core_traces(geom, 600_000);
 
     println!("shared-LLC mix: omnetpp + gromacs, 2MB 16-way L2\n");
     for scheme in [Scheme::Lru, Scheme::Stem] {

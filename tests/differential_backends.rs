@@ -29,6 +29,7 @@
 //! more sets than their selector holds, where saturation levels tie and
 //! which tied entry a full selector replaces changes later couplings.
 
+use stem::hierarchy::{L1Cache, SystemConfig};
 use stem::llc::{PolicyKind, SetMonitor, ShadowSet, StemCache, StemConfig, TagHasher};
 use stem::replacement::{
     Bip, Dip, Drrip, Lru, Nru, PeLifo, Plru, RecencyStack, ReplacementPolicy, SetAssocCache, Srrip,
@@ -1873,6 +1874,41 @@ fn ablated_stem_equals_lru_access_for_access() {
             );
         }
     }
+}
+
+/// The hierarchy's fixed 2-way L1 kernel against `SetAssocCache<Lru>` at
+/// the Table 1 geometry (256×2): fuzzed line streams confined to a few
+/// sets, so nearly every miss evicts, with random writes and statistics
+/// resets mid-stream. Every access must agree on hit or miss, and the
+/// final `CacheStats` (hits, misses, evictions, writebacks) must be equal.
+#[test]
+fn l1_kernel_matches_set_assoc_lru() {
+    let geom = SystemConfig::micro2010().l1_geometry();
+    assert_eq!((geom.sets(), geom.ways()), (256, 2));
+    prop::check(96, |g| {
+        let mut kernel = L1Cache::new(geom);
+        let mut oracle = SetAssocCache::new(geom, Lru::new(geom));
+        let sets: Vec<u64> = (0..g.usize(1, 4)).map(|_| g.u64(0, 256)).collect();
+        let tags = g.u64(2, 7);
+        let region = g.u64(0, 1 << 20) << 24;
+        let write_odds = g.u32(0, 5);
+        let len = g.usize(0, 3000);
+        for i in 0..len {
+            if g.u32(0, 400) == 0 {
+                kernel.reset_stats();
+                oracle.reset_stats();
+            }
+            let set = sets[g.usize(0, sets.len())];
+            let line = region | (g.u64(0, tags) << 8) | set;
+            let write = g.u32(0, 4) < write_odds;
+            assert_eq!(
+                kernel.access_line(line, write),
+                oracle.access_line(LineAddr::new(line), write).is_hit(),
+                "access #{i} (line {line:#x}, write {write}) diverged"
+            );
+        }
+        assert_eq!(kernel.stats(), oracle.stats(), "final CacheStats diverged");
+    });
 }
 
 // ---------------------------------------------------------------------------

@@ -219,11 +219,14 @@ fn run_all_mixes_match_the_reference() {
         let profiles = [a, b].map(|n| BenchmarkProfile::by_name(n).expect("suite benchmark"));
         let mix = WorkloadMix::new(profiles.iter().map(|p| (p.clone(), 1.0)).collect());
         let accesses = 30_001;
-        let want: Vec<Trace> = profiles
+        let want: Vec<DecodedTrace> = profiles
             .iter()
             .zip(pro_rata_shares(&[1.0, 1.0], accesses))
             .enumerate()
-            .map(|(i, (p, share))| offset_trace_into_region(reference::trace(p, geom, share), i))
+            .map(|(i, (p, share))| {
+                let trace = offset_trace_into_region(reference::trace(p, geom, share), i);
+                DecodedTrace::decode(&trace, geom)
+            })
             .collect();
         assert!(
             mix.core_traces(geom, accesses) == want,

@@ -22,7 +22,9 @@ use stem_bench::harness::{prepare_llc_stream, WARMUP_FRACTION};
 
 /// The reference hierarchy, kept verbatim apart from reading the Table-1
 /// system constants from [`reference::Config`] (`SystemConfig`'s fields
-/// are private).
+/// are private) and an access's instruction gap through
+/// `DecodedTrace::get`. Its L1 is the generic `SetAssocCache<Lru>`, so it
+/// is also the oracle of the hierarchy's own 2-way L1 kernel.
 mod reference {
     use std::ops::Range;
 
@@ -243,7 +245,7 @@ mod reference {
                 let tally = &mut tallies[core];
                 tally.cycles += cycles;
                 tally.accesses += 1;
-                tally.instructions += u64::from(streams[core].inst_gaps()[i]);
+                tally.instructions += u64::from(streams[core].get(i).inst_gap);
                 if let Some(r) = l2_r {
                     match (r.is_hit(), r.probed_cooperative()) {
                         (true, false) => core_l2[core].record_local_hit(),
@@ -307,6 +309,14 @@ fn assert_mix_bit_equal(got: &MixMetrics, want: &MixMetrics, what: &str) {
     assert_bit_equal(&got.combined, &want.combined, &format!("{what}: combined"));
 }
 
+/// The LLC stream an L1 pass built stores lines and write flags only.
+fn assert_gap_free(stream: &LlcStream, what: &str) {
+    assert!(
+        stream.misses().inst_gaps().is_none(),
+        "{what}: the LLC stream stores a gap column"
+    );
+}
+
 /// Checks `System` and a replay of `stream` (the L1 pass of `trace` with
 /// warm boundary `warm`) against the reference, for one scheme.
 fn check_system(
@@ -318,6 +328,7 @@ fn check_system(
     what: &str,
 ) {
     let what = format!("{what} {scheme} warm {warm}");
+    assert_gap_free(stream, &what);
     let want = reference::System::new(build_cache(scheme, geom)).warm_then_run_decoded(trace, warm);
     let got = System::new(SystemConfig::micro2010(), build_cache(scheme, geom))
         .warm_then_run_decoded(trace, warm);
@@ -339,6 +350,7 @@ fn check_mix(
     let want = reference::MixSystem::new(build_cache(scheme, geom), cores)
         .run_mix(streams, schedule, warm_steps);
     let what = format!("{what} {scheme} warm {warm_steps}");
+    assert_gap_free(stream, &what);
     let shared = stream.replay_mix(build_cache(scheme, geom).as_mut());
     assert_mix_bit_equal(&shared, &want, &format!("{what} shared stream"));
 }
@@ -380,11 +392,7 @@ fn suite_mixes_match_the_reference() {
                 .map(|n| (BenchmarkProfile::by_name(n).expect("suite benchmark"), 1.0))
                 .to_vec(),
         );
-        let streams: Vec<DecodedTrace> = mix
-            .core_traces(geom, FILTER_CHUNK + 1000)
-            .iter()
-            .map(|t| DecodedTrace::decode(t, geom))
-            .collect();
+        let streams = mix.core_traces(geom, FILTER_CHUNK + 1000);
         let lens: Vec<usize> = streams.iter().map(DecodedTrace::len).collect();
         let schedule = interleave_schedule(&lens, &mix.weights(), 7);
         let warm = schedule.len() / 5;
